@@ -17,6 +17,8 @@ M is a list of rows and each entry is either a number or an [re, im] pair.
 from __future__ import annotations
 
 import argparse
+import cmath
+import contextlib
 import csv
 import json
 import math
@@ -164,6 +166,9 @@ def decode_matrix(obj, what: str = "matrix") -> np.ndarray:
                 out.append(complex(entry[0], entry[1]))
             else:
                 raise ParseError(f"{what}: entry {entry!r} is neither a number nor [re, im]")
+            # json accepts NaN and Infinity
+            if not cmath.isfinite(out[-1]):
+                raise ParseError(f"{what}: entry {entry!r} is not finite")
         rows.append(out)
     if len({len(r) for r in rows}) != 1:
         raise ParseError(f"{what}: rows have different lengths")
@@ -236,8 +241,7 @@ def _cmd_check(args) -> int:
     explicit = args.check is not None
     if explicit:
         if args.check not in CHAIN_CHECKS and args.check not in DIAG_CHECKS:
-            print(f"unknown check {args.check!r}", file=sys.stderr)
-            return 1
+            raise ParseError(f"unknown check {args.check!r}")
         names = [args.check]
     else:
         names = [n for n, (_, arity) in CHAIN_CHECKS.items()
@@ -415,21 +419,20 @@ def _cmd_fuzz(args) -> int:
     checks = tuple(args.checks.split(",")) if args.checks else fuzz_mod.CHECK_ORDER
     for name in checks:
         if name not in fuzz_mod.CHECKS:
-            print(f"unknown check {name!r}", file=sys.stderr)
-            return 1
+            raise ParseError(f"unknown check {name!r}")
     config = fuzz_mod.CampaignConfig(seed=args.seed, dims=_parse_dims(args.dims),
                                      trials=args.trials, checks=checks)
-    report = fuzz_mod.run_campaign(config)
+    # outputs are opened before the campaign, so a bad path fails before the work
+    with open(args.out, "w") if args.out else contextlib.nullcontext() as out:
+        report = fuzz_mod.run_campaign(config)
+        if out is not None:
+            out.write(report.to_json(include_timing=not args.no_timing) + "\n")
     for name in checks:
         r = report.results[name]
         print(f"{name}: trials={r['trials']} violations={len(r['violations'])}"
               f" min_slack={r.get('min_slack', 0.0):.3e}")
     print(f"total violations: {report.total_violations}"
           f"  elapsed: {report.elapsed_seconds:.1f}s")
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(report.to_json(include_timing=not args.no_timing))
-            fh.write("\n")
     return 2 if report.total_violations else 0
 
 
@@ -437,36 +440,33 @@ def _cmd_fuzz(args) -> int:
 
 def _cmd_tightness(args) -> int:
     if args.check not in fuzz_mod.CHECKS:
-        print(f"unknown check {args.check!r}", file=sys.stderr)
-        return 1
+        raise ParseError(f"unknown check {args.check!r}")
+    if args.trials < 1:
+        raise ParseError(f"--trials must be positive, got {args.trials}")
     dims = _parse_dims(args.dims)
     is_chain = fuzz_mod.CHECKS[args.check].kind == "chain"
     rows, header = [], None
     any_violation = False
-    for trial in range(args.trials):
-        ok, slack, payload, meta = fuzz_mod.run_single_trial(
-            args.check, args.seed, trial, dims)
-        any_violation |= not ok
-        if is_chain:
-            if header is None:
-                header = ["trial", "dim", "rank", "ok", "min_slack"]
-                header += [label for label, _ in payload["chain"]]
-            rows.append([trial, meta["dim"], meta["rank"], int(ok), slack]
-                        + [v for _, v in payload["chain"]])
-        else:
-            if header is None:
-                header = ["trial", "dim", "rank", "ok", "eq_slack", "lhs", "rhs", "gap"]
-            rows.append([trial, meta["dim"], meta["rank"], int(ok), slack,
-                         payload["lhs"], payload["rhs"], payload["gap"]])
-
-    fh = sys.stdout if args.csv == "-" else open(args.csv, "w", newline="")
-    try:
+    with (contextlib.nullcontext(sys.stdout) if args.csv == "-"
+          else open(args.csv, "w", newline="")) as fh:
+        for trial in range(args.trials):
+            ok, slack, payload, meta = fuzz_mod.run_single_trial(
+                args.check, args.seed, trial, dims)
+            any_violation |= not ok
+            if is_chain:
+                if header is None:
+                    header = ["trial", "dim", "rank", "ok", "min_slack"]
+                    header += [label for label, _ in payload["chain"]]
+                rows.append([trial, meta["dim"], meta["rank"], int(ok), slack]
+                            + [v for _, v in payload["chain"]])
+            else:
+                if header is None:
+                    header = ["trial", "dim", "rank", "ok", "eq_slack", "lhs", "rhs", "gap"]
+                rows.append([trial, meta["dim"], meta["rank"], int(ok), slack,
+                             payload["lhs"], payload["rhs"], payload["gap"]])
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
-    finally:
-        if fh is not sys.stdout:
-            fh.close()
     return 2 if any_violation else 0
 
 
@@ -515,7 +515,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except SemiHilbertError as exc:
+    except (SemiHilbertError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

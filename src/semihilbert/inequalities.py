@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, PreconditionNotMet
-from .linalg import as_matrix, dagger, fro_norm, herm_part
+from .linalg import _multistart_ascent, as_matrix, dagger, fro_norm, herm_part
 from .radius import _crawford_core, _radius_seminorm_core, sup_sweep
 from .semispace import OperatorInSpace, SemiHilbertSpace
 
@@ -370,13 +370,14 @@ def pythagoras_diagnostic(space: SemiHilbertSpace, t, s,
     T^# T and S^# S share a maximizing direction; evaluated through the same
     Hermitian-part mechanism applied to the pair (T^# T, S^# S)."""
     opt, ops = _as_op(space, t), _as_op(space, s)
-    if float(np.linalg.norm(ops.sharp() @ opt.t, 2)) > 1e-10:
+    bs, bt = ops.compress(), opt.compress()
+    # S^# T = 0 iff Bs* Bt = 0, tested relative to the factors' scale
+    nt, ns = _sig(bt), _sig(bs)
+    if _sig(dagger(bs) @ bt) > 1e-10 * nt * ns:
         raise PreconditionNotMet("S^# T is not zero")
-    bt, bs = opt.compress(), ops.compress()
     tq = dagger(bt) @ bt
     sq = dagger(bs) @ bs
     lhs, u = _lam_max_vec(sq @ tq)
-    nt, ns = _sig(bt), _sig(bs)
     rhs = nt * nt * ns * ns
     eff = _eq_eff(eq_tol, rhs)
     equal = abs(rhs - lhs) <= eff
@@ -503,49 +504,12 @@ def _ascent_bilinear(bt: np.ndarray, bs: np.ndarray, starts: int, seed: int,
                      max_iter: int = 150) -> tuple[float, np.ndarray | None]:
     """Multi-start projected-gradient ascent of Re(conj(<Bt u, u>) <Bs u, u>)
     over the unit sphere.  A heuristic lower estimate: every iterate is an
-    explicit unit vector."""
-    r = bt.shape[0]
-    if r == 0:
-        return 0.0, None
-    rng = np.random.default_rng(seed)
-    bth, bsh = dagger(bt), dagger(bs)
-    scale2 = max(1.0, fro_norm(bt) * fro_norm(bs))
-    best_val, best_u = -math.inf, None
-
-    def objective(u):
-        zt = complex(np.vdot(u, bt @ u))
-        zs = complex(np.vdot(u, bs @ u))
-        return (np.conj(zt) * zs).real
-
-    for _ in range(starts):
-        u = rng.standard_normal(r) + 1j * rng.standard_normal(r)
-        u /= np.linalg.norm(u)
-        val = objective(u)
-        for _ in range(max_iter):
-            btu, bsu = bt @ u, bs @ u
-            zt = complex(np.vdot(u, btu))
-            zs = complex(np.vdot(u, bsu))
-            p = 0.5 * (zs * (bth @ u) + np.conj(zt) * bsu
-                       + np.conj(zs) * btu + zt * (bsh @ u))
-            p -= np.vdot(u, p) * u
-            gn = float(np.linalg.norm(p))
-            if gn <= 1e-13 * scale2:
-                break
-            alpha = 1.0 / scale2
-            moved = False
-            while alpha > 1e-18:
-                cand = u + alpha * p
-                cand /= np.linalg.norm(cand)
-                cval = objective(cand)
-                if cval >= val + 1e-4 * alpha * gn * gn:
-                    u, val, moved = cand, cval, True
-                    break
-                alpha /= 2.0
-            if not moved:
-                break
-        if val > best_val:
-            best_val, best_u = val, u
-    return float(best_val), best_u
+    explicit unit vector.  All starts advance together and keep the serial
+    rule's iterates (``linalg._multistart_ascent``)."""
+    # d/dz_t of Re(conj(z_t) z_s) is conj(z_s)/2, and symmetrically for z_s
+    return _multistart_ascent((bt, bs), lambda z: (np.conj(z[:, 0]) * z[:, 1]).real,
+                              lambda z: 0.5 * np.conj(z[:, ::-1]), starts, seed, max_iter,
+                              max(1.0, fro_norm(bt) * fro_norm(bs)))
 
 
 def radius_additivity_diagnostic(space: SemiHilbertSpace, t, s,
@@ -563,7 +527,6 @@ def radius_additivity_diagnostic(space: SemiHilbertSpace, t, s,
     bt, bs = opt.compress(), ops.compress()
     # <x, T x>_A = conj(<T x, x>_A), so the target is Re(conj(z_T) z_S)
     lhs, u = _ascent_bilinear(bt, bs, starts, seed, max_iter)
-    lhs = max(lhs, 0.0) if bt.size == 0 else lhs
     wt, ws = _w(bt), _w(bs)
     rhs = wt * ws
     eff = _eq_eff(eq_tol, rhs)

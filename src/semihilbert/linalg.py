@@ -1,7 +1,8 @@
 """Dense complex Hermitian linear algebra.
 
 Eigendecomposition, Moore-Penrose pseudoinverse, positive-semidefinite
-square root and range projector for Hermitian matrices.  Numerical rank
+square root and range projector for Hermitian matrices, and the batched
+multi-start ascent behind the heuristic searches.  Numerical rank
 decisions are always made relative to the largest eigenvalue through an
 explicit ``rank_tol``; matrix comparisons are relative Frobenius.
 
@@ -12,6 +13,7 @@ rank-tolerance semantics the rest of the package relies on.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +22,8 @@ from .errors import DimensionMismatch, NoConvergence, NotHermitian, NotPSD
 
 DEFAULT_RANK_TOL = 1e-10
 DEFAULT_HERMITICITY_TOL = 1e-10
+# step halvings tried per batched line-search round of _multistart_ascent
+_STEP_BLOCK = 8
 
 
 def as_matrix(m, *, square: bool = False) -> np.ndarray:
@@ -137,3 +141,61 @@ def range_projector(m, rank_tol: float = DEFAULT_RANK_TOL,
     keep = lam > rank_tol * lam_max
     vr = v[:, keep]
     return vr @ dagger(vr), int(np.count_nonzero(keep))
+
+
+def _multistart_ascent(mats, f, dfdz, starts: int, seed: int, max_iter: int,
+                       scale2: float) -> tuple[float, np.ndarray | None]:
+    """Projected-gradient ascent over unit u in C^r of a real function f of
+    the forms z_k = <B_k u, u> (``mats``).  ``f`` and ``dfdz`` map forms (m, K)
+    to values (m,) and to df/dz_k, and the direction is sum_k df/dz_k B_k u +
+    conj(df/dz_k) B_k* u.  All starts move together, each on the serial rule's
+    iterates up to rounding: start i is the i-th draw of standard_normal(r) +
+    1j * standard_normal(r); it stops once its projected direction has norm at
+    most 1e-13 * scale2, else takes the first step 2^-j / scale2 > 1e-18 that
+    passes the Armijo test with constant 1e-4 (tried ``_STEP_BLOCK`` halvings
+    at a time), and stops when none does.  Returns the first best start's
+    value and vector; (-inf, None) without starts, (0, empty) when r = 0.
+    """
+    if not starts:
+        return -math.inf, None
+    r = mats[0].shape[0]
+    right = np.concatenate([b.T for b in mats], axis=1)  # x @ right: rows B_k x
+    right_h = np.concatenate([b.conj() for b in mats], axis=1)  # rows B_k* x
+
+    def forms(x):
+        bx = (x @ right).reshape(len(x), len(mats), r)
+        return bx, np.einsum("ij,ikj->ik", x.conj(), bx)
+
+    g = np.random.default_rng(seed).standard_normal((starts, 2, r))
+    u = g[:, 0] + 1j * g[:, 1]
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    val = f(forms(u)[1])
+    live = np.arange(starts)
+    for _ in range(max_iter):
+        ul, vl = u[live], val[live]
+        bx, z = forms(ul)
+        c = dfdz(z)[:, :, None]
+        p = (c * bx + np.conj(c) * (ul @ right_h).reshape(bx.shape)).sum(axis=1)
+        p -= np.einsum("ij,ij->i", ul.conj(), p)[:, None] * ul
+        gn = np.linalg.norm(p, axis=1, keepdims=True)
+        moving = gn[:, 0] > 1e-13 * scale2
+        pend = moving.copy()
+        alpha = 1.0 / scale2
+        while alpha > 1e-18 and pend.any():
+            # scaling by 2^-j is exact, so these are the serial halvings
+            steps = alpha * 0.5 ** np.arange(_STEP_BLOCK)
+            steps = steps[steps > 1e-18]
+            cand = ul[:, None] + steps[:, None] * p[:, None]
+            cand /= np.linalg.norm(cand, axis=2, keepdims=True)
+            cval = f(forms(cand.reshape(-1, r))[1]).reshape(len(ul), -1)
+            ok = (cval >= vl[:, None] + 1e-4 * steps * gn * gn) & pend[:, None]
+            hit = ok.any(axis=1)
+            j = ok.argmax(axis=1)[hit]
+            u[live[hit]], val[live[hit]] = cand[hit, j], cval[hit, j]
+            pend &= ~hit
+            alpha *= 0.5 ** _STEP_BLOCK
+        live = live[moving & ~pend]
+        if not live.size:
+            break
+    best = int(np.argmax(val))
+    return float(val[best]), u[best]

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch
-from .linalg import dagger, fro_norm
+from .linalg import _multistart_ascent, dagger, fro_norm
 from .semispace import OperatorInSpace
 
 COARSE_POINTS = 720
@@ -197,43 +197,13 @@ def _crawford_core(b: np.ndarray, refine_tol: float = REFINE_TOL):
 def crawford_minimize(b: np.ndarray, starts: int = 20, seed: int = 0,
                       max_iter: int = 150) -> tuple[float, np.ndarray]:
     """Multi-start projected-gradient minimization of |<B u, u>| on the unit
-    sphere.  Every iterate is an explicit unit vector, so the result is a
-    certified upper bound for the Crawford number of ``B``."""
-    r = b.shape[0]
-    if r == 0:
-        return 0.0, np.zeros(0, dtype=np.complex128)
-    rng = np.random.default_rng(seed)
-    bh = dagger(b)
-    scale2 = max(1.0, fro_norm(b)) ** 2
-    best_val, best_u = math.inf, None
-    for _ in range(starts):
-        u = rng.standard_normal(r) + 1j * rng.standard_normal(r)
-        u /= np.linalg.norm(u)
-        for _ in range(max_iter):
-            bu = b @ u
-            z = complex(np.vdot(u, bu))
-            g = abs(z) ** 2
-            p = np.conj(z) * bu + z * (bh @ u)
-            p -= np.vdot(u, p) * u
-            gn = float(np.linalg.norm(p))
-            if gn <= 1e-13 * scale2:
-                break
-            alpha = 1.0 / scale2
-            moved = False
-            while alpha > 1e-18:
-                cand = u - alpha * p
-                cand /= np.linalg.norm(cand)
-                zc = complex(np.vdot(cand, b @ cand))
-                if abs(zc) ** 2 <= g - 1e-4 * alpha * gn * gn:
-                    u, moved = cand, True
-                    break
-                alpha /= 2.0
-            if not moved:
-                break
-        val = abs(complex(np.vdot(u, b @ u)))
-        if val < best_val:
-            best_val, best_u = val, u
-    return float(best_val), best_u
+    sphere.  Every iterate is an explicit unit vector, so the result, taken
+    at the returned vector, is a certified upper bound for the Crawford
+    number of ``B``.  This is the ascent of -|<B u, u>|^2: all starts advance
+    together and keep the serial rule's iterates (``_multistart_ascent``)."""
+    _, u = _multistart_ascent((b,), lambda z: -np.abs(z[:, 0]) ** 2, lambda z: -np.conj(z),
+                              starts, seed, max_iter, max(1.0, fro_norm(b)) ** 2)
+    return (math.inf, None) if u is None else (abs(complex(np.vdot(u, b @ u))), u)
 
 
 def _infinite_marker(method: str) -> RadiusEstimate:

@@ -129,10 +129,10 @@ class SemiHilbertSpace:
         ker_proj = np.eye(self.dim) - self.proj
 
         adj_resid = fro_norm(ker_proj @ dagger(tm) @ self.a)
-        admits = adj_resid <= ADJOINT_RESIDUAL_TOL * max(1.0, norm_a * norm_t)
+        admits = bool(adj_resid <= ADJOINT_RESIDUAL_TOL * max(1.0, norm_a * norm_t))
 
         bnd_resid = spectral_norm(self.a_half @ tm @ ker_proj)
-        bounded = bnd_resid <= BOUNDED_RESIDUAL_TOL * max(1.0, np.sqrt(norm_a) * norm_t)
+        bounded = bool(bnd_resid <= BOUNDED_RESIDUAL_TOL * max(1.0, np.sqrt(norm_a) * norm_t))
 
         sharp_mat = None
         compression = None

@@ -78,9 +78,20 @@ def test_check_complex_entries(tmp_path):
     assert cli.main(["check", path]) == 0
 
 
+def test_check_json_membership_flags_are_bools(tmp_path, capsys):
+    # large entries make the boundedness test compare against a numpy scale
+    path = write_instance(tmp_path, a=[[1, 0], [0, 2]], t=[[100, 200], [0, 100]])
+    assert cli.main(["check", path, "--json"]) == 0
+    blob = json.loads(capsys.readouterr().out)
+    assert blob["quantities"]["t"]["a_bounded"] is True
+    assert blob["quantities"]["t"]["admits_adjoint"] is True
+    assert cli.main(["check", path]) == 0
+    assert "a_bounded=True, admits_adjoint=True" in capsys.readouterr().out
+
+
 def test_check_unknown_check_name(worked_pair, capsys):
     assert cli.main(["check", worked_pair, "--check", "nope"]) == 1
-    assert "unknown check" in capsys.readouterr().err
+    assert "error: unknown check 'nope'" in capsys.readouterr().err
 
 
 def test_check_unbounded_operator_reports_error(tmp_path, capsys):
@@ -113,6 +124,17 @@ def test_check_violation_sets_exit_code(worked_pair, capsys, monkeypatch):
     monkeypatch.setitem(cli.CHAIN_CHECKS, "halfnorm_bounds", (broken, arity))
     assert cli.main(["check", worked_pair]) == 2
     assert "VIOLATED" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("text", ["NaN", "Infinity", "-Infinity"])
+def test_check_rejects_non_finite_entries(tmp_path, capsys, text):
+    path = tmp_path / "nan.json"
+    path.write_text('{"a": [[1, 0], [0, 1]], "t": [[%s, 0], [[0, 1], 1]]}' % text)
+    assert cli.main(["check", str(path)]) == 1
+    assert "error: t: entry" in capsys.readouterr().err
+    path.write_text('{"a": [[1, 0], [0, 1]], "t": [[1, 0], [[0, %s], 1]]}' % text)
+    assert cli.main(["check", str(path)]) == 1
+    assert "not finite" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("bad", [
@@ -171,7 +193,19 @@ def test_fuzz_writes_deterministic_report(tmp_path, capsys):
 
 def test_fuzz_unknown_check(capsys):
     assert cli.main(["fuzz", "--checks", "nope", "--trials", "1"]) == 1
-    assert "unknown check" in capsys.readouterr().err
+    assert "error: unknown check 'nope'" in capsys.readouterr().err
+
+
+def test_fuzz_unwritable_out_fails_before_the_campaign(tmp_path, capsys, monkeypatch):
+    def no_campaign(config):
+        raise AssertionError("campaign ran")
+
+    monkeypatch.setattr(cli.fuzz_mod, "run_campaign", no_campaign)
+    out = tmp_path / "missing" / "report.json"
+    assert cli.main(["fuzz", "--trials", "1", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert str(out) in err
 
 
 def test_fuzz_bad_dims(capsys):
@@ -203,6 +237,25 @@ def test_tightness_diagnostic_to_stdout(capsys):
 
 def test_tightness_unknown_check(capsys):
     assert cli.main(["tightness", "--check", "nope", "--trials", "1"]) == 1
+    assert "error: unknown check 'nope'" in capsys.readouterr().err
+
+
+def test_tightness_needs_a_trial(capsys):
+    assert cli.main(["tightness", "--check", "halfnorm_bounds", "--trials", "0"]) == 1
+    assert "error: --trials must be positive" in capsys.readouterr().err
+
+
+def test_tightness_unwritable_csv_fails_before_the_trials(tmp_path, capsys, monkeypatch):
+    def no_trial(*args):
+        raise AssertionError("trial ran")
+
+    monkeypatch.setattr(cli.fuzz_mod, "run_single_trial", no_trial)
+    out = tmp_path / "missing" / "t.csv"
+    argv = ["tightness", "--check", "halfnorm_bounds", "--trials", "2", "--csv", str(out)]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert str(out) in err
 
 
 def test_entry_exits_with_status(monkeypatch):

@@ -143,6 +143,15 @@ def test_single_trial_reproducible():
         assert a[3] == b[3]
 
 
+
+@pytest.mark.parametrize("seed", [100358, 140183435600090])
+def test_pythagoras_accepts_ill_conditioned_weights(seed):
+    # these campaign seeds draw ill-conditioned weights, where ||S^# T|| of
+    # the generator's orthogonal pair exceeds an absolute 1e-10 by round-off
+    ok, _, payload, _ = run_single_trial("pythagoras", seed, 0)
+    assert ok
+    assert payload["equal"]
+
 def test_single_trial_varies_with_trial_index():
     a = run_single_trial("halfnorm_bounds", seed=42, trial=0, dims=(3,))
     b = run_single_trial("halfnorm_bounds", seed=42, trial=1, dims=(3,))
