@@ -1,4 +1,8 @@
-"""Randomized instance generators and the check campaign runner.
+"""Randomized instance generators, the check registry and the campaign runner.
+
+``CHECKS`` declares every check once (function, arity, verdict flags and
+instance generator); the CLI, the campaign and the acceptance gate all read
+it.
 
 Instances are generated per (seed, check index, trial) with an independent
 PRNG stream, so any single trial can be reproduced without replaying the
@@ -16,7 +20,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -67,9 +71,7 @@ def gen_admissible(rng: np.random.Generator, space: SemiHilbertSpace) -> np.ndar
     def cnorm(shape):
         return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
-    if r == n:
-        return cnorm((n, n)) * 10.0 ** rng.uniform(-1.0, 1.0)
-    if r == 0:
+    if r in (0, n):
         return cnorm((n, n)) * 10.0 ** rng.uniform(-1.0, 1.0)
     vk = _kernel_basis(space)
     u = np.hstack([space.range_basis, vk])
@@ -198,117 +200,135 @@ def gen_special(rng: np.random.Generator, space: SemiHilbertSpace,
 
 # -- check registry -------------------------------------------------------------
 
+_HOLDS = ("holds",)
+
+
 @dataclass(frozen=True)
 class CheckSpec:
+    """One check, declared once; ``cli check``, the campaign, ``tightness``
+    and the acceptance gate all read this entry.
+
+    ``fn`` takes the space and ``arity`` operators.  ``flags`` names what the
+    verdict needs true: ``holds`` for a chain (an InequalityReport), the
+    consistency extras for an equality diagnostic.  ``draw(space, rng)``
+    builds a campaign instance and returns (operators, extra kwargs for
+    ``fn``, flags that must also hold on that instance).
+    """
+
     name: str
-    kind: str  # "chain" or "diagnostic"
+    fn: object
+    arity: int
     min_rank: int  # 0 unless the construction needs independent directions
-    run: object  # (space, rng, check_tol, eq_tol) -> (ok, slack, payload)
+    flags: tuple[str, ...]
+    draw: object
+
+    @property
+    def kind(self) -> str:
+        return "chain" if self.flags == _HOLDS else "diagnostic"
+
+    def evaluate(self, space, operators, check_tol: float = ineq.CHECK_TOL,
+                 eq_tol: float = ineq.EQ_TOL, **kwargs):
+        """``fn`` on the operators, with the tolerance its kind takes."""
+        tol = {"check_tol": check_tol} if self.kind == "chain" else {"eq_tol": eq_tol}
+        return self.fn(space, *operators, **tol, **kwargs)
+
+    def verdict(self, result, must: tuple[str, ...] = ()) -> bool:
+        """Whether every declared flag, and every flag in ``must``, is true."""
+        if isinstance(result, ineq.InequalityReport):
+            values = {"holds": result.holds}
+        else:
+            values = {"equal": result.equal, **result.extras}
+        return all(bool(values[f]) for f in self.flags + must)
 
 
-def _chain(fn, arity):
-    def run(space, rng, check_tol, eq_tol):
-        args = tuple(gen_admissible(rng, space) for _ in range(arity))
-        report = fn(space, *args, check_tol=check_tol)
-        slack = min(report.slacks) if report.slacks else 0.0
-        return report.holds, float(slack), report.to_dict()
-    return run
+def _slack(result) -> float:
+    # chains: the least consecutive slack; diagnostics: the equality margin
+    if isinstance(result, ineq.InequalityReport):
+        return float(min(result.slacks)) if result.slacks else 0.0
+    return float(result.eq_tol - abs(result.gap))
 
 
-def _eq_slack(d: ineq.EqualityDiagnostic) -> float:
-    return float(d.eq_tol - abs(d.gap))
+def _draw_single(space, rng):
+    return (gen_admissible(rng, space),), {}, ()
 
 
-def _run_triangle_equality(space, rng, check_tol, eq_tol):
-    t, s = gen_special(rng, space, "pair_triangle_equality")
-    d = ineq.triangle_equality_diagnostic(space, t, s, eq_tol)
-    ok = d.equal and d.extras["consistent"]
-    return ok, _eq_slack(d), d.to_dict()
+def _draw_pair(space, rng):
+    return (gen_admissible(rng, space), gen_admissible(rng, space)), {}, ()
 
 
-def _run_positive_product(space, rng, check_tol, eq_tol):
+def _ascent_kwargs(rng) -> dict:
+    return {"starts": 6, "seed": int(rng.integers(2 ** 31)), "max_iter": 40}
+
+
+def _draw_triangle_equality(space, rng):
+    return gen_special(rng, space, "pair_triangle_equality"), {}, ("equal",)
+
+
+def _draw_positive_product(space, rng):
     r = space.rank
     if rng.integers(2) == 0 or r == 0:
         # equality case: T = S with a PSD compression
         g = rng.standard_normal((r, r)) + 1j * rng.standard_normal((r, r))
-        b = herm_part(g @ dagger(g))
-        t = s = space.lift_matrix(b)
-        d = ineq.check_positive_product_equality(space, t, s, eq_tol)
-        ok = d.equal and d.extras["triangle_equal"] and d.extras["agrees_with_triangle"]
-    else:
-        # generic case: invertible Bs, Bt = (Bs*)^{-1} C with C PSD
-        for _ in range(_MAX_REDRAWS):
-            bs = rng.standard_normal((r, r)) + 1j * rng.standard_normal((r, r))
-            if np.linalg.cond(bs) < 1e3:
-                break
-        g = rng.standard_normal((r, r)) + 1j * rng.standard_normal((r, r))
-        c = herm_part(g @ dagger(g))
-        bt = np.linalg.solve(dagger(bs), c)
-        d = ineq.check_positive_product_equality(
-            space, space.lift_matrix(bt), space.lift_matrix(bs), eq_tol)
-        ok = d.extras["agrees_with_triangle"]
-    return ok, _eq_slack(d), d.to_dict()
+        t = space.lift_matrix(herm_part(g @ dagger(g)))
+        return (t, t), {}, ("equal", "triangle_equal")
+    # generic case: invertible Bs, Bt = (Bs*)^{-1} C with C PSD
+    for _ in range(_MAX_REDRAWS):
+        bs = rng.standard_normal((r, r)) + 1j * rng.standard_normal((r, r))
+        if np.linalg.cond(bs) < 1e3:
+            break
+    g = rng.standard_normal((r, r)) + 1j * rng.standard_normal((r, r))
+    bt = np.linalg.solve(dagger(bs), herm_part(g @ dagger(g)))
+    return (space.lift_matrix(bt), space.lift_matrix(bs)), {}, ()
 
 
-def _run_max_equality(space, rng, check_tol, eq_tol):
+def _draw_max_equality(space, rng):
     if rng.integers(2) == 0:
         t = gen_admissible(rng, space)
-        s = t
-        d = ineq.max_equality_diagnostic(space, t, s, eq_tol)
-        ok = d.equal and d.extras["sum_condition_holds"] and d.extras["forward_consistent"]
-    else:
-        t = gen_admissible(rng, space)
-        s = gen_admissible(rng, space)
-        d = ineq.max_equality_diagnostic(space, t, s, eq_tol)
-        ok = d.extras["forward_consistent"]
-    return ok, _eq_slack(d), d.to_dict()
+        return (t, t), {}, ("equal", "sum_condition_holds")
+    return _draw_pair(space, rng)
 
 
-def _run_pythagoras(space, rng, check_tol, eq_tol):
-    t, s = gen_special(rng, space, "pair_pythagoras")
-    d = ineq.pythagoras_diagnostic(space, t, s, eq_tol)
-    ok = d.equal and d.extras["consistent"] and d.extras["intermediate_identity_holds"]
-    return ok, _eq_slack(d), d.to_dict()
+def _draw_pythagoras(space, rng):
+    return gen_special(rng, space, "pair_pythagoras"), {}, ("equal",)
 
 
-def _run_radius_additivity(space, rng, check_tol, eq_tol):
+def _draw_radius_additivity(space, rng):
     t = gen_admissible(rng, space)
-    s = float(rng.uniform(0.5, 2.0)) * t
-    d = ineq.radius_additivity_diagnostic(space, t, s, eq_tol, starts=6,
-                                          seed=int(rng.integers(2 ** 31)), max_iter=40)
-    ok = d.equal and d.extras["ascent_within_bound"]
-    return ok, _eq_slack(d), d.to_dict()
+    return (t, float(rng.uniform(0.5, 2.0)) * t), _ascent_kwargs(rng), ("equal",)
 
 
-def _run_squares_radius(space, rng, check_tol, eq_tol):
+def _draw_squares_radius(space, rng):
     r = space.rank
     g = rng.standard_normal((r, r)) + 1j * rng.standard_normal((r, r))
     t = space.lift_matrix(herm_part(g))
-    d = ineq.squares_radius_equality(space, t, t, eq_tol, starts=6,
-                                     seed=int(rng.integers(2 ** 31)), max_iter=40)
-    ok = d.equal and d.extras["ascent_within_bound"]
-    return ok, _eq_slack(d), d.to_dict()
+    return (t, t), _ascent_kwargs(rng), ("equal",)
 
 
-CHECKS: dict[str, CheckSpec] = {}
-for _spec in (
-    CheckSpec("halfnorm_bounds", "chain", 0, _chain(ineq.check_halfnorm_bounds, 1)),
-    CheckSpec("hh_triangle", "chain", 0, _chain(ineq.check_hh_triangle, 2)),
-    CheckSpec("integral_radius_bound", "chain", 0, _chain(ineq.check_integral_radius_bound, 1)),
-    CheckSpec("adjoint_sum_bound", "chain", 0, _chain(ineq.check_adjoint_sum_bound, 2)),
-    CheckSpec("real_part_bounds", "chain", 0, _chain(ineq.check_real_part_bounds, 1)),
-    CheckSpec("square_bounds", "chain", 0, _chain(ineq.check_square_bounds, 1)),
-    CheckSpec("fourth_power_bounds", "chain", 0, _chain(ineq.check_fourth_power_bounds, 1)),
-    CheckSpec("power_inequality", "chain", 0, _chain(ineq.check_power_inequality, 1)),
-    CheckSpec("reverse_power", "chain", 0, _chain(ineq.check_reverse_power, 1)),
-    CheckSpec("triangle_equality", "diagnostic", 0, _run_triangle_equality),
-    CheckSpec("positive_product_equality", "diagnostic", 0, _run_positive_product),
-    CheckSpec("max_equality", "diagnostic", 0, _run_max_equality),
-    CheckSpec("pythagoras", "diagnostic", 2, _run_pythagoras),
-    CheckSpec("radius_additivity", "diagnostic", 0, _run_radius_additivity),
-    CheckSpec("squares_radius_equality", "diagnostic", 0, _run_squares_radius),
-):
-    CHECKS[_spec.name] = _spec
+CHECKS: dict[str, CheckSpec] = {spec.name: spec for spec in (
+    CheckSpec("halfnorm_bounds", ineq.check_halfnorm_bounds, 1, 0, _HOLDS, _draw_single),
+    CheckSpec("hh_triangle", ineq.check_hh_triangle, 2, 0, _HOLDS, _draw_pair),
+    CheckSpec("integral_radius_bound", ineq.check_integral_radius_bound, 1, 0, _HOLDS,
+              _draw_single),
+    CheckSpec("adjoint_sum_bound", ineq.check_adjoint_sum_bound, 2, 0, _HOLDS, _draw_pair),
+    CheckSpec("real_part_bounds", ineq.check_real_part_bounds, 1, 0, _HOLDS, _draw_single),
+    CheckSpec("square_bounds", ineq.check_square_bounds, 1, 0, _HOLDS, _draw_single),
+    CheckSpec("fourth_power_bounds", ineq.check_fourth_power_bounds, 1, 0, _HOLDS,
+              _draw_single),
+    CheckSpec("power_inequality", ineq.check_power_inequality, 1, 0, _HOLDS, _draw_single),
+    CheckSpec("reverse_power", ineq.check_reverse_power, 1, 0, _HOLDS, _draw_single),
+    CheckSpec("triangle_equality", ineq.triangle_equality_diagnostic, 2, 0,
+              ("consistent",), _draw_triangle_equality),
+    CheckSpec("positive_product_equality", ineq.check_positive_product_equality, 2, 0,
+              ("agrees_with_triangle",), _draw_positive_product),
+    CheckSpec("max_equality", ineq.max_equality_diagnostic, 2, 0,
+              ("forward_consistent",), _draw_max_equality),
+    CheckSpec("pythagoras", ineq.pythagoras_diagnostic, 2, 2,
+              ("consistent", "intermediate_identity_holds"), _draw_pythagoras),
+    CheckSpec("radius_additivity", ineq.radius_additivity_diagnostic, 2, 0,
+              ("ascent_within_bound",), _draw_radius_additivity),
+    CheckSpec("squares_radius_equality", ineq.squares_radius_equality, 2, 0,
+              ("ascent_within_bound",), _draw_squares_radius),
+)}
 
 CHECK_ORDER = tuple(CHECKS)
 
@@ -372,8 +392,9 @@ def run_single_trial(name: str, seed: int, trial: int,
     rank = int(rng.integers(lo, dim + 1))
     a = gen_psd(rng, dim, rank)
     space = make_space(a)
-    ok, slack, payload = spec.run(space, rng, check_tol, eq_tol)
-    return ok, slack, payload, {"dim": dim, "rank": rank}
+    operators, kwargs, must = spec.draw(space, rng)
+    result = spec.evaluate(space, operators, check_tol, eq_tol, **kwargs)
+    return spec.verdict(result, must), _slack(result), result.to_dict(), {"dim": dim, "rank": rank}
 
 
 def run_campaign(config: CampaignConfig = CampaignConfig()) -> CampaignReport:

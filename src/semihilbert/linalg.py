@@ -1,8 +1,7 @@
 """Dense complex Hermitian linear algebra.
 
-Eigendecomposition, Moore-Penrose pseudoinverse, positive-semidefinite
-square root and range projector for Hermitian matrices, and the batched
-multi-start ascent behind the heuristic searches.  Numerical rank
+Eigendecomposition and PSD validation of Hermitian matrices, and the
+batched multi-start ascent behind the heuristic searches.  Numerical rank
 decisions are always made relative to the largest eigenvalue through an
 explicit ``rank_tol``; matrix comparisons are relative Frobenius.
 
@@ -69,17 +68,13 @@ class EigDecomposition:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
-    def reconstruct(self) -> np.ndarray:
-        v = self.eigenvectors
-        return (v * self.eigenvalues) @ dagger(v)
-
 
 def hermitian_eig(m, hermiticity_tol: float = DEFAULT_HERMITICITY_TOL) -> EigDecomposition:
     """Eigendecomposition of a Hermitian matrix.
 
     Raises NotHermitian when the Hermitian defect exceeds
     ``hermiticity_tol`` relative to the matrix scale, NoConvergence if
-    the underlying iteration fails.
+    the underlying iteration fails or the eigenvalues overflow.
     """
     a = as_matrix(m, square=True)
     defect = fro_norm(a - dagger(a))
@@ -89,58 +84,21 @@ def hermitian_eig(m, hermiticity_tol: float = DEFAULT_HERMITICITY_TOL) -> EigDec
         lam, vecs = np.linalg.eigh(herm_part(a))
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails
         raise NoConvergence(str(exc)) from exc
+    # entries near the float limit overflow in herm_part and come back as NaN
+    if not np.isfinite(lam).all():
+        raise NoConvergence("eigenvalues are not finite: entries too large")
     return EigDecomposition(np.asarray(lam, dtype=np.float64), vecs)
 
 
-def _psd_eig(m, rank_tol: float, hermiticity_tol: float) -> EigDecomposition:
-    # shared validation: Hermitian, then no eigenvalue below -rank_tol * lam_max
-    dec = hermitian_eig(m, hermiticity_tol)
+def _psd_eig(m, rank_tol: float) -> EigDecomposition:
+    # PSD validation: Hermitian, then no eigenvalue below -rank_tol * lam_max
+    dec = hermitian_eig(m)
     lam = dec.eigenvalues
     lam_max = max(float(lam[-1]), 0.0) if lam.size else 0.0
     floor = rank_tol * lam_max + 1e-14 * max(1.0, float(np.abs(lam).max()) if lam.size else 0.0)
     if lam.size and float(lam[0]) < -floor:
         raise NotPSD(f"eigenvalue {lam[0]:.3e} below -{floor:.3e}")
     return dec
-
-
-def pseudoinverse(m, rank_tol: float = DEFAULT_RANK_TOL,
-                  hermiticity_tol: float = DEFAULT_HERMITICITY_TOL) -> np.ndarray:
-    """Moore-Penrose pseudoinverse of a Hermitian PSD matrix.
-
-    Eigenvalues at or below ``rank_tol`` times the largest eigenvalue are
-    treated as exact zeros.
-    """
-    dec = _psd_eig(m, rank_tol, hermiticity_tol)
-    lam, v = dec.eigenvalues, dec.eigenvectors
-    lam_max = max(float(lam[-1]), 0.0) if lam.size else 0.0
-    keep = lam > rank_tol * lam_max
-    inv = np.zeros_like(lam)
-    inv[keep] = 1.0 / lam[keep]
-    return (v * inv) @ dagger(v)
-
-
-def psd_sqrt(m, rank_tol: float = DEFAULT_RANK_TOL,
-             hermiticity_tol: float = DEFAULT_HERMITICITY_TOL) -> np.ndarray:
-    """Hermitian PSD square root, clamping negligible negative eigenvalues to 0."""
-    dec = _psd_eig(m, rank_tol, hermiticity_tol)
-    lam, v = dec.eigenvalues, dec.eigenvectors
-    root = np.sqrt(np.clip(lam, 0.0, None))
-    return (v * root) @ dagger(v)
-
-
-def range_projector(m, rank_tol: float = DEFAULT_RANK_TOL,
-                    hermiticity_tol: float = DEFAULT_HERMITICITY_TOL) -> tuple[np.ndarray, int]:
-    """Orthogonal projector onto the range of a Hermitian PSD matrix.
-
-    Returns ``(projector, rank)`` where rank counts eigenvalues strictly
-    above ``rank_tol`` times the largest one.
-    """
-    dec = _psd_eig(m, rank_tol, hermiticity_tol)
-    lam, v = dec.eigenvalues, dec.eigenvectors
-    lam_max = max(float(lam[-1]), 0.0) if lam.size else 0.0
-    keep = lam > rank_tol * lam_max
-    vr = v[:, keep]
-    return vr @ dagger(vr), int(np.count_nonzero(keep))
 
 
 def _multistart_ascent(mats, f, dfdz, starts: int, seed: int, max_iter: int,

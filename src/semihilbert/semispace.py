@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .errors import DimensionMismatch, NoAdjoint, NotPSD
+from .errors import DimensionMismatch, NoAdjoint
 from .linalg import dagger, fro_norm, spectral_norm
 
 # membership residual thresholds, relative to the obvious scale
@@ -42,16 +42,16 @@ DEFAULT_PREDICATE_TOL = 1e-8
 class SemiHilbertSpace:
     """A finite-dimensional space carrying the seminorm of a PSD matrix.
 
-    All derived objects (square root, pseudoinverse, range projector and
-    basis) come from a single eigendecomposition of ``a`` so they are
-    mutually consistent.  ``range_eigs`` holds the kept eigenvalues of
-    ``a`` (ascending), matching the columns of ``range_basis``.
+    The square root ``a_half``, the pseudoinverse ``a_pinv``, the range
+    projector ``proj`` and the range basis come from a single
+    eigendecomposition of ``a`` so they are mutually consistent.
+    ``range_eigs`` holds the kept eigenvalues of ``a`` (ascending),
+    matching the columns of ``range_basis``.
     """
 
     dim: int
     a: np.ndarray
     a_half: np.ndarray
-    a_half_pinv: np.ndarray
     a_pinv: np.ndarray
     proj: np.ndarray
     range_basis: np.ndarray
@@ -124,15 +124,19 @@ class SemiHilbertSpace:
         if tm.shape[0] != self.dim:
             raise DimensionMismatch(f"operator is {tm.shape}, space has dim {self.dim}")
 
-        norm_a = float(self.range_eigs[-1]) if self.rank else 0.0
-        norm_t = spectral_norm(tm)
-        ker_proj = np.eye(self.dim) - self.proj
-
-        adj_resid = fro_norm(ker_proj @ dagger(tm) @ self.a)
-        admits = bool(adj_resid <= ADJOINT_RESIDUAL_TOL * max(1.0, norm_a * norm_t))
-
-        bnd_resid = spectral_norm(self.a_half @ tm @ ker_proj)
-        bounded = bool(bnd_resid <= BOUNDED_RESIDUAL_TOL * max(1.0, np.sqrt(norm_a) * norm_t))
+        if self.rank:
+            # each residual against its own scale, so scaling A or T cannot
+            # flip a decision
+            norm_a = float(self.range_eigs[-1])
+            norm_t = spectral_norm(tm)
+            ker_proj = np.eye(self.dim) - self.proj
+            adj_resid = fro_norm(ker_proj @ dagger(tm) @ self.a)
+            admits = bool(adj_resid <= ADJOINT_RESIDUAL_TOL * norm_a * norm_t)
+            bnd_resid = spectral_norm(self.a_half @ tm @ ker_proj)
+            bounded = bool(bnd_resid <= BOUNDED_RESIDUAL_TOL * np.sqrt(norm_a) * norm_t)
+        else:
+            # ker(A) is the whole space: every operator keeps it and is bounded
+            admits = bounded = True
 
         sharp_mat = None
         compression = None
@@ -151,26 +155,20 @@ def make_space(a, rank_tol: float = linalg.DEFAULT_RANK_TOL) -> SemiHilbertSpace
     is legal and produces the everywhere-degenerate space of rank 0.
     """
     am = linalg.as_matrix(a, square=True)
-    dec = linalg.hermitian_eig(am)
+    dec = linalg._psd_eig(am, rank_tol)
     lam, vecs = dec.eigenvalues, dec.eigenvectors
     n = am.shape[0]
     lam_max = max(float(lam[-1]), 0.0) if n else 0.0
-    floor = rank_tol * lam_max + 1e-14 * max(1.0, float(np.abs(lam).max()) if n else 0.0)
-    if n and float(lam[0]) < -floor:
-        raise NotPSD(f"eigenvalue {lam[0]:.3e} below -{floor:.3e}")
-
     keep = lam > rank_tol * lam_max
     lam_r = np.clip(lam[keep], 0.0, None)
     v_r = vecs[:, keep]
     root = np.sqrt(np.clip(lam, 0.0, None) * keep)
     a_half = (vecs * root) @ dagger(vecs)
-    a_half_pinv = (v_r / np.sqrt(lam_r)) @ dagger(v_r) if lam_r.size else np.zeros_like(am)
     a_pinv = (v_r / lam_r) @ dagger(v_r) if lam_r.size else np.zeros_like(am)
     proj = v_r @ dagger(v_r)
-    return SemiHilbertSpace(dim=n, a=am, a_half=a_half, a_half_pinv=a_half_pinv,
-                            a_pinv=a_pinv, proj=proj, range_basis=v_r,
-                            rank=int(np.count_nonzero(keep)), rank_tol=rank_tol,
-                            range_eigs=lam_r)
+    return SemiHilbertSpace(dim=n, a=am, a_half=a_half, a_pinv=a_pinv, proj=proj,
+                            range_basis=v_r, rank=int(np.count_nonzero(keep)),
+                            rank_tol=rank_tol, range_eigs=lam_r)
 
 
 @dataclass(frozen=True)
@@ -221,7 +219,7 @@ class OperatorInSpace:
             raise NoAdjoint("bounded operator without adjoint: inconsistent membership")
         sp = self.space
         norm_a = float(sp.range_eigs[-1]) if sp.rank else 0.0
-        zero_scale = max(1.0, norm_a * norm_a * spectral_norm(self.t))
+        zero_scale = norm_a * norm_a * spectral_norm(self.t)
         if fro_norm(sp.a @ self.t @ sp.a) <= ZERO_SEMINORM_TOL * zero_scale:
             return 0.0
         return spectral_norm(self.compression)

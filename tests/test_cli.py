@@ -7,9 +7,10 @@ import dataclasses
 import json
 import sys
 
+import numpy as np
 import pytest
 
-from semihilbert import cli
+from semihilbert import cli, fuzz
 from semihilbert.errors import ParseError
 
 
@@ -116,14 +117,50 @@ def test_check_rejects_indefinite_weight(tmp_path, capsys):
 
 
 def test_check_violation_sets_exit_code(worked_pair, capsys, monkeypatch):
-    real_fn, arity = cli.CHAIN_CHECKS["halfnorm_bounds"]
+    spec = fuzz.CHECKS["halfnorm_bounds"]
 
     def broken(space, t, check_tol):
-        return dataclasses.replace(real_fn(space, t, check_tol=check_tol), holds=False)
+        return dataclasses.replace(spec.fn(space, t, check_tol=check_tol), holds=False)
 
-    monkeypatch.setitem(cli.CHAIN_CHECKS, "halfnorm_bounds", (broken, arity))
+    monkeypatch.setitem(fuzz.CHECKS, "halfnorm_bounds", dataclasses.replace(spec, fn=broken))
     assert cli.main(["check", worked_pair]) == 2
-    assert "VIOLATED" in capsys.readouterr().out
+    assert "halfnorm_bounds: VIOLATED" in capsys.readouterr().out
+
+
+def test_check_inconsistent_diagnostic_sets_exit_code(worked_pair, capsys, monkeypatch):
+    spec = fuzz.CHECKS["triangle_equality"]
+
+    def broken(space, t, s, eq_tol):
+        d = spec.fn(space, t, s, eq_tol=eq_tol)
+        return dataclasses.replace(d, extras={**d.extras, "consistent": False})
+
+    monkeypatch.setitem(fuzz.CHECKS, "triangle_equality", dataclasses.replace(spec, fn=broken))
+    assert cli.main(["check", worked_pair]) == 2
+    out = capsys.readouterr().out
+    assert "triangle_equality: INCONSISTENT" in out
+    assert "consistent=no" in out
+
+
+@pytest.mark.parametrize("scale", ["1e150", "1e200", "1e308"])
+def test_check_huge_entries_are_an_error(tmp_path, capsys, scale):
+    # overflow in w**4, a non-converging SVD, or an eigensolve that overflows
+    path = tmp_path / "huge.json"
+    path.write_text('{"a": [[%s, 0], [0, %s]], "t": [[%s, %s], [0, 1]]}' % ((scale,) * 4))
+    with np.errstate(all="ignore"):
+        assert cli.main(["check", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("name", fuzz.CHECK_ORDER)
+def test_every_registered_check_is_accepted(worked_pair, tmp_path, capsys, name):
+    cli.main(["check", worked_pair, "--check", name])
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.splitlines()[-1].startswith(f"{name}: ")
+    assert cli.main(["tightness", "--check", name, "--trials", "1",
+                     "--csv", str(tmp_path / "t.csv")]) == 0
+    assert cli.main(["fuzz", "--checks", name, "--trials", "1"]) == 0
+    assert f"{name}: trials=1 violations=0" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("text", ["NaN", "Infinity", "-Infinity"])

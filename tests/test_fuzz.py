@@ -127,10 +127,31 @@ def test_registry_is_consistent():
     assert len(CHECKS) == 15
     for name, spec in CHECKS.items():
         assert spec.name == name
+        assert spec.arity in (1, 2)
+        assert callable(spec.fn) and callable(spec.draw)
         assert spec.kind in ("chain", "diagnostic")
+        assert (spec.flags == ("holds",)) == (spec.kind == "chain")
+        assert name in spec.fn.__name__
     assert CHECKS["pythagoras"].min_rank == 2
     assert all(spec.min_rank == 0 for name, spec in CHECKS.items()
                if name != "pythagoras")
+
+
+@pytest.mark.parametrize("name", CHECK_ORDER)
+def test_registry_draws_what_its_check_reads(name):
+    """The drawn instance fits ``fn``, and every flag the verdict reads is
+    one the result carries."""
+    spec = CHECKS[name]
+    for trial in range(4):
+        rng = np.random.default_rng([5, trial])
+        space = make_space(gen_psd(rng, 3, 3))
+        operators, kwargs, must = spec.draw(space, rng)
+        assert len(operators) == spec.arity
+        result = spec.evaluate(space, operators, **kwargs)
+        flags = (result.to_dict() if spec.kind == "chain"
+                 else {"equal": result.equal, **result.extras})
+        assert set(spec.flags + must) <= set(flags)
+        assert spec.verdict(result, must)
 
 
 def test_single_trial_reproducible():

@@ -1,5 +1,6 @@
-"""Tests for the Hermitian/PSD primitives, against hand-derived values and
-an independent elimination-based rank oracle."""
+"""Tests for the Hermitian/PSD primitives and the derived matrices of a
+space (square root, pseudoinverse, range projector), against hand-derived
+values and an independent elimination-based rank oracle."""
 
 import numpy as np
 import pytest
@@ -7,18 +8,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from semihilbert.errors import DimensionMismatch, NotHermitian, NotPSD
+from semihilbert.errors import DimensionMismatch, NotHermitian
 from semihilbert.linalg import (
     as_matrix,
     dagger,
     fro_norm,
     herm_part,
     hermitian_eig,
-    pseudoinverse,
-    psd_sqrt,
-    range_projector,
     spectral_norm,
 )
+from semihilbert.semispace import make_space
 
 
 def elimination_rank(m, tol=1e-8):
@@ -57,7 +56,8 @@ def test_hand_derived_eigenvalues():
     dec = hermitian_eig(m)
     want = np.array([(3 - np.sqrt(5)) / 2, (3 + np.sqrt(5)) / 2])
     np.testing.assert_allclose(dec.eigenvalues, want, atol=1e-12)
-    np.testing.assert_allclose(dec.reconstruct(), m, atol=1e-12)
+    v = dec.eigenvectors
+    np.testing.assert_allclose((v * dec.eigenvalues) @ dagger(v), m, atol=1e-12)
 
 
 def test_eigenvalues_ascending():
@@ -92,14 +92,9 @@ def test_psd_sqrt_squares_back():
     rng = np.random.default_rng(11)
     for rank in range(5):
         a = random_psd(rng, 4, rank)
-        r = psd_sqrt(a)
+        r = make_space(a).a_half
         np.testing.assert_allclose(r @ r, a, atol=1e-10)
         np.testing.assert_allclose(r, dagger(r), atol=1e-12)
-
-
-def test_psd_sqrt_rejects_indefinite():
-    with pytest.raises(NotPSD):
-        psd_sqrt(np.diag([1.0, -1.0]))
 
 
 @pytest.mark.parametrize("rank", [0, 1, 2, 3, 4])
@@ -107,7 +102,7 @@ def test_pseudoinverse_moore_penrose(rank):
     """All four Moore-Penrose equations at every rank."""
     rng = np.random.default_rng(100 + rank)
     a = random_psd(rng, 4, rank)
-    p = pseudoinverse(a)
+    p = make_space(a).a_pinv
     np.testing.assert_allclose(a @ p @ a, a, atol=1e-10)
     np.testing.assert_allclose(p @ a @ p, p, atol=1e-10)
     np.testing.assert_allclose(dagger(a @ p), a @ p, atol=1e-10)
@@ -118,8 +113,9 @@ def test_pseudoinverse_moore_penrose(rank):
 def test_range_projector_rank_matches_elimination(rank):
     rng = np.random.default_rng(200 + rank)
     a = random_psd(rng, 5, rank)
-    proj, got = range_projector(a)
-    assert got == rank == elimination_rank(a)
+    space = make_space(a)
+    proj = space.proj
+    assert space.rank == rank == elimination_rank(a)
     np.testing.assert_allclose(proj @ proj, proj, atol=1e-10)
     np.testing.assert_allclose(dagger(proj), proj, atol=1e-12)
     np.testing.assert_allclose(proj @ a, a, atol=1e-10)
@@ -135,9 +131,10 @@ _entries = st.floats(min_value=-10.0, max_value=10.0,
 def test_hermitian_eig_reconstructs(re, im):
     m = herm_part(re + 1j * im)
     dec = hermitian_eig(m)
-    np.testing.assert_allclose(dec.reconstruct(), m, atol=1e-9 * max(1.0, fro_norm(m)))
-    # unitary eigenvector matrix
     v = dec.eigenvectors
+    np.testing.assert_allclose((v * dec.eigenvalues) @ dagger(v), m,
+                               atol=1e-9 * max(1.0, fro_norm(m)))
+    # unitary eigenvector matrix
     np.testing.assert_allclose(dagger(v) @ v, np.eye(4), atol=1e-10)
 
 
@@ -147,8 +144,9 @@ def test_hermitian_eig_reconstructs(re, im):
 def test_psd_sqrt_and_pinv_consistent(re, im):
     g = re + 1j * im
     a = g @ dagger(g)
-    r = psd_sqrt(a)
+    space = make_space(a)
+    r = space.a_half
     scale = max(1.0, fro_norm(a))
     np.testing.assert_allclose(r @ r, a, atol=1e-9 * scale)
-    p = pseudoinverse(a)
+    p = space.a_pinv
     np.testing.assert_allclose(a @ p @ a, a, atol=1e-8 * scale)

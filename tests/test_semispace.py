@@ -190,3 +190,49 @@ def test_norm_submultiplicative_full_rank(g, tre, tim):
     prod = space.bind(t @ t.T)
     bound = opt.a_operator_norm() * ops.a_operator_norm()
     assert prod.a_operator_norm() <= bound + 1e-8 * max(1.0, bound)
+
+
+SWAP = np.array([[0, 1], [1, 0]], dtype=complex)
+
+
+@pytest.mark.parametrize("a_scale,t_scale", [(1e-12, 1.0), (1.0, 1e-11)])
+def test_tiny_scale_shift_stays_unbounded(a_scale, t_scale):
+    """Scaling A or T down must not make the kernel-scrambling swap admissible."""
+    op = make_space(a_scale * np.diag([1.0, 0.0])).bind(t_scale * SWAP)
+    assert op.membership == {"a_bounded": False, "admits_adjoint": False}
+    assert op.a_operator_norm() == np.inf
+
+
+def test_tiny_operator_has_its_own_norm():
+    op = space_diag(1, 1).bind(1e-20 * np.eye(2))
+    assert op.a_operator_norm() == pytest.approx(1e-20, rel=1e-12, abs=0.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1),
+       st.sampled_from(["admissible", "inadmissible", "kernel_only"]),
+       st.floats(-12.0, 12.0), st.floats(-12.0, 12.0), st.sampled_from([1.0, -1.0]))
+def test_membership_and_norm_are_scale_covariant(seed, kind, a_exp, t_exp, sign):
+    """A -> cA leaves membership and the seminorm unchanged; T -> cT leaves
+    membership unchanged and scales the seminorm by |c|."""
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+    a = (q[:, :2] * rng.uniform(0.5, 2.0, 2)) @ dagger(q[:, :2])
+    m = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    if kind != "inadmissible":
+        m[:2, 2] = 0.0  # keeps ker(A) = span(q[:, 2])
+    if kind == "kernel_only":
+        m[:, :2] = 0.0  # acts only inside ker(A): seminorm exactly 0
+    t = q @ m @ dagger(q)
+    base = make_space(a).bind(t)
+    norm = base.a_operator_norm()
+    assert base.admits_adjoint == (kind != "inadmissible")
+    c_a, c_t = 10.0 ** a_exp, sign * 10.0 ** t_exp
+    for op, factor in ((make_space(c_a * a).bind(t), 1.0),
+                       (make_space(a).bind(c_t * t), abs(c_t))):
+        assert op.membership == base.membership
+        got = op.a_operator_norm()
+        if kind == "kernel_only" or norm == np.inf:
+            assert got == norm
+        else:
+            assert got == pytest.approx(factor * norm, rel=1e-9, abs=0.0)
