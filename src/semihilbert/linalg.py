@@ -91,11 +91,12 @@ def hermitian_eig(m, hermiticity_tol: float = DEFAULT_HERMITICITY_TOL) -> EigDec
 
 
 def _psd_eig(m, rank_tol: float) -> EigDecomposition:
-    # PSD validation: Hermitian, then no eigenvalue below -rank_tol * lam_max
+    # PSD validation: Hermitian, then no eigenvalue below -rank_tol * lam_max,
+    # a floor relative to the weight's own size
     dec = hermitian_eig(m)
     lam = dec.eigenvalues
     lam_max = max(float(lam[-1]), 0.0) if lam.size else 0.0
-    floor = rank_tol * lam_max + 1e-14 * max(1.0, float(np.abs(lam).max()) if lam.size else 0.0)
+    floor = rank_tol * lam_max
     if lam.size and float(lam[0]) < -floor:
         raise NotPSD(f"eigenvalue {lam[0]:.3e} below -{floor:.3e}")
     return dec

@@ -15,12 +15,16 @@ H(theta) = Re(e^{i theta} B):
   e^{-i theta} separating the range from the origin, and the best such
   margin is attained at the closest point (the supporting-line argument).
 
-Suprema over theta use a dense coarse grid followed by golden-section
-refinement of every competitive bracket.
+The radius and the Crawford number take their suprema over theta by a
+level-set iteration that finds every angle where a level is crossed
+(``_level_sup``), so the supremum is certified by the last level crossed
+nowhere above it.  The oracle keeps a dense coarse grid followed by
+golden-section refinement of every competitive bracket (``sup_sweep``).
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -33,6 +37,16 @@ from .semispace import OperatorInSpace
 COARSE_POINTS = 720
 REFINE_TOL = 1e-12
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+_TWO_PI = 2.0 * math.pi
+# level-set kernel: start angles on [0, pi) (each also gives its antipode),
+# cap on levels, rotations of a singular Cayley centre, the relative
+# singularity of P + gamma that triggers one, and the relative imaginary part
+# under which a root of the pencil counts as real
+_START_ANGLES = 4
+_MAX_LEVELS = 64
+_ROTATIONS = 4
+_SINGULAR = 1e-8
+_REAL_ROOT = 1e-8
 
 
 @dataclass(frozen=True)
@@ -146,23 +160,120 @@ def _error_estimate(b: np.ndarray, refine_tol: float) -> float:
     return scale * (refine_tol / 2.0 + 64.0 * np.finfo(np.float64).eps)
 
 
-def _radius_seminorm_core(b: np.ndarray, refine_tol: float = REFINE_TOL):
-    # sup over [0, pi) of the spectral magnitude of Re(e^{i theta} B)
-    thetas = np.arange(COARSE_POINTS) * (math.pi / COARSE_POINTS)
+def _crossings(b: np.ndarray, bh: np.ndarray, gamma: float, theta_c: float,
+               scale: float) -> tuple[np.ndarray, np.ndarray]:
+    """Every angle in [0, 2 pi) where ``gamma`` is an eigenvalue of H(theta),
+    sorted, with the derivative of that eigenvalue there (``bh`` is B*).
+
+    With P, S the real and imaginary parts of e^{i theta_c} B and
+    t = tan((theta - theta_c) / 2), (1 + t^2)(H(theta) - gamma) is the
+    Hermitian quadratic pencil (P - gamma) - 2 t S - t^2 (P + gamma); its real
+    eigenvalues t are the crossings.  In the eigenbasis of P the pencil
+    linearizes to a 2r x 2r companion matrix.  A crossing at theta_c + pi
+    itself is t = infinity, where P + gamma is singular, so theta_c is rotated
+    away from that.
+    """
+    for _ in range(_ROTATIONS):
+        ph = cmath.exp(1j * theta_c)
+        c, ch = ph * b, ph.conjugate() * bh
+        lam, vecs = np.linalg.eigh((c + ch) / 2.0)
+        lead = lam + gamma
+        if np.abs(lead).min() > _SINGULAR * scale:
+            break
+        theta_c += 1.0
+    if not lead.all():
+        return np.zeros(0), np.zeros(0)
+    r = lam.size
+    s = dagger(vecs) @ ((c - ch) / 2j) @ vecs
+    comp = np.zeros((2 * r, 2 * r), dtype=np.complex128)
+    idx = np.arange(r)
+    comp[idx, idx + r] = 1.0
+    comp[idx + r, idx] = (lam - gamma) / lead
+    comp[r:, r:] = s * (-2.0 / lead)[:, None]
+    t, x = np.linalg.eig(comp)
+    real = np.abs(t.imag) <= _REAL_ROOT * (1.0 + np.abs(t) ** 2)
+    t, x = t.real[real], x[:r, real]
+    phi = 2.0 * np.arctan(t)
+    # Hellmann-Feynman: H'(theta_c + phi) = -sin(phi) P - cos(phi) S
+    w = x.real ** 2 + x.imag ** 2
+    slope = (-np.sin(phi) * (lam @ w)
+             - np.cos(phi) * (x.conj() * (s @ x)).sum(axis=0).real) / w.sum(axis=0)
+    theta = (theta_c + phi) % _TWO_PI
+    order = np.argsort(theta)
+    return theta[order], slope[order]
+
+
+def _level_candidates(cross: np.ndarray, slope: np.ndarray) -> np.ndarray:
+    # the midpoint of every arc between consecutive crossings, and where an
+    # arc rises at its start and falls at its end, the meeting point of the
+    # two tangents (exact at a kink, where midpoints only halve the gap)
+    nxt = np.append(cross[1:], cross[0] + _TWO_PI)
+    s0, s1 = slope, np.append(slope[1:], slope[0])
+    peak = (s0 > 0.0) & (s1 < 0.0)
+    meet = (s0[peak] * cross[peak] - s1[peak] * nxt[peak]) / (s0[peak] - s1[peak])
+    return np.concatenate([(cross + nxt) / 2.0, meet]) % _TWO_PI
+
+
+def _with_antipodes(thetas: np.ndarray, lam: np.ndarray, sel: int):
+    # H(theta + pi) = -H(theta): lam_sel at theta + pi is -lam_other at theta
+    return (np.concatenate([thetas, thetas + math.pi]),
+            np.concatenate([lam[:, sel], -lam[:, -1 - sel]]))
+
+
+def _level_sup(b: np.ndarray, sel: int, refine_tol: float = REFINE_TOL):
+    """sup over theta in [0, 2 pi) of lam_sel(H(theta)), H(theta) =
+    Re(e^{i theta} B), with ``sel`` -1 for the largest eigenvalue and 0 for
+    the smallest.  Returns (value, theta, eigenvector of that eigenvalue).
+
+    Level-set iteration (Mengi & Overton, IMA J. Numer. Anal. 25 (2005)):
+    at the level gamma = best + delta, with delta = refine_tol ||B||_F / 100,
+    find every angle where gamma is an eigenvalue of H (``_crossings``).  The
+    sign of lam_sel - gamma is constant on each arc between crossings, so if
+    the function exceeds gamma anywhere, some arc midpoint does.  Evaluate
+    the candidates of every arc in one batch; stop when none reaches gamma,
+    which bounds the supremum by best + delta.  Each evaluation at theta
+    also gives theta + pi, since H(theta + pi) = -H(theta).
+    """
+    if b.shape[0] == 1:  # H(theta) = |b| cos(theta + arg b)
+        z = complex(b[0, 0])
+        return abs(z), -cmath.phase(z) % _TWO_PI, np.ones(1, dtype=np.complex128)
+    bh = dagger(b)
+    scale = fro_norm(b)
+    delta = refine_tol * scale / 100.0
+    thetas = np.arange(_START_ANGLES) * (math.pi / _START_ANGLES)
     lam = np.linalg.eigvalsh(_rotated_herm(b, thetas))
-    vals = np.maximum(np.abs(lam[:, 0]), lam[:, -1])
+    angles, vals = _with_antipodes(thetas, lam, sel)
+    i = int(np.argmax(vals))
+    best, best_theta = float(vals[i]), float(angles[i])
+    for _ in range(_MAX_LEVELS if scale > 0.0 else 0):
+        gamma = best + delta
+        # Cayley centre: the evaluated angle or its opposite (H -> -H) where
+        # P + gamma is furthest from singular
+        centres = np.concatenate([thetas, thetas + math.pi])
+        margin = np.abs(np.concatenate([lam + gamma, gamma - lam])).min(axis=1)
+        cross, slope = _crossings(b, bh, gamma, float(centres[np.argmax(margin)]), scale)
+        if cross.size == 0:
+            break
+        cand = _level_candidates(cross, slope)
+        lam_c = np.linalg.eigvalsh(_rotated_herm(b, cand))
+        thetas, lam = np.concatenate([thetas, cand]), np.concatenate([lam, lam_c])
+        angles, vals = _with_antipodes(cand, lam_c, sel)
+        i = int(np.argmax(vals))
+        if vals[i] > best:
+            best, best_theta = float(vals[i]), float(angles[i])
+        if vals[i] < gamma:
+            break
+    best_theta %= _TWO_PI
+    ev, vecs = np.linalg.eigh(_rotated_herm(b, np.array([best_theta]))[0])
+    return float(ev[sel]), best_theta, vecs[:, sel]
 
-    def f(th):
-        ev = np.linalg.eigvalsh(_rotated_herm(b, np.array([th]))[0])
-        return max(abs(float(ev[0])), float(ev[-1]))
 
-    theta, value = sup_sweep(f, math.pi, COARSE_POINTS, refine_tol, values=vals)
-    ev, vecs = np.linalg.eigh(_rotated_herm(b, np.array([theta]))[0])
-    if abs(float(ev[0])) >= float(ev[-1]):
-        u = vecs[:, 0]
-    else:
-        u = vecs[:, -1]
-    return value, theta, u
+def _radius_seminorm_core(b: np.ndarray, refine_tol: float = REFINE_TOL):
+    # sup over [0, pi) of the spectral magnitude of Re(e^{i theta} B): the
+    # largest eigenvalue at theta >= pi is minus the smallest at theta - pi,
+    # with the same eigenvector
+    value, theta, u = _level_sup(b, -1, refine_tol)
+    return value, theta - math.pi if theta >= math.pi else theta, u
 
 
 def _radius_support_core(b: np.ndarray, refine_tol: float = REFINE_TOL):
@@ -182,16 +293,7 @@ def _radius_support_core(b: np.ndarray, refine_tol: float = REFINE_TOL):
 def _crawford_core(b: np.ndarray, refine_tol: float = REFINE_TOL):
     # sup over [0, 2 pi) of lam_min(Re(e^{i theta} B)); positive part is the
     # distance from 0 to the numerical range
-    thetas = np.arange(COARSE_POINTS) * (2.0 * math.pi / COARSE_POINTS)
-    lam = np.linalg.eigvalsh(_rotated_herm(b, thetas))
-    vals = lam[:, 0]
-
-    def f(th):
-        return float(np.linalg.eigvalsh(_rotated_herm(b, np.array([th]))[0])[0])
-
-    theta, raw = sup_sweep(f, 2.0 * math.pi, COARSE_POINTS, refine_tol, values=vals)
-    ev, vecs = np.linalg.eigh(_rotated_herm(b, np.array([theta]))[0])
-    return raw, theta, vecs[:, 0]
+    return _level_sup(b, 0, refine_tol)
 
 
 def crawford_minimize(b: np.ndarray, starts: int = 20, seed: int = 0,

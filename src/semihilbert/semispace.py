@@ -191,9 +191,11 @@ class OperatorInSpace:
         return {"a_bounded": self.a_bounded, "admits_adjoint": self.admits_adjoint}
 
     def _scale(self) -> float:
+        # ||A|| ||T||, the size of A T; no absolute floor, so the predicates
+        # do not change when A or T is scaled
         sp = self.space
         norm_a = float(sp.range_eigs[-1]) if sp.rank else 0.0
-        return max(1.0, norm_a * spectral_norm(self.t))
+        return norm_a * spectral_norm(self.t)
 
     def sharp(self) -> np.ndarray:
         """The adjoint pinv(A) T* A; raises NoAdjoint when inadmissible."""
@@ -235,7 +237,7 @@ class OperatorInSpace:
             return False
         s = self.sharp_mat
         defect = fro_norm(self.t @ s - s @ self.t)
-        return defect <= tol * self._scale()
+        return defect <= tol * spectral_norm(self.t) * spectral_norm(s)
 
     def is_a_positive(self, tol: float = DEFAULT_PREDICATE_TOL) -> bool:
         """Whether A T is Hermitian PSD within ``tol``."""

@@ -5,7 +5,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from semihilbert import radius
 from semihilbert.radius import (
     a_crawford,
     a_crawford_sampled,
@@ -171,3 +174,127 @@ def test_selfadjoint_radius_equals_norm():
     op = space.bind(t)
     assert op.is_a_selfadjoint()
     assert a_numerical_radius(op).value == pytest.approx(op.a_operator_norm(), rel=1e-10)
+
+
+# -- level-set kernel -----------------------------------------------------------
+
+LAM_MAX, LAM_MIN = -1, 0
+
+
+def _herm(b, theta):
+    return (np.exp(1j * theta) * b + np.exp(-1j * theta) * b.conj().T) / 2.0
+
+
+def dense_sup(b, sel):
+    """Reference for the kernel: sup over [0, 2 pi) of eigenvalue ``sel`` of
+    Re(e^{i theta} B) on the 720-point grid, golden-refined (the grid route
+    the oracle keeps)."""
+    thetas = np.arange(radius.COARSE_POINTS) * (TWO_PI / radius.COARSE_POINTS)
+    vals = np.linalg.eigvalsh(np.stack([_herm(b, th) for th in thetas]))[:, sel]
+    return sup_sweep(lambda th: float(np.linalg.eigvalsh(_herm(b, th))[sel]),
+                     TWO_PI, values=vals)[1]
+
+
+def kernel_case(kind, r, seed=0):
+    rng = np.random.default_rng([seed, r, len(kind)])
+    g = rng.standard_normal((r, r)) + 1j * rng.standard_normal((r, r))
+    u, _ = np.linalg.qr(rng.standard_normal((r, r)) + 1j * rng.standard_normal((r, r)))
+    if kind == "generic":
+        return g
+    if kind == "nilpotent":
+        return np.triu(g, 1)
+    if kind == "hermitian":
+        return g + g.conj().T
+    if kind == "normal":
+        return u @ np.diag(g[0]) @ u.conj().T
+    if kind == "singular":
+        return g @ np.diag(np.arange(r) > 0) @ g.conj()
+    if kind == "scalar":
+        return (0.6 - 1.3j) * np.eye(r)
+    if kind == "sector":  # numerical range inside a sector away from 0
+        return u @ np.diag(np.exp(1j * rng.uniform(0.2, 0.9, r)) * rng.uniform(1, 2, r)) \
+            @ u.conj().T + 0.1 * g
+    raise ValueError(kind)
+
+
+KERNEL_KINDS = ("generic", "nilpotent", "hermitian", "normal", "singular", "scalar", "sector")
+
+
+@pytest.mark.parametrize("sel", [LAM_MAX, LAM_MIN])
+@pytest.mark.parametrize("r", [1, 2, 3, 5, 8])
+@pytest.mark.parametrize("kind", KERNEL_KINDS)
+def test_level_sup_matches_dense_grid(kind, r, sel):
+    b = kernel_case(kind, r)
+    value, theta, u = radius._level_sup(b, sel)
+    bound = radius._error_estimate(b, radius.REFINE_TOL)
+    assert abs(value - dense_sup(b, sel)) <= bound
+    # the certificate: a unit eigenvector of H(theta) whose Rayleigh value
+    # is the reported value
+    assert 0.0 <= theta < TWO_PI
+    assert np.linalg.norm(u) == pytest.approx(1.0, abs=1e-12)
+    assert float(np.vdot(u, _herm(b, theta) @ u).real) == pytest.approx(value, abs=bound)
+
+
+@pytest.mark.parametrize("r", [1, 2, 5, 8])
+def test_seminorm_core_folds_angles_into_half_period(r):
+    b = kernel_case("generic", r, seed=3)
+    for bb in (b, -b):  # one of the two has its maximizing angle in [pi, 2 pi)
+        value, theta, u = radius._radius_seminorm_core(bb)
+        assert 0.0 <= theta < math.pi
+        # at the folded angle the certificate is an extreme eigenvector with
+        # the value as magnitude
+        assert abs(np.vdot(u, _herm(bb, theta) @ u).real) == pytest.approx(value, rel=1e-12)
+        assert value == pytest.approx(dense_sup(bb, LAM_MAX), rel=1e-12)
+
+
+def test_crossings_rotate_away_from_a_singular_cayley_centre():
+    """H(theta) = diag(cos theta, g(theta)), g = -cos(theta) / 2 - 2 sin(theta),
+    meets the level 1/2 at pi/3 and 5 pi/3 (first entry) and at pi and
+    -2 atan(1/4) (second).  With theta_c = 0, P + gamma = diag(3/2, 0) is
+    exactly singular: the crossing at theta_c + pi is t = infinity, so the
+    centre must move."""
+    b = np.diag([1.0, -0.5 + 2.0j])
+    cross, slope = radius._crossings(b, b.conj().T, 0.5, 0.0, 1.0)
+    s = TWO_PI - 2.0 * math.atan(0.25)
+    np.testing.assert_allclose(cross, [math.pi / 3, math.pi, 5 * math.pi / 3, s], atol=1e-12)
+    dg = lambda th: 0.5 * math.sin(th) - 2.0 * math.cos(th)
+    np.testing.assert_allclose(
+        slope, [-math.sin(math.pi / 3), dg(math.pi), math.sin(math.pi / 3), dg(s)], atol=1e-12)
+
+
+def test_kink_maximum_converges_in_few_levels(monkeypatch):
+    """lam_min of a normal B whose numerical range has its closest point to 0
+    inside the edge [1 - 0.5i, 1 + 2i] peaks at a kink with slopes 0.5 and
+    -2; the phase e^{0.3i} moves it off the start angles, to theta =
+    2 pi - 0.3.  Midpoints alone shrink the gap by 3/8 per level (31
+    levels); the tangent meeting point lands on the kink."""
+    levels = []
+    crossings = radius._crossings
+    monkeypatch.setattr(radius, "_crossings",
+                        lambda *a: levels.append(1) or crossings(*a))
+    u, _ = np.linalg.qr(np.arange(16).reshape(4, 4) + 1j * np.eye(4))
+    b = np.exp(0.3j) * u @ np.diag([1 + 2j, 1 - 0.5j, 3 + 0.5j, 2 + 2j]) @ u.conj().T
+    value, theta, _ = radius._level_sup(b, LAM_MIN)
+    assert value == pytest.approx(1.0, abs=1e-14 * np.linalg.norm(b))
+    assert theta == pytest.approx(TWO_PI - 0.3, abs=1e-7)
+    assert 1 <= len(levels) <= 6
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 5),
+       st.sampled_from(["generic", "sector"]), st.floats(-12.0, 12.0),
+       st.floats(0.0, TWO_PI))
+def test_radius_and_crawford_are_homogeneous_and_phase_invariant(seed, r, kind, c_exp, phi):
+    """w_A(cT) = c w_A(T), c_A(cT) = c c_A(T) for c in [1e-12, 1e12], and both
+    are unchanged by T -> e^{i phi} T."""
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((r + 1, r)) + 1j * rng.standard_normal((r + 1, r))
+    space = make_space(g @ g.conj().T)
+    t = space.lift_matrix(kernel_case(kind, r, seed % 1000))
+    c = 10.0 ** c_exp
+    base_w = a_numerical_radius(space.bind(t)).value
+    base_c = a_crawford(space.bind(t)).value
+    tol = 1e-12 * np.linalg.norm(space.bind(t).compress())
+    for factor, op in ((c, space.bind(c * t)), (1.0, space.bind(np.exp(1j * phi) * t))):
+        assert a_numerical_radius(op).value == pytest.approx(factor * base_w, abs=factor * tol)
+        assert a_crawford(op).value == pytest.approx(factor * base_c, abs=factor * tol)

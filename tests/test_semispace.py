@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -31,6 +31,14 @@ def test_make_space_rejects_bad_input():
         make_space(np.diag([1.0, -1.0]))
     with pytest.raises(NotHermitian):
         make_space(np.array([[1.0, 1.0], [0.0, 1.0]]))
+
+
+@pytest.mark.parametrize("scale", [1e-15, 1e15])
+def test_indefinite_weight_is_rejected_at_any_scale(scale):
+    """The PSD floor is relative to the weight, so scaling an indefinite
+    weight down does not turn it into a rank-one space."""
+    with pytest.raises(NotPSD):
+        make_space(scale * np.diag([1.0, -1.0]))
 
 
 def test_inner_product_conventions():
@@ -210,11 +218,15 @@ def test_tiny_operator_has_its_own_norm():
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2 ** 32 - 1),
-       st.sampled_from(["admissible", "inadmissible", "kernel_only"]),
+       st.sampled_from(["admissible", "inadmissible", "kernel_only", "nilpotent"]),
        st.floats(-12.0, 12.0), st.floats(-12.0, 12.0), st.sampled_from([1.0, -1.0]))
+# A = 1e-12 * weight or T = 1e-9 * nilpotent made the nilpotent read
+# A-selfadjoint (and A-positive / A-normal) under an absolute scale floor
+@example(seed=1, kind="nilpotent", a_exp=-12.0, t_exp=-9.0, sign=1.0)
 def test_membership_and_norm_are_scale_covariant(seed, kind, a_exp, t_exp, sign):
-    """A -> cA leaves membership and the seminorm unchanged; T -> cT leaves
-    membership unchanged and scales the seminorm by |c|."""
+    """A -> cA leaves membership, the predicates and the seminorm unchanged;
+    T -> cT leaves membership and the predicates unchanged (positivity for
+    c > 0) and scales the seminorm by |c|."""
     rng = np.random.default_rng(seed)
     q, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
     a = (q[:, :2] * rng.uniform(0.5, 2.0, 2)) @ dagger(q[:, :2])
@@ -223,16 +235,25 @@ def test_membership_and_norm_are_scale_covariant(seed, kind, a_exp, t_exp, sign)
         m[:2, 2] = 0.0  # keeps ker(A) = span(q[:, 2])
     if kind == "kernel_only":
         m[:, :2] = 0.0  # acts only inside ker(A): seminorm exactly 0
+    if kind == "nilpotent":
+        m = np.zeros((3, 3), dtype=complex)
+        m[0, 1] = 1.0  # N^2 = 0 on range(A): neither selfadjoint nor normal
     t = q @ m @ dagger(q)
     base = make_space(a).bind(t)
     norm = base.a_operator_norm()
     assert base.admits_adjoint == (kind != "inadmissible")
+    if kind == "nilpotent":
+        assert not (base.is_a_selfadjoint() or base.is_a_normal() or base.is_a_positive())
     c_a, c_t = 10.0 ** a_exp, sign * 10.0 ** t_exp
-    for op, factor in ((make_space(c_a * a).bind(t), 1.0),
-                       (make_space(a).bind(c_t * t), abs(c_t))):
+    for op, c in ((make_space(c_a * a).bind(t), 1.0),
+                  (make_space(a).bind(c_t * t), c_t)):
         assert op.membership == base.membership
+        assert op.is_a_selfadjoint() == base.is_a_selfadjoint()
+        assert op.is_a_normal() == base.is_a_normal()
+        if c > 0:
+            assert op.is_a_positive() == base.is_a_positive()
         got = op.a_operator_norm()
         if kind == "kernel_only" or norm == np.inf:
             assert got == norm
         else:
-            assert got == pytest.approx(factor * norm, rel=1e-9, abs=0.0)
+            assert got == pytest.approx(abs(c) * norm, rel=1e-9, abs=0.0)
