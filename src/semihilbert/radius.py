@@ -24,7 +24,6 @@ golden-section refinement of every competitive bracket (``sup_sweep``).
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -174,7 +173,7 @@ def _crossings(b: np.ndarray, bh: np.ndarray, gamma: float, theta_c: float,
     away from that.
     """
     for _ in range(_ROTATIONS):
-        ph = cmath.exp(1j * theta_c)
+        ph = complex(math.cos(theta_c), math.sin(theta_c))
         c, ch = ph * b, ph.conjugate() * bh
         lam, vecs = np.linalg.eigh((c + ch) / 2.0)
         lead = lam + gamma
@@ -236,7 +235,7 @@ def _level_sup(b: np.ndarray, sel: int, refine_tol: float = REFINE_TOL):
     """
     if b.shape[0] == 1:  # H(theta) = |b| cos(theta + arg b)
         z = complex(b[0, 0])
-        return abs(z), -cmath.phase(z) % _TWO_PI, np.ones(1, dtype=np.complex128)
+        return abs(z), -math.atan2(z.imag, z.real) % _TWO_PI, np.ones(1, dtype=np.complex128)
     bh = dagger(b)
     scale = fro_norm(b)
     delta = refine_tol * scale / 100.0
