@@ -36,6 +36,9 @@ BOUNDED_RESIDUAL_TOL = 1e-10
 ZERO_SEMINORM_TOL = 1e-12
 
 DEFAULT_PREDICATE_TOL = 1e-8
+# eigenvalues at or below the smallest normal float are subnormal: they carry
+# no relative precision and their reciprocals overflow, so they count as zero
+_EIG_FLOOR = float(np.finfo(np.float64).tiny)
 
 
 @dataclass(frozen=True)
@@ -152,14 +155,15 @@ def make_space(a, rank_tol: float = linalg.DEFAULT_RANK_TOL) -> SemiHilbertSpace
     """Build the space induced by a Hermitian PSD matrix ``a``.
 
     Raises NotHermitian / NotPSD when ``a`` fails validation.  ``a = 0``
-    is legal and produces the everywhere-degenerate space of rank 0.
+    is legal and produces the everywhere-degenerate space of rank 0, as
+    does an ``a`` whose eigenvalues are all subnormal.
     """
     am = linalg.as_matrix(a, square=True)
     dec = linalg._psd_eig(am, rank_tol)
     lam, vecs = dec.eigenvalues, dec.eigenvectors
     n = am.shape[0]
     lam_max = max(float(lam[-1]), 0.0) if n else 0.0
-    keep = lam > rank_tol * lam_max
+    keep = lam > max(rank_tol * lam_max, _EIG_FLOOR)
     lam_r = np.clip(lam[keep], 0.0, None)
     v_r = vecs[:, keep]
     root = np.sqrt(np.clip(lam, 0.0, None) * keep)

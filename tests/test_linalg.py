@@ -4,7 +4,7 @@ values and an independent elimination-based rank oracle."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -141,6 +141,8 @@ def test_hermitian_eig_reconstructs(re, im):
 @settings(max_examples=60, deadline=None)
 @given(arrays(np.float64, (3, 3), elements=_entries),
        arrays(np.float64, (3, 3), elements=_entries))
+# a subnormal A: 1 / lambda overflows unless such eigenvalues count as zero
+@example(re=np.zeros((3, 3)), im=np.full((3, 3), 5.20309271e-159))
 def test_psd_sqrt_and_pinv_consistent(re, im):
     g = re + 1j * im
     a = g @ dagger(g)
