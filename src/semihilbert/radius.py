@@ -38,9 +38,9 @@ REFINE_TOL = 1e-12
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _TWO_PI = 2.0 * math.pi
 # level-set kernel: start angles on [0, pi) (each also gives its antipode),
-# cap on levels, rotations of a singular Cayley centre, the relative
-# singularity of P + gamma that triggers one, and the relative imaginary part
-# under which a root of the pencil counts as real
+# cap on levels, Cayley centres tried 1 rad apart, the relative singularity
+# of P + gamma that rejects a centre, and the relative imaginary part under
+# which a root of the pencil counts as real
 _START_ANGLES = 4
 _MAX_LEVELS = 64
 _ROTATIONS = 4
@@ -160,7 +160,7 @@ def _error_estimate(b: np.ndarray, refine_tol: float) -> float:
 
 
 def _crossings(b: np.ndarray, bh: np.ndarray, gamma: float, theta_c: float,
-               scale: float) -> tuple[np.ndarray, np.ndarray]:
+               scale: float) -> tuple[np.ndarray, np.ndarray] | None:
     """Every angle in [0, 2 pi) where ``gamma`` is an eigenvalue of H(theta),
     sorted, with the derivative of that eigenvalue there (``bh`` is B*).
 
@@ -170,18 +170,20 @@ def _crossings(b: np.ndarray, bh: np.ndarray, gamma: float, theta_c: float,
     eigenvalues t are the crossings.  In the eigenbasis of P the pencil
     linearizes to a 2r x 2r companion matrix.  A crossing at theta_c + pi
     itself is t = infinity, where P + gamma is singular, so theta_c is rotated
-    away from that.
+    away from that.  Returns None when P + gamma is near-singular at every
+    centre tried, as when H(theta) keeps an eigenvalue within about delta of
+    the level at every angle (the Jordan block [[0, 1], [0, 0]] keeps +-1/2):
+    the roots are then not to be trusted.
     """
-    for _ in range(_ROTATIONS):
-        ph = complex(math.cos(theta_c), math.sin(theta_c))
+    for k in range(_ROTATIONS):
+        ph = complex(math.cos(theta_c + k), math.sin(theta_c + k))
         c, ch = ph * b, ph.conjugate() * bh
         lam, vecs = np.linalg.eigh((c + ch) / 2.0)
         lead = lam + gamma
         if np.abs(lead).min() > _SINGULAR * scale:
             break
-        theta_c += 1.0
-    if not lead.all():
-        return np.zeros(0), np.zeros(0)
+    else:
+        return None
     r = lam.size
     s = dagger(vecs) @ ((c - ch) / 2j) @ vecs
     comp = np.zeros((2 * r, 2 * r), dtype=np.complex128)
@@ -197,7 +199,7 @@ def _crossings(b: np.ndarray, bh: np.ndarray, gamma: float, theta_c: float,
     w = x.real ** 2 + x.imag ** 2
     slope = (-np.sin(phi) * (lam @ w)
              - np.cos(phi) * (x.conj() * (s @ x)).sum(axis=0).real) / w.sum(axis=0)
-    theta = (theta_c + phi) % _TWO_PI
+    theta = (theta_c + k + phi) % _TWO_PI
     order = np.argsort(theta)
     return theta[order], slope[order]
 
@@ -219,6 +221,18 @@ def _with_antipodes(thetas: np.ndarray, lam: np.ndarray, sel: int):
             np.concatenate([lam[:, sel], -lam[:, -1 - sel]]))
 
 
+def _grid_sup(b: np.ndarray, sel: int, refine_tol: float = REFINE_TOL):
+    """sup over theta in [0, 2 pi) of lam_sel(H(theta)) by ``sup_sweep`` on
+    the dense grid.  Returns (theta, value)."""
+    thetas = np.arange(COARSE_POINTS) * (_TWO_PI / COARSE_POINTS)
+    vals = np.linalg.eigvalsh(_rotated_herm(b, thetas))[:, sel]
+
+    def f(th):
+        return float(np.linalg.eigvalsh(_rotated_herm(b, np.array([th]))[0])[sel])
+
+    return sup_sweep(f, _TWO_PI, COARSE_POINTS, refine_tol, values=vals)
+
+
 def _level_sup(b: np.ndarray, sel: int, refine_tol: float = REFINE_TOL):
     """sup over theta in [0, 2 pi) of lam_sel(H(theta)), H(theta) =
     Re(e^{i theta} B), with ``sel`` -1 for the largest eigenvalue and 0 for
@@ -231,7 +245,9 @@ def _level_sup(b: np.ndarray, sel: int, refine_tol: float = REFINE_TOL):
     the function exceeds gamma anywhere, some arc midpoint does.  Evaluate
     the candidates of every arc in one batch; stop when none reaches gamma,
     which bounds the supremum by best + delta.  Each evaluation at theta
-    also gives theta + pi, since H(theta + pi) = -H(theta).
+    also gives theta + pi, since H(theta + pi) = -H(theta).  When no level
+    bounds the supremum, because the crossings cannot be computed or the
+    level cap is reached, the dense grid (``_grid_sup``) takes over.
     """
     if b.shape[0] == 1:  # H(theta) = |b| cos(theta + arg b)
         z = complex(b[0, 0])
@@ -244,16 +260,20 @@ def _level_sup(b: np.ndarray, sel: int, refine_tol: float = REFINE_TOL):
     angles, vals = _with_antipodes(thetas, lam, sel)
     i = int(np.argmax(vals))
     best, best_theta = float(vals[i]), float(angles[i])
-    for _ in range(_MAX_LEVELS if scale > 0.0 else 0):
+    bounded = scale == 0.0
+    for _ in range(0 if bounded else _MAX_LEVELS):
         gamma = best + delta
         # Cayley centre: the evaluated angle or its opposite (H -> -H) where
         # P + gamma is furthest from singular
         centres = np.concatenate([thetas, thetas + math.pi])
         margin = np.abs(np.concatenate([lam + gamma, gamma - lam])).min(axis=1)
-        cross, slope = _crossings(b, bh, gamma, float(centres[np.argmax(margin)]), scale)
-        if cross.size == 0:
+        found = _crossings(b, bh, gamma, float(centres[np.argmax(margin)]), scale)
+        if found is None:
             break
-        cand = _level_candidates(cross, slope)
+        if found[0].size == 0:  # lam_sel - gamma keeps the sign it has at best
+            bounded = True
+            break
+        cand = _level_candidates(*found)
         lam_c = np.linalg.eigvalsh(_rotated_herm(b, cand))
         thetas, lam = np.concatenate([thetas, cand]), np.concatenate([lam, lam_c])
         angles, vals = _with_antipodes(cand, lam_c, sel)
@@ -261,7 +281,12 @@ def _level_sup(b: np.ndarray, sel: int, refine_tol: float = REFINE_TOL):
         if vals[i] > best:
             best, best_theta = float(vals[i]), float(angles[i])
         if vals[i] < gamma:
+            bounded = True
             break
+    if not bounded:
+        theta, value = _grid_sup(b, sel, refine_tol)
+        if value > best:
+            best_theta = theta
     best_theta %= _TWO_PI
     ev, vecs = np.linalg.eigh(_rotated_herm(b, np.array([best_theta]))[0])
     return float(ev[sel]), best_theta, vecs[:, sel]
@@ -277,14 +302,7 @@ def _radius_seminorm_core(b: np.ndarray, refine_tol: float = REFINE_TOL):
 
 def _radius_support_core(b: np.ndarray, refine_tol: float = REFINE_TOL):
     # classical numerical radius: sup over [0, 2 pi) of lam_max(Re(e^{i theta} B))
-    thetas = np.arange(COARSE_POINTS) * (2.0 * math.pi / COARSE_POINTS)
-    lam = np.linalg.eigvalsh(_rotated_herm(b, thetas))
-    vals = lam[:, -1]
-
-    def f(th):
-        return float(np.linalg.eigvalsh(_rotated_herm(b, np.array([th]))[0])[-1])
-
-    theta, value = sup_sweep(f, 2.0 * math.pi, COARSE_POINTS, refine_tol, values=vals)
+    theta, value = _grid_sup(b, -1, refine_tol)
     _, u = support_max(b, theta)
     return value, theta, u
 

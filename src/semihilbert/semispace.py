@@ -232,6 +232,8 @@ class OperatorInSpace:
 
     def is_a_selfadjoint(self, tol: float = DEFAULT_PREDICATE_TOL) -> bool:
         """Whether A T = T* A within ``tol`` (relative Frobenius)."""
+        if self.space.rank == 0:  # the seminorm vanishes: every T qualifies
+            return True
         defect = fro_norm(self.space.a @ self.t - dagger(self.t) @ self.space.a)
         return defect <= tol * self._scale()
 
@@ -245,6 +247,8 @@ class OperatorInSpace:
 
     def is_a_positive(self, tol: float = DEFAULT_PREDICATE_TOL) -> bool:
         """Whether A T is Hermitian PSD within ``tol``."""
+        if self.space.rank == 0:
+            return True
         h = self.space.a @ self.t
         scale = self._scale()
         if fro_norm(h - dagger(h)) > tol * scale:

@@ -262,6 +262,69 @@ def test_crossings_rotate_away_from_a_singular_cayley_centre():
         slope, [-math.sin(math.pi / 3), dg(math.pi), math.sin(math.pi / 3), dg(s)], atol=1e-12)
 
 
+def flat_branch_case():
+    """N + m with the Jordan block N = [[0, 1], [0, 0]]: Re(e^{i theta} N)
+    has the eigenvalues +-1/2 at every theta, and m = 0.52 e^{i pi / 8} lifts
+    lam_max to 0.52 only on |theta + pi / 8| < 0.28, which no start angle
+    (a multiple of pi / 4) meets.  At the level 1/2 + delta, P + gamma is
+    near-singular at every Cayley centre."""
+    b = np.zeros((3, 3), dtype=complex)
+    b[0, 1] = 1.0
+    b[2, 2] = 0.52 * np.exp(1j * math.pi / 8)
+    return b
+
+
+def grid_calls(monkeypatch):
+    calls = []
+    grid_sup = radius._grid_sup
+    monkeypatch.setattr(radius, "_grid_sup", lambda *a: calls.append(1) or grid_sup(*a))
+    return calls
+
+
+def test_crossings_refuse_a_level_on_a_flat_branch():
+    b = flat_branch_case()
+    scale = np.linalg.norm(b)
+    for theta_c in (0.0, 0.3, math.pi):
+        assert radius._crossings(b, b.conj().T, 0.5 + 1e-14 * scale, theta_c, scale) is None
+
+
+@pytest.mark.parametrize("sel", [LAM_MAX, LAM_MIN])
+def test_flat_branch_falls_back_to_the_grid(monkeypatch, sel):
+    b = flat_branch_case()
+    calls = grid_calls(monkeypatch)
+    value, theta, u = radius._level_sup(b, sel)
+    bound = radius._error_estimate(b, radius.REFINE_TOL)
+    assert calls
+    assert abs(value - dense_sup(b, sel)) <= bound
+    assert value == pytest.approx(0.52 if sel == LAM_MAX else -0.5, abs=bound)
+    assert float(np.vdot(u, _herm(b, theta) @ u).real) == pytest.approx(value, abs=bound)
+    # the seminorm core reports the same supremum at an angle in [0, pi)
+    value, theta, u = radius._radius_seminorm_core(b)
+    assert value == pytest.approx(0.52, abs=bound)
+    assert 0.0 <= theta < math.pi
+    assert abs(np.vdot(u, _herm(b, theta) @ u).real) == pytest.approx(0.52, abs=bound)
+
+
+@pytest.mark.parametrize("sel", [LAM_MAX, LAM_MIN])
+def test_level_cap_falls_back_to_the_grid(monkeypatch, sel):
+    """A search stopped by the level cap has bounded nothing, so the grid
+    takes over; one level does not settle this generic 5 x 5 case."""
+    b = kernel_case("generic", 5)
+    monkeypatch.setattr(radius, "_MAX_LEVELS", 1)
+    calls = grid_calls(monkeypatch)
+    value, _, _ = radius._level_sup(b, sel)
+    assert calls
+    assert abs(value - dense_sup(b, sel)) <= radius._error_estimate(b, radius.REFINE_TOL)
+
+
+def test_settled_search_skips_the_grid(monkeypatch):
+    calls = grid_calls(monkeypatch)
+    for kind in KERNEL_KINDS:
+        for sel in (LAM_MAX, LAM_MIN):
+            radius._level_sup(kernel_case(kind, 5), sel)
+    assert not calls
+
+
 def test_kink_maximum_converges_in_few_levels(monkeypatch):
     """lam_min of a normal B whose numerical range has its closest point to 0
     inside the edge [1 - 0.5i, 1 + 2i] peaks at a kink with slopes 0.5 and

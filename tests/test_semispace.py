@@ -211,6 +211,20 @@ def test_tiny_scale_shift_stays_unbounded(a_scale, t_scale):
     assert op.a_operator_norm() == np.inf
 
 
+def test_subnormal_weight_is_a_rank_zero_space():
+    """A weight whose eigenvalues are all subnormal counts as zero: rank 0,
+    a finite pseudoinverse, and every operator A-selfadjoint, A-normal and
+    A-positive, as for A = 0."""
+    g = np.full((3, 3), 5.2e-159j)
+    space = make_space(g @ g.conj().T)
+    assert space.rank == 0
+    assert np.all(np.isfinite(space.a_pinv))
+    nilpotent = np.diag([1.0, 1.0], k=1)
+    for a in (space, make_space(np.zeros((3, 3)))):
+        op = a.bind(nilpotent)
+        assert op.is_a_selfadjoint() and op.is_a_normal() and op.is_a_positive()
+
+
 def test_tiny_operator_has_its_own_norm():
     op = space_diag(1, 1).bind(1e-20 * np.eye(2))
     assert op.a_operator_norm() == pytest.approx(1e-20, rel=1e-12, abs=0.0)
