@@ -154,24 +154,81 @@ def _lift(space: SemiHilbertSpace, u: np.ndarray | None) -> np.ndarray | None:
 
 def adaptive_simpson(f, a: float, b: float, tol: float = QUAD_TOL,
                      max_depth: int = QUAD_MAX_DEPTH) -> float:
-    """Adaptive Simpson quadrature with Richardson acceptance and correction."""
-    fa, fb = f(a), f(b)
-    m = (a + b) / 2.0
-    fm = f(m)
-    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
+    """Adaptive Simpson quadrature with Richardson acceptance and correction.
 
-    def rec(lo, flo, mid, fmid, hi, fhi, approx, eps, depth):
-        lm, rm = (lo + mid) / 2.0, (mid + hi) / 2.0
-        flm, frm = f(lm), f(rm)
-        left = (mid - lo) / 6.0 * (flo + 4.0 * flm + fmid)
-        right = (hi - mid) / 6.0 * (fmid + 4.0 * frm + fhi)
+    ``f`` maps a 1-D array of nodes to the array of its values.  The
+    subdivision tree is walked one level at a time, so ``f`` is called once
+    for the three starting nodes and once per level, on the two new nodes of
+    every open interval: at most ``max_depth + 2`` calls.  The nodes, the
+    acceptance test and the sum are those of the recursive rule, summed in
+    its order (``docs/quadrature.md``).
+    """
+    # one row per open interval: its nodes (lo, mid, hi) and their values
+    x = np.array([[a, (a + b) / 2.0, b]])
+    fx = np.reshape(f(x[0]), (1, 3))
+    approx = (b - a) / 6.0 * (fx[:, 0] + 4.0 * fx[:, 1] + fx[:, 2])
+    eps = tol
+    levels = []
+    for depth in range(max_depth + 1):
+        k = len(x)
+        x5, f5 = np.empty((k, 5)), np.empty((k, 5))
+        x5[:, ::2], f5[:, ::2] = x, fx
+        x5[:, 1::2] = (x[:, :-1] + x[:, 1:]) / 2.0
+        f5[:, 1::2] = np.reshape(f(x5[:, 1::2].ravel()), (k, 2))
+        left = (x5[:, 2] - x5[:, 0]) / 6.0 * (f5[:, 0] + 4.0 * f5[:, 1] + f5[:, 2])
+        right = (x5[:, 4] - x5[:, 2]) / 6.0 * (f5[:, 2] + 4.0 * f5[:, 3] + f5[:, 4])
         delta = left + right - approx
-        if depth >= max_depth or abs(delta) <= 15.0 * eps:
-            return left + right + delta / 15.0
-        return (rec(lo, flo, lm, flm, mid, fmid, left, eps / 2.0, depth + 1)
-                + rec(mid, fmid, rm, frm, hi, fhi, right, eps / 2.0, depth + 1))
+        split = ~(np.abs(delta) <= 15.0 * eps) if depth < max_depth else np.zeros(k, bool)
+        levels.append((left + right + delta / 15.0, split))
+        if not split.any():
+            break
+        # the two halves of every split interval, left half first
+        x = np.stack([x5[split, :3], x5[split, 2:]], axis=1).reshape(-1, 3)
+        fx = np.stack([f5[split, :3], f5[split, 2:]], axis=1).reshape(-1, 3)
+        approx = np.stack([left[split], right[split]], axis=1).ravel()
+        eps /= 2.0
+    # a split interval's value is the sum of its halves, added bottom-up as
+    # the recursion adds them
+    below = None
+    for value, split in reversed(levels):
+        if below is not None:
+            value[split] = below[0::2] + below[1::2]
+        below = value
+    return float(below[0])
 
-    return rec(a, fa, m, fm, b, fb, whole, tol, 0)
+
+def _sig_stack(m: np.ndarray) -> np.ndarray:
+    """Largest singular value of each matrix of a stack, as the square root
+    of the top eigenvalue of its Gram matrix: one batched ``eigvalsh``."""
+    if m.shape[-1] == 0:
+        return np.zeros(m.shape[:-2])
+    gram = np.conj(np.swapaxes(m, -1, -2)) @ m
+    return np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[..., -1], 0.0))
+
+
+def _sig_path(x: np.ndarray, y: np.ndarray, taus: np.ndarray) -> np.ndarray:
+    """norm of tau X + (1 - tau) Y for every tau of an array, in one stack."""
+    taus = np.asarray(taus, dtype=np.float64)[:, None, None]
+    return _sig_stack(taus * x + (1.0 - taus) * y)
+
+
+# The fixed composite Simpson rule (INTEGRAL_SIMPSON_INTERVALS intervals on
+# [0, 1]) of the integral sweep, folded onto [0, 1/2]: its integrands satisfy
+# g(tau) = g(1 - tau) (docs/quadrature.md), so every weight but the
+# centre's doubles.
+_FOLD_NODES = np.linspace(0.0, 0.5, INTEGRAL_SIMPSON_INTERVALS // 2 + 1)
+_FOLD_WEIGHTS = np.where(np.arange(len(_FOLD_NODES)) % 2 == 1, 8.0, 4.0)
+_FOLD_WEIGHTS[[0, -1]] = 2.0
+_FOLD_WEIGHTS *= (1.0 / INTEGRAL_SIMPSON_INTERVALS) / 3.0
+
+
+def _fixed_path_integrals(b: np.ndarray, bs: np.ndarray, thetas: np.ndarray) -> np.ndarray:
+    """The fixed rule's integral of norm(t e^{i theta} B + (1-t) B*) over [0, 1]
+    for every theta of an array, from one stack."""
+    ph = np.exp(1j * thetas)
+    stack = (ph[:, None, None, None] * _FOLD_NODES[None, :, None, None] * b
+             + (1.0 - _FOLD_NODES)[None, :, None, None] * bs)
+    return _sig_stack(stack) @ _FOLD_WEIGHTS
 
 
 # -- the checks ---------------------------------------------------------------
@@ -193,19 +250,12 @@ def check_hh_triangle(space: SemiHilbertSpace, t, s, quad_tol: float = QUAD_TOL,
     norm_A(T+S) <= 2 * integral_0^1 norm_A(t T + (1-t) S) dt <= norm_A(T) + norm_A(S)."""
     opt, ops = _as_op(space, t), _as_op(space, s)
     bt, bs = opt.compress(), ops.compress()
-    integral = adaptive_simpson(lambda tau: _sig(tau * bt + (1.0 - tau) * bs),
-                                0.0, 1.0, quad_tol)
+    integral = adaptive_simpson(lambda taus: _sig_path(bt, bs, taus), 0.0, 1.0, quad_tol)
     return _report("hh_triangle",
                    [("norm_A(T+S)", _sig(bt + bs)),
                     ("2*int_0^1 norm_A(tT+(1-t)S) dt", 2.0 * integral),
                     ("norm_A(T)+norm_A(S)", _sig(bt) + _sig(bs))],
                    check_tol, _digest(space, opt.t, ops.t))
-
-
-def _integral_seminorm_path(bt: np.ndarray, bs: np.ndarray, theta: float, tol: float) -> float:
-    ph = np.exp(1j * theta)
-    return adaptive_simpson(lambda tau: _sig(tau * ph * bt + (1.0 - tau) * bs),
-                            0.0, 1.0, tol)
 
 
 def check_integral_radius_bound(space: SemiHilbertSpace, t, quad_tol: float = QUAD_TOL,
@@ -214,7 +264,8 @@ def check_integral_radius_bound(space: SemiHilbertSpace, t, quad_tol: float = QU
 
     The middle supremum is located on a coarse angle grid with a fixed
     Simpson rule evaluated in one batch, refined by golden section, and the
-    final value is recomputed with the adaptive rule.  The angle doubling
+    final value is recomputed with the adaptive rule.  Both rules evaluate
+    the path on tau <= 1/2 only, which its symmetry allows.  The angle doubling
     the radius certificate is always included as a candidate: the averaged
     path at that angle dominates w_A(T), which protects the lower link.
     """
@@ -228,33 +279,24 @@ def check_integral_radius_bound(space: SemiHilbertSpace, t, quad_tol: float = QU
     bs = dagger(bt)
     w_val, w_theta, _ = _radius_seminorm_core(bt)
 
-    n_int = INTEGRAL_SIMPSON_INTERVALS
-    tgrid = np.linspace(0.0, 1.0, n_int + 1)
-    weights = np.full(n_int + 1, 2.0)
-    weights[1::2] = 4.0
-    weights[0] = weights[-1] = 1.0
-    weights *= (1.0 / n_int) / 3.0
+    def path_integral(theta: float) -> float:
+        x = np.exp(1j * theta) * bt
 
-    def fixed_integral(thetas: np.ndarray) -> np.ndarray:
-        ph = np.exp(1j * thetas)
-        stack = (ph[:, None, None, None] * tgrid[None, :, None, None] * bt
-                 + (1.0 - tgrid)[None, :, None, None] * bs)
-        sv = np.linalg.svd(stack.reshape(-1, *bt.shape), compute_uv=False)[:, 0]
-        return sv.reshape(len(thetas), -1) @ weights
+        def g(taus):
+            # dyadic nodes mirror exactly, so each pair costs one matrix
+            half, where = np.unique(np.minimum(taus, 1.0 - taus), return_inverse=True)
+            return _sig_path(x, bs, half)[where]
+
+        return adaptive_simpson(g, 0.0, 1.0, quad_tol / 4.0)
 
     k = INTEGRAL_SWEEP_POINTS
-    h = 2.0 * math.pi / k
-    thetas = np.arange(k) * h
-    coarse = fixed_integral(thetas)
+    coarse = _fixed_path_integrals(bt, bs, np.arange(k) * (2.0 * math.pi / k))
     # locate on the cheap fixed rule, then recompute the value adaptively;
     # a location error only flattens the reported sup quadratically, while
     # the certificate-angle candidate below keeps the lower link exact
-    theta0, _ = sup_sweep(lambda th: float(fixed_integral(np.array([th]))[0]),
+    theta0, _ = sup_sweep(lambda th: float(_fixed_path_integrals(bt, bs, np.array([th]))[0]),
                           2.0 * math.pi, k, 1e-5, values=coarse)
-    fine_tol = quad_tol / 4.0
-    mid = _integral_seminorm_path(bt, bs, theta0, fine_tol)
-    cand = _integral_seminorm_path(bt, bs, 2.0 * w_theta, fine_tol)
-    mid = max(mid, cand)
+    mid = max(path_integral(theta0), path_integral(2.0 * w_theta))
 
     return _report("integral_radius_bound",
                    [("w_A(T)", w_val), ("sup_theta int norm_A", mid), ("norm_A(T)", _sig(bt))],

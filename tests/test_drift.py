@@ -1,15 +1,18 @@
 """Value-drift gate: every chain value and every equality-diagnostic value of
 100 campaign trials per check (seed 42, dims 2,3,4,5,8) must reproduce the
-committed reference in ``tests/data/tightness/``.
+committed reference in ``tests/data/tightness/``, and every quantity of the
+worked examples (``paper-examples``) the one in ``tests/data/paper_examples.json``.
 
-The ``ok`` column must match exactly.  Every numeric cell must lie within
+The ``ok`` column, the flags, the exit codes and the ``paper-examples --json``
+output must match exactly.  Every numeric cell must lie within
 1e-8 * (1 + the largest |value| in its row), the tolerance a chain's
-``_report`` applies to its links.  The reference is regenerated only by
-``tests/data/make_tightness_reference.py``.
+``_report`` applies to its links; a worked example is one row.  The
+reference is regenerated only by ``tests/data/make_tightness_reference.py``.
 """
 
 import csv
 import importlib.util
+import json
 import math
 import pathlib
 
@@ -43,8 +46,11 @@ def row_drift(ref: list[str], new: list[str], header: list[str]) -> float:
     """Largest |new - ref| over the numeric cells of one row, divided by
     1 + the largest |value| of the reference row."""
     cols = [i for i, h in enumerate(header) if h not in _KEYS + ("ok",)]
-    a = [float(ref[i]) for i in cols]
-    b = [float(new[i]) for i in cols]
+    return drift([float(ref[i]) for i in cols], [float(new[i]) for i in cols])
+
+
+def drift(a: list[float], b: list[float]) -> float:
+    """Largest |b - a| over paired values, divided by 1 + the largest finite |a|."""
     scale = 1.0 + max((abs(v) for v in a if math.isfinite(v)), default=0.0)
     drift = 0.0
     for x, y in zip(a, b):
@@ -66,3 +72,36 @@ def test_values_match_the_reference(name, tmp_path):
     for ref, new in zip(ref_rows, new_rows):
         assert new[:3] == ref[:3] and new[ok_col] == ref[ok_col], (ref, new)
         assert row_drift(ref, new, header) <= DRIFT_TOL, (ref, new)
+
+
+def _numbers(value) -> list[float]:
+    """The numbers of a worked-example quantity in order; a flag has none."""
+    if isinstance(value, bool):
+        return []
+    if isinstance(value, list):
+        return [x for v in value for x in _numbers(v)]
+    return [float(value)]
+
+
+def _shape(value):
+    """A quantity with each number replaced by 0: its flags and nesting."""
+    if isinstance(value, list):
+        return [_shape(v) for v in value]
+    return value if isinstance(value, bool) else 0
+
+
+def test_paper_examples_match_the_reference():
+    ref = json.loads((DATA / "paper_examples.json").read_text())
+    new = REF.paper_examples()
+    assert new["exit_code"] == ref["exit_code"]
+    assert new["output"] == ref["output"]
+    assert new["values"].keys() == ref["values"].keys()
+    for case, ref_values in ref["values"].items():
+        new_values = new["values"][case]
+        assert new_values.keys() == ref_values.keys(), case
+        keys = sorted(ref_values)
+        for key in keys:
+            assert _shape(new_values[key]) == _shape(ref_values[key]), (case, key)
+        a = [x for key in keys for x in _numbers(ref_values[key])]
+        b = [x for key in keys for x in _numbers(new_values[key])]
+        assert drift(a, b) <= DRIFT_TOL, (case, ref_values, new_values)

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from semihilbert.errors import DimensionMismatch, PreconditionNotMet
+from semihilbert import inequalities as ineq
 from semihilbert.inequalities import (
     adaptive_simpson,
     check_adjoint_sum_bound,
@@ -56,15 +57,102 @@ def chain_values(report):
     return [v for _, v in report.chain]
 
 
+def recursive_simpson(f, a, b, tol=ineq.QUAD_TOL, max_depth=ineq.QUAD_MAX_DEPTH):
+    """The recursive adaptive Simpson rule with a scalar ``f``: the reference
+    the level-by-level ``adaptive_simpson`` must reproduce."""
+    fa, fb = f(a), f(b)
+    m = (a + b) / 2.0
+    fm = f(m)
+    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
+
+    def rec(lo, flo, mid, fmid, hi, fhi, approx, eps, depth):
+        lm, rm = (lo + mid) / 2.0, (mid + hi) / 2.0
+        flm, frm = f(lm), f(rm)
+        left = (mid - lo) / 6.0 * (flo + 4.0 * flm + fmid)
+        right = (hi - mid) / 6.0 * (fmid + 4.0 * frm + fhi)
+        delta = left + right - approx
+        if depth >= max_depth or abs(delta) <= 15.0 * eps:
+            return left + right + delta / 15.0
+        return (rec(lo, flo, lm, flm, mid, fmid, left, eps / 2.0, depth + 1)
+                + rec(mid, fmid, rm, frm, hi, fhi, right, eps / 2.0, depth + 1))
+
+    return rec(a, fa, m, fm, b, fb, whole, tol, 0)
+
+
+def sigma_path(r, seed=0):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((r, r)) + 1j * rng.standard_normal((r, r))
+    y = rng.standard_normal((r, r)) + 1j * rng.standard_normal((r, r))
+    return lambda taus: ineq._sig_path(x, y, taus)
+
+
+@pytest.mark.parametrize("f, tol, max_depth", [
+    (lambda x: x * x, 1e-8, 14),
+    (np.sqrt, 1e-10, 14),
+    (lambda x: abs(x - 1 / 3), 1e-10, 14),
+    (np.sqrt, 1e-10, 2),  # capped: the depth limit ends the refinement
+    (sigma_path(5), 1e-9, 14),
+], ids=["square", "sqrt", "kink", "capped", "sigma-path-r5"])
+def test_level_rule_matches_the_recursion(f, tol, max_depth):
+    calls = []
+
+    def counted(nodes):
+        calls.append(len(nodes))
+        return f(nodes)
+
+    got = adaptive_simpson(counted, 0.0, 1.0, tol, max_depth)
+    want = recursive_simpson(lambda x: float(f(np.array([x]))[0]), 0.0, 1.0, tol, max_depth)
+    # same nodes, decisions and order of additions: bit for bit
+    assert got == want
+    assert len(calls) <= max_depth + 2
+    assert calls[0] == 3 and all(n % 2 == 0 for n in calls[1:])
+
+
 def test_adaptive_simpson_polynomial_exact():
     assert adaptive_simpson(lambda x: x * x, 0.0, 1.0) == pytest.approx(1 / 3, abs=1e-12)
 
 
 def test_adaptive_simpson_sqrt_and_kink():
-    assert adaptive_simpson(math.sqrt, 0.0, 1.0, tol=1e-10) == pytest.approx(2 / 3, abs=1e-8)
+    assert adaptive_simpson(np.sqrt, 0.0, 1.0, tol=1e-10) == pytest.approx(2 / 3, abs=1e-8)
     # corner at 1/3 forces subdivision on one side only
     f = lambda x: abs(x - 1 / 3)
     assert adaptive_simpson(f, 0.0, 1.0, tol=1e-10) == pytest.approx(5 / 18, abs=1e-10)
+
+
+@pytest.mark.parametrize("r", [1, 2, 5, 8])
+def test_gram_sigma_matches_svd(r):
+    rng = np.random.default_rng(r)
+    stack = rng.standard_normal((20, r, r)) + 1j * rng.standard_normal((20, r, r))
+    want = np.linalg.svd(stack, compute_uv=False)[:, 0]
+    np.testing.assert_allclose(ineq._sig_stack(stack), want, rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("r", [1, 2, 5, 8])
+def test_radius_path_is_symmetric(r):
+    """g(tau) = norm(tau e^{i theta} B + (1 - tau) B*) equals g(1 - tau)."""
+    rng = np.random.default_rng(10 + r)
+    b = rng.standard_normal((r, r)) + 1j * rng.standard_normal((r, r))
+    taus = np.linspace(0.0, 1.0, 33)
+    for theta in (0.0, 0.7, math.pi / 2, 2.9, 5.5):
+        g = ineq._sig_path(np.exp(1j * theta) * b, b.conj().T, taus)
+        np.testing.assert_allclose(g, g[::-1], rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("r", [1, 2, 5, 8])
+def test_folded_fixed_rule_matches_the_full_rule(r):
+    rng = np.random.default_rng(20 + r)
+    b = rng.standard_normal((r, r)) + 1j * rng.standard_normal((r, r))
+    n = ineq.INTEGRAL_SIMPSON_INTERVALS
+    taus = np.linspace(0.0, 1.0, n + 1)
+    weights = np.where(np.arange(n + 1) % 2 == 1, 4.0, 2.0)
+    weights[[0, -1]] = 1.0
+    thetas = np.linspace(0.0, 2.0 * math.pi, 7)
+    full = [np.linalg.svd(np.exp(1j * th) * taus[:, None, None] * b
+                          + (1.0 - taus)[:, None, None] * b.conj().T,
+                          compute_uv=False)[:, 0] @ weights / (3.0 * n) for th in thetas]
+    folded = ineq._fixed_path_integrals(b, b.conj().T, thetas)
+    assert len(ineq._FOLD_NODES) == n // 2 + 1
+    np.testing.assert_allclose(folded, full, rtol=1e-14, atol=0.0)
 
 
 def test_halfnorm_bounds_worked(worked):
@@ -106,6 +194,13 @@ def test_integral_radius_bound_worked(worked):
 def test_integral_radius_bound_rank_zero():
     space = make_space(np.zeros((2, 2)))
     report = check_integral_radius_bound(space, np.eye(2))
+    assert report.holds
+    assert chain_values(report) == [0.0, 0.0, 0.0]
+
+
+def test_hh_triangle_rank_zero():
+    space = make_space(np.zeros((2, 2)))
+    report = check_hh_triangle(space, np.eye(2), np.array([[0, 1], [1, 0]]))
     assert report.holds
     assert chain_values(report) == [0.0, 0.0, 0.0]
 

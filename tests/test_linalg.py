@@ -143,6 +143,11 @@ def test_hermitian_eig_reconstructs(re, im):
        arrays(np.float64, (3, 3), elements=_entries))
 # a subnormal A: 1 / lambda overflows unless such eigenvalues count as zero
 @example(re=np.zeros((3, 3)), im=np.full((3, 3), 5.20309271e-159))
+# cond(A) = 2e9 at full rank: the float product A P A alone rounds at about
+# eps |A|^2 |P| = 4e-4; even the correctly rounded inverse (60-digit mpmath)
+# leaves |A P A - A| = 3.3e-5, far above 1e-8 |A|_F
+@example(re=np.array([[0.0, 7.53125, 7.5], [7.5, 7.5, 7.5], [7.5, 7.5, 7.5]]),
+         im=np.array([[7.0, 7.0, 7.0], [7.3125, 7.0, 7.0], [7.0, 7.0, 7.0]]))
 def test_psd_sqrt_and_pinv_consistent(re, im):
     g = re + 1j * im
     a = g @ dagger(g)
@@ -151,4 +156,8 @@ def test_psd_sqrt_and_pinv_consistent(re, im):
     scale = max(1.0, fro_norm(a))
     np.testing.assert_allclose(r @ r, a, atol=1e-9 * scale)
     p = space.a_pinv
-    np.testing.assert_allclose(a @ p @ a, a, atol=1e-8 * scale)
+    # the rank cut drops eigenvalues below 1e-10 |A|; the product's own
+    # rounding is bounded by 10 n eps |A|_2^2 |P|_2
+    rounding = 10 * len(a) * np.finfo(np.float64).eps * np.linalg.norm(a, 2) ** 2 \
+        * np.linalg.norm(p, 2)
+    np.testing.assert_allclose(a @ p @ a, a, atol=1e-8 * scale + rounding)
