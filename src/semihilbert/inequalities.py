@@ -152,6 +152,10 @@ def _lift(space: SemiHilbertSpace, u: np.ndarray | None) -> np.ndarray | None:
 
 # -- quadrature ---------------------------------------------------------------
 
+# rows of (lo, left quarter, mid, right quarter, hi) forming the two halves
+_HALVES = np.array([[0, 1, 2], [2, 3, 4]])
+
+
 def adaptive_simpson(f, a: float, b: float, tol: float = QUAD_TOL,
                      max_depth: int = QUAD_MAX_DEPTH) -> float:
     """Adaptive Simpson quadrature with Richardson acceptance and correction.
@@ -163,29 +167,31 @@ def adaptive_simpson(f, a: float, b: float, tol: float = QUAD_TOL,
     acceptance test and the sum are those of the recursive rule, summed in
     its order (``docs/quadrature.md``).
     """
-    # one row per open interval: its nodes (lo, mid, hi) and their values
-    x = np.array([[a, (a + b) / 2.0, b]])
-    fx = np.reshape(f(x[0]), (1, 3))
-    approx = (b - a) / 6.0 * (fx[:, 0] + 4.0 * fx[:, 1] + fx[:, 2])
+    # one column per open interval: its nodes (lo, mid, hi) and their values
+    x = np.array([[a], [(a + b) / 2.0], [b]])
+    fx = np.reshape(f(x[:, 0]), (3, 1))
+    approx = (b - a) / 6.0 * (fx[0] + 4.0 * fx[1] + fx[2])
     eps = tol
     levels = []
     for depth in range(max_depth + 1):
-        k = len(x)
-        x5, f5 = np.empty((k, 5)), np.empty((k, 5))
-        x5[:, ::2], f5[:, ::2] = x, fx
-        x5[:, 1::2] = (x[:, :-1] + x[:, 1:]) / 2.0
-        f5[:, 1::2] = np.reshape(f(x5[:, 1::2].ravel()), (k, 2))
-        left = (x5[:, 2] - x5[:, 0]) / 6.0 * (f5[:, 0] + 4.0 * f5[:, 1] + f5[:, 2])
-        right = (x5[:, 4] - x5[:, 2]) / 6.0 * (f5[:, 2] + 4.0 * f5[:, 3] + f5[:, 4])
-        delta = left + right - approx
+        k = x.shape[1]
+        x5, f5 = np.empty((5, k)), np.empty((5, k))
+        x5[::2], f5[::2] = x, fx
+        x5[1::2] = (x[:-1] + x[1:]) / 2.0
+        f5[1::2] = np.reshape(f(x5[1::2].ravel()), (2, k))
+        # the nodes of the left and of the right half of every interval
+        hx, hf = x5[_HALVES], f5[_HALVES]
+        halves = (hx[:, 2] - hx[:, 0]) / 6.0 * (hf[:, 0] + 4.0 * hf[:, 1] + hf[:, 2])
+        pair = halves[0] + halves[1]
+        delta = pair - approx
         split = ~(np.abs(delta) <= 15.0 * eps) if depth < max_depth else np.zeros(k, bool)
-        levels.append((left + right + delta / 15.0, split))
+        levels.append((pair + delta / 15.0, split))
         if not split.any():
             break
-        # the two halves of every split interval, left half first
-        x = np.stack([x5[split, :3], x5[split, 2:]], axis=1).reshape(-1, 3)
-        fx = np.stack([f5[split, :3], f5[split, 2:]], axis=1).reshape(-1, 3)
-        approx = np.stack([left[split], right[split]], axis=1).ravel()
+        # each split interval's halves become two adjacent columns, left first
+        x = hx[:, :, split].transpose(1, 2, 0).reshape(3, -1)
+        fx = hf[:, :, split].transpose(1, 2, 0).reshape(3, -1)
+        approx = halves[:, split].T.ravel()
         eps /= 2.0
     # a split interval's value is the sum of its halves, added bottom-up as
     # the recursion adds them
