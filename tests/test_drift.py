@@ -46,10 +46,10 @@ def row_drift(ref: list[str], new: list[str], header: list[str]) -> float:
     """Largest |new - ref| over the numeric cells of one row, divided by
     1 + the largest |value| of the reference row."""
     cols = [i for i, h in enumerate(header) if h not in _KEYS + ("ok",)]
-    return drift([float(ref[i]) for i in cols], [float(new[i]) for i in cols])
+    return values_drift([float(ref[i]) for i in cols], [float(new[i]) for i in cols])
 
 
-def drift(a: list[float], b: list[float]) -> float:
+def values_drift(a: list[float], b: list[float]) -> float:
     """Largest |b - a| over paired values, divided by 1 + the largest finite |a|."""
     scale = 1.0 + max((abs(v) for v in a if math.isfinite(v)), default=0.0)
     drift = 0.0
@@ -104,4 +104,4 @@ def test_paper_examples_match_the_reference():
             assert _shape(new_values[key]) == _shape(ref_values[key]), (case, key)
         a = [x for key in keys for x in _numbers(ref_values[key])]
         b = [x for key in keys for x in _numbers(new_values[key])]
-        assert drift(a, b) <= DRIFT_TOL, (case, ref_values, new_values)
+        assert values_drift(a, b) <= DRIFT_TOL, (case, ref_values, new_values)

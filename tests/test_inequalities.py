@@ -10,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from semihilbert.errors import DimensionMismatch, PreconditionNotMet
 from semihilbert import inequalities as ineq
+from semihilbert.errors import DimensionMismatch, PreconditionNotMet
 from semihilbert.inequalities import (
     adaptive_simpson,
     check_adjoint_sum_bound,
