@@ -7,7 +7,12 @@ acceptance gate's seed) for every registered check, one CSV per check under
 ``tightness/``, and ``paper_examples.json``: the exit code and output of
 ``semihilbert paper-examples --json`` with the value of every quantity the
 worked examples check (that output itself names only failures).
-``tests/test_drift.py`` recomputes each and compares it with these files.
+It also writes the 12 seeded ``check`` pair instances of ``CHECK_PAIR_KINDS``
+under ``check_pairs/`` and, in ``check_pairs.json``, the exit code and the
+``semihilbert check <instance> --json`` output of each, without the
+``instance`` path, the witness vectors and the inputs digests (the digest
+repeats the instance).  ``tests/test_drift.py`` recomputes each and compares
+it with these files.
 Regenerating them accepts every drift since the last regeneration, so record
 each regeneration, with the largest drift per check and its reason, in
 CHANGES.md.
@@ -17,6 +22,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+import itertools
 import json
 import pathlib
 import sys
@@ -35,6 +41,13 @@ TRIALS = 100
 DIMS = "2,3,4,5,8"
 OUT = HERE / "tightness"
 PAPER_EXAMPLES = HERE / "paper_examples.json"
+CHECK_PAIRS = HERE / "check_pairs"
+CHECK_PAIR_OUTPUTS = HERE / "check_pairs.json"
+# (operators, dim, rank): generic pairs, S = cT, and pairs whose compressed
+# numerical ranges stay away from 0 (positive Crawford number), at dims 8 and
+# 5, with A of full rank and of rank dim - 2
+CHECK_PAIR_KINDS = tuple(itertools.product(("generic", "scaled", "sector"), (8, 5),
+                                           ("full", "partial")))
 
 
 def tightness_args(name: str, csv_path) -> list[str]:
@@ -68,6 +81,66 @@ def paper_examples() -> dict:
             "values": values}
 
 
+def _crand(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def _sector_block(rng, r: int) -> np.ndarray:
+    # e^{i phi} (P + i K/4) with P >= I: the numerical range stays at
+    # distance at least 1 from 0
+    g, k = _crand(rng, (r, r)), _crand(rng, (r, r))
+    p = g @ g.conj().T / r + np.eye(r)
+    return np.exp(1j * rng.uniform(0.0, 2.0 * np.pi)) * (p + 0.25j * (k + k.conj().T))
+
+
+def check_pair(index: int) -> tuple[str, dict]:
+    """The ``index``-th pair instance: (label, {"a", "t", "s"}).  A is
+    Q diag(d, 0) Q* with d in [0.5, 2]; T and S are Q M Q* with M block lower
+    triangular, so they keep ker(A) and have an A-adjoint, and the range
+    block of M makes the compression the intended r x r block."""
+    kind, dim, rank_kind = CHECK_PAIR_KINDS[index]
+    rng = np.random.default_rng([SEED, index])
+    r = dim if rank_kind == "full" else dim - 2
+    q, qr = np.linalg.qr(_crand(rng, (dim, dim)))
+    q = q * (np.diag(qr) / np.abs(np.diag(qr)))
+    d = rng.uniform(0.5, 2.0, r)
+    a = (q[:, :r] * d) @ q[:, :r].conj().T
+
+    def operator(block):
+        m = _crand(rng, (dim, dim))
+        m[:r, r:] = 0.0
+        m[:r, :r] = (d[:, None] ** -0.5) * block * (d[None, :] ** 0.5)
+        return q @ m @ q.conj().T
+
+    if kind == "generic":
+        t, s = operator(_crand(rng, (r, r))), operator(_crand(rng, (r, r)))
+    elif kind == "scaled":
+        t = operator(_crand(rng, (r, r)))
+        s = rng.uniform(0.5, 2.0) * t
+    else:
+        t, s = operator(_sector_block(rng, r)), operator(_sector_block(rng, r))
+    return (f"{index:02d}-{kind}-dim{dim}-{rank_kind}",
+            {"a": encode_matrix((a + a.conj().T) / 2.0), "t": encode_matrix(t),
+             "s": encode_matrix(s)})
+
+
+def strip_check_output(out: dict) -> dict:
+    """``check --json`` output without the parts the reference leaves out:
+    the instance path, witness vectors (they move legitimately when a search
+    changes) and inputs digests."""
+    out = {key: value for key, value in out.items() if key != "instance"}
+    out["checks"] = [{key: value for key, value in c.items()
+                      if key not in ("witness", "inputs_digest")} for c in out["checks"]]
+    return out
+
+
+def run_check(path) -> tuple[int, dict]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["check", str(path), "--json"])
+    return code, json.loads(out.getvalue().splitlines()[-1])
+
+
 def main() -> int:
     OUT.mkdir(exist_ok=True)
     for name in fuzz.CHECK_ORDER:
@@ -75,6 +148,15 @@ def main() -> int:
         if code != 0:
             print(f"{name}: tightness exited {code}", file=sys.stderr)
             return code
+    CHECK_PAIRS.mkdir(exist_ok=True)
+    outputs = {}
+    for index in range(len(CHECK_PAIR_KINDS)):
+        label, instance = check_pair(index)
+        path = CHECK_PAIRS / f"{label}.json"
+        path.write_text(json.dumps(instance) + "\n")
+        code, out = run_check(path)
+        outputs[label] = {"exit_code": code, "output": strip_check_output(out)}
+    CHECK_PAIR_OUTPUTS.write_text(json.dumps(outputs, indent=1, sort_keys=True) + "\n")
     examples = paper_examples()
     PAPER_EXAMPLES.write_text(json.dumps(examples, indent=1, sort_keys=True) + "\n")
     if examples["exit_code"] != 0:

@@ -1,13 +1,16 @@
 """Value-drift gate: every chain value and every equality-diagnostic value of
 100 campaign trials per check (seed 42, dims 2,3,4,5,8) must reproduce the
-committed reference in ``tests/data/tightness/``, and every quantity of the
-worked examples (``paper-examples``) the one in ``tests/data/paper_examples.json``.
+committed reference in ``tests/data/tightness/``, every quantity of the
+worked examples (``paper-examples``) the one in ``tests/data/paper_examples.json``,
+and the ``check --json`` output of the 12 pair instances in
+``tests/data/check_pairs/`` the one in ``tests/data/check_pairs.json``.
 
-The ``ok`` column, the flags, the exit codes and the ``paper-examples --json``
-output must match exactly.  Every numeric cell must lie within
-1e-8 * (1 + the largest |value| in its row), the tolerance a chain's
-``_report`` applies to its links; a worked example is one row.  The
-reference is regenerated only by ``tests/data/make_tightness_reference.py``.
+The ``ok`` column, the flags, the exit codes, the statuses and the
+``paper-examples --json`` output must match exactly.  Every numeric cell must
+lie within 1e-8 * (1 + the largest |value| in its row), the tolerance a
+chain's ``_report`` applies to its links; a worked example, one check's
+result and one operator's quantities are each one row.  The reference is
+regenerated only by ``tests/data/make_tightness_reference.py``.
 """
 
 import csv
@@ -75,19 +78,25 @@ def test_values_match_the_reference(name, tmp_path):
 
 
 def _numbers(value) -> list[float]:
-    """The numbers of a worked-example quantity in order; a flag has none."""
-    if isinstance(value, bool):
+    """The numbers of a quantity in order (dicts by sorted key); flags and
+    labels have none."""
+    if isinstance(value, (bool, str)) or value is None:
         return []
+    if isinstance(value, dict):
+        return [x for key in sorted(value) for x in _numbers(value[key])]
     if isinstance(value, list):
         return [x for v in value for x in _numbers(v)]
     return [float(value)]
 
 
 def _shape(value):
-    """A quantity with each number replaced by 0: its flags and nesting."""
+    """A quantity with each number replaced by 0: its flags, labels and
+    nesting."""
+    if isinstance(value, dict):
+        return {key: _shape(v) for key, v in value.items()}
     if isinstance(value, list):
         return [_shape(v) for v in value]
-    return value if isinstance(value, bool) else 0
+    return value if isinstance(value, (bool, str)) or value is None else 0
 
 
 def test_paper_examples_match_the_reference():
@@ -105,3 +114,28 @@ def test_paper_examples_match_the_reference():
         a = [x for key in keys for x in _numbers(ref_values[key])]
         b = [x for key in keys for x in _numbers(new_values[key])]
         assert values_drift(a, b) <= DRIFT_TOL, (case, ref_values, new_values)
+
+
+CHECK_PAIRS = json.loads((DATA / "check_pairs.json").read_text())
+
+
+@pytest.mark.parametrize("label", sorted(CHECK_PAIRS))
+def test_check_pairs_match_the_reference(label):
+    ref = CHECK_PAIRS[label]
+    path = DATA / "check_pairs" / f"{label}.json"
+    code, out = REF.run_check(path)
+    assert out["instance"] == str(path)
+    instance = json.loads(path.read_text())
+    for c in out["checks"]:
+        digest = c.get("inputs_digest", {})
+        assert all(digest[key] == instance[key] for key in digest.keys() & instance.keys())
+    new = REF.strip_check_output(out)
+    assert code == ref["exit_code"]
+    assert new["status"] == ref["output"]["status"]
+    assert _shape(new) == _shape(ref["output"])
+    rows = [(ref["output"]["quantities"][part], new["quantities"][part])
+            for part in ref["output"]["quantities"]]
+    rows += list(zip(ref["output"]["checks"], new["checks"]))
+    for ref_row, new_row in rows:
+        assert values_drift(_numbers(ref_row), _numbers(new_row)) <= DRIFT_TOL, (
+            ref_row, new_row)
