@@ -180,8 +180,7 @@ def _fmt(v: float) -> str:
     return f"{v:.10g}"
 
 
-def _quantities(space, m: np.ndarray) -> dict:
-    op = space.bind(m)
+def _quantities(op) -> dict:
     out = dict(op.membership)
     out["a_operator_norm"] = op.a_operator_norm()
     w = a_numerical_radius(op)
@@ -212,13 +211,12 @@ def _cmd_check(args) -> int:
     explicit = args.check is not None
     if explicit and args.check not in fuzz_mod.CHECKS:
         raise ParseError(f"unknown check {args.check!r}")
-    operators = (t,) if s is None else (t, s)
+    # bound once: every check reuses the flags, adjoint and compression
+    operators = tuple(space.bind(m) for m in ((t,) if s is None else (t, s)))
     names = [args.check] if explicit else [
         n for n in fuzz_mod.CHECK_ORDER if fuzz_mod.CHECKS[n].arity <= len(operators)]
 
-    quantities = {"t": _quantities(space, t)}
-    if s is not None:
-        quantities["s"] = _quantities(space, s)
+    quantities = {part: _quantities(op) for part, op in zip("ts", operators)}
 
     lines, results = [], []
     violated = errored = False

@@ -21,8 +21,8 @@ from .errors import DimensionMismatch, NoConvergence, NotHermitian, NotPSD
 
 DEFAULT_RANK_TOL = 1e-10
 DEFAULT_HERMITICITY_TOL = 1e-10
-# step halvings tried per batched line-search round of _multistart_ascent
-_STEP_BLOCK = 8
+# the steps 2^-j, 2^-j > 1e-18, that _multistart_ascent scales by 1/scale2
+_HALVINGS = 0.5 ** np.arange(60)
 
 
 def as_matrix(m, *, square: bool = False) -> np.ndarray:
@@ -50,7 +50,8 @@ def spectral_norm(m: np.ndarray) -> float:
     """Largest singular value; 0 for an empty matrix."""
     if m.size == 0:
         return 0.0
-    return float(np.linalg.norm(m, 2))
+    # the SVD np.linalg.norm(m, 2) runs, without its axis handling
+    return float(np.linalg.svd(m, compute_uv=False)[0])
 
 
 def herm_part(m: np.ndarray) -> np.ndarray:
@@ -109,52 +110,74 @@ def _multistart_ascent(mats, f, dfdz, starts: int, seed: int, max_iter: int,
     to values (m,) and to df/dz_k, and the direction is sum_k df/dz_k B_k u +
     conj(df/dz_k) B_k* u.  All starts move together, each on the serial rule's
     iterates up to rounding: start i is the i-th draw of standard_normal(r) +
-    1j * standard_normal(r); it stops once its projected direction has norm at
-    most 1e-13 * scale2, else takes the first step 2^-j / scale2 > 1e-18 that
-    passes the Armijo test with constant 1e-4 (tried ``_STEP_BLOCK`` halvings
-    at a time), and stops when none does.  Returns the first best start's
-    value and vector; (-inf, None) without starts, (0, empty) when r = 0.
+    1j * standard_normal(r); it stops once its projected direction p has norm
+    at most 1e-13 * scale2, else takes the first step s = 2^-j / scale2,
+    j < 60, that passes the Armijo test with constant 1e-4, and stops when
+    none does.  Along u + s p every form and the squared norm are quadratics
+    in s, so one call of ``f`` per iteration values every step, and s = 0,
+    in closed form (docs/search.md).  Returns the first best start's value
+    and vector; (-inf, None) without starts, (0, empty) when r = 0.
     """
     if not starts:
         return -math.inf, None
-    r = mats[0].shape[0]
-    right = np.concatenate([b.T for b in mats], axis=1)  # x @ right: rows B_k x
-    right_h = np.concatenate([b.conj() for b in mats], axis=1)  # rows B_k* x
-
-    def forms(x):
-        bx = (x @ right).reshape(len(x), len(mats), r)
-        return bx, np.einsum("ij,ikj->ik", x.conj(), bx)
-
+    k, r = len(mats), mats[0].shape[0]
+    # x @ right: rows x, B_k x, B_k* x; x @ ext: rows x, B_k x
+    ext = np.concatenate([np.eye(r)] + [b.T for b in mats], axis=1)
+    right = np.concatenate([ext] + [b.conj() for b in mats], axis=1)
+    steps = (1.0 / scale2) * _HALVINGS
+    armijo = 1e-4 * steps
+    # coefficients (c0, c1, c2) as [re, im] pairs times this give [re, im] of
+    # c0 + s c1 + s^2 c2 at s = 0 and at every step
+    powers = np.zeros((6, 2 * len(steps) + 2))
+    for a in range(3):
+        powers[2 * a, 0::2] = powers[2 * a + 1, 1::2] = np.append(0.0, steps) ** a
     g = np.random.default_rng(seed).standard_normal((starts, 2, r))
     u = g[:, 0] + 1j * g[:, 1]
     u /= np.linalg.norm(u, axis=1, keepdims=True)
-    val = f(forms(u)[1])
-    live = np.arange(starts)
+    val = f(np.einsum("ijr,ir->ij", (u @ ext).reshape(starts, k + 1, r)[:, 1:], u.conj()))
+    # the live starts' iterates; a start's row goes back to u, val once it stops
+    live, ul, vl, rows = np.arange(starts), u.copy(), val.copy(), np.arange(starts)
+    pair = [0, *range(k + 1, 2 * k + 1)]  # rows of h: x, then B_k* x
     for _ in range(max_iter):
-        ul, vl = u[live], val[live]
-        bx, z = forms(ul)
-        c = dfdz(z)[:, :, None]
-        p = (c * bx + np.conj(c) * (ul @ right_h).reshape(bx.shape)).sum(axis=1)
-        p -= np.einsum("ij,ij->i", ul.conj(), p)[:, None] * ul
-        gn = np.linalg.norm(p, axis=1, keepdims=True)
-        moving = gn[:, 0] > 1e-13 * scale2
-        pend = moving.copy()
-        alpha = 1.0 / scale2
-        while alpha > 1e-18 and pend.any():
-            # scaling by 2^-j is exact, so these are the serial halvings
-            steps = alpha * 0.5 ** np.arange(_STEP_BLOCK)
-            steps = steps[steps > 1e-18]
-            cand = ul[:, None] + steps[:, None] * p[:, None]
-            cand /= np.linalg.norm(cand, axis=2, keepdims=True)
-            cval = f(forms(cand.reshape(-1, r))[1]).reshape(len(ul), -1)
-            ok = (cval >= vl[:, None] + 1e-4 * steps * gn * gn) & pend[:, None]
-            hit = ok.any(axis=1)
-            j = ok.argmax(axis=1)[hit]
-            u[live[hit]], val[live[hit]] = cand[hit, j], cval[hit, j]
-            pend &= ~hit
-            alpha *= 0.5 ** _STEP_BLOCK
-        live = live[moving & ~pend]
-        if not live.size:
-            break
+        h = (ul @ right).reshape(len(ul), 2 * k + 1, r)
+        ulc = ul.conj()
+        # coef[l, i] = (c0, c1, c2): form l of u_i + s p_i is c0 + s c1 + s^2 c2,
+        # where form 0 is the squared norm
+        coef = np.empty((k + 1, len(ul), 3), complex)
+        np.einsum("ijr,ir->ji", h[:, :k + 1], ulc, out=coef[:, :, 0])
+        c = dfdz(coef[1:, :, 0].T)
+        p = np.einsum("ij,ijr->ir", np.concatenate((c, c.conj()), axis=1), h[:, 1:])
+        p -= np.einsum("ir,ir->i", ulc, p)[:, None] * ul
+        pc = p.conj()
+        w = np.einsum("ijr,ir->ji", h, pc)
+        np.add(w[:k + 1], w[pair].conj(), out=coef[:, :, 1])
+        np.einsum("ijr,ir->ji", (p @ ext).reshape(len(p), k + 1, r), pc, out=coef[:, :, 2])
+        gn2 = coef[0, :, 2].real  # |p|^2
+        moving = gn2 > (1e-13 * scale2) ** 2
+        if not moving.all():
+            u[live[~moving]], val[live[~moving]] = ul[~moving], vl[~moving]
+            live, ul, vl, p, gn2 = (a[moving] for a in (live, ul, vl, p, gn2))
+            coef, rows = coef[:, moving], rows[:len(ul)]
+            if not live.size:
+                break
+        coef[0].imag = coef[0].real  # so the squared norm comes out as [re, re]
+        quad = (coef.view(np.float64).reshape(-1, 6) @ powers).reshape(k + 1, len(ul), -1)
+        den = quad[0]
+        forms = (quad[1:] / den).view(complex)
+        cval = f(forms.reshape(k, -1).T).reshape(len(ul), -1)
+        # against the value at s = 0 from the same formula: the value carried
+        # over from the last step can exceed it by rounding and stop a start
+        ok = cval[:, 1:] >= cval[:, :1] + gn2[:, None] * armijo
+        j = ok.argmax(axis=1)
+        hit = ok.any(axis=1)
+        if not hit.all():
+            u[live[~hit]], val[live[~hit]] = ul[~hit], vl[~hit]
+            live, ul, p, j, cval, den = (a[hit] for a in (live, ul, p, j, cval, den))
+            vl, rows = vl[hit], rows[:len(ul)]
+            if not live.size:
+                break
+        ul = (ul + steps[j][:, None] * p) / np.sqrt(den[rows, 2 * j + 2])[:, None]
+        vl = cval[rows, j + 1]
+    u[live], val[live] = ul, vl
     best = int(np.argmax(val))
     return float(val[best]), u[best]

@@ -88,6 +88,16 @@ def test_norms_hand_values():
     assert spectral_norm(np.zeros((0, 0))) == 0.0
 
 
+@pytest.mark.parametrize("shape", [(1, 1), (2, 2), (3, 5), (5, 3), (8, 8)])
+def test_spectral_norm_is_numpys_2_norm(shape):
+    rng = np.random.default_rng([7, *shape])
+    for _ in range(50):
+        m = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        m *= 10.0 ** rng.uniform(-12, 12)
+        assert spectral_norm(m) == float(np.linalg.norm(m, 2))
+        assert spectral_norm(m.real) == float(np.linalg.norm(m.real, 2))
+
+
 def test_psd_sqrt_squares_back():
     rng = np.random.default_rng(11)
     for rank in range(5):
