@@ -135,8 +135,10 @@ def _multistart_ascent(mats, f, dfdz, starts: int, seed: int, max_iter: int,
     u = g[:, 0] + 1j * g[:, 1]
     u /= np.linalg.norm(u, axis=1, keepdims=True)
     val = f(np.einsum("ijr,ir->ij", (u @ ext).reshape(starts, k + 1, r)[:, 1:], u.conj()))
+    if not r:  # no direction to move in
+        return float(val[0]), u[0]
     # the live starts' iterates; a start's row goes back to u, val once it stops
-    live, ul, vl, rows = np.arange(starts), u.copy(), val.copy(), np.arange(starts)
+    live, ul, vl = np.arange(starts), u.copy(), val.copy()
     pair = [0, *range(k + 1, 2 * k + 1)]  # rows of h: x, then B_k* x
     for _ in range(max_iter):
         h = (ul @ right).reshape(len(ul), 2 * k + 1, r)
@@ -153,13 +155,6 @@ def _multistart_ascent(mats, f, dfdz, starts: int, seed: int, max_iter: int,
         np.add(w[:k + 1], w[pair].conj(), out=coef[:, :, 1])
         np.einsum("ijr,ir->ji", (p @ ext).reshape(len(p), k + 1, r), pc, out=coef[:, :, 2])
         gn2 = coef[0, :, 2].real  # |p|^2
-        moving = gn2 > (1e-13 * scale2) ** 2
-        if not moving.all():
-            u[live[~moving]], val[live[~moving]] = ul[~moving], vl[~moving]
-            live, ul, vl, p, gn2 = (a[moving] for a in (live, ul, vl, p, gn2))
-            coef, rows = coef[:, moving], rows[:len(ul)]
-            if not live.size:
-                break
         coef[0].imag = coef[0].real  # so the squared norm comes out as [re, re]
         quad = (coef.view(np.float64).reshape(-1, 6) @ powers).reshape(k + 1, len(ul), -1)
         den = quad[0]
@@ -168,14 +163,15 @@ def _multistart_ascent(mats, f, dfdz, starts: int, seed: int, max_iter: int,
         # against the value at s = 0 from the same formula: the value carried
         # over from the last step can exceed it by rounding and stop a start
         ok = cval[:, 1:] >= cval[:, :1] + gn2[:, None] * armijo
+        ok &= (gn2 > (1e-13 * scale2) ** 2)[:, None]  # else p is too small to move
         j = ok.argmax(axis=1)
         hit = ok.any(axis=1)
         if not hit.all():
             u[live[~hit]], val[live[~hit]] = ul[~hit], vl[~hit]
-            live, ul, p, j, cval, den = (a[hit] for a in (live, ul, p, j, cval, den))
-            vl, rows = vl[hit], rows[:len(ul)]
+            live, ul, vl, p, j, cval, den = (a[hit] for a in (live, ul, vl, p, j, cval, den))
             if not live.size:
                 break
+        rows = np.arange(len(ul))
         ul = (ul + steps[j][:, None] * p) / np.sqrt(den[rows, 2 * j + 2])[:, None]
         vl = cval[rows, j + 1]
     u[live], val[live] = ul, vl

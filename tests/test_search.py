@@ -9,7 +9,7 @@ with ``repr``.  The batched searches must reproduce them to rounding.
 ``blocked_ascent`` keeps the line search the closed form replaced: it
 normalizes each candidate u + s p and recomputes its forms, eight halvings
 at a time.  Both searches must follow it: the same best value, a winning
-start of its, and the same moving starts at every iteration until some
+start of its, and the same live starts at every iteration until some
 start's Armijo margin falls to the rounding of f.  From there on, which steps
 pass is decided by rounding in either rule, and so is which start wins among
 starts that reach the same maximum.
@@ -116,7 +116,7 @@ def blocked_ascent(mats, f, dfdz, starts, seed, max_iter, scale2):
     """The blocked line search: the same starts, direction, steps and Armijo
     test as ``linalg._multistart_ascent``, each candidate evaluated by
     normalizing it and recomputing its forms.  Returns every start's final
-    value and vector, the number of moving starts at each iteration, and the
+    value and vector, the number of live starts at each iteration, and the
     number of iterations before the first with a close Armijo decision: a
     step tried whose value is within 64 eps scale2, the rounding of f, of
     the Armijo bound.
@@ -133,7 +133,7 @@ def blocked_ascent(mats, f, dfdz, starts, seed, max_iter, scale2):
     u = g[:, 0] + 1j * g[:, 1]
     u /= np.linalg.norm(u, axis=1, keepdims=True)
     val = f(forms(u)[1])
-    live, moved, exact = np.arange(starts), [], None
+    live, counts, exact = np.arange(starts), [], None
     for _ in range(max_iter):
         ul, vl = u[live], val[live]
         bx, z = forms(ul)
@@ -142,8 +142,7 @@ def blocked_ascent(mats, f, dfdz, starts, seed, max_iter, scale2):
         p -= np.einsum("ij,ij->i", ul.conj(), p)[:, None] * ul
         gn = np.linalg.norm(p, axis=1, keepdims=True)
         moving = gn[:, 0] > 1e-13 * scale2
-        if moving.any():
-            moved.append(int(moving.sum()))
+        counts.append(len(live))
         pend = moving.copy()
         for block in range(0, 60, 8):  # the steps 2^-j / scale2 with 2^-j > 1e-18
             if not pend.any():
@@ -157,14 +156,14 @@ def blocked_ascent(mats, f, dfdz, starts, seed, max_iter, scale2):
             hit = ok.any(axis=1)
             tried = pend[:, None] & (np.cumsum(ok, axis=1) - ok == 0)
             if exact is None and (tried & (abs(cval - bound) <= 64 * EPS * scale2)).any():
-                exact = len(moved) - 1
+                exact = len(counts) - 1
             j = ok.argmax(axis=1)[hit]
             u[live[hit]], val[live[hit]] = cand[hit, j], cval[hit, j]
             pend &= ~hit
         live = live[moving & ~pend]
         if not live.size:
             break
-    return val, u, moved, len(moved) if exact is None else exact
+    return val, u, counts, len(counts) if exact is None else exact
 
 
 def _compare_with_blocked(monkeypatch, module, call):
@@ -191,7 +190,7 @@ def _compare_with_blocked(monkeypatch, module, call):
 
 
 def _assert_follows_blocked(val, u, ref, rows, starts):
-    ref_val, ref_u, moved, exact = ref
+    ref_val, ref_u, counts, exact = ref
     best = ref_val.max()
     assert abs(val - best) <= 1e-14 * max(1.0, abs(best))
     # u is the final iterate of a start that wins in the blocked rule too
@@ -199,13 +198,13 @@ def _assert_follows_blocked(val, u, ref, rows, starts):
     assert np.linalg.norm(ref_u[nearest] - u) <= 1e-7
     assert best - ref_val[nearest] <= 1e-14 * max(1.0, abs(best))
     # f is called once on the starts, then once per iteration on the current
-    # iterate and every step of each moving start
+    # iterate and every step of each live start
     assert rows[0] == starts
     assert all(n % (len(linalg._HALVINGS) + 1) == 0 for n in rows[1:])
     now = [n // (len(linalg._HALVINGS) + 1) for n in rows[1:]]
-    assert now[:exact] == moved[:exact]
-    if exact == len(moved):
-        assert len(now) == len(moved)
+    assert now[:exact] == counts[:exact]
+    if exact == len(counts):
+        assert now == counts
 
 
 @pytest.mark.parametrize("kind,r,kwargs,want", ASCENT_CASES)
