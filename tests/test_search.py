@@ -9,10 +9,10 @@ with ``repr``.  The batched searches must reproduce them to rounding.
 ``blocked_ascent`` keeps the line search the closed form replaced: it
 normalizes each candidate u + s p and recomputes its forms, eight halvings
 at a time.  Both searches must follow it: the same best value, a winning
-start of its, and the same live starts at every iteration until some
-start's Armijo margin falls to the rounding of f.  From there on, which steps
-pass is decided by rounding in either rule, and so is which start wins among
-starts that reach the same maximum.
+start of its, and the same number of live starts at every iteration until a
+tried step's value comes within the rounding of f of the Armijo bound.  From
+there on, which steps pass is decided by rounding in either rule, and so is
+which start wins among starts that reach the same maximum.
 """
 
 import math
