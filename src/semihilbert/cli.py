@@ -181,12 +181,15 @@ def _fmt(v: float) -> str:
 
 
 def _quantities(op) -> dict:
+    # the values of a_numerical_radius and a_crawford, without the witness
+    # search a certificate can need
     out = dict(op.membership)
     out["a_operator_norm"] = op.a_operator_norm()
-    w = a_numerical_radius(op)
-    c = a_crawford(op)
-    out["a_numerical_radius"] = w.value
-    out["a_crawford"] = c.value
+    if op.a_bounded:
+        b = op.compress()
+        out["a_numerical_radius"], out["a_crawford"] = ineq._w(b), ineq._crawford_pos(b)
+    else:
+        out["a_numerical_radius"] = out["a_crawford"] = math.inf
     return out
 
 
@@ -372,12 +375,22 @@ def _parse_dims(text: str) -> tuple[int, ...]:
     return dims
 
 
+def _campaign_dims(args) -> tuple[int, ...]:
+    """The dims of a fuzz or tightness run, once --seed is checked to be
+    non-negative and --trials positive (zero trials would check nothing)."""
+    if args.seed < 0:
+        raise ParseError(f"--seed must be non-negative, got {args.seed}")
+    if args.trials < 1:
+        raise ParseError(f"--trials must be positive, got {args.trials}")
+    return _parse_dims(args.dims)
+
+
 def _cmd_fuzz(args) -> int:
     checks = tuple(args.checks.split(",")) if args.checks else fuzz_mod.CHECK_ORDER
     for name in checks:
         if name not in fuzz_mod.CHECKS:
             raise ParseError(f"unknown check {name!r}")
-    config = fuzz_mod.CampaignConfig(seed=args.seed, dims=_parse_dims(args.dims),
+    config = fuzz_mod.CampaignConfig(seed=args.seed, dims=_campaign_dims(args),
                                      trials=args.trials, checks=checks)
     # outputs are opened before the campaign, so a bad path fails before the work
     with open(args.out, "w") if args.out else contextlib.nullcontext() as out:
@@ -398,9 +411,7 @@ def _cmd_fuzz(args) -> int:
 def _cmd_tightness(args) -> int:
     if args.check not in fuzz_mod.CHECKS:
         raise ParseError(f"unknown check {args.check!r}")
-    if args.trials < 1:
-        raise ParseError(f"--trials must be positive, got {args.trials}")
-    dims = _parse_dims(args.dims)
+    dims = _campaign_dims(args)
     is_chain = fuzz_mod.CHECKS[args.check].kind == "chain"
     rows, header = [], None
     any_violation = False

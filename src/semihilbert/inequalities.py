@@ -250,13 +250,13 @@ def check_halfnorm_bounds(space: SemiHilbertSpace, t,
                    check_tol, _digest(space, op.t))
 
 
-def check_hh_triangle(space: SemiHilbertSpace, t, s, quad_tol: float = QUAD_TOL,
+def check_hh_triangle(space: SemiHilbertSpace, t, s,
                       check_tol: float = CHECK_TOL) -> InequalityReport:
     """Averaged refinement of the triangle inequality:
     norm_A(T+S) <= 2 * integral_0^1 norm_A(t T + (1-t) S) dt <= norm_A(T) + norm_A(S)."""
     opt, ops = _as_op(space, t), _as_op(space, s)
     bt, bs = opt.compress(), ops.compress()
-    integral = adaptive_simpson(lambda taus: _sig_path(bt, bs, taus), 0.0, 1.0, quad_tol)
+    integral = adaptive_simpson(lambda taus: _sig_path(bt, bs, taus), 0.0, 1.0)
     return _report("hh_triangle",
                    [("norm_A(T+S)", _sig(bt + bs)),
                     ("2*int_0^1 norm_A(tT+(1-t)S) dt", 2.0 * integral),
@@ -264,7 +264,7 @@ def check_hh_triangle(space: SemiHilbertSpace, t, s, quad_tol: float = QUAD_TOL,
                    check_tol, _digest(space, opt.t, ops.t))
 
 
-def check_integral_radius_bound(space: SemiHilbertSpace, t, quad_tol: float = QUAD_TOL,
+def check_integral_radius_bound(space: SemiHilbertSpace, t,
                                 check_tol: float = CHECK_TOL) -> InequalityReport:
     """w_A(T) <= sup_theta integral_0^1 norm_A(t e^{i theta} T + (1-t) T^#) dt <= norm_A(T).
 
@@ -293,15 +293,13 @@ def check_integral_radius_bound(space: SemiHilbertSpace, t, quad_tol: float = QU
             half, where = np.unique(np.minimum(taus, 1.0 - taus), return_inverse=True)
             return _sig_path(x, bs, half)[where]
 
-        return adaptive_simpson(g, 0.0, 1.0, quad_tol / 4.0)
+        return adaptive_simpson(g, 0.0, 1.0, QUAD_TOL / 4.0)
 
-    k = INTEGRAL_SWEEP_POINTS
-    coarse = _fixed_path_integrals(bt, bs, np.arange(k) * (2.0 * math.pi / k))
     # locate on the cheap fixed rule, then recompute the value adaptively;
     # a location error only flattens the reported sup quadratically, while
     # the certificate-angle candidate below keeps the lower link exact
-    theta0, _ = sup_sweep(lambda th: float(_fixed_path_integrals(bt, bs, np.array([th]))[0]),
-                          2.0 * math.pi, k, 1e-5, values=coarse)
+    theta0, _ = sup_sweep(lambda thetas: _fixed_path_integrals(bt, bs, thetas),
+                          2.0 * math.pi, INTEGRAL_SWEEP_POINTS, 1e-5)
     mid = max(path_integral(theta0), path_integral(2.0 * w_theta))
 
     return _report("integral_radius_bound",
@@ -326,7 +324,7 @@ def triangle_equality_diagnostic(space: SemiHilbertSpace, t, s,
     eff = _eq_eff(eq_tol, rhs)
     equal = abs(rhs - lhs) <= eff
     tri_gap = (nt + ns) - _sig(bt + bs)
-    tri_eff = eq_tol * max(1.0, nt + ns)
+    tri_eff = _eq_eff(eq_tol, nt + ns)
     # the two gaps vanish together; flag decisive disagreement only
     consistent = not ((equal and tri_gap > 1e3 * tri_eff)
                       or (tri_gap <= tri_eff and abs(rhs - lhs) > 1e3 * eff))
@@ -399,7 +397,7 @@ def max_equality_diagnostic(space: SemiHilbertSpace, t, s,
 
     sum_norm = _sig(bt + bs)
     two_max = 2.0 * max(nt, ns)
-    cond_sum = abs(two_max - sum_norm) <= eq_tol * max(1.0, two_max)
+    cond_sum = abs(two_max - sum_norm) <= _eq_eff(eq_tol, two_max)
     degenerate = nt + ns <= eq_tol
     return EqualityDiagnostic(
         name="max_equality", lhs=lhs, rhs=rhs, gap=rhs - lhs,
@@ -432,9 +430,9 @@ def pythagoras_diagnostic(space: SemiHilbertSpace, t, s,
 
     sum_sq = _sig(bt + bs) ** 2
     norm_plus = _sig(tq + sq)
-    intermediate_ok = abs(sum_sq - norm_plus) <= 1e-8 * max(1.0, norm_plus)
+    intermediate_ok = abs(sum_sq - norm_plus) <= _eq_eff(1e-8, norm_plus)
     pyth_gap = (nt * nt + ns * ns) - sum_sq
-    pyth_eff = eq_tol * max(1.0, nt * nt + ns * ns)
+    pyth_eff = _eq_eff(eq_tol, nt * nt + ns * ns)
     consistent = not ((equal and pyth_gap > 1e3 * pyth_eff)
                       or (pyth_gap <= pyth_eff and abs(rhs - lhs) > 1e3 * eff))
     return EqualityDiagnostic(
@@ -579,7 +577,7 @@ def radius_additivity_diagnostic(space: SemiHilbertSpace, t, s,
     rhs = wt * ws
     eff = _eq_eff(eq_tol, rhs)
     w_sum = _w(bt + bs)
-    equal = abs(w_sum - (wt + ws)) <= eq_tol * max(1.0, wt + ws)
+    equal = abs(w_sum - (wt + ws)) <= _eq_eff(eq_tol, wt + ws)
     return EqualityDiagnostic(
         name="radius_additivity", lhs=lhs, rhs=rhs, gap=rhs - lhs,
         witness=_lift(space, u), equal=equal, eq_tol=eff,
@@ -603,7 +601,7 @@ def squares_radius_equality(space: SemiHilbertSpace, t, s,
     eff = _eq_eff(eq_tol, rhs)
     chain_lhs = _w(bt2 + bs2)
     chain_rhs = 2.0 * max(wt * wt, ws * ws)
-    equal = abs(chain_lhs - chain_rhs) <= eq_tol * max(1.0, chain_rhs)
+    equal = abs(chain_lhs - chain_rhs) <= _eq_eff(eq_tol, chain_rhs)
     return EqualityDiagnostic(
         name="squares_radius_equality", lhs=lhs, rhs=rhs, gap=rhs - lhs,
         witness=_lift(space, u), equal=equal, eq_tol=eff,

@@ -2,8 +2,8 @@
 
 Eigendecomposition and PSD validation of Hermitian matrices, and the
 batched multi-start ascent behind the heuristic searches.  Numerical rank
-decisions are always made relative to the largest eigenvalue through an
-explicit ``rank_tol``; matrix comparisons are relative Frobenius.
+decisions are always made relative to the largest eigenvalue through
+``DEFAULT_RANK_TOL``; matrix comparisons are relative Frobenius.
 
 The heavy lifting (eigenvalues, singular values) is delegated to LAPACK
 through numpy; this module adds the Hermitian/PSD validation and the
@@ -70,16 +70,16 @@ class EigDecomposition:
     eigenvectors: np.ndarray
 
 
-def hermitian_eig(m, hermiticity_tol: float = DEFAULT_HERMITICITY_TOL) -> EigDecomposition:
+def hermitian_eig(m) -> EigDecomposition:
     """Eigendecomposition of a Hermitian matrix.
 
     Raises NotHermitian when the Hermitian defect exceeds
-    ``hermiticity_tol`` relative to the matrix scale, NoConvergence if
+    ``DEFAULT_HERMITICITY_TOL`` relative to the matrix scale, NoConvergence if
     the underlying iteration fails or the eigenvalues overflow.
     """
     a = as_matrix(m, square=True)
     defect = fro_norm(a - dagger(a))
-    if defect > hermiticity_tol * max(1.0, fro_norm(a)):
+    if defect > DEFAULT_HERMITICITY_TOL * max(1.0, fro_norm(a)):
         raise NotHermitian(f"Hermitian defect {defect:.3e} exceeds tolerance")
     try:
         lam, vecs = np.linalg.eigh(herm_part(a))
@@ -91,13 +91,13 @@ def hermitian_eig(m, hermiticity_tol: float = DEFAULT_HERMITICITY_TOL) -> EigDec
     return EigDecomposition(np.asarray(lam, dtype=np.float64), vecs)
 
 
-def _psd_eig(m, rank_tol: float) -> EigDecomposition:
-    # PSD validation: Hermitian, then no eigenvalue below -rank_tol * lam_max,
+def _psd_eig(m) -> EigDecomposition:
+    # PSD validation: Hermitian, then no eigenvalue below -DEFAULT_RANK_TOL * lam_max,
     # a floor relative to the weight's own size
     dec = hermitian_eig(m)
     lam = dec.eigenvalues
     lam_max = max(float(lam[-1]), 0.0) if lam.size else 0.0
-    floor = rank_tol * lam_max
+    floor = DEFAULT_RANK_TOL * lam_max
     if lam.size and float(lam[0]) < -floor:
         raise NotPSD(f"eigenvalue {lam[0]:.3e} below -{floor:.3e}")
     return dec

@@ -92,14 +92,14 @@ def support_max(b, theta: float) -> tuple[float, np.ndarray]:
     return float(lam[-1]), vecs[:, -1]
 
 
-def _golden_max(f, lo: float, hi: float, tol: float, max_iter: int = 200):
+def _golden_max(f, lo: float, hi: float, tol: float):
     # returns the best point actually evaluated
     x1 = hi - _INV_PHI * (hi - lo)
     x2 = lo + _INV_PHI * (hi - lo)
     f1, f2 = f(x1), f(x2)
     best = (x1, f1) if f1 >= f2 else (x2, f2)
     it = 0
-    while hi - lo > tol and it < max_iter:
+    while hi - lo > tol and it < 200:
         if f1 < f2:
             lo, x1, f1 = x1, x2, f2
             x2 = lo + _INV_PHI * (hi - lo)
@@ -117,26 +117,22 @@ def _golden_max(f, lo: float, hi: float, tol: float, max_iter: int = 200):
 
 
 def sup_sweep(f, period: float, coarse_points: int = COARSE_POINTS,
-              refine_tol: float = REFINE_TOL, *, values=None) -> tuple[float, float]:
+              refine_tol: float = REFINE_TOL) -> tuple[float, float]:
     """Maximize a continuous periodic function of one angle.
 
-    Scans ``coarse_points`` equispaced values on [0, period), then refines
-    every competitive local maximum bracket by golden section down to a
-    bracket of width ``refine_tol``.  A refined point only replaces the
-    incumbent on strict improvement, so an exact grid maximum is returned
-    untouched.  ``values`` may supply f on the implicit grid to skip the
-    scan.  Returns ``(argmax, max)`` with argmax in [0, period).
+    ``f`` maps a 1-D array of angles to the array of its values.  It is
+    called once on ``coarse_points`` equispaced angles of [0, period), then
+    on one angle at a time while golden section refines every competitive
+    local maximum bracket down to a width of ``refine_tol``.  A refined
+    point only replaces the incumbent on strict improvement, so an exact
+    grid maximum is returned untouched.  Returns ``(argmax, max)`` with
+    argmax in [0, period).
     """
     if coarse_points < 2:
         raise ValueError("need at least 2 coarse points")
     h = period / coarse_points
     grid = np.arange(coarse_points) * h
-    if values is None:
-        vals = np.array([float(f(t)) for t in grid])
-    else:
-        vals = np.asarray(values, dtype=np.float64)
-        if vals.shape != grid.shape:
-            raise DimensionMismatch("values must match the coarse grid")
+    vals = np.asarray(f(grid), dtype=np.float64)
 
     best_i = int(np.argmax(vals))
     best_x, best_v = float(grid[best_i]), float(vals[best_i])
@@ -148,15 +144,16 @@ def sup_sweep(f, period: float, coarse_points: int = COARSE_POINTS,
     cand = [int(i) for i in peaks if vals[i] >= best_v - margin]
     cand.sort(key=lambda i: -vals[i])
     for i in cand[:8]:
-        x, v = _golden_max(f, grid[i] - h, grid[i] + h, refine_tol)
+        x, v = _golden_max(lambda t: float(f(np.array([t]))[0]),
+                           grid[i] - h, grid[i] + h, refine_tol)
         if v > best_v:
             best_x, best_v = x, v
     return best_x % period, best_v
 
 
-def _error_estimate(b: np.ndarray, refine_tol: float) -> float:
+def _error_estimate(b: np.ndarray) -> float:
     scale = max(1.0, fro_norm(b))
-    return scale * (refine_tol / 2.0 + 64.0 * np.finfo(np.float64).eps)
+    return scale * (REFINE_TOL / 2.0 + 64.0 * np.finfo(np.float64).eps)
 
 
 def _crossings(b: np.ndarray, bh: np.ndarray, gamma: float, theta_c: float,
@@ -221,25 +218,20 @@ def _with_antipodes(thetas: np.ndarray, lam: np.ndarray, sel: int):
             np.concatenate([lam[:, sel], -lam[:, -1 - sel]]))
 
 
-def _grid_sup(b: np.ndarray, sel: int, refine_tol: float = REFINE_TOL):
+def _grid_sup(b: np.ndarray, sel: int):
     """sup over theta in [0, 2 pi) of lam_sel(H(theta)) by ``sup_sweep`` on
     the dense grid.  Returns (theta, value)."""
-    thetas = np.arange(COARSE_POINTS) * (_TWO_PI / COARSE_POINTS)
-    vals = np.linalg.eigvalsh(_rotated_herm(b, thetas))[:, sel]
-
-    def f(th):
-        return float(np.linalg.eigvalsh(_rotated_herm(b, np.array([th]))[0])[sel])
-
-    return sup_sweep(f, _TWO_PI, COARSE_POINTS, refine_tol, values=vals)
+    return sup_sweep(lambda thetas: np.linalg.eigvalsh(_rotated_herm(b, thetas))[:, sel],
+                     _TWO_PI)
 
 
-def _level_sup(b: np.ndarray, sel: int, refine_tol: float = REFINE_TOL):
+def _level_sup(b: np.ndarray, sel: int):
     """sup over theta in [0, 2 pi) of lam_sel(H(theta)), H(theta) =
     Re(e^{i theta} B), with ``sel`` -1 for the largest eigenvalue and 0 for
     the smallest.  Returns (value, theta, eigenvector of that eigenvalue).
 
     Level-set iteration (Mengi & Overton, IMA J. Numer. Anal. 25 (2005)):
-    at the level gamma = best + delta, with delta = refine_tol ||B||_F / 100,
+    at the level gamma = best + delta, with delta = REFINE_TOL ||B||_F / 100,
     find every angle where gamma is an eigenvalue of H (``_crossings``).  The
     sign of lam_sel - gamma is constant on each arc between crossings, so if
     the function exceeds gamma anywhere, some arc midpoint does.  Evaluate
@@ -254,7 +246,7 @@ def _level_sup(b: np.ndarray, sel: int, refine_tol: float = REFINE_TOL):
         return abs(z), -math.atan2(z.imag, z.real) % _TWO_PI, np.ones(1, dtype=np.complex128)
     bh = dagger(b)
     scale = fro_norm(b)
-    delta = refine_tol * scale / 100.0
+    delta = REFINE_TOL * scale / 100.0
     thetas = np.arange(_START_ANGLES) * (math.pi / _START_ANGLES)
     lam = np.linalg.eigvalsh(_rotated_herm(b, thetas))
     angles, vals = _with_antipodes(thetas, lam, sel)
@@ -284,7 +276,7 @@ def _level_sup(b: np.ndarray, sel: int, refine_tol: float = REFINE_TOL):
             bounded = True
             break
     if not bounded:
-        theta, value = _grid_sup(b, sel, refine_tol)
+        theta, value = _grid_sup(b, sel)
         if value > best:
             best_theta = theta
     best_theta %= _TWO_PI
@@ -292,25 +284,25 @@ def _level_sup(b: np.ndarray, sel: int, refine_tol: float = REFINE_TOL):
     return float(ev[sel]), best_theta, vecs[:, sel]
 
 
-def _radius_seminorm_core(b: np.ndarray, refine_tol: float = REFINE_TOL):
+def _radius_seminorm_core(b: np.ndarray):
     # sup over [0, pi) of the spectral magnitude of Re(e^{i theta} B): the
     # largest eigenvalue at theta >= pi is minus the smallest at theta - pi,
     # with the same eigenvector
-    value, theta, u = _level_sup(b, -1, refine_tol)
+    value, theta, u = _level_sup(b, -1)
     return value, theta - math.pi if theta >= math.pi else theta, u
 
 
-def _radius_support_core(b: np.ndarray, refine_tol: float = REFINE_TOL):
+def _radius_support_core(b: np.ndarray):
     # classical numerical radius: sup over [0, 2 pi) of lam_max(Re(e^{i theta} B))
-    theta, value = _grid_sup(b, -1, refine_tol)
+    theta, value = _grid_sup(b, -1)
     _, u = support_max(b, theta)
     return value, theta, u
 
 
-def _crawford_core(b: np.ndarray, refine_tol: float = REFINE_TOL):
+def _crawford_core(b: np.ndarray):
     # sup over [0, 2 pi) of lam_min(Re(e^{i theta} B)); positive part is the
     # distance from 0 to the numerical range
-    return _level_sup(b, 0, refine_tol)
+    return _level_sup(b, 0)
 
 
 def crawford_minimize(b: np.ndarray, starts: int = 20, seed: int = 0,
@@ -325,19 +317,26 @@ def crawford_minimize(b: np.ndarray, starts: int = 20, seed: int = 0,
     return (math.inf, None) if u is None else (abs(complex(np.vdot(u, b @ u))), u)
 
 
-def _infinite_marker(method: str) -> RadiusEstimate:
-    return RadiusEstimate(value=math.inf, certificate_theta=0.0,
-                          certificate_vector=None, method=method,
-                          abs_error_bound=math.inf)
+def _estimate(op: OperatorInSpace, method: str, route) -> RadiusEstimate:
+    # the infinite marker for an unbounded operator, an exact 0 with a zero
+    # witness at rank 0, else ``route`` on the compression B, which returns
+    # (value, theta, unit vector u in compressed coordinates)
+    if not op.a_bounded:
+        return RadiusEstimate(value=math.inf, certificate_theta=0.0,
+                              certificate_vector=None, method=method,
+                              abs_error_bound=math.inf)
+    b = op.compress()
+    if op.space.rank == 0:
+        return RadiusEstimate(value=0.0, certificate_theta=0.0,
+                              certificate_vector=np.zeros(op.space.dim, dtype=np.complex128),
+                              method=method, abs_error_bound=0.0)
+    value, theta, u = route(b)
+    return RadiusEstimate(value=value, certificate_theta=theta,
+                          certificate_vector=op.space.lift_vector(u),
+                          method=method, abs_error_bound=_error_estimate(b))
 
 
-def _degenerate(op: OperatorInSpace, method: str) -> RadiusEstimate:
-    return RadiusEstimate(value=0.0, certificate_theta=0.0,
-                          certificate_vector=np.zeros(op.space.dim, dtype=np.complex128),
-                          method=method, abs_error_bound=0.0)
-
-
-def a_numerical_radius(op: OperatorInSpace, tol: float = 1e-9) -> RadiusEstimate:
+def a_numerical_radius(op: OperatorInSpace) -> RadiusEstimate:
     """Numerical radius for the seminorm: sup of |<T x, x>_A| over A-unit x.
 
     Computed as the sup over theta in [0, pi) of the seminorm of the
@@ -345,34 +344,30 @@ def a_numerical_radius(op: OperatorInSpace, tol: float = 1e-9) -> RadiusEstimate
     magnitude of the rotated Hermitian compression.  Returns the infinite
     marker when the operator is not seminorm-bounded.
     """
-    if not op.a_bounded:
-        return _infinite_marker("theta_sweep_seminorm")
-    b = op.compress()
-    if op.space.rank == 0:
-        return _degenerate(op, "theta_sweep_seminorm")
-    value, theta, u = _radius_seminorm_core(b, min(REFINE_TOL, tol))
-    return RadiusEstimate(value=value, certificate_theta=theta,
-                          certificate_vector=op.space.lift_vector(u),
-                          method="theta_sweep_seminorm",
-                          abs_error_bound=_error_estimate(b, REFINE_TOL))
+    return _estimate(op, "theta_sweep_seminorm", _radius_seminorm_core)
 
 
-def a_numerical_radius_oracle(op: OperatorInSpace, tol: float = 1e-9) -> RadiusEstimate:
+def a_numerical_radius_oracle(op: OperatorInSpace) -> RadiusEstimate:
     """Independent route: the classical numerical radius of the compression,
     swept over the full period with the plain largest eigenvalue."""
-    if not op.a_bounded:
-        return _infinite_marker("compression_classical")
-    b = op.compress()
-    if op.space.rank == 0:
-        return _degenerate(op, "compression_classical")
-    value, theta, u = _radius_support_core(b, min(REFINE_TOL, tol))
-    return RadiusEstimate(value=value, certificate_theta=theta,
-                          certificate_vector=op.space.lift_vector(u),
-                          method="compression_classical",
-                          abs_error_bound=_error_estimate(b, REFINE_TOL))
+    return _estimate(op, "compression_classical", _radius_support_core)
 
 
-def a_crawford(op: OperatorInSpace, tol: float = 1e-9) -> RadiusEstimate:
+def _crawford_witnessed(b: np.ndarray):
+    raw, theta, u = _crawford_core(b)
+    value = max(0.0, raw)
+    # the support eigenvector witnesses the value only when the smallest
+    # eigenvalue at the optimal angle is simple and positive; fall back to
+    # the direct minimizer whenever it does not reproduce the value
+    miss = abs(abs(complex(np.vdot(u, b @ u))) - value)
+    if miss > max(_error_estimate(b), 1e-10 * max(1.0, value)):
+        mval, mu = crawford_minimize(b)
+        if mu is not None and abs(mval - value) < miss:
+            u = mu
+    return value, theta, u
+
+
+def a_crawford(op: OperatorInSpace) -> RadiusEstimate:
     """Crawford number for the seminorm: inf of |<T x, x>_A| over A-unit x.
 
     The compressed numerical range is convex, so the infimum is the positive
@@ -380,35 +375,14 @@ def a_crawford(op: OperatorInSpace, tol: float = 1e-9) -> RadiusEstimate:
     witness is cross-checked against a direct multi-start minimization and
     the better of the two vectors is reported.
     """
-    if not op.a_bounded:
-        return _infinite_marker("crawford_support")
-    b = op.compress()
-    if op.space.rank == 0:
-        return _degenerate(op, "crawford_support")
-    raw, theta, u = _crawford_core(b, min(REFINE_TOL, tol))
-    value = max(0.0, raw)
-    err = _error_estimate(b, REFINE_TOL)
-    # the support eigenvector witnesses the value only when the smallest
-    # eigenvalue at the optimal angle is simple and positive; fall back to
-    # the direct minimizer whenever it does not reproduce the value
-    if abs(abs(complex(np.vdot(u, b @ u))) - value) > max(err, 1e-10 * max(1.0, value)):
-        mval, mu = crawford_minimize(b)
-        if mu is not None and abs(mval - value) < abs(abs(complex(np.vdot(u, b @ u))) - value):
-            u = mu
-    return RadiusEstimate(value=value, certificate_theta=theta,
-                          certificate_vector=op.space.lift_vector(u),
-                          method="crawford_support", abs_error_bound=err)
+    return _estimate(op, "crawford_support", _crawford_witnessed)
 
 
 def a_crawford_sampled(op: OperatorInSpace, starts: int = 20, seed: int = 0) -> RadiusEstimate:
     """Direct-search upper bound for the Crawford number (cross-check route)."""
-    if not op.a_bounded:
-        return _infinite_marker("direct_sampling")
-    b = op.compress()
-    if op.space.rank == 0:
-        return _degenerate(op, "direct_sampling")
-    value, u = crawford_minimize(b, starts=starts, seed=seed)
-    return RadiusEstimate(value=value, certificate_theta=0.0,
-                          certificate_vector=op.space.lift_vector(u),
-                          method="direct_sampling",
-                          abs_error_bound=_error_estimate(b, REFINE_TOL))
+
+    def route(b):
+        value, u = crawford_minimize(b, starts=starts, seed=seed)
+        return value, 0.0, u
+
+    return _estimate(op, "direct_sampling", route)

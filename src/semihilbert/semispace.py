@@ -59,7 +59,6 @@ class SemiHilbertSpace:
     proj: np.ndarray
     range_basis: np.ndarray
     rank: int
-    rank_tol: float
     range_eigs: np.ndarray = field(repr=False, default=None)
 
     # -- vector-level operations -------------------------------------------
@@ -151,7 +150,7 @@ class SemiHilbertSpace:
                                compression=compression)
 
 
-def make_space(a, rank_tol: float = linalg.DEFAULT_RANK_TOL) -> SemiHilbertSpace:
+def make_space(a) -> SemiHilbertSpace:
     """Build the space induced by a Hermitian PSD matrix ``a``.
 
     Raises NotHermitian / NotPSD when ``a`` fails validation.  ``a = 0``
@@ -159,11 +158,11 @@ def make_space(a, rank_tol: float = linalg.DEFAULT_RANK_TOL) -> SemiHilbertSpace
     does an ``a`` whose eigenvalues are all subnormal.
     """
     am = linalg.as_matrix(a, square=True)
-    dec = linalg._psd_eig(am, rank_tol)
+    dec = linalg._psd_eig(am)
     lam, vecs = dec.eigenvalues, dec.eigenvectors
     n = am.shape[0]
     lam_max = max(float(lam[-1]), 0.0) if n else 0.0
-    keep = lam > max(rank_tol * lam_max, _EIG_FLOOR)
+    keep = lam > max(linalg.DEFAULT_RANK_TOL * lam_max, _EIG_FLOOR)
     lam_r = np.clip(lam[keep], 0.0, None)
     v_r = vecs[:, keep]
     root = np.sqrt(np.clip(lam, 0.0, None) * keep)
@@ -172,7 +171,7 @@ def make_space(a, rank_tol: float = linalg.DEFAULT_RANK_TOL) -> SemiHilbertSpace
     proj = v_r @ dagger(v_r)
     return SemiHilbertSpace(dim=n, a=am, a_half=a_half, a_pinv=a_pinv, proj=proj,
                             range_basis=v_r, rank=int(np.count_nonzero(keep)),
-                            rank_tol=rank_tol, range_eigs=lam_r)
+                            range_eigs=lam_r)
 
 
 @dataclass(frozen=True)
@@ -230,69 +229,31 @@ class OperatorInSpace:
             return 0.0
         return spectral_norm(self.compression)
 
-    def is_a_selfadjoint(self, tol: float = DEFAULT_PREDICATE_TOL) -> bool:
-        """Whether A T = T* A within ``tol`` (relative Frobenius)."""
+    def is_a_selfadjoint(self) -> bool:
+        """Whether A T = T* A within DEFAULT_PREDICATE_TOL (relative Frobenius)."""
         if self.space.rank == 0:  # the seminorm vanishes: every T qualifies
             return True
         defect = fro_norm(self.space.a @ self.t - dagger(self.t) @ self.space.a)
-        return defect <= tol * self._scale()
+        return defect <= DEFAULT_PREDICATE_TOL * self._scale()
 
-    def is_a_normal(self, tol: float = DEFAULT_PREDICATE_TOL) -> bool:
-        """Whether T commutes with its adjoint within ``tol``."""
+    def is_a_normal(self) -> bool:
+        """Whether T commutes with its adjoint within DEFAULT_PREDICATE_TOL."""
         if not self.admits_adjoint:
             return False
         s = self.sharp_mat
         defect = fro_norm(self.t @ s - s @ self.t)
-        return defect <= tol * spectral_norm(self.t) * spectral_norm(s)
+        return defect <= DEFAULT_PREDICATE_TOL * spectral_norm(self.t) * spectral_norm(s)
 
-    def is_a_positive(self, tol: float = DEFAULT_PREDICATE_TOL) -> bool:
-        """Whether A T is Hermitian PSD within ``tol``."""
+    def is_a_positive(self) -> bool:
+        """Whether A T is Hermitian PSD within DEFAULT_PREDICATE_TOL."""
         if self.space.rank == 0:
             return True
         h = self.space.a @ self.t
         scale = self._scale()
-        if fro_norm(h - dagger(h)) > tol * scale:
+        if fro_norm(h - dagger(h)) > DEFAULT_PREDICATE_TOL * scale:
             return False
         lam = np.linalg.eigvalsh(linalg.herm_part(h))
-        return bool(lam.size == 0 or float(lam[0]) >= -tol * scale)
-
-
-# -- spec-level free functions ---------------------------------------------
-
-def a_inner(space: SemiHilbertSpace, x, y) -> complex:
-    return space.a_inner(x, y)
-
-
-def a_norm_vec(space: SemiHilbertSpace, x) -> float:
-    return space.a_norm_vec(x)
-
-
-def bind(space: SemiHilbertSpace, t) -> OperatorInSpace:
-    return space.bind(t)
-
-
-def sharp(op: OperatorInSpace) -> np.ndarray:
-    return op.sharp()
-
-
-def compress(op: OperatorInSpace) -> np.ndarray:
-    return op.compress()
-
-
-def a_operator_norm(op: OperatorInSpace) -> float:
-    return op.a_operator_norm()
-
-
-def is_a_selfadjoint(op: OperatorInSpace, tol: float = DEFAULT_PREDICATE_TOL) -> bool:
-    return op.is_a_selfadjoint(tol)
-
-
-def is_a_normal(op: OperatorInSpace, tol: float = DEFAULT_PREDICATE_TOL) -> bool:
-    return op.is_a_normal(tol)
-
-
-def is_a_positive(op: OperatorInSpace, tol: float = DEFAULT_PREDICATE_TOL) -> bool:
-    return op.is_a_positive(tol)
+        return bool(lam.size == 0 or float(lam[0]) >= -DEFAULT_PREDICATE_TOL * scale)
 
 
 def a_operator_norm_sampled(op: OperatorInSpace, samples: int = 10 ** 5,

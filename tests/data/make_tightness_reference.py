@@ -12,18 +12,21 @@ under ``check_pairs/`` and, in ``check_pairs.json``, the exit code and the
 ``semihilbert check <instance> --json`` output of each, without the
 ``instance`` path, the witness vectors and the inputs digests (the digest
 repeats the instance).  ``tests/test_drift.py`` recomputes each and compares
-it with these files.
-Regenerating them accepts every drift since the last regeneration, so record
-each regeneration, with the largest drift per check and its reason, in
-CHANGES.md.
+it with these files, by the row rule of ``values_drift``.
+Regenerating them accepts every drift since the last regeneration, so the
+script prints the largest row drift of each reference file against the
+committed one it replaces; record each regeneration, with those numbers and
+their reason, in CHANGES.md.
 """
 
 from __future__ import annotations
 
 import contextlib
+import csv
 import io
 import itertools
 import json
+import math
 import pathlib
 import sys
 
@@ -48,6 +51,50 @@ CHECK_PAIR_OUTPUTS = HERE / "check_pairs.json"
 # 5, with A of full rank and of rank dim - 2
 CHECK_PAIR_KINDS = tuple(itertools.product(("generic", "scaled", "sector"), (8, 5),
                                            ("full", "partial")))
+_KEYS = ("trial", "dim", "rank")
+
+
+def values_drift(a: list[float], b: list[float]) -> float:
+    """Largest |b - a| over paired values, divided by 1 + the largest finite |a|."""
+    scale = 1.0 + max((abs(v) for v in a if math.isfinite(v)), default=0.0)
+    drift = 0.0
+    for x, y in zip(a, b):
+        if x == y:  # also equal infinities
+            continue
+        drift = max(drift, abs(x - y) / scale if math.isfinite(x - y) else math.inf)
+    return drift
+
+
+def row_drift(ref: list[str], new: list[str], header: list[str]) -> float:
+    """Largest |new - ref| over the numeric cells of one CSV row, divided by
+    1 + the largest |value| of the reference row."""
+    cols = [i for i, h in enumerate(header) if h not in _KEYS + ("ok",)]
+    return values_drift([float(ref[i]) for i in cols], [float(new[i]) for i in cols])
+
+
+def numbers(value) -> list[float]:
+    """The numbers of a quantity in order (dicts by sorted key); flags and
+    labels have none."""
+    if isinstance(value, (bool, str)) or value is None:
+        return []
+    if isinstance(value, dict):
+        return [x for key in sorted(value) for x in numbers(value[key])]
+    if isinstance(value, list):
+        return [x for v in value for x in numbers(v)]
+    return [float(value)]
+
+
+def check_rows(ref: dict, new: dict) -> list[tuple[dict, dict]]:
+    """Two stripped ``check --json`` outputs as paired rows: the quantities
+    of each operator, then the result of each check."""
+    rows = [(ref["quantities"][part], new["quantities"][part]) for part in ref["quantities"]]
+    return rows + list(zip(ref["checks"], new["checks"]))
+
+
+def read_csv(path) -> tuple[list[str], list[list[str]]]:
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    return rows[0], rows[1:]
 
 
 def tightness_args(name: str, csv_path) -> list[str]:
@@ -141,13 +188,27 @@ def run_check(path) -> tuple[int, dict]:
     return code, json.loads(out.getvalue().splitlines()[-1])
 
 
+def _print_drift(path, drifts) -> None:
+    print(f"{path.relative_to(HERE)}: largest row drift {max(drifts, default=0.0):.3g}")
+
+
+def _committed_json(path):
+    return json.loads(path.read_text()) if path.exists() else None
+
+
 def main() -> int:
     OUT.mkdir(exist_ok=True)
     for name in fuzz.CHECK_ORDER:
-        code = cli.main(tightness_args(name, OUT / f"{name}.csv"))
+        path = OUT / f"{name}.csv"
+        committed = read_csv(path)[1] if path.exists() else None
+        code = cli.main(tightness_args(name, path))
         if code != 0:
             print(f"{name}: tightness exited {code}", file=sys.stderr)
             return code
+        if committed is not None:
+            header, rows = read_csv(path)
+            _print_drift(path, [row_drift(ref, new, header)
+                                for ref, new in zip(committed, rows)])
     CHECK_PAIRS.mkdir(exist_ok=True)
     outputs = {}
     for index in range(len(CHECK_PAIR_KINDS)):
@@ -156,8 +217,19 @@ def main() -> int:
         path.write_text(json.dumps(instance) + "\n")
         code, out = run_check(path)
         outputs[label] = {"exit_code": code, "output": strip_check_output(out)}
+    committed = _committed_json(CHECK_PAIR_OUTPUTS)
+    if committed is not None:
+        _print_drift(CHECK_PAIR_OUTPUTS, [
+            values_drift(numbers(ref), numbers(new))
+            for label in outputs.keys() & committed.keys()
+            for ref, new in check_rows(committed[label]["output"], outputs[label]["output"])])
     CHECK_PAIR_OUTPUTS.write_text(json.dumps(outputs, indent=1, sort_keys=True) + "\n")
     examples = paper_examples()
+    committed = _committed_json(PAPER_EXAMPLES)
+    if committed is not None:
+        _print_drift(PAPER_EXAMPLES, [
+            values_drift(numbers(committed["values"][case]), numbers(values))
+            for case, values in examples["values"].items() if case in committed["values"]])
     PAPER_EXAMPLES.write_text(json.dumps(examples, indent=1, sort_keys=True) + "\n")
     if examples["exit_code"] != 0:
         print(f"paper-examples exited {examples['exit_code']}", file=sys.stderr)

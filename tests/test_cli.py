@@ -5,6 +5,7 @@ import copy
 import csv
 import dataclasses
 import json
+import pathlib
 import sys
 
 import numpy as np
@@ -12,6 +13,10 @@ import pytest
 
 from semihilbert import cli, fuzz
 from semihilbert.errors import ParseError
+from semihilbert.radius import a_crawford, a_numerical_radius
+
+CHECK_PAIRS = sorted(
+    (pathlib.Path(__file__).resolve().parent / "data" / "check_pairs").glob("*.json"))
 
 
 def write_instance(tmp_path, name="inst.json", **payload):
@@ -71,6 +76,17 @@ def test_check_json_output(worked_pair, capsys):
     assert blob["quantities"]["s"]["a_operator_norm"] == pytest.approx(2 ** 0.5)
     names = {c["name"] for c in blob["checks"]}
     assert "halfnorm_bounds" in names
+
+
+@pytest.mark.parametrize("path", CHECK_PAIRS, ids=lambda p: p.stem)
+def test_check_quantities_are_the_estimators_values(path, capsys):
+    cli.main(["check", str(path), "--json"])
+    quantities = json.loads(capsys.readouterr().out)["quantities"]
+    space, t, s = cli.load_instance(str(path))
+    for part, m in zip("ts", (t, s)):
+        op = space.bind(m)
+        assert quantities[part]["a_numerical_radius"] == a_numerical_radius(op).value
+        assert quantities[part]["a_crawford"] == a_crawford(op).value
 
 
 def test_check_complex_entries(tmp_path):
@@ -280,6 +296,17 @@ def test_tightness_unknown_check(capsys):
 def test_tightness_needs_a_trial(capsys):
     assert cli.main(["tightness", "--check", "halfnorm_bounds", "--trials", "0"]) == 1
     assert "error: --trials must be positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["fuzz", "--seed", "-1", "--trials", "1"], "--seed must be non-negative, got -1"),
+    (["fuzz", "--trials", "-1"], "--trials must be positive, got -1"),
+    (["tightness", "--check", "halfnorm_bounds", "--seed", "-1", "--trials", "1"],
+     "--seed must be non-negative, got -1"),
+])
+def test_negative_seed_or_trials_is_an_error(argv, message, capsys):
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_tightness_unwritable_csv_fails_before_the_trials(tmp_path, capsys, monkeypatch):

@@ -10,13 +10,12 @@ The ``ok`` column, the flags, the exit codes, the statuses and the
 lie within 1e-8 * (1 + the largest |value| in its row), the tolerance a
 chain's ``_report`` applies to its links; a worked example, one check's
 result and one operator's quantities are each one row.  The reference is
-regenerated only by ``tests/data/make_tightness_reference.py``.
+regenerated only by ``tests/data/make_tightness_reference.py``, which reports
+its drift with the same row rule (``REF.values_drift``).
 """
 
-import csv
 import importlib.util
 import json
-import math
 import pathlib
 
 import pytest
@@ -25,7 +24,6 @@ from semihilbert import cli, fuzz
 
 DATA = pathlib.Path(__file__).resolve().parent / "data"
 DRIFT_TOL = 1e-8
-_KEYS = ("trial", "dim", "rank")
 
 
 def _reference_script():
@@ -39,54 +37,18 @@ def _reference_script():
 REF = _reference_script()
 
 
-def _read(path):
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    return rows[0], rows[1:]
-
-
-def row_drift(ref: list[str], new: list[str], header: list[str]) -> float:
-    """Largest |new - ref| over the numeric cells of one row, divided by
-    1 + the largest |value| of the reference row."""
-    cols = [i for i, h in enumerate(header) if h not in _KEYS + ("ok",)]
-    return values_drift([float(ref[i]) for i in cols], [float(new[i]) for i in cols])
-
-
-def values_drift(a: list[float], b: list[float]) -> float:
-    """Largest |b - a| over paired values, divided by 1 + the largest finite |a|."""
-    scale = 1.0 + max((abs(v) for v in a if math.isfinite(v)), default=0.0)
-    drift = 0.0
-    for x, y in zip(a, b):
-        if x == y:  # also equal infinities
-            continue
-        drift = max(drift, abs(x - y) / scale if math.isfinite(x - y) else math.inf)
-    return drift
-
-
 @pytest.mark.parametrize("name", fuzz.CHECK_ORDER)
 def test_values_match_the_reference(name, tmp_path):
-    header, ref_rows = _read(DATA / "tightness" / f"{name}.csv")
+    header, ref_rows = REF.read_csv(DATA / "tightness" / f"{name}.csv")
     code = cli.main(REF.tightness_args(name, tmp_path / "now.csv"))
-    new_header, new_rows = _read(tmp_path / "now.csv")
+    new_header, new_rows = REF.read_csv(tmp_path / "now.csv")
     assert new_header == header
     assert len(new_rows) == len(ref_rows) == REF.TRIALS
     ok_col = header.index("ok")
     assert code == (0 if all(r[ok_col] == "1" for r in ref_rows) else 2)
     for ref, new in zip(ref_rows, new_rows):
         assert new[:3] == ref[:3] and new[ok_col] == ref[ok_col], (ref, new)
-        assert row_drift(ref, new, header) <= DRIFT_TOL, (ref, new)
-
-
-def _numbers(value) -> list[float]:
-    """The numbers of a quantity in order (dicts by sorted key); flags and
-    labels have none."""
-    if isinstance(value, (bool, str)) or value is None:
-        return []
-    if isinstance(value, dict):
-        return [x for key in sorted(value) for x in _numbers(value[key])]
-    if isinstance(value, list):
-        return [x for v in value for x in _numbers(v)]
-    return [float(value)]
+        assert REF.row_drift(ref, new, header) <= DRIFT_TOL, (ref, new)
 
 
 def _shape(value):
@@ -108,12 +70,10 @@ def test_paper_examples_match_the_reference():
     for case, ref_values in ref["values"].items():
         new_values = new["values"][case]
         assert new_values.keys() == ref_values.keys(), case
-        keys = sorted(ref_values)
-        for key in keys:
+        for key in ref_values:
             assert _shape(new_values[key]) == _shape(ref_values[key]), (case, key)
-        a = [x for key in keys for x in _numbers(ref_values[key])]
-        b = [x for key in keys for x in _numbers(new_values[key])]
-        assert values_drift(a, b) <= DRIFT_TOL, (case, ref_values, new_values)
+        drift = REF.values_drift(REF.numbers(ref_values), REF.numbers(new_values))
+        assert drift <= DRIFT_TOL, (case, ref_values, new_values)
 
 
 CHECK_PAIRS = json.loads((DATA / "check_pairs.json").read_text())
@@ -133,9 +93,6 @@ def test_check_pairs_match_the_reference(label):
     assert code == ref["exit_code"]
     assert new["status"] == ref["output"]["status"]
     assert _shape(new) == _shape(ref["output"])
-    rows = [(ref["output"]["quantities"][part], new["quantities"][part])
-            for part in ref["output"]["quantities"]]
-    rows += list(zip(ref["output"]["checks"], new["checks"]))
-    for ref_row, new_row in rows:
-        assert values_drift(_numbers(ref_row), _numbers(new_row)) <= DRIFT_TOL, (
+    for ref_row, new_row in REF.check_rows(ref["output"], new):
+        assert REF.values_drift(REF.numbers(ref_row), REF.numbers(new_row)) <= DRIFT_TOL, (
             ref_row, new_row)

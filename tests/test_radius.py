@@ -29,23 +29,36 @@ def bound(a, t):
 def test_sup_sweep_exact_grid_maximum():
     """cos has its max exactly on the coarse grid; the sweep must return the
     grid point untouched, not a nearby refinement artifact."""
-    theta, value = sup_sweep(math.cos, TWO_PI)
+    theta, value = sup_sweep(np.cos, TWO_PI)
     assert min(theta, TWO_PI - theta) == pytest.approx(0.0, abs=1e-10)
     assert value == pytest.approx(1.0, abs=1e-12)
 
 
 def test_sup_sweep_off_grid_maximum():
-    theta, value = sup_sweep(lambda th: math.cos(th - 0.3), TWO_PI)
+    theta, value = sup_sweep(lambda th: np.cos(th - 0.3), TWO_PI)
     assert theta == pytest.approx(0.3, abs=1e-6)
     assert value == pytest.approx(1.0, abs=1e-12)
 
 
 def test_sup_sweep_competing_peaks():
     """Two nearby local maxima of slightly different height: the global one wins."""
-    f = lambda th: math.cos(2 * (th - 0.4)) + 0.05 * math.cos(th - 0.4)
+    f = lambda th: np.cos(2 * (th - 0.4)) + 0.05 * np.cos(th - 0.4)
     theta, value = sup_sweep(f, TWO_PI)
     assert theta == pytest.approx(0.4, abs=1e-5)
     assert value == pytest.approx(1.05, abs=1e-10)
+
+
+def test_sup_sweep_calls_f_on_the_grid_then_on_single_angles():
+    calls = []
+
+    def f(thetas):
+        calls.append(thetas.copy())
+        return np.cos(thetas - 0.3)
+
+    sup_sweep(f, TWO_PI, 90)
+    np.testing.assert_array_equal(calls[0], np.arange(90) * (TWO_PI / 90))
+    assert len(calls) > 1
+    assert all(c.shape == (1,) for c in calls[1:])
 
 
 def test_support_max_hand_value():
@@ -189,10 +202,9 @@ def dense_sup(b, sel):
     """Reference for the kernel: sup over [0, 2 pi) of eigenvalue ``sel`` of
     Re(e^{i theta} B) on the 720-point grid, golden-refined (the grid route
     the oracle keeps)."""
-    thetas = np.arange(radius.COARSE_POINTS) * (TWO_PI / radius.COARSE_POINTS)
-    vals = np.linalg.eigvalsh(np.stack([_herm(b, th) for th in thetas]))[:, sel]
-    return sup_sweep(lambda th: float(np.linalg.eigvalsh(_herm(b, th))[sel]),
-                     TWO_PI, values=vals)[1]
+    return sup_sweep(
+        lambda thetas: np.linalg.eigvalsh(np.stack([_herm(b, th) for th in thetas]))[:, sel],
+        TWO_PI)[1]
 
 
 def kernel_case(kind, r, seed=0):
@@ -226,7 +238,7 @@ KERNEL_KINDS = ("generic", "nilpotent", "hermitian", "normal", "singular", "scal
 def test_level_sup_matches_dense_grid(kind, r, sel):
     b = kernel_case(kind, r)
     value, theta, u = radius._level_sup(b, sel)
-    bound = radius._error_estimate(b, radius.REFINE_TOL)
+    bound = radius._error_estimate(b)
     assert abs(value - dense_sup(b, sel)) <= bound
     # the certificate: a unit eigenvector of H(theta) whose Rayleigh value
     # is the reported value
@@ -293,7 +305,7 @@ def test_flat_branch_falls_back_to_the_grid(monkeypatch, sel):
     b = flat_branch_case()
     calls = grid_calls(monkeypatch)
     value, theta, u = radius._level_sup(b, sel)
-    bound = radius._error_estimate(b, radius.REFINE_TOL)
+    bound = radius._error_estimate(b)
     assert calls
     assert abs(value - dense_sup(b, sel)) <= bound
     assert value == pytest.approx(0.52 if sel == LAM_MAX else -0.5, abs=bound)
@@ -314,7 +326,7 @@ def test_level_cap_falls_back_to_the_grid(monkeypatch, sel):
     calls = grid_calls(monkeypatch)
     value, _, _ = radius._level_sup(b, sel)
     assert calls
-    assert abs(value - dense_sup(b, sel)) <= radius._error_estimate(b, radius.REFINE_TOL)
+    assert abs(value - dense_sup(b, sel)) <= radius._error_estimate(b)
 
 
 def test_settled_search_skips_the_grid(monkeypatch):
