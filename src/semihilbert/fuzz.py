@@ -110,17 +110,16 @@ def _unitary(rng: np.random.Generator, r: int) -> np.ndarray:
     return q * (np.diag(rr) / np.abs(np.diag(rr)))
 
 
-SPECIAL_KINDS = ("a_selfadjoint", "a_normal", "a_positive", "a_skew",
-                 "pair_orthogonal", "pair_triangle_equality", "pair_pythagoras")
+SPECIAL_KINDS = ("a_selfadjoint", "a_normal", "pair_triangle_equality", "pair_pythagoras")
 
 
 def gen_special(rng: np.random.Generator, space: SemiHilbertSpace,
                 kind: str) -> tuple[np.ndarray, ...]:
     """Random operator (or pair) with the named structure relative to A.
 
-    Single kinds return (t,); pair kinds return (t, s).  Pair kinds that
-    need two independent directions in the range raise RankTooSmall below
-    rank 2.  Postconditions are re-verified before returning.
+    Single kinds return (t,); pair kinds return (t, s).  pair_pythagoras
+    needs two independent directions in the range and raises RankTooSmall
+    below rank 2.  Postconditions are re-verified before returning.
     """
     r = space.rank
     scale = 10.0 ** rng.uniform(-1.0, 1.0)
@@ -141,36 +140,6 @@ def gen_special(rng: np.random.Generator, space: SemiHilbertSpace,
         if not op.is_a_normal():
             raise NoConvergence("a_normal postcondition failed")
         return (op.t,)
-    if kind == "a_positive":
-        g = crand((r, max(r, 1)))
-        b = (g @ dagger(g)) * scale if r else np.zeros((0, 0), dtype=np.complex128)
-        op = lift(space, herm_part(b))
-        if not op.is_a_positive():
-            raise NoConvergence("a_positive postcondition failed")
-        return (op.t,)
-    if kind == "a_skew":
-        c = crand((r, r))
-        b = (c - dagger(c)) / 2.0 * scale
-        t = space.lift_matrix(b)
-        # A-skew: AT = -T*A, checked through the compression being
-        # skew-Hermitian, which the construction guarantees
-        op = space.bind(t)
-        if np.linalg.norm(op.compress() + dagger(op.compress())) > 1e-8 * max(1.0, scale):
-            raise NoConvergence("a_skew postcondition failed")
-        return (t,)
-
-    if kind in ("pair_orthogonal", "pair_pythagoras") and r < 2:
-        raise RankTooSmall(f"{kind} needs rank >= 2, got {r}")
-
-    if kind == "pair_orthogonal":
-        k = int(rng.integers(1, r))
-        q = _unitary(rng, r)
-        bt = q[:, :k] @ crand((k, r)) * scale
-        bs = q[:, k:] @ crand((r - k, r)) * 10.0 ** rng.uniform(-1.0, 1.0)
-        topt, tops = lift(space, bt), lift(space, bs)
-        if np.linalg.norm(dagger(bs) @ bt) > 1e-10 * max(1.0, np.linalg.norm(bt) * np.linalg.norm(bs)):
-            raise NoConvergence("pair_orthogonal postcondition failed")
-        return (topt.t, tops.t)
     if kind == "pair_triangle_equality":
         if r == 0:
             z = np.zeros((space.dim, space.dim), dtype=np.complex128)
@@ -186,6 +155,8 @@ def gen_special(rng: np.random.Generator, space: SemiHilbertSpace,
             bs = bs + rng.uniform(0.1, 0.9) * b_amp * np.outer(_unit_orth(rng, u), np.conj(_unit_orth(rng, v)))
         return (space.lift_matrix(bt), space.lift_matrix(bs))
     if kind == "pair_pythagoras":
+        if r < 2:
+            raise RankTooSmall(f"{kind} needs rank >= 2, got {r}")
         u0 = _unit(rng, r)
         w1 = _unit(rng, r)
         w2 = _unit_orth(rng, w1)

@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, PreconditionNotMet
-from .linalg import _multistart_ascent, as_matrix, dagger, fro_norm, herm_part
-from .radius import _crawford_core, _radius_seminorm_core, sup_sweep
+from .linalg import _multistart_ascent, as_matrix, dagger, fro_norm
+from .radius import _crawford_core, _radius_seminorm_core, sup_sweep, support_max
 from .semispace import OperatorInSpace, SemiHilbertSpace
 
 CHECK_TOL = 1e-8
@@ -62,25 +62,24 @@ class InequalityReport:
 @dataclass(frozen=True)
 class EqualityDiagnostic:
     """An equality characterization: lhs vs rhs, the gap, and a witness
-    vector attaining lhs when one exists."""
+    vector attaining lhs (the zero vector at rank 0)."""
 
     name: str
     lhs: float
     rhs: float
     gap: float
-    witness: np.ndarray | None
+    witness: np.ndarray
     equal: bool
     eq_tol: float
     extras: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        w = self.witness
         return {
             "name": self.name,
             "lhs": self.lhs,
             "rhs": self.rhs,
             "gap": self.gap,
-            "witness": None if w is None else [[float(z.real), float(z.imag)] for z in w],
+            "witness": [[float(z.real), float(z.imag)] for z in self.witness],
             "equal": self.equal,
             "eq_tol": self.eq_tol,
             "extras": dict(self.extras),
@@ -135,19 +134,6 @@ def _crawford_pos(b: np.ndarray) -> float:
     if b.size == 0:
         return 0.0
     return max(0.0, _crawford_core(b)[0])
-
-
-def _lam_max_vec(m: np.ndarray) -> tuple[float, np.ndarray | None]:
-    if m.size == 0:
-        return 0.0, None
-    lam, vecs = np.linalg.eigh(herm_part(m))
-    return float(lam[-1]), vecs[:, -1]
-
-
-def _lift(space: SemiHilbertSpace, u: np.ndarray | None) -> np.ndarray | None:
-    if u is None:
-        return np.zeros(space.dim, dtype=np.complex128)
-    return space.lift_vector(u)
 
 
 # -- quadrature ---------------------------------------------------------------
@@ -318,7 +304,7 @@ def triangle_equality_diagnostic(space: SemiHilbertSpace, t, s,
     that maximum is the top eigenvalue of the Hermitian part of Bs* Bt."""
     opt, ops = _as_op(space, t), _as_op(space, s)
     bt, bs = opt.compress(), ops.compress()
-    lhs, u = _lam_max_vec(dagger(bs) @ bt)
+    lhs, u = support_max(dagger(bs) @ bt, 0.0)
     nt, ns = _sig(bt), _sig(bs)
     rhs = nt * ns
     eff = _eq_eff(eq_tol, rhs)
@@ -329,7 +315,7 @@ def triangle_equality_diagnostic(space: SemiHilbertSpace, t, s,
     consistent = not ((equal and tri_gap > 1e3 * tri_eff)
                       or (tri_gap <= tri_eff and abs(rhs - lhs) > 1e3 * eff))
     return EqualityDiagnostic(name="triangle_equality", lhs=lhs, rhs=rhs,
-                              gap=rhs - lhs, witness=_lift(space, u), equal=equal,
+                              gap=rhs - lhs, witness=space.lift_vector(u), equal=equal,
                               eq_tol=eff,
                               extras={"triangle_gap": tri_gap, "consistent": consistent})
 
@@ -387,7 +373,7 @@ def max_equality_diagnostic(space: SemiHilbertSpace, t, s,
     bt, bs = opt.compress(), ops.compress()
     prod = dagger(bs) @ bt
     if prod.size == 0:
-        lhs, u = 0.0, None
+        lhs, u = 0.0, np.zeros(0, dtype=np.complex128)
     else:
         lhs, _, u = _radius_seminorm_core(prod)
     nt, ns = _sig(bt), _sig(bs)
@@ -401,7 +387,7 @@ def max_equality_diagnostic(space: SemiHilbertSpace, t, s,
     degenerate = nt + ns <= eq_tol
     return EqualityDiagnostic(
         name="max_equality", lhs=lhs, rhs=rhs, gap=rhs - lhs,
-        witness=_lift(space, u), equal=equal, eq_tol=eff,
+        witness=space.lift_vector(u), equal=equal, eq_tol=eff,
         extras={"sum_norm": sum_norm, "two_max_norm": two_max,
                 "sum_condition_holds": cond_sum,
                 # sum condition implies the product condition; the converse
@@ -423,7 +409,7 @@ def pythagoras_diagnostic(space: SemiHilbertSpace, t, s,
         raise PreconditionNotMet("S^# T is not zero")
     tq = dagger(bt) @ bt
     sq = dagger(bs) @ bs
-    lhs, u = _lam_max_vec(sq @ tq)
+    lhs, u = support_max(sq @ tq, 0.0)
     rhs = nt * nt * ns * ns
     eff = _eq_eff(eq_tol, rhs)
     equal = abs(rhs - lhs) <= eff
@@ -437,7 +423,7 @@ def pythagoras_diagnostic(space: SemiHilbertSpace, t, s,
                       or (pyth_gap <= pyth_eff and abs(rhs - lhs) > 1e3 * eff))
     return EqualityDiagnostic(
         name="pythagoras", lhs=lhs, rhs=rhs, gap=rhs - lhs,
-        witness=_lift(space, u), equal=equal, eq_tol=eff,
+        witness=space.lift_vector(u), equal=equal, eq_tol=eff,
         extras={"sum_sq": sum_sq, "norm_plus": norm_plus,
                 "intermediate_identity_holds": intermediate_ok,
                 "pythagoras_gap": pyth_gap, "consistent": consistent})
@@ -547,7 +533,7 @@ def check_reverse_power(space: SemiHilbertSpace, t,
 
 
 def _ascent_bilinear(bt: np.ndarray, bs: np.ndarray, starts: int, seed: int,
-                     max_iter: int = 150) -> tuple[float, np.ndarray | None]:
+                     max_iter: int = 150) -> tuple[float, np.ndarray]:
     """Multi-start projected-gradient ascent of Re(conj(<Bt u, u>) <Bs u, u>)
     over the unit sphere.  A heuristic lower estimate: every iterate is an
     explicit unit vector.  All starts advance together and keep the serial
@@ -580,7 +566,7 @@ def radius_additivity_diagnostic(space: SemiHilbertSpace, t, s,
     equal = abs(w_sum - (wt + ws)) <= _eq_eff(eq_tol, wt + ws)
     return EqualityDiagnostic(
         name="radius_additivity", lhs=lhs, rhs=rhs, gap=rhs - lhs,
-        witness=_lift(space, u), equal=equal, eq_tol=eff,
+        witness=space.lift_vector(u), equal=equal, eq_tol=eff,
         extras={"w_sum": w_sum, "w_parts": wt + ws,
                 "ascent_method": "heuristic",
                 "ascent_within_bound": lhs <= rhs + eff})
@@ -604,7 +590,7 @@ def squares_radius_equality(space: SemiHilbertSpace, t, s,
     equal = abs(chain_lhs - chain_rhs) <= _eq_eff(eq_tol, chain_rhs)
     return EqualityDiagnostic(
         name="squares_radius_equality", lhs=lhs, rhs=rhs, gap=rhs - lhs,
-        witness=_lift(space, u), equal=equal, eq_tol=eff,
+        witness=space.lift_vector(u), equal=equal, eq_tol=eff,
         extras={"chain_lhs": chain_lhs, "chain_rhs": chain_rhs,
                 "chain_slack": chain_rhs - chain_lhs,
                 "ascent_method": "heuristic",

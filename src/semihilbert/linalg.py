@@ -12,7 +12,6 @@ rank-tolerance semantics the rest of the package relies on.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -116,10 +115,10 @@ def _multistart_ascent(mats, f, dfdz, starts: int, seed: int, max_iter: int,
     none does.  Along u + s p every form and the squared norm are quadratics
     in s, so one call of ``f`` per iteration values every step, and s = 0,
     in closed form (docs/search.md).  Returns the first best start's value
-    and vector; (-inf, None) without starts, (0, empty) when r = 0.
+    and vector, (0, empty) when r = 0.  Raises ValueError when starts < 1.
     """
-    if not starts:
-        return -math.inf, None
+    if starts < 1:
+        raise ValueError(f"need at least one start, got starts={starts}")
     k, r = len(mats), mats[0].shape[0]
     # x @ right: rows x, B_k x, B_k* x; x @ ext: rows x, B_k x
     ext = np.concatenate([np.eye(r)] + [b.T for b in mats], axis=1)

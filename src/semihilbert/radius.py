@@ -38,12 +38,11 @@ REFINE_TOL = 1e-12
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _TWO_PI = 2.0 * math.pi
 # level-set kernel: start angles on [0, pi) (each also gives its antipode),
-# cap on levels, Cayley centres tried 1 rad apart, the relative singularity
-# of P + gamma that rejects a centre, and the relative imaginary part under
-# which a root of the pencil counts as real
+# cap on levels, the relative singularity of P + gamma that rejects the
+# Cayley centre, and the relative imaginary part under which a root of the
+# pencil counts as real
 _START_ANGLES = 4
 _MAX_LEVELS = 64
-_ROTATIONS = 4
 _SINGULAR = 1e-8
 _REAL_ROOT = 1e-8
 
@@ -166,20 +165,17 @@ def _crossings(b: np.ndarray, bh: np.ndarray, gamma: float, theta_c: float,
     Hermitian quadratic pencil (P - gamma) - 2 t S - t^2 (P + gamma); its real
     eigenvalues t are the crossings.  In the eigenbasis of P the pencil
     linearizes to a 2r x 2r companion matrix.  A crossing at theta_c + pi
-    itself is t = infinity, where P + gamma is singular, so theta_c is rotated
-    away from that.  Returns None when P + gamma is near-singular at every
-    centre tried, as when H(theta) keeps an eigenvalue within about delta of
-    the level at every angle (the Jordan block [[0, 1], [0, 0]] keeps +-1/2):
-    the roots are then not to be trusted.
+    itself is t = infinity, where P + gamma is singular.  Returns None when
+    P + gamma is near-singular, which the centre ``_level_sup`` picks avoids
+    unless H(theta) keeps an eigenvalue within about delta of the level at
+    every angle (the Jordan block [[0, 1], [0, 0]] keeps +-1/2): the roots
+    are then not to be trusted.
     """
-    for k in range(_ROTATIONS):
-        ph = complex(math.cos(theta_c + k), math.sin(theta_c + k))
-        c, ch = ph * b, ph.conjugate() * bh
-        lam, vecs = np.linalg.eigh((c + ch) / 2.0)
-        lead = lam + gamma
-        if np.abs(lead).min() > _SINGULAR * scale:
-            break
-    else:
+    ph = complex(math.cos(theta_c), math.sin(theta_c))
+    c, ch = ph * b, ph.conjugate() * bh
+    lam, vecs = np.linalg.eigh((c + ch) / 2.0)
+    lead = lam + gamma
+    if not np.abs(lead).min() > _SINGULAR * scale:  # NaN included
         return None
     r = lam.size
     s = dagger(vecs) @ ((c - ch) / 2j) @ vecs
@@ -196,7 +192,7 @@ def _crossings(b: np.ndarray, bh: np.ndarray, gamma: float, theta_c: float,
     w = x.real ** 2 + x.imag ** 2
     slope = (-np.sin(phi) * (lam @ w)
              - np.cos(phi) * (x.conj() * (s @ x)).sum(axis=0).real) / w.sum(axis=0)
-    theta = (theta_c + k + phi) % _TWO_PI
+    theta = (theta_c + phi) % _TWO_PI
     order = np.argsort(theta)
     return theta[order], slope[order]
 
@@ -314,7 +310,7 @@ def crawford_minimize(b: np.ndarray, starts: int = 20, seed: int = 0,
     together and keep the serial rule's iterates (``_multistart_ascent``)."""
     _, u = _multistart_ascent((b,), lambda z: -np.abs(z[:, 0]) ** 2, lambda z: -np.conj(z),
                               starts, seed, max_iter, max(1.0, fro_norm(b)) ** 2)
-    return (math.inf, None) if u is None else (abs(complex(np.vdot(u, b @ u))), u)
+    return abs(complex(np.vdot(u, b @ u))), u
 
 
 def _estimate(op: OperatorInSpace, method: str, route) -> RadiusEstimate:
@@ -362,7 +358,7 @@ def _crawford_witnessed(b: np.ndarray):
     miss = abs(abs(complex(np.vdot(u, b @ u))) - value)
     if miss > max(_error_estimate(b), 1e-10 * max(1.0, value)):
         mval, mu = crawford_minimize(b)
-        if mu is not None and abs(mval - value) < miss:
+        if abs(mval - value) < miss:
             u = mu
     return value, theta, u
 

@@ -63,20 +63,11 @@ def test_gen_special_single_kinds():
     assert space.bind(t).is_a_selfadjoint()
     (t,) = gen_special(rng, space, "a_normal")
     assert space.bind(t).is_a_normal()
-    (t,) = gen_special(rng, space, "a_positive")
-    assert space.bind(t).is_a_positive()
-    (t,) = gen_special(rng, space, "a_skew")
-    b = space.bind(t).compress()
-    np.testing.assert_allclose(b, -dagger(b), atol=1e-10)
 
 
 def test_gen_special_pair_kinds():
     rng = rng_at(4)
     space = make_space(gen_psd(rng, 4, 3))
-
-    t, s = gen_special(rng, space, "pair_orthogonal")
-    prod = space.bind(s).sharp() @ t
-    assert np.linalg.norm(prod) <= 1e-8
 
     t, s = gen_special(rng, space, "pair_triangle_equality")
     opt, ops = space.bind(t), space.bind(s)
@@ -95,9 +86,8 @@ def test_gen_special_pair_kinds():
 def test_gen_special_needs_two_directions():
     rng = rng_at(5)
     space = make_space(gen_psd(rng, 3, 1))
-    for kind in ("pair_orthogonal", "pair_pythagoras"):
-        with pytest.raises(RankTooSmall):
-            gen_special(rng, space, kind)
+    with pytest.raises(RankTooSmall):
+        gen_special(rng, space, "pair_pythagoras")
 
 
 def test_gen_special_unknown_kind():

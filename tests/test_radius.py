@@ -259,14 +259,15 @@ def test_seminorm_core_folds_angles_into_half_period(r):
         assert value == pytest.approx(dense_sup(bb, LAM_MAX), rel=1e-12)
 
 
-def test_crossings_rotate_away_from_a_singular_cayley_centre():
+def test_crossings_from_a_regular_cayley_centre():
     """H(theta) = diag(cos theta, g(theta)), g = -cos(theta) / 2 - 2 sin(theta),
     meets the level 1/2 at pi/3 and 5 pi/3 (first entry) and at pi and
     -2 atan(1/4) (second).  With theta_c = 0, P + gamma = diag(3/2, 0) is
-    exactly singular: the crossing at theta_c + pi is t = infinity, so the
-    centre must move."""
+    exactly singular: the crossing at theta_c + pi is t = infinity, so that
+    centre is refused.  From theta_c = 0.3 every crossing is finite."""
     b = np.diag([1.0, -0.5 + 2.0j])
-    cross, slope = radius._crossings(b, b.conj().T, 0.5, 0.0, 1.0)
+    assert radius._crossings(b, b.conj().T, 0.5, 0.0, 1.0) is None
+    cross, slope = radius._crossings(b, b.conj().T, 0.5, 0.3, 1.0)
     s = TWO_PI - 2.0 * math.atan(0.25)
     np.testing.assert_allclose(cross, [math.pi / 3, math.pi, 5 * math.pi / 3, s], atol=1e-12)
     dg = lambda th: 0.5 * math.sin(th) - 2.0 * math.cos(th)

@@ -27,6 +27,7 @@ from semihilbert import inequalities, linalg, radius
 from semihilbert.inequalities import _ascent_bilinear
 from semihilbert.linalg import fro_norm
 from semihilbert.radius import crawford_minimize
+from semihilbert.semispace import make_space
 
 
 def _crand(rng, r):
@@ -107,6 +108,19 @@ def test_searches_on_rank_zero():
     for val, u in results:
         assert val == 0.0
         assert u.shape == (0,)
+
+
+def test_searches_need_a_start():
+    with pytest.raises(ValueError):
+        crawford_minimize(_single("generic", 3), starts=0)
+    space = make_space(np.diag([1.0, 2.0, 0.0]))  # rank 2
+    t = space.lift_matrix(_single("generic", 2))
+    with pytest.raises(ValueError):
+        radius.a_crawford_sampled(space.bind(t), starts=0)
+    for diagnostic in (inequalities.radius_additivity_diagnostic,
+                       inequalities.squares_radius_equality):
+        with pytest.raises(ValueError):
+            diagnostic(space, t, t.T, starts=0)
 
 
 EPS = np.finfo(float).eps
