@@ -182,15 +182,10 @@ def _fmt(v: float) -> str:
 
 def _quantities(op) -> dict:
     # the values of a_numerical_radius and a_crawford, without the witness
-    # search a certificate can need
-    out = dict(op.membership)
-    out["a_operator_norm"] = op.a_operator_norm()
-    if op.a_bounded:
-        b = op.compress()
-        out["a_numerical_radius"], out["a_crawford"] = ineq._w(b), ineq._crawford_pos(b)
-    else:
-        out["a_numerical_radius"] = out["a_crawford"] = math.inf
-    return out
+    # search a certificate of c_A can need
+    return {**op.membership, "a_operator_norm": op.a_operator_norm(),
+            "a_numerical_radius": a_numerical_radius(op).value,
+            "a_crawford": ineq._crawford_pos_of(op) if op.a_bounded else math.inf}
 
 
 def _render_report(r: ineq.InequalityReport) -> str:
@@ -261,7 +256,7 @@ def _cmd_check(args) -> int:
 
 # -- paper-examples subcommand ---------------------------------------------------
 
-def _golden_quantity(case, key, space, op):
+def _golden_quantity(case, key, space, op, sop):
     t = op.t
     if key == "a_operator_norm":
         return op.a_operator_norm()
@@ -277,20 +272,19 @@ def _golden_quantity(case, key, space, op):
         m = t @ t + sh @ sh
         return a_crawford(space.bind(m @ m)).value
     if key == "fourth_power_chain":
-        return [v for _, v in ineq.check_fourth_power_bounds(space, t).chain]
+        return [v for _, v in ineq.check_fourth_power_bounds(space, op).chain]
     if key == "fourth_power_chain_holds":
-        return ineq.check_fourth_power_bounds(space, t).holds
+        return ineq.check_fourth_power_bounds(space, op).holds
     if key == "power_chain_holds":
-        return ineq.check_power_inequality(space, t).holds
+        return ineq.check_power_inequality(space, op).holds
     if key == "norm_of_s":
-        return space.bind(decode_matrix(case["s"], "s")).a_operator_norm()
+        return sop.a_operator_norm()
     if key == "norm_of_sum":
-        return space.bind(t + decode_matrix(case["s"], "s")).a_operator_norm()
+        return space.bind(t + sop.t).a_operator_norm()
     if key == "hh_middle":
-        rep = ineq.check_hh_triangle(space, t, decode_matrix(case["s"], "s"))
-        return rep.chain[1][1]
+        return ineq.check_hh_triangle(space, op, sop).chain[1][1]
     if key == "hh_chain_holds":
-        return ineq.check_hh_triangle(space, t, decode_matrix(case["s"], "s")).holds
+        return ineq.check_hh_triangle(space, op, sop).holds
     if key == "alt_numerical_radius":
         alt = make_space(decode_matrix(case["a_alt"], "a_alt"))
         return a_numerical_radius(alt.bind(t)).value
@@ -328,10 +322,11 @@ def evaluate_golden_case(case) -> list[str]:
     """Recompute every stored quantity; returns mismatch descriptions."""
     space = make_space(decode_matrix(case["a"], "a"))
     op = space.bind(decode_matrix(case["t"], "t"))
+    sop = space.bind(decode_matrix(case["s"], "s")) if "s" in case else None
     failures = []
     for key, want in case["expected"].items():
         try:
-            got = _golden_quantity(case, key, space, op)
+            got = _golden_quantity(case, key, space, op, sop)
         except SemiHilbertError as exc:
             failures.append(f"{key}: raised {type(exc).__name__}: {exc}")
             continue

@@ -364,7 +364,9 @@ def run_single_trial(name: str, seed: int, trial: int,
     a = gen_psd(rng, dim, rank)
     space = make_space(a)
     operators, kwargs, must = spec.draw(space, rng)
-    result = spec.evaluate(space, operators, check_tol, eq_tol, **kwargs)
+    # a draw (t, t) repeats one matrix: bound once, both share its quantities
+    bound = {key: space.bind(m) for key, m in {id(m): m for m in operators}.items()}
+    result = spec.evaluate(space, [bound[id(m)] for m in operators], check_tol, eq_tol, **kwargs)
     return spec.verdict(result, must), _slack(result), result.to_dict(), {"dim": dim, "rank": rank}
 
 

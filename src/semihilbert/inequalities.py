@@ -21,7 +21,8 @@ import numpy as np
 
 from .errors import DimensionMismatch, PreconditionNotMet
 from .linalg import _multistart_ascent, as_matrix, dagger, fro_norm
-from .radius import _crawford_core, _radius_seminorm_core, sup_sweep, support_max
+from .radius import (_crawford_core, _crawford_of, _radius_of, _radius_seminorm_core, _square,
+                     sup_sweep, support_max)
 from .semispace import OperatorInSpace, SemiHilbertSpace
 
 CHECK_TOL = 1e-8
@@ -130,10 +131,23 @@ def _w(b: np.ndarray) -> float:
     return _radius_seminorm_core(b)[0]
 
 
-def _crawford_pos(b: np.ndarray) -> float:
-    if b.size == 0:
-        return 0.0
-    return max(0.0, _crawford_core(b)[0])
+# B*, sig(B), w_A(B), w_A(B @ B) and c_A(B) are kept on the bound operator, so the
+# checks of an instance share them; pair quantities such as S^# T are not kept
+
+def _adj_of(op: OperatorInSpace) -> np.ndarray:
+    return op._cached("adjoint", lambda: dagger(op.compress()))
+
+
+def _norm_of(op: OperatorInSpace) -> float:
+    return op._cached("norm", lambda: _sig(op.compress()))
+
+
+def _w_of(op: OperatorInSpace, power: int = 1) -> float:
+    return _radius_of(op, power)[0] if op.space.rank else 0.0
+
+
+def _crawford_pos_of(op: OperatorInSpace) -> float:
+    return max(0.0, _crawford_of(op)[0]) if op.space.rank else 0.0
 
 
 # -- quadrature ---------------------------------------------------------------
@@ -229,10 +243,9 @@ def check_halfnorm_bounds(space: SemiHilbertSpace, t,
                           check_tol: float = CHECK_TOL) -> InequalityReport:
     """norm_A(T)/2 <= w_A(T) <= norm_A(T)."""
     op = _as_op(space, t)
-    bt = op.compress()
-    nt = _sig(bt)
+    nt = _norm_of(op)
     return _report("halfnorm_bounds",
-                   [("0.5*norm_A(T)", 0.5 * nt), ("w_A(T)", _w(bt)), ("norm_A(T)", nt)],
+                   [("0.5*norm_A(T)", 0.5 * nt), ("w_A(T)", _w_of(op)), ("norm_A(T)", nt)],
                    check_tol, _digest(space, op.t))
 
 
@@ -246,7 +259,7 @@ def check_hh_triangle(space: SemiHilbertSpace, t, s,
     return _report("hh_triangle",
                    [("norm_A(T+S)", _sig(bt + bs)),
                     ("2*int_0^1 norm_A(tT+(1-t)S) dt", 2.0 * integral),
-                    ("norm_A(T)+norm_A(S)", _sig(bt) + _sig(bs))],
+                    ("norm_A(T)+norm_A(S)", _norm_of(opt) + _norm_of(ops))],
                    check_tol, _digest(space, opt.t, ops.t))
 
 
@@ -268,8 +281,8 @@ def check_integral_radius_bound(space: SemiHilbertSpace, t,
         return _report("integral_radius_bound",
                        [("w_A(T)", 0.0), ("sup_theta int norm_A", 0.0), ("norm_A(T)", 0.0)],
                        check_tol, digest)
-    bs = dagger(bt)
-    w_val, w_theta, _ = _radius_seminorm_core(bt)
+    bs = _adj_of(op)
+    w_val, w_theta, _ = _radius_of(op)
 
     def path_integral(theta: float) -> float:
         x = np.exp(1j * theta) * bt
@@ -289,7 +302,7 @@ def check_integral_radius_bound(space: SemiHilbertSpace, t,
     mid = max(path_integral(theta0), path_integral(2.0 * w_theta))
 
     return _report("integral_radius_bound",
-                   [("w_A(T)", w_val), ("sup_theta int norm_A", mid), ("norm_A(T)", _sig(bt))],
+                   [("w_A(T)", w_val), ("sup_theta int norm_A", mid), ("norm_A(T)", _norm_of(op))],
                    check_tol, digest)
 
 
@@ -304,8 +317,8 @@ def triangle_equality_diagnostic(space: SemiHilbertSpace, t, s,
     that maximum is the top eigenvalue of the Hermitian part of Bs* Bt."""
     opt, ops = _as_op(space, t), _as_op(space, s)
     bt, bs = opt.compress(), ops.compress()
-    lhs, u = support_max(dagger(bs) @ bt, 0.0)
-    nt, ns = _sig(bt), _sig(bs)
+    lhs, u = support_max(_adj_of(ops) @ bt, 0.0)
+    nt, ns = _norm_of(opt), _norm_of(ops)
     rhs = nt * ns
     eff = _eq_eff(eq_tol, rhs)
     equal = abs(rhs - lhs) <= eff
@@ -328,13 +341,10 @@ def check_positive_product_equality(space: SemiHilbertSpace, t, s,
     product = space.bind(ops.sharp() @ opt.t)
     if not product.is_a_positive():
         raise PreconditionNotMet("S^# T is not A-positive")
-    bt, bs = opt.compress(), ops.compress()
-    lhs = _sig(dagger(bs) @ bt)
-    nt, ns = _sig(bt), _sig(bs)
-    rhs = nt * ns
-    eff = _eq_eff(eq_tol, rhs)
-    equal = abs(rhs - lhs) <= eff
     tri = triangle_equality_diagnostic(space, opt, ops, eq_tol)
+    # the same rhs norm_A(T) norm_A(S) and tolerance as the triangle equality
+    lhs, rhs, eff = _sig(_adj_of(ops) @ opt.compress()), tri.rhs, tri.eq_tol
+    equal = abs(rhs - lhs) <= eff
     # the two verdicts must agree; flag only decisive disagreement so a gap
     # that merely straddles the tolerance does not read as a defect
     agrees = not ((equal and not tri.equal and abs(tri.gap) > 1e3 * tri.eq_tol)
@@ -351,12 +361,12 @@ def check_adjoint_sum_bound(space: SemiHilbertSpace, t, s,
     """norm_A(T+S) <= sqrt(norm_A(T^#T + S^#S) + 2 w_A(S^#T)) <= norm_A(T)+norm_A(S)."""
     opt, ops = _as_op(space, t), _as_op(space, s)
     bt, bs = opt.compress(), ops.compress()
-    mid = math.sqrt(max(0.0, _sig(dagger(bt) @ bt + dagger(bs) @ bs)
-                        + 2.0 * _w(dagger(bs) @ bt)))
+    mid = math.sqrt(max(0.0, _sig(_adj_of(opt) @ bt + _adj_of(ops) @ bs)
+                        + 2.0 * _w(_adj_of(ops) @ bt)))
     return _report("adjoint_sum_bound",
                    [("norm_A(T+S)", _sig(bt + bs)),
                     ("sqrt(norm_A(T#T+S#S)+2w_A(S#T))", mid),
-                    ("norm_A(T)+norm_A(S)", _sig(bt) + _sig(bs))],
+                    ("norm_A(T)+norm_A(S)", _norm_of(opt) + _norm_of(ops))],
                    check_tol, _digest(space, opt.t, ops.t))
 
 
@@ -371,12 +381,12 @@ def max_equality_diagnostic(space: SemiHilbertSpace, t, s,
     """
     opt, ops = _as_op(space, t), _as_op(space, s)
     bt, bs = opt.compress(), ops.compress()
-    prod = dagger(bs) @ bt
+    prod = _adj_of(ops) @ bt
     if prod.size == 0:
         lhs, u = 0.0, np.zeros(0, dtype=np.complex128)
     else:
         lhs, _, u = _radius_seminorm_core(prod)
-    nt, ns = _sig(bt), _sig(bs)
+    nt, ns = _norm_of(opt), _norm_of(ops)
     rhs = max(nt * nt, ns * ns)
     eff = _eq_eff(eq_tol, rhs)
     equal = abs(rhs - lhs) <= eff
@@ -404,11 +414,10 @@ def pythagoras_diagnostic(space: SemiHilbertSpace, t, s,
     opt, ops = _as_op(space, t), _as_op(space, s)
     bs, bt = ops.compress(), opt.compress()
     # S^# T = 0 iff Bs* Bt = 0, tested relative to the factors' scale
-    nt, ns = _sig(bt), _sig(bs)
-    if _sig(dagger(bs) @ bt) > 1e-10 * nt * ns:
+    nt, ns = _norm_of(opt), _norm_of(ops)
+    if _sig(_adj_of(ops) @ bt) > 1e-10 * nt * ns:
         raise PreconditionNotMet("S^# T is not zero")
-    tq = dagger(bt) @ bt
-    sq = dagger(bs) @ bs
+    tq, sq = _adj_of(opt) @ bt, _adj_of(ops) @ bs
     lhs, u = support_max(sq @ tq, 0.0)
     rhs = nt * nt * ns * ns
     eff = _eq_eff(eq_tol, rhs)
@@ -434,12 +443,11 @@ def check_real_part_bounds(space: SemiHilbertSpace, t,
     """max(norm_A(T-T#), norm_A(T+T#))/2 <= w_A(T)
     <= sqrt(norm_A(T-T#)^2 + norm_A(T+T#)^2)/2."""
     op = _as_op(space, t)
-    bt = op.compress()
-    dm = _sig(bt - dagger(bt))
-    dp = _sig(bt + dagger(bt))
+    bt, bsh = op.compress(), _adj_of(op)
+    dm, dp = _sig(bt - bsh), _sig(bt + bsh)
     return _report("real_part_bounds",
                    [("max(norm_A(T-T#),norm_A(T+T#))/2", 0.5 * max(dm, dp)),
-                    ("w_A(T)", _w(bt)),
+                    ("w_A(T)", _w_of(op)),
                     ("sqrt(norm_A(T-T#)^2+norm_A(T+T#)^2)/2",
                      0.5 * math.sqrt(dm * dm + dp * dp))],
                    check_tol, _digest(space, op.t))
@@ -450,14 +458,12 @@ def check_square_bounds(space: SemiHilbertSpace, t,
     """max(norm_A(T^2-(T#)^2), norm_A(T^2+(T#)^2))^(1/2)/2 <= w_A(T)
     <= sqrt(2)/2 * (norm_A(T)^2 + w_A(T^2))^(1/2)."""
     op = _as_op(space, t)
-    bt = op.compress()
-    bsh = dagger(bt)
-    m2 = _sig(bt @ bt - bsh @ bsh)
-    p2 = _sig(bt @ bt + bsh @ bsh)
-    upper = (math.sqrt(2.0) / 2.0) * math.sqrt(_sig(bt) ** 2 + _w(bt @ bt))
+    bt2, bsh = _square(op), _adj_of(op)
+    m2, p2 = _sig(bt2 - bsh @ bsh), _sig(bt2 + bsh @ bsh)
+    upper = (math.sqrt(2.0) / 2.0) * math.sqrt(_norm_of(op) ** 2 + _w_of(op, 2))
     return _report("square_bounds",
                    [("max-diff-sum-squares^(1/2)/2", 0.5 * math.sqrt(max(m2, p2))),
-                    ("w_A(T)", _w(bt)),
+                    ("w_A(T)", _w_of(op)),
                     ("sqrt(2)/2*(norm_A(T)^2+w_A(T^2))^(1/2)", upper)],
                    check_tol, _digest(space, op.t))
 
@@ -483,13 +489,11 @@ def check_fourth_power_bounds(space: SemiHilbertSpace, t,
     """norm_A(TT#+T#T)^2/16 + c_A((T^2+(T#)^2)^2)/16 <= w_A(T)^4
     <= norm_A(TT#+T#T)^2/8 + w_A(T^2)^2/2."""
     op = _as_op(space, t)
-    bt = op.compress()
-    bsh = dagger(bt)
+    bt, bsh = op.compress(), _adj_of(op)
     anti = _sig(bt @ bsh + bsh @ bt)
-    sq_sum = bt @ bt + bsh @ bsh
-    c4 = _crawford_pos(sq_sum @ sq_sum)
-    wt = _w(bt)
-    wt2 = _w(bt @ bt)
+    sq_sum = _square(op) + bsh @ bsh
+    c4 = max(0.0, _crawford_core(sq_sum @ sq_sum)[0]) if bt.size else 0.0
+    wt, wt2 = _w_of(op), _w_of(op, 2)
     return _report("fourth_power_bounds",
                    [("norm_A(TT#+T#T)^2/16+c_A((T^2+(T#)^2)^2)/16",
                      anti * anti / 16.0 + c4 / 16.0),
@@ -503,11 +507,10 @@ def check_power_inequality(space: SemiHilbertSpace, t,
                            check_tol: float = CHECK_TOL) -> InequalityReport:
     """w_A(T^2) <= w_A(T)^2 <= norm_A(T)^2 <= 4 w_A(T)^2."""
     op = _as_op(space, t)
-    bt = op.compress()
-    wt = _w(bt)
+    wt = _w_of(op)
     return _report("power_inequality",
-                   [("w_A(T^2)", _w(bt @ bt)), ("w_A(T)^2", wt * wt),
-                    ("norm_A(T)^2", _sig(bt) ** 2), ("4*w_A(T)^2", 4.0 * wt * wt)],
+                   [("w_A(T^2)", _w_of(op, 2)), ("w_A(T)^2", wt * wt),
+                    ("norm_A(T)^2", _norm_of(op) ** 2), ("4*w_A(T)^2", 4.0 * wt * wt)],
                    check_tol, _digest(space, op.t))
 
 
@@ -520,15 +523,14 @@ def check_reverse_power(space: SemiHilbertSpace, t,
     intermediate step.
     """
     op = _as_op(space, t)
-    bt = op.compress()
-    bsh = dagger(bt)
-    wt = _w(bt)
+    bt, bsh = op.compress(), _adj_of(op)
+    wt = _w_of(op)
     minterm = min(_sig(bt - bsh), _sig(bt + bsh)) ** 2
     return _report("reverse_power",
                    [("2*w_A(T)^2", 2.0 * wt * wt),
                     ("norm_A(TT#+T#T)", _sig(bt @ bsh + bsh @ bt)),
                     ("2*w_A(T^2)+min(norm_A(T-T#),norm_A(T+T#))^2",
-                     2.0 * _w(bt @ bt) + minterm)],
+                     2.0 * _w_of(op, 2) + minterm)],
                    check_tol, _digest(space, op.t))
 
 
@@ -559,7 +561,7 @@ def radius_additivity_diagnostic(space: SemiHilbertSpace, t, s,
     bt, bs = opt.compress(), ops.compress()
     # <x, T x>_A = conj(<T x, x>_A), so the target is Re(conj(z_T) z_S)
     lhs, u = _ascent_bilinear(bt, bs, starts, seed, max_iter)
-    wt, ws = _w(bt), _w(bs)
+    wt, ws = _w_of(opt), _w_of(ops)
     rhs = wt * ws
     eff = _eq_eff(eq_tol, rhs)
     w_sum = _w(bt + bs)
@@ -579,10 +581,9 @@ def squares_radius_equality(space: SemiHilbertSpace, t, s,
     characterization on the squares; also reports the chain
     w_A(T^2+S^2) <= 2 max(w_A(T)^2, w_A(S)^2)."""
     opt, ops = _as_op(space, t), _as_op(space, s)
-    bt, bs = opt.compress(), ops.compress()
-    bt2, bs2 = bt @ bt, bs @ bs
+    bt2, bs2 = _square(opt), _square(ops)
     lhs, u = _ascent_bilinear(bt2, bs2, starts, seed, max_iter)
-    wt, ws = _w(bt), _w(bs)
+    wt, ws = _w_of(opt), _w_of(ops)
     rhs = max(wt ** 4, ws ** 4)
     eff = _eq_eff(eq_tol, rhs)
     chain_lhs = _w(bt2 + bs2)

@@ -301,6 +301,21 @@ def _crawford_core(b: np.ndarray):
     return _level_sup(b, 0)
 
 
+# kernel runs on the compression B (or B @ B) of a bound operator of positive rank, kept on it
+
+def _square(op: OperatorInSpace) -> np.ndarray:
+    return op._cached("square", lambda: op.compress() @ op.compress())
+
+
+def _radius_of(op: OperatorInSpace, power: int = 1):
+    b = op.compress() if power == 1 else _square(op)
+    return op._cached(("radius", power), lambda: _radius_seminorm_core(b))
+
+
+def _crawford_of(op: OperatorInSpace):
+    return op._cached("crawford", lambda: _crawford_core(op.compress()))
+
+
 def crawford_minimize(b: np.ndarray, starts: int = 20, seed: int = 0,
                       max_iter: int = 150) -> tuple[float, np.ndarray]:
     """Multi-start projected-gradient minimization of |<B u, u>| on the unit
@@ -315,8 +330,8 @@ def crawford_minimize(b: np.ndarray, starts: int = 20, seed: int = 0,
 
 def _estimate(op: OperatorInSpace, method: str, route) -> RadiusEstimate:
     # the infinite marker for an unbounded operator, an exact 0 with a zero
-    # witness at rank 0, else ``route`` on the compression B, which returns
-    # (value, theta, unit vector u in compressed coordinates)
+    # witness at rank 0, else ``route`` on the operator, which returns
+    # (value, theta, unit vector u in compressed coordinates of B)
     if not op.a_bounded:
         return RadiusEstimate(value=math.inf, certificate_theta=0.0,
                               certificate_vector=None, method=method,
@@ -326,7 +341,7 @@ def _estimate(op: OperatorInSpace, method: str, route) -> RadiusEstimate:
         return RadiusEstimate(value=0.0, certificate_theta=0.0,
                               certificate_vector=np.zeros(op.space.dim, dtype=np.complex128),
                               method=method, abs_error_bound=0.0)
-    value, theta, u = route(b)
+    value, theta, u = route(op)
     return RadiusEstimate(value=value, certificate_theta=theta,
                           certificate_vector=op.space.lift_vector(u),
                           method=method, abs_error_bound=_error_estimate(b))
@@ -340,17 +355,18 @@ def a_numerical_radius(op: OperatorInSpace) -> RadiusEstimate:
     magnitude of the rotated Hermitian compression.  Returns the infinite
     marker when the operator is not seminorm-bounded.
     """
-    return _estimate(op, "theta_sweep_seminorm", _radius_seminorm_core)
+    return _estimate(op, "theta_sweep_seminorm", _radius_of)
 
 
 def a_numerical_radius_oracle(op: OperatorInSpace) -> RadiusEstimate:
     """Independent route: the classical numerical radius of the compression,
     swept over the full period with the plain largest eigenvalue."""
-    return _estimate(op, "compression_classical", _radius_support_core)
+    return _estimate(op, "compression_classical", lambda o: _radius_support_core(o.compress()))
 
 
-def _crawford_witnessed(b: np.ndarray):
-    raw, theta, u = _crawford_core(b)
+def _crawford_witnessed(op: OperatorInSpace):
+    b = op.compress()
+    raw, theta, u = _crawford_of(op)
     value = max(0.0, raw)
     # the support eigenvector witnesses the value only when the smallest
     # eigenvalue at the optimal angle is simple and positive; fall back to
@@ -377,8 +393,8 @@ def a_crawford(op: OperatorInSpace) -> RadiusEstimate:
 def a_crawford_sampled(op: OperatorInSpace, starts: int = 20, seed: int = 0) -> RadiusEstimate:
     """Direct-search upper bound for the Crawford number (cross-check route)."""
 
-    def route(b):
-        value, u = crawford_minimize(b, starts=starts, seed=seed)
+    def route(o):
+        value, u = crawford_minimize(o.compress(), starts=starts, seed=seed)
         return value, 0.0, u
 
     return _estimate(op, "direct_sampling", route)

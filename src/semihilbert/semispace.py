@@ -188,6 +188,12 @@ class OperatorInSpace:
     admits_adjoint: bool
     sharp_mat: np.ndarray | None
     compression: np.ndarray | None
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def _cached(self, key, compute):
+        if key not in self._memo:
+            self._memo[key] = compute()
+        return self._memo[key]
 
     @property
     def membership(self) -> dict[str, bool]:

@@ -1,8 +1,9 @@
-"""Regenerate the value-drift reference under ``tests/data/``.
+"""Measure, or regenerate, the value-drift reference under ``tests/data/``.
 
-    python tests/data/make_tightness_reference.py
+    python tests/data/make_tightness_reference.py          # report drift only
+    python tests/data/make_tightness_reference.py --write  # rewrite the files
 
-Writes ``semihilbert tightness --seed 42 --trials 100`` (dims 2,3,4,5,8, the
+Computes ``semihilbert tightness --seed 42 --trials 100`` (dims 2,3,4,5,8, the
 acceptance gate's seed) for every registered check, one CSV per check under
 ``tightness/``, and ``paper_examples.json``: the exit code and output of
 ``semihilbert paper-examples --json`` with the value of every quantity the
@@ -13,14 +14,18 @@ under ``check_pairs/`` and, in ``check_pairs.json``, the exit code and the
 ``instance`` path, the witness vectors and the inputs digests (the digest
 repeats the instance).  ``tests/test_drift.py`` recomputes each and compares
 it with these files, by the row rule of ``values_drift``.
-Regenerating them accepts every drift since the last regeneration, so the
-script prints the largest row drift of each reference file against the
-committed one it replaces; record each regeneration, with those numbers and
-their reason, in CHANGES.md.
+
+By default the files are computed into a temporary directory and the script
+prints the largest row drift of each against the committed one (and names
+any pair instance that differs); nothing under ``tests/data/`` changes.
+``--write`` replaces the committed files.  A regeneration accepts every drift
+since the last one, so record each, with those numbers and its reason, in
+CHANGES.md.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import csv
 import io
@@ -29,6 +34,7 @@ import json
 import math
 import pathlib
 import sys
+import tempfile
 
 HERE = pathlib.Path(__file__).resolve().parent
 sys.path.insert(0, str(HERE.parents[1] / "src"))
@@ -42,10 +48,11 @@ from semihilbert.semispace import make_space  # noqa: E402
 SEED = 42
 TRIALS = 100
 DIMS = "2,3,4,5,8"
-OUT = HERE / "tightness"
-PAPER_EXAMPLES = HERE / "paper_examples.json"
-CHECK_PAIRS = HERE / "check_pairs"
-CHECK_PAIR_OUTPUTS = HERE / "check_pairs.json"
+# the reference files, relative to this directory
+TIGHTNESS = "tightness"
+PAPER_EXAMPLES = "paper_examples.json"
+CHECK_PAIRS = "check_pairs"
+CHECK_PAIR_OUTPUTS = "check_pairs.json"
 # (operators, dim, rank): generic pairs, S = cT, and pairs whose compressed
 # numerical ranges stay away from 0 (positive Crawford number), at dims 8 and
 # 5, with A of full rank and of rank dim - 2
@@ -122,7 +129,8 @@ def paper_examples() -> dict:
     for case in cli.GOLDEN_CASES:
         space = make_space(cli.decode_matrix(case["a"], "a"))
         op = space.bind(cli.decode_matrix(case["t"], "t"))
-        values[case["id"]] = {key: _plain(cli._golden_quantity(case, key, space, op))
+        sop = space.bind(cli.decode_matrix(case["s"], "s")) if "s" in case else None
+        values[case["id"]] = {key: _plain(cli._golden_quantity(case, key, space, op, sop))
                               for key in case["expected"]}
     return {"exit_code": code, "output": json.loads(out.getvalue().splitlines()[-1]),
             "values": values}
@@ -188,34 +196,39 @@ def run_check(path) -> tuple[int, dict]:
     return code, json.loads(out.getvalue().splitlines()[-1])
 
 
-def _print_drift(path, drifts) -> None:
-    print(f"{path.relative_to(HERE)}: largest row drift {max(drifts, default=0.0):.3g}")
+def _print_drift(name: str, drifts) -> None:
+    print(f"{name}: largest row drift {max(drifts, default=0.0):.3g}")
 
 
-def _committed_json(path):
+def _committed_json(name: str):
+    path = HERE / name
     return json.loads(path.read_text()) if path.exists() else None
 
 
-def main() -> int:
-    OUT.mkdir(exist_ok=True)
+def regenerate(root: pathlib.Path) -> int:
+    """Write every reference file under ``root`` and print the largest row
+    drift of each against the committed one under ``tests/data/``."""
+    (root / TIGHTNESS).mkdir(exist_ok=True)
     for name in fuzz.CHECK_ORDER:
-        path = OUT / f"{name}.csv"
-        committed = read_csv(path)[1] if path.exists() else None
-        code = cli.main(tightness_args(name, path))
+        rel = f"{TIGHTNESS}/{name}.csv"
+        committed = read_csv(HERE / rel)[1] if (HERE / rel).exists() else None
+        code = cli.main(tightness_args(name, root / rel))
         if code != 0:
             print(f"{name}: tightness exited {code}", file=sys.stderr)
             return code
         if committed is not None:
-            header, rows = read_csv(path)
-            _print_drift(path, [row_drift(ref, new, header)
-                                for ref, new in zip(committed, rows)])
-    CHECK_PAIRS.mkdir(exist_ok=True)
+            header, rows = read_csv(root / rel)
+            _print_drift(rel, [row_drift(ref, new, header) for ref, new in zip(committed, rows)])
+    (root / CHECK_PAIRS).mkdir(exist_ok=True)
     outputs = {}
     for index in range(len(CHECK_PAIR_KINDS)):
         label, instance = check_pair(index)
-        path = CHECK_PAIRS / f"{label}.json"
-        path.write_text(json.dumps(instance) + "\n")
-        code, out = run_check(path)
+        rel = f"{CHECK_PAIRS}/{label}.json"
+        text = json.dumps(instance) + "\n"
+        if not (HERE / rel).exists() or (HERE / rel).read_text() != text:
+            print(f"{rel}: instance differs from the committed one")
+        (root / rel).write_text(text)
+        code, out = run_check(root / rel)
         outputs[label] = {"exit_code": code, "output": strip_check_output(out)}
     committed = _committed_json(CHECK_PAIR_OUTPUTS)
     if committed is not None:
@@ -223,18 +236,30 @@ def main() -> int:
             values_drift(numbers(ref), numbers(new))
             for label in outputs.keys() & committed.keys()
             for ref, new in check_rows(committed[label]["output"], outputs[label]["output"])])
-    CHECK_PAIR_OUTPUTS.write_text(json.dumps(outputs, indent=1, sort_keys=True) + "\n")
+    (root / CHECK_PAIR_OUTPUTS).write_text(json.dumps(outputs, indent=1, sort_keys=True) + "\n")
     examples = paper_examples()
     committed = _committed_json(PAPER_EXAMPLES)
     if committed is not None:
         _print_drift(PAPER_EXAMPLES, [
             values_drift(numbers(committed["values"][case]), numbers(values))
             for case, values in examples["values"].items() if case in committed["values"]])
-    PAPER_EXAMPLES.write_text(json.dumps(examples, indent=1, sort_keys=True) + "\n")
+    (root / PAPER_EXAMPLES).write_text(json.dumps(examples, indent=1, sort_keys=True) + "\n")
     if examples["exit_code"] != 0:
         print(f"paper-examples exited {examples['exit_code']}", file=sys.stderr)
         return examples["exit_code"]
     return 0
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description="Report (and with --write, rewrite) "
+                                     "the value-drift reference.")
+    parser.add_argument("--write", action="store_true",
+                        help="overwrite the committed reference files")
+    args = parser.parse_args(argv)
+    if args.write:
+        return regenerate(HERE)
+    with tempfile.TemporaryDirectory() as tmp:
+        return regenerate(pathlib.Path(tmp))
 
 
 if __name__ == "__main__":

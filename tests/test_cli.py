@@ -11,7 +11,7 @@ import sys
 import numpy as np
 import pytest
 
-from semihilbert import cli, fuzz
+from semihilbert import cli, fuzz, radius
 from semihilbert.errors import ParseError
 from semihilbert.radius import a_crawford, a_numerical_radius
 
@@ -87,6 +87,21 @@ def test_check_quantities_are_the_estimators_values(path, capsys):
         op = space.bind(m)
         assert quantities[part]["a_numerical_radius"] == a_numerical_radius(op).value
         assert quantities[part]["a_crawford"] == a_crawford(op).value
+
+
+def test_check_runs_each_kernel_search_once(monkeypatch, capsys):
+    """A generic dim-8 pair needs 10 level searches: w_A(T), w_A(T^2), c_A(T),
+    w_A(S) and c_A(S) once each for all the checks, and five on matrices a
+    single check builds (S^# T in two checks, T + S, T^2 + S^2 and
+    (T^2 + (T^#)^2)^2).  Recomputing per check took 24."""
+    path = next(p for p in CHECK_PAIRS if p.stem == "00-generic-dim8-full")
+    calls = []
+    level_sup = radius._level_sup
+    monkeypatch.setattr(radius, "_level_sup",
+                        lambda b, sel: calls.append(sel) or level_sup(b, sel))
+    assert cli.main(["check", str(path), "--json"]) == 0
+    capsys.readouterr()
+    assert len(calls) <= 10
 
 
 def test_check_complex_entries(tmp_path):

@@ -10,8 +10,9 @@ The ``ok`` column, the flags, the exit codes, the statuses and the
 lie within 1e-8 * (1 + the largest |value| in its row), the tolerance a
 chain's ``_report`` applies to its links; a worked example, one check's
 result and one operator's quantities are each one row.  The reference is
-regenerated only by ``tests/data/make_tightness_reference.py``, which reports
-its drift with the same row rule (``REF.values_drift``).
+regenerated only by ``tests/data/make_tightness_reference.py --write``; without
+``--write`` that script only reports the drift, by the same row rule
+(``REF.values_drift``).
 """
 
 import importlib.util

@@ -1,6 +1,8 @@
 """Inequality chains and equality diagnostics: worked values, constructed
 equality cases, precondition enforcement, and the quadrature helper."""
 
+import dataclasses
+import inspect
 import json
 import math
 
@@ -10,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from semihilbert import fuzz, radius
 from semihilbert import inequalities as ineq
 from semihilbert.errors import DimensionMismatch, PreconditionNotMet
 from semihilbert.inequalities import (
@@ -396,6 +399,67 @@ def test_rejects_operator_bound_elsewhere(worked):
     op = other.bind(t)
     with pytest.raises(DimensionMismatch):
         check_halfnorm_bounds(space, op)
+
+
+# -- one evaluation per bound operator -------------------------------------------
+
+# (check, dim, rank) with the check's own instance: full rank, partial rank, rank 0
+MEMO_CASES = [(name, dim, rank) for name in fuzz.CHECK_ORDER for dim in (2, 5, 8)
+              for rank in (dim, dim // 2, 0) if rank >= fuzz.CHECKS[name].min_rank]
+
+
+def run_check(spec, space, operators):
+    """The check's report as a dict, or the message of the precondition it
+    refuses; the ascents run short, with the same seed on every run."""
+    params = inspect.signature(spec.fn).parameters
+    kwargs = {"starts": 6, "seed": 1, "max_iter": 40} if "starts" in params else {}
+    try:
+        return spec.evaluate(space, operators[:spec.arity], **kwargs).to_dict()
+    except PreconditionNotMet as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("name, dim, rank", MEMO_CASES)
+def test_shared_operators_give_the_reports_of_fresh_ones(name, dim, rank):
+    """Every applicable check, run in turn on one set of bound operators (a
+    draw (t, t) shares one), reports what it reports on operators bound
+    afresh for it alone."""
+    rng = np.random.default_rng([dim, rank, fuzz.CHECK_ORDER.index(name)])
+    space = make_space(fuzz.gen_psd(rng, dim, rank))
+    mats, _, _ = fuzz.CHECKS[name].draw(space, rng)
+    bound = {id(m): space.bind(m) for m in mats}
+    shared = tuple(bound[id(m)] for m in mats)
+    for other in fuzz.CHECK_ORDER:
+        spec = fuzz.CHECKS[other]
+        if spec.arity > len(mats):
+            continue
+        fresh = tuple(space.bind(m) for m in mats)
+        assert run_check(spec, space, shared) == run_check(spec, space, fresh), other
+    assert all(op._memo for op in shared)
+
+
+def test_memo_belongs_to_one_bound_operator(monkeypatch):
+    space, t, _ = rand_pair(7)
+    runs = []
+    core = radius._radius_seminorm_core
+    monkeypatch.setattr(radius, "_radius_seminorm_core", lambda b: runs.append(b) or core(b))
+    first, second = space.bind(t), space.bind(t)
+    check_power_inequality(space, first)
+    assert len(runs) == 2  # w_A(T) and w_A(T^2)
+    check_square_bounds(space, first)
+    check_reverse_power(space, first)
+    # the estimator reads the kept run too
+    assert radius.a_numerical_radius(first).value == core(runs[0])[0]
+    assert len(runs) == 2
+    # the same matrix bound a second time shares nothing with the first
+    check_power_inequality(space, second)
+    assert len(runs) == 4
+    assert first._memo is not second._memo
+    # equality and repr ignore the memo
+    copy = dataclasses.replace(first)
+    assert first._memo and not copy._memo
+    assert copy == first
+    assert repr(copy) == repr(first) and "_memo" not in repr(first)
 
 
 _entries = st.floats(min_value=-2.0, max_value=2.0,
