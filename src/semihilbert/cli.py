@@ -20,6 +20,7 @@ import argparse
 import cmath
 import contextlib
 import csv
+import functools
 import json
 import math
 import sys
@@ -29,7 +30,7 @@ import numpy as np
 from . import fuzz as fuzz_mod
 from . import inequalities as ineq
 from .errors import NoAdjoint, ParseError, PreconditionNotMet, SemiHilbertError
-from .radius import a_crawford, a_numerical_radius
+from .radius import _crawford_of, a_crawford, a_numerical_radius
 from .semispace import make_space
 
 _SQRT2 = math.sqrt(2.0)
@@ -185,7 +186,7 @@ def _quantities(op) -> dict:
     # search a certificate of c_A can need
     return {**op.membership, "a_operator_norm": op.a_operator_norm(),
             "a_numerical_radius": a_numerical_radius(op).value,
-            "a_crawford": ineq._crawford_pos_of(op) if op.a_bounded else math.inf}
+            "a_crawford": max(0.0, _crawford_of(op)[0]) if op.a_bounded else math.inf}
 
 
 def _render_report(r: ineq.InequalityReport) -> str:
@@ -256,8 +257,15 @@ def _cmd_check(args) -> int:
 
 # -- paper-examples subcommand ---------------------------------------------------
 
-def _golden_quantity(case, key, space, op, sop):
+def _golden_quantity(case, key, space, op, sop, reports: dict):
+    """One stored quantity of a worked example; ``reports`` holds its check reports."""
     t = op.t
+
+    def report(check, *others):  # a chain's values and its verdict share one report
+        if check not in reports:
+            reports[check] = check(space, op, *others)
+        return reports[check]
+
     if key == "a_operator_norm":
         return op.a_operator_norm()
     if key == "a_numerical_radius":
@@ -272,19 +280,19 @@ def _golden_quantity(case, key, space, op, sop):
         m = t @ t + sh @ sh
         return a_crawford(space.bind(m @ m)).value
     if key == "fourth_power_chain":
-        return [v for _, v in ineq.check_fourth_power_bounds(space, op).chain]
+        return [v for _, v in report(ineq.check_fourth_power_bounds).chain]
     if key == "fourth_power_chain_holds":
-        return ineq.check_fourth_power_bounds(space, op).holds
+        return report(ineq.check_fourth_power_bounds).holds
     if key == "power_chain_holds":
-        return ineq.check_power_inequality(space, op).holds
+        return report(ineq.check_power_inequality).holds
     if key == "norm_of_s":
         return sop.a_operator_norm()
     if key == "norm_of_sum":
         return space.bind(t + sop.t).a_operator_norm()
     if key == "hh_middle":
-        return ineq.check_hh_triangle(space, op, sop).chain[1][1]
+        return report(ineq.check_hh_triangle, sop).chain[1][1]
     if key == "hh_chain_holds":
-        return ineq.check_hh_triangle(space, op, sop).holds
+        return report(ineq.check_hh_triangle, sop).holds
     if key == "alt_numerical_radius":
         alt = make_space(decode_matrix(case["a_alt"], "a_alt"))
         return a_numerical_radius(alt.bind(t)).value
@@ -323,10 +331,10 @@ def evaluate_golden_case(case) -> list[str]:
     space = make_space(decode_matrix(case["a"], "a"))
     op = space.bind(decode_matrix(case["t"], "t"))
     sop = space.bind(decode_matrix(case["s"], "s")) if "s" in case else None
-    failures = []
+    failures, reports = [], {}
     for key, want in case["expected"].items():
         try:
-            got = _golden_quantity(case, key, space, op, sop)
+            got = _golden_quantity(case, key, space, op, sop, reports)
         except SemiHilbertError as exc:
             failures.append(f"{key}: raised {type(exc).__name__}: {exc}")
             continue
@@ -351,8 +359,7 @@ def _cmd_paper_examples(args) -> int:
         else:
             print(f"PASS {case['id']} ({len(case['expected'])} quantities)")
     if not out:
-        print(f"no example id contains {args.only!r}", file=sys.stderr)
-        return 1
+        raise ParseError(f"no example id contains {args.only!r}")
     if args.json:
         print(json.dumps(out, sort_keys=True))
     return 2 if any_fail else 0
@@ -435,6 +442,7 @@ def _cmd_tightness(args) -> int:
 
 # -- entry ---------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="semihilbert",
                                      description=__doc__.splitlines()[0])
@@ -475,7 +483,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on a usage error, 0 after --help
+        return 1 if exc.code else 0
     try:
         return args.fn(args)
     # huge entries overflow a float power or stop LAPACK's SVD from converging

@@ -20,9 +20,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, PreconditionNotMet
-from .linalg import _multistart_ascent, as_matrix, dagger, fro_norm
-from .radius import (_crawford_core, _crawford_of, _radius_of, _radius_seminorm_core, _square,
-                     sup_sweep, support_max)
+from .linalg import _multistart_ascent, _square_safe, as_matrix, fro_norm, spectral_norm
+from .radius import (_adjoint, _crawford_core, _norm, _radius_of, _radius_seminorm_core,
+                     _square, sup_sweep, support_max)
 from .semispace import OperatorInSpace, SemiHilbertSpace
 
 CHECK_TOL = 1e-8
@@ -120,34 +120,7 @@ def _report(name: str, labeled: list[tuple[str, float]], check_tol: float,
 # -- compressed-quantity helpers ---------------------------------------------
 
 def _sig(m: np.ndarray) -> float:
-    if m.size == 0:
-        return 0.0
-    return float(np.linalg.svd(m, compute_uv=False)[0])
-
-
-def _w(b: np.ndarray) -> float:
-    if b.size == 0:
-        return 0.0
-    return _radius_seminorm_core(b)[0]
-
-
-# B*, sig(B), w_A(B), w_A(B @ B) and c_A(B) are kept on the bound operator, so the
-# checks of an instance share them; pair quantities such as S^# T are not kept
-
-def _adj_of(op: OperatorInSpace) -> np.ndarray:
-    return op._cached("adjoint", lambda: dagger(op.compress()))
-
-
-def _norm_of(op: OperatorInSpace) -> float:
-    return op._cached("norm", lambda: _sig(op.compress()))
-
-
-def _w_of(op: OperatorInSpace, power: int = 1) -> float:
-    return _radius_of(op, power)[0] if op.space.rank else 0.0
-
-
-def _crawford_pos_of(op: OperatorInSpace) -> float:
-    return max(0.0, _crawford_of(op)[0]) if op.space.rank else 0.0
+    return spectral_norm(m)
 
 
 # -- quadrature ---------------------------------------------------------------
@@ -205,11 +178,14 @@ def adaptive_simpson(f, a: float, b: float, tol: float = QUAD_TOL,
 
 def _sig_stack(m: np.ndarray) -> np.ndarray:
     """Largest singular value of each matrix of a stack, as the square root
-    of the top eigenvalue of its Gram matrix: one batched ``eigvalsh``."""
+    of the top eigenvalue of its Gram matrix: one batched ``eigvalsh``, on
+    the stack scaled by a power of two into the square-safe range."""
     if m.shape[-1] == 0:
         return np.zeros(m.shape[:-2])
+    s = _square_safe(m)
+    m = m * s if s != 1.0 else m
     gram = np.conj(np.swapaxes(m, -1, -2)) @ m
-    return np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[..., -1], 0.0))
+    return np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[..., -1], 0.0)) / s
 
 
 def _sig_path(x: np.ndarray, y: np.ndarray, taus: np.ndarray) -> np.ndarray:
@@ -243,9 +219,10 @@ def check_halfnorm_bounds(space: SemiHilbertSpace, t,
                           check_tol: float = CHECK_TOL) -> InequalityReport:
     """norm_A(T)/2 <= w_A(T) <= norm_A(T)."""
     op = _as_op(space, t)
-    nt = _norm_of(op)
+    nt = _norm(op)
     return _report("halfnorm_bounds",
-                   [("0.5*norm_A(T)", 0.5 * nt), ("w_A(T)", _w_of(op)), ("norm_A(T)", nt)],
+                   [("0.5*norm_A(T)", 0.5 * nt), ("w_A(T)", _radius_of(op)[0]),
+                    ("norm_A(T)", nt)],
                    check_tol, _digest(space, op.t))
 
 
@@ -259,7 +236,7 @@ def check_hh_triangle(space: SemiHilbertSpace, t, s,
     return _report("hh_triangle",
                    [("norm_A(T+S)", _sig(bt + bs)),
                     ("2*int_0^1 norm_A(tT+(1-t)S) dt", 2.0 * integral),
-                    ("norm_A(T)+norm_A(S)", _norm_of(opt) + _norm_of(ops))],
+                    ("norm_A(T)+norm_A(S)", _norm(opt) + _norm(ops))],
                    check_tol, _digest(space, opt.t, ops.t))
 
 
@@ -281,7 +258,7 @@ def check_integral_radius_bound(space: SemiHilbertSpace, t,
         return _report("integral_radius_bound",
                        [("w_A(T)", 0.0), ("sup_theta int norm_A", 0.0), ("norm_A(T)", 0.0)],
                        check_tol, digest)
-    bs = _adj_of(op)
+    bs = _adjoint(op)
     w_val, w_theta, _ = _radius_of(op)
 
     def path_integral(theta: float) -> float:
@@ -302,7 +279,7 @@ def check_integral_radius_bound(space: SemiHilbertSpace, t,
     mid = max(path_integral(theta0), path_integral(2.0 * w_theta))
 
     return _report("integral_radius_bound",
-                   [("w_A(T)", w_val), ("sup_theta int norm_A", mid), ("norm_A(T)", _norm_of(op))],
+                   [("w_A(T)", w_val), ("sup_theta int norm_A", mid), ("norm_A(T)", _norm(op))],
                    check_tol, digest)
 
 
@@ -317,8 +294,8 @@ def triangle_equality_diagnostic(space: SemiHilbertSpace, t, s,
     that maximum is the top eigenvalue of the Hermitian part of Bs* Bt."""
     opt, ops = _as_op(space, t), _as_op(space, s)
     bt, bs = opt.compress(), ops.compress()
-    lhs, u = support_max(_adj_of(ops) @ bt, 0.0)
-    nt, ns = _norm_of(opt), _norm_of(ops)
+    lhs, u = support_max(_adjoint(ops) @ bt, 0.0)
+    nt, ns = _norm(opt), _norm(ops)
     rhs = nt * ns
     eff = _eq_eff(eq_tol, rhs)
     equal = abs(rhs - lhs) <= eff
@@ -343,7 +320,7 @@ def check_positive_product_equality(space: SemiHilbertSpace, t, s,
         raise PreconditionNotMet("S^# T is not A-positive")
     tri = triangle_equality_diagnostic(space, opt, ops, eq_tol)
     # the same rhs norm_A(T) norm_A(S) and tolerance as the triangle equality
-    lhs, rhs, eff = _sig(_adj_of(ops) @ opt.compress()), tri.rhs, tri.eq_tol
+    lhs, rhs, eff = _sig(_adjoint(ops) @ opt.compress()), tri.rhs, tri.eq_tol
     equal = abs(rhs - lhs) <= eff
     # the two verdicts must agree; flag only decisive disagreement so a gap
     # that merely straddles the tolerance does not read as a defect
@@ -361,12 +338,12 @@ def check_adjoint_sum_bound(space: SemiHilbertSpace, t, s,
     """norm_A(T+S) <= sqrt(norm_A(T^#T + S^#S) + 2 w_A(S^#T)) <= norm_A(T)+norm_A(S)."""
     opt, ops = _as_op(space, t), _as_op(space, s)
     bt, bs = opt.compress(), ops.compress()
-    mid = math.sqrt(max(0.0, _sig(_adj_of(opt) @ bt + _adj_of(ops) @ bs)
-                        + 2.0 * _w(_adj_of(ops) @ bt)))
+    mid = math.sqrt(max(0.0, _sig(_adjoint(opt) @ bt + _adjoint(ops) @ bs)
+                        + 2.0 * _radius_seminorm_core(_adjoint(ops) @ bt)[0]))
     return _report("adjoint_sum_bound",
                    [("norm_A(T+S)", _sig(bt + bs)),
                     ("sqrt(norm_A(T#T+S#S)+2w_A(S#T))", mid),
-                    ("norm_A(T)+norm_A(S)", _norm_of(opt) + _norm_of(ops))],
+                    ("norm_A(T)+norm_A(S)", _norm(opt) + _norm(ops))],
                    check_tol, _digest(space, opt.t, ops.t))
 
 
@@ -381,12 +358,8 @@ def max_equality_diagnostic(space: SemiHilbertSpace, t, s,
     """
     opt, ops = _as_op(space, t), _as_op(space, s)
     bt, bs = opt.compress(), ops.compress()
-    prod = _adj_of(ops) @ bt
-    if prod.size == 0:
-        lhs, u = 0.0, np.zeros(0, dtype=np.complex128)
-    else:
-        lhs, _, u = _radius_seminorm_core(prod)
-    nt, ns = _norm_of(opt), _norm_of(ops)
+    lhs, _, u = _radius_seminorm_core(_adjoint(ops) @ bt)
+    nt, ns = _norm(opt), _norm(ops)
     rhs = max(nt * nt, ns * ns)
     eff = _eq_eff(eq_tol, rhs)
     equal = abs(rhs - lhs) <= eff
@@ -414,10 +387,10 @@ def pythagoras_diagnostic(space: SemiHilbertSpace, t, s,
     opt, ops = _as_op(space, t), _as_op(space, s)
     bs, bt = ops.compress(), opt.compress()
     # S^# T = 0 iff Bs* Bt = 0, tested relative to the factors' scale
-    nt, ns = _norm_of(opt), _norm_of(ops)
-    if _sig(_adj_of(ops) @ bt) > 1e-10 * nt * ns:
+    nt, ns = _norm(opt), _norm(ops)
+    if _sig(_adjoint(ops) @ bt) > 1e-10 * nt * ns:
         raise PreconditionNotMet("S^# T is not zero")
-    tq, sq = _adj_of(opt) @ bt, _adj_of(ops) @ bs
+    tq, sq = _adjoint(opt) @ bt, _adjoint(ops) @ bs
     lhs, u = support_max(sq @ tq, 0.0)
     rhs = nt * nt * ns * ns
     eff = _eq_eff(eq_tol, rhs)
@@ -443,11 +416,11 @@ def check_real_part_bounds(space: SemiHilbertSpace, t,
     """max(norm_A(T-T#), norm_A(T+T#))/2 <= w_A(T)
     <= sqrt(norm_A(T-T#)^2 + norm_A(T+T#)^2)/2."""
     op = _as_op(space, t)
-    bt, bsh = op.compress(), _adj_of(op)
+    bt, bsh = op.compress(), _adjoint(op)
     dm, dp = _sig(bt - bsh), _sig(bt + bsh)
     return _report("real_part_bounds",
                    [("max(norm_A(T-T#),norm_A(T+T#))/2", 0.5 * max(dm, dp)),
-                    ("w_A(T)", _w_of(op)),
+                    ("w_A(T)", _radius_of(op)[0]),
                     ("sqrt(norm_A(T-T#)^2+norm_A(T+T#)^2)/2",
                      0.5 * math.sqrt(dm * dm + dp * dp))],
                    check_tol, _digest(space, op.t))
@@ -458,12 +431,12 @@ def check_square_bounds(space: SemiHilbertSpace, t,
     """max(norm_A(T^2-(T#)^2), norm_A(T^2+(T#)^2))^(1/2)/2 <= w_A(T)
     <= sqrt(2)/2 * (norm_A(T)^2 + w_A(T^2))^(1/2)."""
     op = _as_op(space, t)
-    bt2, bsh = _square(op), _adj_of(op)
+    bt2, bsh = _square(op), _adjoint(op)
     m2, p2 = _sig(bt2 - bsh @ bsh), _sig(bt2 + bsh @ bsh)
-    upper = (math.sqrt(2.0) / 2.0) * math.sqrt(_norm_of(op) ** 2 + _w_of(op, 2))
+    upper = (math.sqrt(2.0) / 2.0) * math.sqrt(_norm(op) ** 2 + _radius_of(op, 2)[0])
     return _report("square_bounds",
                    [("max-diff-sum-squares^(1/2)/2", 0.5 * math.sqrt(max(m2, p2))),
-                    ("w_A(T)", _w_of(op)),
+                    ("w_A(T)", _radius_of(op)[0]),
                     ("sqrt(2)/2*(norm_A(T)^2+w_A(T^2))^(1/2)", upper)],
                    check_tol, _digest(space, op.t))
 
@@ -489,11 +462,11 @@ def check_fourth_power_bounds(space: SemiHilbertSpace, t,
     """norm_A(TT#+T#T)^2/16 + c_A((T^2+(T#)^2)^2)/16 <= w_A(T)^4
     <= norm_A(TT#+T#T)^2/8 + w_A(T^2)^2/2."""
     op = _as_op(space, t)
-    bt, bsh = op.compress(), _adj_of(op)
+    bt, bsh = op.compress(), _adjoint(op)
     anti = _sig(bt @ bsh + bsh @ bt)
     sq_sum = _square(op) + bsh @ bsh
-    c4 = max(0.0, _crawford_core(sq_sum @ sq_sum)[0]) if bt.size else 0.0
-    wt, wt2 = _w_of(op), _w_of(op, 2)
+    c4 = max(0.0, _crawford_core(sq_sum @ sq_sum)[0])
+    wt, wt2 = _radius_of(op)[0], _radius_of(op, 2)[0]
     return _report("fourth_power_bounds",
                    [("norm_A(TT#+T#T)^2/16+c_A((T^2+(T#)^2)^2)/16",
                      anti * anti / 16.0 + c4 / 16.0),
@@ -507,10 +480,10 @@ def check_power_inequality(space: SemiHilbertSpace, t,
                            check_tol: float = CHECK_TOL) -> InequalityReport:
     """w_A(T^2) <= w_A(T)^2 <= norm_A(T)^2 <= 4 w_A(T)^2."""
     op = _as_op(space, t)
-    wt = _w_of(op)
+    wt = _radius_of(op)[0]
     return _report("power_inequality",
-                   [("w_A(T^2)", _w_of(op, 2)), ("w_A(T)^2", wt * wt),
-                    ("norm_A(T)^2", _norm_of(op) ** 2), ("4*w_A(T)^2", 4.0 * wt * wt)],
+                   [("w_A(T^2)", _radius_of(op, 2)[0]), ("w_A(T)^2", wt * wt),
+                    ("norm_A(T)^2", _norm(op) ** 2), ("4*w_A(T)^2", 4.0 * wt * wt)],
                    check_tol, _digest(space, op.t))
 
 
@@ -523,14 +496,14 @@ def check_reverse_power(space: SemiHilbertSpace, t,
     intermediate step.
     """
     op = _as_op(space, t)
-    bt, bsh = op.compress(), _adj_of(op)
-    wt = _w_of(op)
+    bt, bsh = op.compress(), _adjoint(op)
+    wt = _radius_of(op)[0]
     minterm = min(_sig(bt - bsh), _sig(bt + bsh)) ** 2
     return _report("reverse_power",
                    [("2*w_A(T)^2", 2.0 * wt * wt),
                     ("norm_A(TT#+T#T)", _sig(bt @ bsh + bsh @ bt)),
                     ("2*w_A(T^2)+min(norm_A(T-T#),norm_A(T+T#))^2",
-                     2.0 * _w_of(op, 2) + minterm)],
+                     2.0 * _radius_of(op, 2)[0] + minterm)],
                    check_tol, _digest(space, op.t))
 
 
@@ -561,10 +534,10 @@ def radius_additivity_diagnostic(space: SemiHilbertSpace, t, s,
     bt, bs = opt.compress(), ops.compress()
     # <x, T x>_A = conj(<T x, x>_A), so the target is Re(conj(z_T) z_S)
     lhs, u = _ascent_bilinear(bt, bs, starts, seed, max_iter)
-    wt, ws = _w_of(opt), _w_of(ops)
+    wt, ws = _radius_of(opt)[0], _radius_of(ops)[0]
     rhs = wt * ws
     eff = _eq_eff(eq_tol, rhs)
-    w_sum = _w(bt + bs)
+    w_sum = _radius_seminorm_core(bt + bs)[0]
     equal = abs(w_sum - (wt + ws)) <= _eq_eff(eq_tol, wt + ws)
     return EqualityDiagnostic(
         name="radius_additivity", lhs=lhs, rhs=rhs, gap=rhs - lhs,
@@ -583,10 +556,10 @@ def squares_radius_equality(space: SemiHilbertSpace, t, s,
     opt, ops = _as_op(space, t), _as_op(space, s)
     bt2, bs2 = _square(opt), _square(ops)
     lhs, u = _ascent_bilinear(bt2, bs2, starts, seed, max_iter)
-    wt, ws = _w_of(opt), _w_of(ops)
+    wt, ws = _radius_of(opt)[0], _radius_of(ops)[0]
     rhs = max(wt ** 4, ws ** 4)
     eff = _eq_eff(eq_tol, rhs)
-    chain_lhs = _w(bt2 + bs2)
+    chain_lhs = _radius_seminorm_core(bt2 + bs2)[0]
     chain_rhs = 2.0 * max(wt * wt, ws * ws)
     equal = abs(chain_lhs - chain_rhs) <= _eq_eff(eq_tol, chain_rhs)
     return EqualityDiagnostic(

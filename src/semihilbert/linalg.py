@@ -41,8 +41,16 @@ def dagger(m: np.ndarray) -> np.ndarray:
     return m.conj().T
 
 
+def _square_safe(m: np.ndarray) -> float:
+    """A power of two s such that the entries of s * m square without overflow
+    or underflow: 1 unless the largest |entry| lies outside [2^-500, 2^500]."""
+    big = float(np.abs(m).max(initial=0.0))
+    return 2.0 ** -600 if big > 2.0 ** 500 else 2.0 ** 600 if 0.0 < big < 2.0 ** -500 else 1.0
+
+
 def fro_norm(m: np.ndarray) -> float:
-    return float(np.linalg.norm(m))
+    s = _square_safe(m)
+    return float(np.linalg.norm(m * s if s != 1.0 else m)) / s
 
 
 def spectral_norm(m: np.ndarray) -> float:

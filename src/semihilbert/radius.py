@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch
-from .linalg import _multistart_ascent, dagger, fro_norm
+from .linalg import _multistart_ascent, dagger, fro_norm, spectral_norm
 from .semispace import OperatorInSpace
 
 COARSE_POINTS = 720
@@ -237,9 +237,9 @@ def _level_sup(b: np.ndarray, sel: int):
     bounds the supremum, because the crossings cannot be computed or the
     level cap is reached, the dense grid (``_grid_sup``) takes over.
     """
-    if b.shape[0] == 1:  # H(theta) = |b| cos(theta + arg b)
-        z = complex(b[0, 0])
-        return abs(z), -math.atan2(z.imag, z.real) % _TWO_PI, np.ones(1, dtype=np.complex128)
+    if len(b) <= 1:  # H(theta) = |b| cos(theta + arg b); at r = 0, 0 at angle 0
+        z = complex(b[0, 0]) if b.size else 0j
+        return abs(z), -math.atan2(z.imag, z.real) % _TWO_PI, np.ones(len(b), dtype=np.complex128)
     bh = dagger(b)
     scale = fro_norm(b)
     delta = REFINE_TOL * scale / 100.0
@@ -301,7 +301,16 @@ def _crawford_core(b: np.ndarray):
     return _level_sup(b, 0)
 
 
-# kernel runs on the compression B (or B @ B) of a bound operator of positive rank, kept on it
+# B*, sigma_max(B), B @ B and the kernel runs on B and B @ B, kept on the bound
+# operator on first use: this module alone reads and fills its memo
+
+def _adjoint(op: OperatorInSpace) -> np.ndarray:
+    return op._cached("adjoint", lambda: dagger(op.compress()))
+
+
+def _norm(op: OperatorInSpace) -> float:
+    return op._cached("norm", lambda: spectral_norm(op.compress()))
+
 
 def _square(op: OperatorInSpace) -> np.ndarray:
     return op._cached("square", lambda: op.compress() @ op.compress())

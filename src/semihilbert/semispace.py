@@ -95,7 +95,7 @@ class SemiHilbertSpace:
         v = self.range_basis
         s = self._sqrt_eigs
         core = dagger(v) @ t @ v
-        return (s[:, None] / s[None, :]) * core if self.rank else core
+        return (s[:, None] / s[None, :]) * core
 
     def lift_matrix(self, b) -> np.ndarray:
         """Inverse of ``compress_matrix`` on the range block: the admissible
@@ -105,16 +105,13 @@ class SemiHilbertSpace:
             raise DimensionMismatch(f"block is {bm.shape}, range has rank {self.rank}")
         v = self.range_basis
         s = self._sqrt_eigs
-        scaled = ((1.0 / s)[:, None] * bm * s[None, :]) if self.rank else bm
-        return v @ scaled @ dagger(v)
+        return v @ ((1.0 / s)[:, None] * bm * s[None, :]) @ dagger(v)
 
     def lift_vector(self, u) -> np.ndarray:
         """A-unit representative of a unit vector in compressed coordinates."""
         uv = np.asarray(u, dtype=np.complex128)
         if uv.shape != (self.rank,):
             raise DimensionMismatch(f"expected length {self.rank}, got shape {uv.shape}")
-        if self.rank == 0:
-            return np.zeros(self.dim, dtype=np.complex128)
         return self.range_basis @ (uv / self._sqrt_eigs)
 
     # -- binding -------------------------------------------------------------
@@ -188,6 +185,7 @@ class OperatorInSpace:
     admits_adjoint: bool
     sharp_mat: np.ndarray | None
     compression: np.ndarray | None
+    # quantities of the compression, read and filled only by radius.py's accessors
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def _cached(self, key, compute):

@@ -13,7 +13,9 @@ under ``check_pairs/`` and, in ``check_pairs.json``, the exit code and the
 ``semihilbert check <instance> --json`` output of each, without the
 ``instance`` path, the witness vectors and the inputs digests (the digest
 repeats the instance).  ``tests/test_drift.py`` recomputes each and compares
-it with these files, by the row rule of ``values_drift``.
+it with these files, by the row rule of ``values_drift``, except for the
+ascent's heuristic lower estimates (``ASCENT_CHECKS``), which follow the
+one-sided rule of ``ascent_row_ok``.
 
 By default the files are computed into a temporary directory and the script
 prints the largest row drift of each against the committed one (and names
@@ -42,7 +44,7 @@ sys.path.insert(0, str(HERE.parents[1] / "src"))
 import numpy as np  # noqa: E402
 
 from semihilbert import cli, fuzz  # noqa: E402
-from semihilbert.inequalities import encode_matrix  # noqa: E402
+from semihilbert.inequalities import EQ_TOL, encode_matrix  # noqa: E402
 from semihilbert.semispace import make_space  # noqa: E402
 
 SEED = 42
@@ -59,6 +61,10 @@ CHECK_PAIR_OUTPUTS = "check_pairs.json"
 CHECK_PAIR_KINDS = tuple(itertools.product(("generic", "scaled", "sector"), (8, 5),
                                            ("full", "partial")))
 _KEYS = ("trial", "dim", "rank")
+# diagnostics whose lhs is the ascent's heuristic lower estimate, and the
+# cells that follow that lhs
+ASCENT_CHECKS = ("radius_additivity", "squares_radius_equality")
+_FROM_LHS = ("lhs", "gap", "eq_slack")
 
 
 def values_drift(a: list[float], b: list[float]) -> float:
@@ -98,6 +104,43 @@ def check_rows(ref: dict, new: dict) -> list[tuple[dict, dict]]:
     return rows + list(zip(ref["checks"], new["checks"]))
 
 
+def ascent_row_ok(ref: dict, new: dict, tol: float) -> bool:
+    """The one-sided rule for a row of an ``ASCENT_CHECKS`` diagnostic (a CSV
+    row or one ``check --json`` result, by name).  Every cell but lhs, gap and
+    eq_slack keeps the row rule.  lhs may rise up to rhs + eq_tol but fall
+    only within the row rule; gap and eq_slack must be the ones that lhs
+    gives, within the row rule."""
+    rest = [key for key in ref if key not in _FROM_LHS]
+    if values_drift(numbers({k: ref[k] for k in rest}), numbers({k: new[k] for k in rest})) > tol:
+        return False
+    lhs, rhs = new["lhs"], new["rhs"]
+    eff = EQ_TOL * max(1.0, abs(rhs))
+    scale = 1.0 + max((abs(v) for v in numbers(ref) if math.isfinite(v)), default=0.0)
+    if ref["lhs"] - lhs > tol * scale or not lhs <= rhs + eff:
+        return False
+    recomputed = {"gap": rhs - lhs, "eq_slack": eff - abs(rhs - lhs)}
+    return values_drift([recomputed[k] for k in recomputed if k in new],
+                        [new[k] for k in recomputed if k in new]) <= tol
+
+
+def csv_row_ok(name: str, ref: list[str], new: list[str], header: list[str],
+               tol: float) -> bool:
+    """Whether a recomputed row of check ``name``'s tightness CSV keeps
+    the drift rule against the reference row."""
+    if name not in ASCENT_CHECKS:
+        return row_drift(ref, new, header) <= tol
+    cols = [i for i, h in enumerate(header) if h not in _KEYS + ("ok",)]
+    return ascent_row_ok({header[i]: float(ref[i]) for i in cols},
+                         {header[i]: float(new[i]) for i in cols}, tol)
+
+
+def check_row_ok(ref: dict, new: dict, tol: float) -> bool:
+    """Whether one row of ``check_rows`` keeps the drift rule."""
+    if ref.get("name") in ASCENT_CHECKS:
+        return ascent_row_ok(ref, new, tol)
+    return values_drift(numbers(ref), numbers(new)) <= tol
+
+
 def read_csv(path) -> tuple[list[str], list[list[str]]]:
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
@@ -130,7 +173,8 @@ def paper_examples() -> dict:
         space = make_space(cli.decode_matrix(case["a"], "a"))
         op = space.bind(cli.decode_matrix(case["t"], "t"))
         sop = space.bind(cli.decode_matrix(case["s"], "s")) if "s" in case else None
-        values[case["id"]] = {key: _plain(cli._golden_quantity(case, key, space, op, sop))
+        reports = {}
+        values[case["id"]] = {key: _plain(cli._golden_quantity(case, key, space, op, sop, reports))
                               for key in case["expected"]}
     return {"exit_code": code, "output": json.loads(out.getvalue().splitlines()[-1]),
             "values": values}

@@ -230,7 +230,7 @@ def test_paper_examples_only_filter(capsys):
     out = capsys.readouterr().out
     assert out.count("PASS") == 1
     assert cli.main(["paper-examples", "--only", "zzz"]) == 1
-    assert "no example id" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: no example id contains 'zzz'\n"
 
 
 def test_paper_examples_detect_drift(capsys, monkeypatch):
@@ -335,6 +335,22 @@ def test_tightness_unwritable_csv_fails_before_the_trials(tmp_path, capsys, monk
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert str(out) in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["check"], ["fuzz", "--trials", "x"], ["nope"], ["check", str(CHECK_PAIRS[0]), "--bogus"],
+])
+def test_usage_errors_exit_1(argv, capsys):
+    """argparse exits 2 on a usage error; 2 is reserved for a violation."""
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error:" in captured.err
+
+
+def test_help_exits_0(capsys):
+    assert cli.main(["--help"]) == 0
+    assert "usage:" in capsys.readouterr().out
 
 
 def test_entry_exits_with_status(monkeypatch):

@@ -130,6 +130,16 @@ def test_gram_sigma_matches_svd(r):
     np.testing.assert_allclose(ineq._sig_stack(stack), want, rtol=1e-14, atol=0.0)
 
 
+@pytest.mark.parametrize("k", [-700, -600, 600, 700])
+def test_gram_sigma_at_extreme_scales(k):
+    """Where the Gram matrix of 2^k M would overflow or underflow, the stack
+    is scaled into range first."""
+    rng = np.random.default_rng(5)
+    stack = rng.standard_normal((3, 4, 4)) + 1j * rng.standard_normal((3, 4, 4))
+    np.testing.assert_allclose(ineq._sig_stack(2.0 ** k * stack),
+                               2.0 ** k * ineq._sig_stack(stack), rtol=1e-12, atol=0.0)
+
+
 @pytest.mark.parametrize("r", [1, 2, 5, 8])
 def test_radius_path_is_symmetric(r):
     """g(tau) = norm(tau e^{i theta} B + (1 - tau) B*) equals g(1 - tau)."""

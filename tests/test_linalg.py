@@ -88,6 +88,12 @@ def test_norms_hand_values():
     assert spectral_norm(np.zeros((0, 0))) == 0.0
 
 
+@pytest.mark.parametrize("k", [-1070, -700, -600, 600, 700, 1020])
+def test_fro_norm_neither_overflows_nor_underflows(k):
+    m = np.array([[3, 0], [0, -4j]])
+    assert fro_norm(2.0 ** k * m) == 2.0 ** k * 5.0
+
+
 @pytest.mark.parametrize("shape", [(1, 1), (2, 2), (3, 5), (5, 3), (8, 8)])
 def test_spectral_norm_is_numpys_2_norm(shape):
     rng = np.random.default_rng([7, *shape])

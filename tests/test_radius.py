@@ -112,6 +112,33 @@ def test_rank_zero_degenerates_to_zero():
     np.testing.assert_array_equal(est.certificate_vector, np.zeros(2))
 
 
+@pytest.mark.parametrize("sel", [-1, 0])
+def test_level_sup_at_rank_zero(sel):
+    """The kernel answers r = 0 itself: value 0 at angle 0, empty vector."""
+    value, theta, u = radius._level_sup(np.zeros((0, 0)), sel)
+    assert (value, theta, u.shape) == (0.0, 0.0, (0,))
+
+
+@pytest.mark.parametrize("k", [-700, -600, 600, 700])
+def test_extreme_scales_keep_membership_norm_and_radius(k):
+    """Binding 2^k T gives the flags of T and 2^k times its seminorm and
+    radius, where squaring the entries overflows or underflows."""
+    rng = np.random.default_rng(5)
+    q, _ = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+    space = make_space((q[:, :3] * rng.uniform(0.5, 2.0, 3)) @ q[:, :3].conj().T)
+    m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    admissible = m.copy()
+    admissible[:3, 3] = 0.0  # keeps ker(A) = span(q[:, 3])
+    for t, admits in ((q @ admissible @ q.conj().T, True), (q @ m @ q.conj().T, False)):
+        base, op = space.bind(t), space.bind(2.0 ** k * t)
+        assert base.membership == {"a_bounded": admits, "admits_adjoint": admits}
+        assert op.membership == base.membership
+        for fn in (lambda o: o.a_operator_norm(), lambda o: a_numerical_radius(o).value):
+            want = fn(base)
+            assert fn(op) == (want if math.isinf(want) else
+                              pytest.approx(2.0 ** k * want, rel=1e-12, abs=0.0))
+
+
 def test_routes_agree_on_random_instances():
     rng = np.random.default_rng(0)
     for _ in range(25):
