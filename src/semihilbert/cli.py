@@ -488,7 +488,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse exits 2 on a usage error, 0 after --help
         return 1 if exc.code else 0
     try:
-        return args.fn(args)
+        with np.errstate(all="ignore"):  # an overflow ends in the error below, not in warnings
+            return args.fn(args)
     # huge entries overflow a float power or stop LAPACK's SVD from converging
     except (SemiHilbertError, OSError, OverflowError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -22,7 +22,7 @@ import numpy as np
 from .errors import DimensionMismatch, PreconditionNotMet
 from .linalg import _multistart_ascent, _square_safe, as_matrix, fro_norm, spectral_norm
 from .radius import (_adjoint, _crawford_core, _norm, _radius_of, _radius_seminorm_core,
-                     _square, sup_sweep, support_max)
+                     _sharp_radius_of, _square, sup_sweep, support_max)
 from .semispace import OperatorInSpace, SemiHilbertSpace
 
 CHECK_TOL = 1e-8
@@ -339,7 +339,7 @@ def check_adjoint_sum_bound(space: SemiHilbertSpace, t, s,
     opt, ops = _as_op(space, t), _as_op(space, s)
     bt, bs = opt.compress(), ops.compress()
     mid = math.sqrt(max(0.0, _sig(_adjoint(opt) @ bt + _adjoint(ops) @ bs)
-                        + 2.0 * _radius_seminorm_core(_adjoint(ops) @ bt)[0]))
+                        + 2.0 * _sharp_radius_of(opt, ops)[0]))
     return _report("adjoint_sum_bound",
                    [("norm_A(T+S)", _sig(bt + bs)),
                     ("sqrt(norm_A(T#T+S#S)+2w_A(S#T))", mid),
@@ -357,14 +357,13 @@ def max_equality_diagnostic(space: SemiHilbertSpace, t, s,
     asymmetric outcome is flagged rather than asserted away.
     """
     opt, ops = _as_op(space, t), _as_op(space, s)
-    bt, bs = opt.compress(), ops.compress()
-    lhs, _, u = _radius_seminorm_core(_adjoint(ops) @ bt)
+    lhs, _, u = _sharp_radius_of(opt, ops)
     nt, ns = _norm(opt), _norm(ops)
     rhs = max(nt * nt, ns * ns)
     eff = _eq_eff(eq_tol, rhs)
     equal = abs(rhs - lhs) <= eff
 
-    sum_norm = _sig(bt + bs)
+    sum_norm = _sig(opt.compress() + ops.compress())
     two_max = 2.0 * max(nt, ns)
     cond_sum = abs(two_max - sum_norm) <= _eq_eff(eq_tol, two_max)
     degenerate = nt + ns <= eq_tol
@@ -422,7 +421,7 @@ def check_real_part_bounds(space: SemiHilbertSpace, t,
                    [("max(norm_A(T-T#),norm_A(T+T#))/2", 0.5 * max(dm, dp)),
                     ("w_A(T)", _radius_of(op)[0]),
                     ("sqrt(norm_A(T-T#)^2+norm_A(T+T#)^2)/2",
-                     0.5 * math.sqrt(dm * dm + dp * dp))],
+                     0.5 * math.hypot(dm, dp))],
                    check_tol, _digest(space, op.t))
 
 
@@ -509,10 +508,8 @@ def check_reverse_power(space: SemiHilbertSpace, t,
 
 def _ascent_bilinear(bt: np.ndarray, bs: np.ndarray, starts: int, seed: int,
                      max_iter: int = 150) -> tuple[float, np.ndarray]:
-    """Multi-start projected-gradient ascent of Re(conj(<Bt u, u>) <Bs u, u>)
-    over the unit sphere.  A heuristic lower estimate: every iterate is an
-    explicit unit vector.  All starts advance together and keep the serial
-    rule's iterates (``linalg._multistart_ascent``)."""
+    """Multi-start ascent of Re(conj(<Bt u, u>) <Bs u, u>) over unit u
+    (``linalg._multistart_ascent``), a heuristic lower estimate at a unit u."""
     # d/dz_t of Re(conj(z_t) z_s) is conj(z_s)/2, and symmetrically for z_s
     return _multistart_ascent((bt, bs), lambda z: (np.conj(z[:, 0]) * z[:, 1]).real,
                               lambda z: 0.5 * np.conj(z[:, ::-1]), starts, seed, max_iter,

@@ -1,13 +1,10 @@
 """Dense complex Hermitian linear algebra.
 
-Eigendecomposition and PSD validation of Hermitian matrices, and the
-batched multi-start ascent behind the heuristic searches.  Numerical rank
-decisions are always made relative to the largest eigenvalue through
-``DEFAULT_RANK_TOL``; matrix comparisons are relative Frobenius.
-
-The heavy lifting (eigenvalues, singular values) is delegated to LAPACK
-through numpy; this module adds the Hermitian/PSD validation and the
-rank-tolerance semantics the rest of the package relies on.
+Eigendecomposition (by LAPACK through numpy) and PSD validation of
+Hermitian matrices, and the batched multi-start ascent behind the heuristic
+searches.  Numerical rank decisions are always made relative to the largest
+eigenvalue through ``DEFAULT_RANK_TOL``; matrix comparisons are relative
+Frobenius.
 """
 
 from __future__ import annotations
@@ -20,8 +17,6 @@ from .errors import DimensionMismatch, NoConvergence, NotHermitian, NotPSD
 
 DEFAULT_RANK_TOL = 1e-10
 DEFAULT_HERMITICITY_TOL = 1e-10
-# the steps 2^-j, 2^-j > 1e-18, that _multistart_ascent scales by 1/scale2
-_HALVINGS = 0.5 ** np.arange(60)
 
 
 def as_matrix(m, *, square: bool = False) -> np.ndarray:
@@ -110,77 +105,80 @@ def _psd_eig(m) -> EigDecomposition:
     return dec
 
 
+# f on a great circle is Re sum_m c_m e^{-i m phi}, m = 0, 1, 2: _SAMPLES maps
+# (a + c, a - c, m) to the forms at phi_j = 2 pi j / 5, f there times _FIT is c
+_M, _PHI5, _GRID = np.arange(3), 2 * np.pi * np.arange(5) / 5, 2 * np.pi * np.arange(64) / 64
+_SAMPLES = 0.5 * np.stack((np.ones(5), np.cos(_PHI5), np.sin(_PHI5)), axis=1).astype(complex)
+_FIT, _GRID_EXP = np.exp(1j * np.outer(_PHI5, _M)) * [0.2, 0.4, 0.4], np.exp(-1j * np.outer(_M, _GRID))
+
+
+def _great_circle_max(f, a: np.ndarray, c: np.ndarray, m: np.ndarray, tol: float):
+    """Maximize f on the great circles cos(phi/2) u + sin(phi/2) q, q a unit
+    vector orthogonal to u, from the forms a = <B_k u, u>, c = <B_k q, q> and
+    m = <B_k u, q> + <B_k q, u>, rows (n, K) (docs/search.md).  Returns the
+    maximizer (Newton's unless the grid's is better by ``tol``) and its gain."""
+    coef = f((_SAMPLES @ np.stack((a + c, a - c, m), axis=1)).reshape(-1, a.shape[1]))
+    coef = coef.reshape(len(a), 5) @ _FIT
+    grid = (coef @ _GRID_EXP).real
+    phi = start = _GRID[grid.argmax(axis=1)]
+    for _ in range(3):  # with t the terms at phi, f' = t.imag @ _M and -f'' = t.real @ _M^2
+        t = coef * np.exp(np.multiply.outer(phi, -1j * _M))
+        d2 = t.real @ _M ** 2
+        phi = phi + np.divide(t.imag @ _M, d2, out=np.zeros_like(phi), where=d2 > 0)
+    top, newton = grid.max(axis=1), (coef * np.exp(np.multiply.outer(phi, -1j * _M))).real.sum(1)
+    return np.where(newton >= top - tol, phi, start), np.maximum(newton, top) - grid[:, 0]
+
+
 def _multistart_ascent(mats, f, dfdz, starts: int, seed: int, max_iter: int,
                        scale2: float) -> tuple[float, np.ndarray | None]:
-    """Projected-gradient ascent over unit u in C^r of a real function f of
-    the forms z_k = <B_k u, u> (``mats``).  ``f`` and ``dfdz`` map forms (m, K)
-    to values (m,) and to df/dz_k, and the direction is sum_k df/dz_k B_k u +
-    conj(df/dz_k) B_k* u.  All starts move together, each on the serial rule's
-    iterates up to rounding: start i is the i-th draw of standard_normal(r) +
-    1j * standard_normal(r); it stops once its projected direction p has norm
-    at most 1e-13 * scale2, else takes the first step s = 2^-j / scale2,
-    j < 60, that passes the Armijo test with constant 1e-4, and stops when
-    none does.  Along u + s p every form and the squared norm are quadratics
-    in s, so one call of ``f`` per iteration values every step, and s = 0,
-    in closed form (docs/search.md).  Returns the first best start's value
-    and vector, (0, empty) when r = 0.  Raises ValueError when starts < 1.
-    """
+    """Conjugate-direction ascent over unit u in C^r of a real f of the forms
+    z_k = <B_k u, u> (``mats``; ``f``, ``dfdz``: forms (m, K) to values (m,)
+    and df/dz_k) from the draws standard_normal(r) + 1j * standard_normal(r),
+    normalized, all moving to the maximum on a great circle per iteration
+    until a move gains at most 4 eps scale2 (docs/search.md).  Returns the
+    first best start's value and vector; ValueError when starts < 1."""
     if starts < 1:
         raise ValueError(f"need at least one start, got starts={starts}")
     k, r = len(mats), mats[0].shape[0]
-    # x @ right: rows x, B_k x, B_k* x; x @ ext: rows x, B_k x
-    ext = np.concatenate([np.eye(r)] + [b.T for b in mats], axis=1)
-    right = np.concatenate([ext] + [b.conj() for b in mats], axis=1)
-    steps = (1.0 / scale2) * _HALVINGS
-    armijo = 1e-4 * steps
-    # coefficients (c0, c1, c2) as [re, im] pairs times this give [re, im] of
-    # c0 + s c1 + s^2 c2 at s = 0 and at every step
-    powers = np.zeros((6, 2 * len(steps) + 2))
-    for a in range(3):
-        powers[2 * a, 0::2] = powers[2 * a + 1, 1::2] = np.append(0.0, steps) ** a
+    right = np.concatenate([b.T for b in mats] + [b.conj() for b in mats], axis=1)
+
+    def forms(x):  # x @ right holds the rows B_k x, then B_k* x
+        return np.einsum("ijr,ir->ij", (x @ right).reshape(len(x), 2 * k, r)[:, :k], x.conj())
+
     g = np.random.default_rng(seed).standard_normal((starts, 2, r))
     u = g[:, 0] + 1j * g[:, 1]
     u /= np.linalg.norm(u, axis=1, keepdims=True)
-    val = f(np.einsum("ijr,ir->ij", (u @ ext).reshape(starts, k + 1, r)[:, 1:], u.conj()))
-    if not r:  # no direction to move in
-        return float(val[0]), u[0]
-    # the live starts' iterates; a start's row goes back to u, val once it stops
-    live, ul, vl = np.arange(starts), u.copy(), val.copy()
-    pair = [0, *range(k + 1, 2 * k + 1)]  # rows of h: x, then B_k* x
-    for _ in range(max_iter):
-        h = (ul @ right).reshape(len(ul), 2 * k + 1, r)
-        ulc = ul.conj()
-        # coef[l, i] = (c0, c1, c2): form l of u_i + s p_i is c0 + s c1 + s^2 c2,
-        # where form 0 is the squared norm
-        coef = np.empty((k + 1, len(ul), 3), complex)
-        np.einsum("ijr,ir->ji", h[:, :k + 1], ulc, out=coef[:, :, 0])
-        c = dfdz(coef[1:, :, 0].T)
-        p = np.einsum("ij,ijr->ir", np.concatenate((c, c.conj()), axis=1), h[:, 1:])
-        p -= np.einsum("ir,ir->i", ulc, p)[:, None] * ul
-        pc = p.conj()
-        w = np.einsum("ijr,ir->ji", h, pc)
-        np.add(w[:k + 1], w[pair].conj(), out=coef[:, :, 1])
-        np.einsum("ijr,ir->ji", (p @ ext).reshape(len(p), k + 1, r), pc, out=coef[:, :, 2])
-        gn2 = coef[0, :, 2].real  # |p|^2
-        coef[0].imag = coef[0].real  # so the squared norm comes out as [re, re]
-        quad = (coef.view(np.float64).reshape(-1, 6) @ powers).reshape(k + 1, len(ul), -1)
-        den = quad[0]
-        forms = (quad[1:] / den).view(complex)
-        cval = f(forms.reshape(k, -1).T).reshape(len(ul), -1)
-        # against the value at s = 0 from the same formula: the value carried
-        # over from the last step can exceed it by rounding and stop a start
-        ok = cval[:, 1:] >= cval[:, :1] + gn2[:, None] * armijo
-        ok &= (gn2 > (1e-13 * scale2) ** 2)[:, None]  # else p is too small to move
-        j = ok.argmax(axis=1)
-        hit = ok.any(axis=1)
-        if not hit.all():
-            u[live[~hit]], val[live[~hit]] = ul[~hit], vl[~hit]
-            live, ul, vl, p, j, cval, den = (a[hit] for a in (live, ul, vl, p, j, cval, den))
-            if not live.size:
-                break
-        rows = np.arange(len(ul))
-        ul = (ul + steps[j][:, None] * p) / np.sqrt(den[rows, 2 * j + 2])[:, None]
-        vl = cval[rows, j + 1]
-    u[live], val[live] = ul, vl
+    tol = 4 * np.finfo(float).eps * scale2
+    live, ul, prev = np.arange(starts), u.copy(), (0 * u, 0 * u, np.ones(starts))  # g, d, |g|^2
+    # at r <= 1 every unit vector has the same forms: no direction to move in
+    for _ in range(max_iter if r > 1 else 0):
+        h, ulc = (ul @ right).reshape(len(ul), 2 * k, r), ul.conj()
+        a = np.einsum("ijr,ir->ij", h[:, :k], ulc)
+        c = dfdz(a)
+        g = np.einsum("ij,ijr->ir", np.concatenate((c, c.conj()), axis=1), h)
+        g -= np.einsum("ir,ir->i", ulc, g)[:, None] * ul
+        gg = np.einsum("ir,ir->i", g.conj(), g).real
+        gp, dp, ggp = prev  # Polak-Ribiere+, beta = 0 where d would not ascend
+        beta = np.maximum(gg - np.einsum("ir,ir->i", gp.conj(), g).real, 0.0) / ggp
+        beta *= gg + beta * np.einsum("ir,ir->i", dp.conj(), g).real > 0
+        d = g + beta[:, None] * dp
+        # projecting again transports dp; it also repeats g's, whose rounding
+        # is as large as g near a maximum and would tilt q off u
+        d -= np.einsum("ir,ir->i", ulc, d)[:, None] * ul
+        gn = np.linalg.norm(d, axis=1)
+        q = d / np.where(gn > 0, gn, 1.0)[:, None]
+        w = np.einsum("ijr,ir->ij", h, q.conj())
+        phi, gain = _great_circle_max(f, a, forms(q), w[:, :k] + w[:, k:].conj(), tol)
+        t = (phi * (gn > 0) / 2)[:, None]
+        ul = np.cos(t) * ul + np.sin(t) * q
+        ul /= np.linalg.norm(ul, axis=1, keepdims=True)
+        # the last move is taken too: its gain is too small to tell, but its
+        # angle is accurate, which takes |z| of Crawford to rounding
+        moves = (gain > tol) & (gn > 0)
+        u[live] = ul
+        live, ul, prev = live[moves], ul[moves], (g[moves], d[moves], gg[moves])
+        if not live.size:
+            break
+    val = f(forms(u))
     best = int(np.argmax(val))
     return float(val[best]), u[best]

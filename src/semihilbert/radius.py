@@ -301,8 +301,8 @@ def _crawford_core(b: np.ndarray):
     return _level_sup(b, 0)
 
 
-# B*, sigma_max(B), B @ B and the kernel runs on B and B @ B, kept on the bound
-# operator on first use: this module alone reads and fills its memo
+# B*, sigma_max(B), B @ B and the kernel runs on B, B @ B and S^# T, kept on
+# the bound operator on first use: this module alone reads and fills its memo
 
 def _adjoint(op: OperatorInSpace) -> np.ndarray:
     return op._cached("adjoint", lambda: dagger(op.compress()))
@@ -321,17 +321,21 @@ def _radius_of(op: OperatorInSpace, power: int = 1):
     return op._cached(("radius", power), lambda: _radius_seminorm_core(b))
 
 
+def _sharp_radius_of(opt: OperatorInSpace, ops: OperatorInSpace):
+    # kept on S under T's identity; the entry holds T, so the id names no other operator
+    return ops._cached(("sharp_radius", id(opt)),
+                       lambda: (opt, _radius_seminorm_core(_adjoint(ops) @ opt.compress())))[1]
+
+
 def _crawford_of(op: OperatorInSpace):
     return op._cached("crawford", lambda: _crawford_core(op.compress()))
 
 
 def crawford_minimize(b: np.ndarray, starts: int = 20, seed: int = 0,
                       max_iter: int = 150) -> tuple[float, np.ndarray]:
-    """Multi-start projected-gradient minimization of |<B u, u>| on the unit
-    sphere.  Every iterate is an explicit unit vector, so the result, taken
-    at the returned vector, is a certified upper bound for the Crawford
-    number of ``B``.  This is the ascent of -|<B u, u>|^2: all starts advance
-    together and keep the serial rule's iterates (``_multistart_ascent``)."""
+    """Multi-start minimization of |<B u, u>| over unit u, as the ascent of
+    -|<B u, u>|^2 (``_multistart_ascent``); taken at the returned unit vector,
+    the result is a certified upper bound for the Crawford number of ``B``."""
     _, u = _multistart_ascent((b,), lambda z: -np.abs(z[:, 0]) ** 2, lambda z: -np.conj(z),
                               starts, seed, max_iter, max(1.0, fro_norm(b)) ** 2)
     return abs(complex(np.vdot(u, b @ u))), u

@@ -19,7 +19,9 @@ one-sided rule of ``ascent_row_ok``.
 
 By default the files are computed into a temporary directory and the script
 prints the largest row drift of each against the committed one (and names
-any pair instance that differs); nothing under ``tests/data/`` changes.
+any pair instance that differs) and, for the ascent's lhs, how many rows
+rose, how many fell and the largest relative fall; nothing under
+``tests/data/`` changes.
 ``--write`` replaces the committed files.  A regeneration accepts every drift
 since the last one, so record each, with those numbers and its reason, in
 CHANGES.md.
@@ -244,6 +246,14 @@ def _print_drift(name: str, drifts) -> None:
     print(f"{name}: largest row drift {max(drifts, default=0.0):.3g}")
 
 
+def _print_ascent_drift(name: str, pairs) -> None:
+    """How an ascent lhs moved over (reference, new) pairs: the one-sided
+    rule lets it rise and lets it fall only by rounding."""
+    falls = [(ref - new) / abs(ref) if ref else math.inf for ref, new in pairs if new < ref]
+    print(f"{name}: lhs rose in {sum(new > ref for ref, new in pairs)} rows, "
+          f"fell in {len(falls)}, largest relative fall {max(falls, default=0.0):.3g}")
+
+
 def _committed_json(name: str):
     path = HERE / name
     return json.loads(path.read_text()) if path.exists() else None
@@ -263,6 +273,10 @@ def regenerate(root: pathlib.Path) -> int:
         if committed is not None:
             header, rows = read_csv(root / rel)
             _print_drift(rel, [row_drift(ref, new, header) for ref, new in zip(committed, rows)])
+            if name in ASCENT_CHECKS:
+                col = header.index("lhs")
+                _print_ascent_drift(rel, [(float(ref[col]), float(new[col]))
+                                          for ref, new in zip(committed, rows)])
     (root / CHECK_PAIRS).mkdir(exist_ok=True)
     outputs = {}
     for index in range(len(CHECK_PAIR_KINDS)):
@@ -280,6 +294,11 @@ def regenerate(root: pathlib.Path) -> int:
             values_drift(numbers(ref), numbers(new))
             for label in outputs.keys() & committed.keys()
             for ref, new in check_rows(committed[label]["output"], outputs[label]["output"])])
+        for name in ASCENT_CHECKS:
+            _print_ascent_drift(f"{CHECK_PAIR_OUTPUTS} {name}", [
+                (ref["lhs"], new["lhs"]) for label in outputs.keys() & committed.keys()
+                for ref, new in check_rows(committed[label]["output"], outputs[label]["output"])
+                if ref.get("name") == name and "lhs" in ref])
     (root / CHECK_PAIR_OUTPUTS).write_text(json.dumps(outputs, indent=1, sort_keys=True) + "\n")
     examples = paper_examples()
     committed = _committed_json(PAPER_EXAMPLES)

@@ -318,6 +318,15 @@ def test_real_part_and_square_bounds_worked(worked):
         assert chain_values(report)[1] == pytest.approx(2.0, abs=1e-8)
 
 
+def test_real_part_upper_bound_does_not_underflow():
+    """On A = I, T = 1e-200 [[1, 1], [0, 1]] the squares of the two seminorms
+    underflow; the upper value must still be 1e-200 times the one at T."""
+    space, t = make_space(np.eye(2)), np.array([[1.0, 1.0], [0.0, 1.0]])
+    upper = chain_values(check_real_part_bounds(space, 1e-200 * t))[2]
+    assert upper == pytest.approx(1e-200 * chain_values(check_real_part_bounds(space, t))[2],
+                                  rel=1e-14, abs=0.0)
+
+
 def test_fourth_power_bounds_worked(worked):
     space, t = worked
     report = check_fourth_power_bounds(space, t)
