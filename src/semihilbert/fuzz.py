@@ -197,12 +197,6 @@ class CheckSpec:
     def kind(self) -> str:
         return "chain" if self.flags == _HOLDS else "diagnostic"
 
-    def evaluate(self, space, operators, check_tol: float = ineq.CHECK_TOL,
-                 eq_tol: float = ineq.EQ_TOL, **kwargs):
-        """``fn`` on the operators, with the tolerance its kind takes."""
-        tol = {"check_tol": check_tol} if self.kind == "chain" else {"eq_tol": eq_tol}
-        return self.fn(space, *operators, **tol, **kwargs)
-
     def verdict(self, result, must: tuple[str, ...] = ()) -> bool:
         """Whether every declared flag, and every flag in ``must``, is true."""
         if isinstance(result, ineq.InequalityReport):
@@ -312,13 +306,12 @@ class CampaignConfig:
     dims: tuple[int, ...] = DEFAULT_DIMS
     trials: int = 200
     checks: tuple[str, ...] = CHECK_ORDER
-    check_tol: float = ineq.CHECK_TOL
-    eq_tol: float = ineq.EQ_TOL
 
     def to_dict(self) -> dict:
+        # the fixed tolerances are recorded with the run, not configured by it
         return {"seed": self.seed, "dims": list(self.dims), "trials": self.trials,
-                "checks": list(self.checks), "check_tol": self.check_tol,
-                "eq_tol": self.eq_tol}
+                "checks": list(self.checks), "check_tol": ineq.CHECK_TOL,
+                "eq_tol": ineq.EQ_TOL}
 
 
 @dataclass(frozen=True)
@@ -344,9 +337,7 @@ class CampaignReport:
 
 
 def run_single_trial(name: str, seed: int, trial: int,
-                     dims: tuple[int, ...] = DEFAULT_DIMS,
-                     check_tol: float = ineq.CHECK_TOL,
-                     eq_tol: float = ineq.EQ_TOL):
+                     dims: tuple[int, ...] = DEFAULT_DIMS):
     """One reproducible trial of the named check.
 
     Returns (ok, slack, payload, meta).  payload is the full report or
@@ -366,7 +357,7 @@ def run_single_trial(name: str, seed: int, trial: int,
     operators, kwargs, must = spec.draw(space, rng)
     # a draw (t, t) repeats one matrix: bound once, both share its quantities
     bound = {key: space.bind(m) for key, m in {id(m): m for m in operators}.items()}
-    result = spec.evaluate(space, [bound[id(m)] for m in operators], check_tol, eq_tol, **kwargs)
+    result = spec.fn(space, *(bound[id(m)] for m in operators), **kwargs)
     return spec.verdict(result, must), _slack(result), result.to_dict(), {"dim": dim, "rank": rank}
 
 
@@ -386,8 +377,7 @@ def run_campaign(config: CampaignConfig = CampaignConfig()) -> CampaignReport:
         slacks = np.empty(config.trials, dtype=np.float64)
         violations = []
         for trial in range(config.trials):
-            ok, slack, payload, meta = run_single_trial(
-                name, config.seed, trial, config.dims, config.check_tol, config.eq_tol)
+            ok, slack, payload, meta = run_single_trial(name, config.seed, trial, config.dims)
             slacks[trial] = slack
             if not ok:
                 violations.append({"trial": trial, **meta, "detail": payload})

@@ -7,9 +7,9 @@ range compression of the operators; sums, products and adjoints commute
 with compression, so e.g. the seminorm of T^# T + S^# S is the largest
 singular value of Bt* Bt + Bs* Bs where Bt, Bs are the compressions.
 
-Chain tolerances are absolute plus relative: a chain holds when every
-consecutive slack is at least -(check_tol * (1 + max chain value)).
-Equality diagnostics compare |rhs - lhs| against eq_tol * max(1, |rhs|).
+The tolerances are fixed: a chain holds when every consecutive slack is at
+least -(CHECK_TOL * (1 + max |chain value|)), read in ``_report``; an equality
+diagnostic compares |rhs - lhs| with EQ_TOL * max(1, |rhs|), read in ``_eq_eff``.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, PreconditionNotMet
-from .linalg import _multistart_ascent, _square_safe, as_matrix, fro_norm, spectral_norm
+from .linalg import _multistart_ascent, as_matrix, fro_norm, pow2_split, spectral_norm
 from .radius import (_adjoint, _crawford_core, _norm, _radius_of, _radius_seminorm_core,
                      _sharp_radius_of, _square, sup_sweep, support_max)
 from .semispace import OperatorInSpace, SemiHilbertSpace
@@ -107,11 +107,10 @@ def _as_op(space: SemiHilbertSpace, t) -> OperatorInSpace:
     return space.bind(t)
 
 
-def _report(name: str, labeled: list[tuple[str, float]], check_tol: float,
-            digest: dict) -> InequalityReport:
+def _report(name: str, labeled: list[tuple[str, float]], digest: dict) -> InequalityReport:
     values = [v for _, v in labeled]
     slacks = tuple(values[i + 1] - values[i] for i in range(len(values) - 1))
-    eff = check_tol * (1.0 + max((abs(v) for v in values), default=0.0))
+    eff = CHECK_TOL * (1.0 + max((abs(v) for v in values), default=0.0))
     holds = all(s >= -eff for s in slacks)
     return InequalityReport(name=name, chain=tuple(labeled), slacks=slacks,
                             holds=holds, check_tol=eff, inputs_digest=digest)
@@ -179,13 +178,12 @@ def adaptive_simpson(f, a: float, b: float, tol: float = QUAD_TOL,
 def _sig_stack(m: np.ndarray) -> np.ndarray:
     """Largest singular value of each matrix of a stack, as the square root
     of the top eigenvalue of its Gram matrix: one batched ``eigvalsh``, on
-    the stack scaled by a power of two into the square-safe range."""
+    the stack normalized by a power of two (``pow2_split``)."""
     if m.shape[-1] == 0:
         return np.zeros(m.shape[:-2])
-    s = _square_safe(m)
-    m = m * s if s != 1.0 else m
+    e, m = pow2_split(m)
     gram = np.conj(np.swapaxes(m, -1, -2)) @ m
-    return np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[..., -1], 0.0)) / s
+    return np.ldexp(np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[..., -1], 0.0)), e)
 
 
 def _sig_path(x: np.ndarray, y: np.ndarray, taus: np.ndarray) -> np.ndarray:
@@ -208,26 +206,24 @@ def _fixed_path_integrals(b: np.ndarray, bs: np.ndarray, thetas: np.ndarray) -> 
     """The fixed rule's integral of norm(t e^{i theta} B + (1-t) B*) over [0, 1]
     for every theta of an array, from one stack."""
     ph = np.exp(1j * thetas)
-    stack = (ph[:, None, None, None] * _FOLD_NODES[None, :, None, None] * b
-             + (1.0 - _FOLD_NODES)[None, :, None, None] * bs)
-    return _sig_stack(stack) @ _FOLD_WEIGHTS
+    # no name holds the stack, so _sig_stack frees it once it is normalized
+    return _sig_stack(ph[:, None, None, None] * _FOLD_NODES[None, :, None, None] * b
+                      + (1.0 - _FOLD_NODES)[None, :, None, None] * bs) @ _FOLD_WEIGHTS
 
 
 # -- the checks ---------------------------------------------------------------
 
-def check_halfnorm_bounds(space: SemiHilbertSpace, t,
-                          check_tol: float = CHECK_TOL) -> InequalityReport:
+def check_halfnorm_bounds(space: SemiHilbertSpace, t) -> InequalityReport:
     """norm_A(T)/2 <= w_A(T) <= norm_A(T)."""
     op = _as_op(space, t)
     nt = _norm(op)
     return _report("halfnorm_bounds",
                    [("0.5*norm_A(T)", 0.5 * nt), ("w_A(T)", _radius_of(op)[0]),
                     ("norm_A(T)", nt)],
-                   check_tol, _digest(space, op.t))
+                   _digest(space, op.t))
 
 
-def check_hh_triangle(space: SemiHilbertSpace, t, s,
-                      check_tol: float = CHECK_TOL) -> InequalityReport:
+def check_hh_triangle(space: SemiHilbertSpace, t, s) -> InequalityReport:
     """Averaged refinement of the triangle inequality:
     norm_A(T+S) <= 2 * integral_0^1 norm_A(t T + (1-t) S) dt <= norm_A(T) + norm_A(S)."""
     opt, ops = _as_op(space, t), _as_op(space, s)
@@ -237,11 +233,10 @@ def check_hh_triangle(space: SemiHilbertSpace, t, s,
                    [("norm_A(T+S)", _sig(bt + bs)),
                     ("2*int_0^1 norm_A(tT+(1-t)S) dt", 2.0 * integral),
                     ("norm_A(T)+norm_A(S)", _norm(opt) + _norm(ops))],
-                   check_tol, _digest(space, opt.t, ops.t))
+                   _digest(space, opt.t, ops.t))
 
 
-def check_integral_radius_bound(space: SemiHilbertSpace, t,
-                                check_tol: float = CHECK_TOL) -> InequalityReport:
+def check_integral_radius_bound(space: SemiHilbertSpace, t) -> InequalityReport:
     """w_A(T) <= sup_theta integral_0^1 norm_A(t e^{i theta} T + (1-t) T^#) dt <= norm_A(T).
 
     The middle supremum is located on a coarse angle grid with a fixed
@@ -257,7 +252,7 @@ def check_integral_radius_bound(space: SemiHilbertSpace, t,
     if bt.size == 0:
         return _report("integral_radius_bound",
                        [("w_A(T)", 0.0), ("sup_theta int norm_A", 0.0), ("norm_A(T)", 0.0)],
-                       check_tol, digest)
+                       digest)
     bs = _adjoint(op)
     w_val, w_theta, _ = _radius_of(op)
 
@@ -280,15 +275,14 @@ def check_integral_radius_bound(space: SemiHilbertSpace, t,
 
     return _report("integral_radius_bound",
                    [("w_A(T)", w_val), ("sup_theta int norm_A", mid), ("norm_A(T)", _norm(op))],
-                   check_tol, digest)
+                   digest)
 
 
-def _eq_eff(eq_tol: float, rhs: float) -> float:
-    return eq_tol * max(1.0, abs(rhs))
+def _eq_eff(rhs: float) -> float:
+    return EQ_TOL * max(1.0, abs(rhs))
 
 
-def triangle_equality_diagnostic(space: SemiHilbertSpace, t, s,
-                                 eq_tol: float = EQ_TOL) -> EqualityDiagnostic:
+def triangle_equality_diagnostic(space: SemiHilbertSpace, t, s) -> EqualityDiagnostic:
     """norm_A(T+S) = norm_A(T) + norm_A(S) holds exactly when the largest
     attainable Re <T x, S x>_A over A-unit x reaches norm_A(T) * norm_A(S);
     that maximum is the top eigenvalue of the Hermitian part of Bs* Bt."""
@@ -297,10 +291,10 @@ def triangle_equality_diagnostic(space: SemiHilbertSpace, t, s,
     lhs, u = support_max(_adjoint(ops) @ bt, 0.0)
     nt, ns = _norm(opt), _norm(ops)
     rhs = nt * ns
-    eff = _eq_eff(eq_tol, rhs)
+    eff = _eq_eff(rhs)
     equal = abs(rhs - lhs) <= eff
     tri_gap = (nt + ns) - _sig(bt + bs)
-    tri_eff = _eq_eff(eq_tol, nt + ns)
+    tri_eff = _eq_eff(nt + ns)
     # the two gaps vanish together; flag decisive disagreement only
     consistent = not ((equal and tri_gap > 1e3 * tri_eff)
                       or (tri_gap <= tri_eff and abs(rhs - lhs) > 1e3 * eff))
@@ -310,15 +304,14 @@ def triangle_equality_diagnostic(space: SemiHilbertSpace, t, s,
                               extras={"triangle_gap": tri_gap, "consistent": consistent})
 
 
-def check_positive_product_equality(space: SemiHilbertSpace, t, s,
-                                    eq_tol: float = EQ_TOL) -> EqualityDiagnostic:
+def check_positive_product_equality(space: SemiHilbertSpace, t, s) -> EqualityDiagnostic:
     """For S^# T A-positive: norm_A(S^# T) = norm_A(S) norm_A(T) iff the
     triangle equality holds for the pair; both are evaluated and compared."""
     opt, ops = _as_op(space, t), _as_op(space, s)
     product = space.bind(ops.sharp() @ opt.t)
     if not product.is_a_positive():
         raise PreconditionNotMet("S^# T is not A-positive")
-    tri = triangle_equality_diagnostic(space, opt, ops, eq_tol)
+    tri = triangle_equality_diagnostic(space, opt, ops)
     # the same rhs norm_A(T) norm_A(S) and tolerance as the triangle equality
     lhs, rhs, eff = _sig(_adjoint(ops) @ opt.compress()), tri.rhs, tri.eq_tol
     equal = abs(rhs - lhs) <= eff
@@ -333,8 +326,7 @@ def check_positive_product_equality(space: SemiHilbertSpace, t, s,
                                       "agrees_with_triangle": agrees})
 
 
-def check_adjoint_sum_bound(space: SemiHilbertSpace, t, s,
-                            check_tol: float = CHECK_TOL) -> InequalityReport:
+def check_adjoint_sum_bound(space: SemiHilbertSpace, t, s) -> InequalityReport:
     """norm_A(T+S) <= sqrt(norm_A(T^#T + S^#S) + 2 w_A(S^#T)) <= norm_A(T)+norm_A(S)."""
     opt, ops = _as_op(space, t), _as_op(space, s)
     bt, bs = opt.compress(), ops.compress()
@@ -344,11 +336,10 @@ def check_adjoint_sum_bound(space: SemiHilbertSpace, t, s,
                    [("norm_A(T+S)", _sig(bt + bs)),
                     ("sqrt(norm_A(T#T+S#S)+2w_A(S#T))", mid),
                     ("norm_A(T)+norm_A(S)", _norm(opt) + _norm(ops))],
-                   check_tol, _digest(space, opt.t, ops.t))
+                   _digest(space, opt.t, ops.t))
 
 
-def max_equality_diagnostic(space: SemiHilbertSpace, t, s,
-                            eq_tol: float = EQ_TOL) -> EqualityDiagnostic:
+def max_equality_diagnostic(space: SemiHilbertSpace, t, s) -> EqualityDiagnostic:
     """Compares w_A(S^# T) with max(norm_A(T)^2, norm_A(S)^2) and, separately,
     norm_A(T+S) with 2 max(norm_A(T), norm_A(S)).
 
@@ -360,13 +351,13 @@ def max_equality_diagnostic(space: SemiHilbertSpace, t, s,
     lhs, _, u = _sharp_radius_of(opt, ops)
     nt, ns = _norm(opt), _norm(ops)
     rhs = max(nt * nt, ns * ns)
-    eff = _eq_eff(eq_tol, rhs)
+    eff = _eq_eff(rhs)
     equal = abs(rhs - lhs) <= eff
 
     sum_norm = _sig(opt.compress() + ops.compress())
     two_max = 2.0 * max(nt, ns)
-    cond_sum = abs(two_max - sum_norm) <= _eq_eff(eq_tol, two_max)
-    degenerate = nt + ns <= eq_tol
+    cond_sum = abs(two_max - sum_norm) <= _eq_eff(two_max)
+    degenerate = nt + ns <= EQ_TOL
     return EqualityDiagnostic(
         name="max_equality", lhs=lhs, rhs=rhs, gap=rhs - lhs,
         witness=space.lift_vector(u), equal=equal, eq_tol=eff,
@@ -378,8 +369,7 @@ def max_equality_diagnostic(space: SemiHilbertSpace, t, s,
                 "asymmetric": equal and not cond_sum and not degenerate})
 
 
-def pythagoras_diagnostic(space: SemiHilbertSpace, t, s,
-                          eq_tol: float = EQ_TOL) -> EqualityDiagnostic:
+def pythagoras_diagnostic(space: SemiHilbertSpace, t, s) -> EqualityDiagnostic:
     """For S^# T = 0: norm_A(T+S)^2 = norm_A(T)^2 + norm_A(S)^2 exactly when
     T^# T and S^# S share a maximizing direction; evaluated through the same
     Hermitian-part mechanism applied to the pair (T^# T, S^# S)."""
@@ -392,14 +382,14 @@ def pythagoras_diagnostic(space: SemiHilbertSpace, t, s,
     tq, sq = _adjoint(opt) @ bt, _adjoint(ops) @ bs
     lhs, u = support_max(sq @ tq, 0.0)
     rhs = nt * nt * ns * ns
-    eff = _eq_eff(eq_tol, rhs)
+    eff = _eq_eff(rhs)
     equal = abs(rhs - lhs) <= eff
 
     sum_sq = _sig(bt + bs) ** 2
     norm_plus = _sig(tq + sq)
-    intermediate_ok = abs(sum_sq - norm_plus) <= _eq_eff(1e-8, norm_plus)
+    intermediate_ok = abs(sum_sq - norm_plus) <= 1e-8 * max(1.0, norm_plus)
     pyth_gap = (nt * nt + ns * ns) - sum_sq
-    pyth_eff = _eq_eff(eq_tol, nt * nt + ns * ns)
+    pyth_eff = _eq_eff(nt * nt + ns * ns)
     consistent = not ((equal and pyth_gap > 1e3 * pyth_eff)
                       or (pyth_gap <= pyth_eff and abs(rhs - lhs) > 1e3 * eff))
     return EqualityDiagnostic(
@@ -410,8 +400,7 @@ def pythagoras_diagnostic(space: SemiHilbertSpace, t, s,
                 "pythagoras_gap": pyth_gap, "consistent": consistent})
 
 
-def check_real_part_bounds(space: SemiHilbertSpace, t,
-                           check_tol: float = CHECK_TOL) -> InequalityReport:
+def check_real_part_bounds(space: SemiHilbertSpace, t) -> InequalityReport:
     """max(norm_A(T-T#), norm_A(T+T#))/2 <= w_A(T)
     <= sqrt(norm_A(T-T#)^2 + norm_A(T+T#)^2)/2."""
     op = _as_op(space, t)
@@ -422,11 +411,10 @@ def check_real_part_bounds(space: SemiHilbertSpace, t,
                     ("w_A(T)", _radius_of(op)[0]),
                     ("sqrt(norm_A(T-T#)^2+norm_A(T+T#)^2)/2",
                      0.5 * math.hypot(dm, dp))],
-                   check_tol, _digest(space, op.t))
+                   _digest(space, op.t))
 
 
-def check_square_bounds(space: SemiHilbertSpace, t,
-                        check_tol: float = CHECK_TOL) -> InequalityReport:
+def check_square_bounds(space: SemiHilbertSpace, t) -> InequalityReport:
     """max(norm_A(T^2-(T#)^2), norm_A(T^2+(T#)^2))^(1/2)/2 <= w_A(T)
     <= sqrt(2)/2 * (norm_A(T)^2 + w_A(T^2))^(1/2)."""
     op = _as_op(space, t)
@@ -437,7 +425,7 @@ def check_square_bounds(space: SemiHilbertSpace, t,
                    [("max-diff-sum-squares^(1/2)/2", 0.5 * math.sqrt(max(m2, p2))),
                     ("w_A(T)", _radius_of(op)[0]),
                     ("sqrt(2)/2*(norm_A(T)^2+w_A(T^2))^(1/2)", upper)],
-                   check_tol, _digest(space, op.t))
+                   _digest(space, op.t))
 
 
 def verify_square_identity(x, y) -> float:
@@ -456,8 +444,7 @@ def verify_square_identity(x, y) -> float:
     return fro_norm(lhs - rhs)
 
 
-def check_fourth_power_bounds(space: SemiHilbertSpace, t,
-                              check_tol: float = CHECK_TOL) -> InequalityReport:
+def check_fourth_power_bounds(space: SemiHilbertSpace, t) -> InequalityReport:
     """norm_A(TT#+T#T)^2/16 + c_A((T^2+(T#)^2)^2)/16 <= w_A(T)^4
     <= norm_A(TT#+T#T)^2/8 + w_A(T^2)^2/2."""
     op = _as_op(space, t)
@@ -472,22 +459,20 @@ def check_fourth_power_bounds(space: SemiHilbertSpace, t,
                     ("w_A(T)^4", wt ** 4),
                     ("norm_A(TT#+T#T)^2/8+w_A(T^2)^2/2",
                      anti * anti / 8.0 + wt2 * wt2 / 2.0)],
-                   check_tol, _digest(space, op.t))
+                   _digest(space, op.t))
 
 
-def check_power_inequality(space: SemiHilbertSpace, t,
-                           check_tol: float = CHECK_TOL) -> InequalityReport:
+def check_power_inequality(space: SemiHilbertSpace, t) -> InequalityReport:
     """w_A(T^2) <= w_A(T)^2 <= norm_A(T)^2 <= 4 w_A(T)^2."""
     op = _as_op(space, t)
     wt = _radius_of(op)[0]
     return _report("power_inequality",
                    [("w_A(T^2)", _radius_of(op, 2)[0]), ("w_A(T)^2", wt * wt),
                     ("norm_A(T)^2", _norm(op) ** 2), ("4*w_A(T)^2", 4.0 * wt * wt)],
-                   check_tol, _digest(space, op.t))
+                   _digest(space, op.t))
 
 
-def check_reverse_power(space: SemiHilbertSpace, t,
-                        check_tol: float = CHECK_TOL) -> InequalityReport:
+def check_reverse_power(space: SemiHilbertSpace, t) -> InequalityReport:
     """2 w_A(T)^2 <= norm_A(TT#+T#T) <= 2 w_A(T^2) + min(norm_A(T-T#), norm_A(T+T#))^2.
 
     Halving the endpoints recovers the reverse power bound
@@ -503,7 +488,7 @@ def check_reverse_power(space: SemiHilbertSpace, t,
                     ("norm_A(TT#+T#T)", _sig(bt @ bsh + bsh @ bt)),
                     ("2*w_A(T^2)+min(norm_A(T-T#),norm_A(T+T#))^2",
                      2.0 * _radius_of(op, 2)[0] + minterm)],
-                   check_tol, _digest(space, op.t))
+                   _digest(space, op.t))
 
 
 def _ascent_bilinear(bt: np.ndarray, bs: np.ndarray, starts: int, seed: int,
@@ -516,8 +501,7 @@ def _ascent_bilinear(bt: np.ndarray, bs: np.ndarray, starts: int, seed: int,
                               max(1.0, fro_norm(bt) * fro_norm(bs)))
 
 
-def radius_additivity_diagnostic(space: SemiHilbertSpace, t, s,
-                                 eq_tol: float = EQ_TOL, starts: int = 32,
+def radius_additivity_diagnostic(space: SemiHilbertSpace, t, s, starts: int = 32,
                                  seed: int = 0, max_iter: int = 150) -> EqualityDiagnostic:
     """w_A(T+S) = w_A(T) + w_A(S) is characterized by unit directions where
     the two field-of-values points align with full modulus: the diagnostic
@@ -533,9 +517,9 @@ def radius_additivity_diagnostic(space: SemiHilbertSpace, t, s,
     lhs, u = _ascent_bilinear(bt, bs, starts, seed, max_iter)
     wt, ws = _radius_of(opt)[0], _radius_of(ops)[0]
     rhs = wt * ws
-    eff = _eq_eff(eq_tol, rhs)
+    eff = _eq_eff(rhs)
     w_sum = _radius_seminorm_core(bt + bs)[0]
-    equal = abs(w_sum - (wt + ws)) <= _eq_eff(eq_tol, wt + ws)
+    equal = abs(w_sum - (wt + ws)) <= _eq_eff(wt + ws)
     return EqualityDiagnostic(
         name="radius_additivity", lhs=lhs, rhs=rhs, gap=rhs - lhs,
         witness=space.lift_vector(u), equal=equal, eq_tol=eff,
@@ -544,8 +528,7 @@ def radius_additivity_diagnostic(space: SemiHilbertSpace, t, s,
                 "ascent_within_bound": lhs <= rhs + eff})
 
 
-def squares_radius_equality(space: SemiHilbertSpace, t, s,
-                            eq_tol: float = EQ_TOL, starts: int = 32,
+def squares_radius_equality(space: SemiHilbertSpace, t, s, starts: int = 32,
                             seed: int = 0, max_iter: int = 150) -> EqualityDiagnostic:
     """w_A(T^2+S^2) = 2 max(w_A(T)^2, w_A(S)^2) with the aligned-direction
     characterization on the squares; also reports the chain
@@ -555,10 +538,10 @@ def squares_radius_equality(space: SemiHilbertSpace, t, s,
     lhs, u = _ascent_bilinear(bt2, bs2, starts, seed, max_iter)
     wt, ws = _radius_of(opt)[0], _radius_of(ops)[0]
     rhs = max(wt ** 4, ws ** 4)
-    eff = _eq_eff(eq_tol, rhs)
+    eff = _eq_eff(rhs)
     chain_lhs = _radius_seminorm_core(bt2 + bs2)[0]
     chain_rhs = 2.0 * max(wt * wt, ws * ws)
-    equal = abs(chain_lhs - chain_rhs) <= _eq_eff(eq_tol, chain_rhs)
+    equal = abs(chain_lhs - chain_rhs) <= _eq_eff(chain_rhs)
     return EqualityDiagnostic(
         name="squares_radius_equality", lhs=lhs, rhs=rhs, gap=rhs - lhs,
         witness=space.lift_vector(u), equal=equal, eq_tol=eff,

@@ -9,6 +9,7 @@ Frobenius.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,16 +37,19 @@ def dagger(m: np.ndarray) -> np.ndarray:
     return m.conj().T
 
 
-def _square_safe(m: np.ndarray) -> float:
-    """A power of two s such that the entries of s * m square without overflow
-    or underflow: 1 unless the largest |entry| lies outside [2^-500, 2^500]."""
-    big = float(np.abs(m).max(initial=0.0))
-    return 2.0 ** -600 if big > 2.0 ** 500 else 2.0 ** 600 if 0.0 < big < 2.0 ** -500 else 1.0
+def pow2_split(m: np.ndarray) -> tuple[int, np.ndarray]:
+    """(e, m * 2^-e) with the largest |entry| of m * 2^-e in [1/2, 1), or
+    (0, m) for a zero matrix.  Scaling by a power of two is exact wherever
+    the result is normal."""
+    e = math.frexp(float(np.abs(m).max(initial=0.0)))[1]
+    if e < -1023:  # 2^-e is past the float range: two factors, each a float
+        return e, m * 2.0 ** 600 * 2.0 ** (-e - 600)
+    return e, m * 2.0 ** -e
 
 
 def fro_norm(m: np.ndarray) -> float:
-    s = _square_safe(m)
-    return float(np.linalg.norm(m * s if s != 1.0 else m)) / s
+    e, m = pow2_split(m)
+    return float(np.ldexp(np.linalg.norm(m), e))  # inf past the float range, as numpy's
 
 
 def spectral_norm(m: np.ndarray) -> float:

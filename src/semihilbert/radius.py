@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch
-from .linalg import _multistart_ascent, dagger, fro_norm, spectral_norm
+from .linalg import _multistart_ascent, dagger, fro_norm, pow2_split, spectral_norm
 from .semispace import OperatorInSpace
 
 COARSE_POINTS = 720
@@ -235,13 +235,15 @@ def _level_sup(b: np.ndarray, sel: int):
     which bounds the supremum by best + delta.  Each evaluation at theta
     also gives theta + pi, since H(theta + pi) = -H(theta).  When no level
     bounds the supremum, because the crossings cannot be computed or the
-    level cap is reached, the dense grid (``_grid_sup``) takes over.
+    level cap is reached, the dense grid (``_grid_sup``) takes over.  All of
+    it runs on B normalized by ``pow2_split``: exactly homogeneous under 2^k.
     """
     if len(b) <= 1:  # H(theta) = |b| cos(theta + arg b); at r = 0, 0 at angle 0
         z = complex(b[0, 0]) if b.size else 0j
         return abs(z), -math.atan2(z.imag, z.real) % _TWO_PI, np.ones(len(b), dtype=np.complex128)
+    e, b = pow2_split(b)
     bh = dagger(b)
-    scale = fro_norm(b)
+    scale = float(np.linalg.norm(b))  # b is normalized: fro_norm would not rescale it
     delta = REFINE_TOL * scale / 100.0
     thetas = np.arange(_START_ANGLES) * (math.pi / _START_ANGLES)
     lam = np.linalg.eigvalsh(_rotated_herm(b, thetas))
@@ -277,7 +279,7 @@ def _level_sup(b: np.ndarray, sel: int):
             best_theta = theta
     best_theta %= _TWO_PI
     ev, vecs = np.linalg.eigh(_rotated_herm(b, np.array([best_theta]))[0])
-    return float(ev[sel]), best_theta, vecs[:, sel]
+    return math.ldexp(float(ev[sel]), e), best_theta, vecs[:, sel]
 
 
 def _radius_seminorm_core(b: np.ndarray):

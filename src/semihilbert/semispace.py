@@ -260,13 +260,12 @@ class OperatorInSpace:
         return bool(lam.size == 0 or float(lam[0]) >= -DEFAULT_PREDICATE_TOL * scale)
 
 
-def a_operator_norm_sampled(op: OperatorInSpace, samples: int = 10 ** 5,
-                            seed: int = 0, polish_iters: int = 12) -> float:
+def a_operator_norm_sampled(op: OperatorInSpace, samples: int = 10 ** 5, seed: int = 0) -> float:
     """Definition-level lower-bound oracle for the operator seminorm.
 
     Evaluates |Tx|_A / |x|_A at ``samples`` random draws and returns the best
-    value found, after polishing the top candidates with the generalized
-    power iteration x <- pinv(A) T* A T x (normalized in the seminorm).
+    value found, after polishing the top candidates with 12 steps of the
+    generalized power iteration x <- pinv(A) T* A T x (normalized in the seminorm).
     Every candidate is an explicit vector, so each value is a certified
     lower bound; none of it touches the compression route.  Only meaningful
     for seminorm-bounded operators.
@@ -288,7 +287,7 @@ def a_operator_norm_sampled(op: OperatorInSpace, samples: int = 10 ** 5,
     ata = dagger(t) @ sp.a @ t
     for idx in order:
         xc = x[:, idx].copy()
-        for _ in range(polish_iters):
+        for _ in range(12):
             y = sp.a_pinv @ (ata @ xc)
             ny = float(np.linalg.norm(sp.a_half @ y))
             if ny <= 1e-14:

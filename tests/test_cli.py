@@ -152,8 +152,8 @@ def test_check_rejects_indefinite_weight(tmp_path, capsys):
 def test_check_violation_sets_exit_code(worked_pair, capsys, monkeypatch):
     spec = fuzz.CHECKS["halfnorm_bounds"]
 
-    def broken(space, t, check_tol):
-        return dataclasses.replace(spec.fn(space, t, check_tol=check_tol), holds=False)
+    def broken(space, t):
+        return dataclasses.replace(spec.fn(space, t), holds=False)
 
     monkeypatch.setitem(fuzz.CHECKS, "halfnorm_bounds", dataclasses.replace(spec, fn=broken))
     assert cli.main(["check", worked_pair]) == 2
@@ -163,8 +163,8 @@ def test_check_violation_sets_exit_code(worked_pair, capsys, monkeypatch):
 def test_check_inconsistent_diagnostic_sets_exit_code(worked_pair, capsys, monkeypatch):
     spec = fuzz.CHECKS["triangle_equality"]
 
-    def broken(space, t, s, eq_tol):
-        d = spec.fn(space, t, s, eq_tol=eq_tol)
+    def broken(space, t, s):
+        d = spec.fn(space, t, s)
         return dataclasses.replace(d, extras={**d.extras, "consistent": False})
 
     monkeypatch.setitem(fuzz.CHECKS, "triangle_equality", dataclasses.replace(spec, fn=broken))
@@ -174,25 +174,61 @@ def test_check_inconsistent_diagnostic_sets_exit_code(worked_pair, capsys, monke
     assert "consistent=no" in out
 
 
-def test_check_huge_entries_print_only_the_error(tmp_path, capsys):
-    # B^2 and B*B overflow, and numpy would warn about it, with source lines
+HUGE_VERDICTS = {"halfnorm_bounds": "HOLDS", "integral_radius_bound": "HOLDS",
+                 "real_part_bounds": "HOLDS", "square_bounds": "ERROR",
+                 "fourth_power_bounds": "ERROR", "power_inequality": "ERROR",
+                 "reverse_power": "ERROR"}
+
+
+def test_check_huge_entries_report_errors_per_check(tmp_path, capsys):
+    # B^2 and B*B overflow: the checks that evaluate still print, each of the
+    # others is an ERROR line, and numpy's overflow warnings stay silent
     path = write_instance(tmp_path, a=[[1, 0], [0, 1]], t=[[1e200, 1e200], [0, 1e200]])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert cli.main(["check", path]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "error: SVD did not converge\n"
+        text = capsys.readouterr()
+        assert cli.main(["check", path, "--json"]) == 1
+    assert text.err == ""
+    lines = text.out.splitlines()
+    assert {n: rest.split()[0] for n, rest in (x.split(": ", 1) for x in lines[1:])} \
+        == HUGE_VERDICTS
+    assert "square_bounds: ERROR  SVD did not converge" in lines
+    blob = json.loads(capsys.readouterr().out)
+    assert blob["status"] == 1
+    assert [c["name"] for c in blob["checks"]] == list(HUGE_VERDICTS)
+    assert {c["name"] for c in blob["checks"] if "error" in c} \
+        == {n for n, v in HUGE_VERDICTS.items() if v == "ERROR"}
+    assert all(c["holds"] for c in blob["checks"] if "error" not in c)
 
 
 @pytest.mark.parametrize("scale", ["1e150", "1e200", "1e308"])
 def test_check_huge_entries_are_an_error(tmp_path, capsys, scale):
-    # overflow in w**4, a non-converging SVD, or an eigensolve that overflows
+    # overflow in w**4 or a non-converging SVD is an error of that check; an
+    # eigensolve of A that overflows is an error of the whole command
     path = tmp_path / "huge.json"
     path.write_text('{"a": [[%s, 0], [0, %s]], "t": [[%s, %s], [0, 1]]}' % ((scale,) * 4))
     with np.errstate(all="ignore"):
         assert cli.main(["check", str(path)]) == 1
-    assert capsys.readouterr().err.startswith("error:")
+    captured = capsys.readouterr()
+    if scale == "1e308":
+        assert captured.err.startswith("error:")
+    else:
+        assert captured.err == "" and ": ERROR  " in captured.out
+
+
+def test_check_subnormal_operator_holds(tmp_path, capsys):
+    path = write_instance(tmp_path, a=(1e-3 * np.eye(3)).tolist(),
+                          t=np.full((3, 3), 2.225e-311).tolist())
+    assert cli.main(["check", path]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == "" and "w_A=6.675e-311" in captured.out
+
+
+@pytest.mark.parametrize("flag", ["--check-tol", "--eq-tol"])
+def test_check_tolerances_are_not_options(worked_pair, capsys, flag):
+    assert cli.main(["check", worked_pair, flag, "1e-3"]) == 1
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("name", fuzz.CHECK_ORDER)

@@ -137,7 +137,7 @@ def test_registry_draws_what_its_check_reads(name):
         space = make_space(gen_psd(rng, 3, 3))
         operators, kwargs, must = spec.draw(space, rng)
         assert len(operators) == spec.arity
-        result = spec.evaluate(space, operators, **kwargs)
+        result = spec.fn(space, *operators, **kwargs)
         flags = (result.to_dict() if spec.kind == "chain"
                  else {"equal": result.equal, **result.extras})
         assert set(spec.flags + must) <= set(flags)

@@ -5,10 +5,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from semihilbert import inequalities as ineq
 from semihilbert import radius
+from semihilbert.linalg import fro_norm
 from semihilbert.radius import (
     a_crawford,
     a_crawford_sampled,
@@ -137,6 +139,39 @@ def test_extreme_scales_keep_membership_norm_and_radius(k):
             want = fn(base)
             assert fn(op) == (want if math.isinf(want) else
                               pytest.approx(2.0 ** k * want, rel=1e-12, abs=0.0))
+
+
+_TINY = float(np.finfo(np.float64).tiny)
+
+
+def _normal(x) -> bool:
+    """Every entry of x is 0 or a finite normal float."""
+    x = np.abs(np.asarray(x).view(np.float64))
+    return bool(np.all(np.isfinite(x) & ((x == 0.0) | (x >= _TINY))))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 5), st.integers(-1000, 1000), st.integers(0, 2 ** 32 - 1))
+def test_kernel_and_sigma_are_exactly_homogeneous(r, k, seed):
+    """The kernel (both selectors), fro_norm and the batched sigma_max of
+    2^k M are 2^k times those of M, bit for bit, with the same angle and
+    vector, wherever the entries of M and 2^k M are normal floats."""
+    rng = np.random.default_rng(seed)
+    m = rng.standard_normal((3, r, r)) + 1j * rng.standard_normal((3, r, r))
+    m *= 10.0 ** rng.uniform(-30.0, 30.0, (3, 1, 1))
+    with np.errstate(over="ignore"):  # draws that overflow are assumed away
+        mk = m * 2.0 ** k
+        # and no norm of 2^k M overflows: each is at most 2 r max|entry|
+        assume(_normal(m) and _normal(mk) and _normal(2 * r * mk))
+    pairs = [(fro_norm(mk), fro_norm(m)), (ineq._sig_stack(mk), ineq._sig_stack(m))]
+    for sel in (-1, 0):
+        (vk, tk, uk), (v, t, u) = radius._level_sup(mk[0], sel), radius._level_sup(m[0], sel)
+        assert tk == t and np.array_equal(uk, u)
+        pairs.append((vk, v))
+    for got, base in pairs:
+        want = np.ldexp(base, k)
+        assume(_normal(base) and _normal(want))
+        assert np.array_equal(got, want)
 
 
 def test_routes_agree_on_random_instances():
