@@ -133,30 +133,42 @@ def _great_circle_max(f, a: np.ndarray, c: np.ndarray, m: np.ndarray, tol: float
     return np.where(newton >= top - tol, phi, start), np.maximum(newton, top) - grid[:, 0]
 
 
-def _multistart_ascent(mats, f, dfdz, starts: int, seed: int, max_iter: int,
-                       scale2: float) -> tuple[float, np.ndarray | None]:
+def _multistart_ascent(problems, f, dfdz, starts: int, seed: int,
+                       max_iter: int) -> list[tuple[float, np.ndarray]]:
     """Conjugate-direction ascent over unit u in C^r of a real f of the forms
-    z_k = <B_k u, u> (``mats``; ``f``, ``dfdz``: forms (m, K) to values (m,)
-    and df/dz_k) from the draws standard_normal(r) + 1j * standard_normal(r),
+    z_k = <B_k u, u> (``f``, ``dfdz``: forms (m, K) to values (m,) and
+    df/dz_k) for each problem (mats, scale2) of ``problems``, all with the
+    same K and r, from the draws standard_normal(r) + 1j * standard_normal(r),
     normalized, all moving to the maximum on a great circle per iteration
-    until a move gains at most 4 eps scale2 (docs/search.md).  Returns the
-    first best start's value and vector; ValueError when starts < 1."""
+    until a move gains at most 4 eps scale2 (docs/search.md).  The problems
+    run in lockstep, their rows grouped by problem, and each takes the steps
+    of its run alone.  Returns per problem the first best start's value and
+    vector; ValueError when starts < 1."""
     if starts < 1:
         raise ValueError(f"need at least one start, got starts={starts}")
-    k, r = len(mats), mats[0].shape[0]
-    right = np.concatenate([b.T for b in mats] + [b.conj() for b in mats], axis=1)
+    k, r = len(problems[0][0]), problems[0][0][0].shape[0]
+    rights = [np.concatenate([b.T for b in mats] + [b.conj() for b in mats], axis=1)
+              for mats, _ in problems]
+    ends = np.arange(1, len(problems) + 1) * starts
 
-    def forms(x):  # x @ right holds the rows B_k x, then B_k* x
-        return np.einsum("ijr,ir->ij", (x @ right).reshape(len(x), 2 * k, r)[:, :k], x.conj())
+    def apply(x, cut):  # rows B_k x, then B_k* x, by the problem of each row (rows < cut[p])
+        h = x @ rights[0] if cut is None else np.concatenate(
+            [x[lo:hi] @ right for right, lo, hi in zip(rights, [0, *cut], cut)])
+        return h.reshape(len(x), 2 * k, r)
+
+    def forms(x, cut):
+        return np.einsum("ijr,ir->ij", apply(x, cut)[:, :k], x.conj())
 
     g = np.random.default_rng(seed).standard_normal((starts, 2, r))
     u = g[:, 0] + 1j * g[:, 1]
-    u /= np.linalg.norm(u, axis=1, keepdims=True)
-    tol = 4 * np.finfo(float).eps * scale2
-    live, ul, prev = np.arange(starts), u.copy(), (0 * u, 0 * u, np.ones(starts))  # g, d, |g|^2
+    u = np.tile(u / np.linalg.norm(u, axis=1, keepdims=True), (len(problems), 1))
+    # the stopping gain of each live row: 4 eps scale2 of its problem
+    tol = np.repeat([4 * np.finfo(float).eps * scale2 for _, scale2 in problems], starts)
+    live, ul, prev = np.arange(len(u)), u.copy(), (0 * u, 0 * u, np.ones(len(u)))  # g, d, |g|^2
     # at r <= 1 every unit vector has the same forms: no direction to move in
     for _ in range(max_iter if r > 1 else 0):
-        h, ulc = (ul @ right).reshape(len(ul), 2 * k, r), ul.conj()
+        cut = np.searchsorted(live, ends) if len(rights) > 1 else None
+        h, ulc = apply(ul, cut), ul.conj()
         a = np.einsum("ijr,ir->ij", h[:, :k], ulc)
         c = dfdz(a)
         g = np.einsum("ij,ijr->ir", np.concatenate((c, c.conj()), axis=1), h)
@@ -170,19 +182,32 @@ def _multistart_ascent(mats, f, dfdz, starts: int, seed: int, max_iter: int,
         # is as large as g near a maximum and would tilt q off u
         d -= np.einsum("ir,ir->i", ulc, d)[:, None] * ul
         gn = np.linalg.norm(d, axis=1)
-        q = d / np.where(gn > 0, gn, 1.0)[:, None]
+        pos = gn > 0
+        q = d / np.where(pos, gn, 1.0)[:, None]
         w = np.einsum("ijr,ir->ij", h, q.conj())
-        phi, gain = _great_circle_max(f, a, forms(q), w[:, :k] + w[:, k:].conj(), tol)
-        t = (phi * (gn > 0) / 2)[:, None]
+        c, m = forms(q, cut), w[:, :k] + w[:, k:].conj()
+        phi, gain = _great_circle_max(f, a, c, m, tol)
+        # numpy takes a product with one row to gemv, which rounds unlike the
+        # gemm of more rows: a problem down to one live row steps alone, as in
+        # its run alone
+        for lo, hi in zip([0, *cut], cut) if cut is not None and len(live) > 1 else ():
+            if hi - lo == 1:
+                phi[lo:hi], gain[lo:hi] = _great_circle_max(f, a[lo:hi], c[lo:hi], m[lo:hi],
+                                                            tol[lo:hi])
+        t = (phi * pos / 2)[:, None]
         ul = np.cos(t) * ul + np.sin(t) * q
         ul /= np.linalg.norm(ul, axis=1, keepdims=True)
         # the last move is taken too: its gain is too small to tell, but its
         # angle is accurate, which takes |z| of Crawford to rounding
-        moves = (gain > tol) & (gn > 0)
+        moves = (gain > tol) & pos
+        if moves.all():  # u takes the live rows when some stop, and at the end
+            prev = g, d, gg
+            continue
         u[live] = ul
-        live, ul, prev = live[moves], ul[moves], (g[moves], d[moves], gg[moves])
+        live, ul, tol, prev = live[moves], ul[moves], tol[moves], (g[moves], d[moves], gg[moves])
         if not live.size:
             break
-    val = f(forms(u))
-    best = int(np.argmax(val))
-    return float(val[best]), u[best]
+    u[live] = ul
+    val = f(forms(u, ends if len(rights) > 1 else None))
+    best = [lo + int(np.argmax(val[lo:lo + starts])) for lo in range(0, len(u), starts)]
+    return [(float(val[i]), u[i]) for i in best]

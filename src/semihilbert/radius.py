@@ -24,6 +24,7 @@ golden-section refinement of every competitive bracket (``sup_sweep``).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -75,8 +76,15 @@ class RadiusEstimate:
 
 
 def _rotated_herm(b: np.ndarray, thetas: np.ndarray) -> np.ndarray:
-    ph = np.exp(1j * thetas)
-    return (ph[:, None, None] * b + np.conj(ph)[:, None, None] * dagger(b)) / 2.0
+    return _herm_at(b, dagger(b), np.exp(1j * thetas))
+
+
+def _herm_at(b: np.ndarray, bh: np.ndarray, ph: np.ndarray) -> np.ndarray:
+    # Re(e^{i theta} B) at every phase e^{i theta} of ``ph``, given bh = B*
+    h = ph[:, None, None] * b
+    h += np.conj(ph)[:, None, None] * bh
+    h /= 2.0
+    return h
 
 
 def support_max(b, theta: float) -> tuple[float, np.ndarray]:
@@ -155,45 +163,60 @@ def _error_estimate(b: np.ndarray) -> float:
     return scale * (REFINE_TOL / 2.0 + 64.0 * np.finfo(np.float64).eps)
 
 
-def _crossings(b: np.ndarray, bh: np.ndarray, gamma: float, theta_c: float,
-               scale: float) -> tuple[np.ndarray, np.ndarray] | None:
-    """Every angle in [0, 2 pi) where ``gamma`` is an eigenvalue of H(theta),
-    sorted, with the derivative of that eigenvalue there (``bh`` is B*).
-
-    With P, S the real and imaginary parts of e^{i theta_c} B and
-    t = tan((theta - theta_c) / 2), (1 + t^2)(H(theta) - gamma) is the
-    Hermitian quadratic pencil (P - gamma) - 2 t S - t^2 (P + gamma); its real
-    eigenvalues t are the crossings.  In the eigenbasis of P the pencil
-    linearizes to a 2r x 2r companion matrix.  A crossing at theta_c + pi
-    itself is t = infinity, where P + gamma is singular.  Returns None when
-    P + gamma is near-singular, which the centre ``_level_sup`` picks avoids
-    unless H(theta) keeps an eigenvalue within about delta of the level at
-    every angle (the Jordan block [[0, 1], [0, 0]] keeps +-1/2): the roots
-    are then not to be trusted.
-    """
+def _parts_at(b: np.ndarray, bh: np.ndarray, theta_c: float, out: np.ndarray) -> np.ndarray:
+    # the real part P of e^{i theta_c} B into ``out``, for the batched eigh,
+    # and its imaginary part S returned, for ``_companion`` (``bh`` is B*)
     ph = complex(math.cos(theta_c), math.sin(theta_c))
     c, ch = ph * b, ph.conjugate() * bh
-    lam, vecs = np.linalg.eigh((c + ch) / 2.0)
+    np.add(c, ch, out=out)
+    out /= 2.0
+    return (c - ch) / 2j
+
+
+def _companion(lam: np.ndarray, vecs: np.ndarray, imag: np.ndarray, gamma: float,
+               scale: float, out: np.ndarray, diag: tuple):
+    """Write into ``out`` the companion matrix of the crossings of ``gamma``
+    and return (lam, S) for ``_crossing_angles``, or None when P + gamma is
+    near-singular.
+
+    With P, S the real and imaginary parts of e^{i theta_c} B (P = V diag(lam)
+    V* from eigh) and t = tan((theta - theta_c) / 2), (1 + t^2)(H(theta) -
+    gamma) is the Hermitian quadratic pencil (P - gamma) - 2 t S - t^2 (P +
+    gamma); its real eigenvalues t are the crossings.  In the eigenbasis of P
+    the pencil linearizes to a 2r x 2r companion matrix, whose upper right
+    block I ``out`` holds already (``diag`` holds the indices i and i + r,
+    i < r).  A crossing at theta_c + pi itself is t = infinity, where P +
+    gamma is singular.  None means P + gamma is near-singular, which the
+    centre ``_level_sup`` picks avoids unless H(theta) keeps an eigenvalue
+    within about delta of the level at every angle (the Jordan block
+    [[0, 1], [0, 0]] keeps +-1/2): the roots are then not to be trusted.
+    """
     lead = lam + gamma
-    if not np.abs(lead).min() > _SINGULAR * scale:  # NaN included
+    if not np.minimum.reduce(np.abs(lead)) > _SINGULAR * scale:  # NaN included
         return None
     r = lam.size
-    s = dagger(vecs) @ ((c - ch) / 2j) @ vecs
-    comp = np.zeros((2 * r, 2 * r), dtype=np.complex128)
-    idx = np.arange(r)
-    comp[idx, idx + r] = 1.0
-    comp[idx + r, idx] = (lam - gamma) / lead
-    comp[r:, r:] = s * (-2.0 / lead)[:, None]
-    t, x = np.linalg.eig(comp)
+    s = dagger(vecs) @ imag @ vecs
+    idx, idx_r = diag
+    out[idx_r, idx] = (lam - gamma) / lead
+    np.multiply(s, (-2.0 / lead)[:, None], out=out[r:, r:])
+    return lam, s
+
+
+def _crossing_angles(t: np.ndarray, x: np.ndarray, lam: np.ndarray, s: np.ndarray,
+                     theta_c: float) -> tuple[np.ndarray, np.ndarray]:
+    """The angles in [0, 2 pi) of the real roots t of the companion (its
+    eigenvalues t, eigenvectors x), sorted, with the derivative of the
+    eigenvalue that crosses there."""
+    r = lam.size
     real = np.abs(t.imag) <= _REAL_ROOT * (1.0 + np.abs(t) ** 2)
     t, x = t.real[real], x[:r, real]
     phi = 2.0 * np.arctan(t)
     # Hellmann-Feynman: H'(theta_c + phi) = -sin(phi) P - cos(phi) S
     w = x.real ** 2 + x.imag ** 2
     slope = (-np.sin(phi) * (lam @ w)
-             - np.cos(phi) * (x.conj() * (s @ x)).sum(axis=0).real) / w.sum(axis=0)
+             - np.cos(phi) * np.add.reduce(x.conj() * (s @ x)).real) / np.add.reduce(w)
     theta = (theta_c + phi) % _TWO_PI
-    order = np.argsort(theta)
+    order = theta.argsort()
     return theta[order], slope[order]
 
 
@@ -201,17 +224,25 @@ def _level_candidates(cross: np.ndarray, slope: np.ndarray) -> np.ndarray:
     # the midpoint of every arc between consecutive crossings, and where an
     # arc rises at its start and falls at its end, the meeting point of the
     # two tangents (exact at a kink, where midpoints only halve the gap)
-    nxt = np.append(cross[1:], cross[0] + _TWO_PI)
-    s0, s1 = slope, np.append(slope[1:], slope[0])
+    nxt = np.concatenate((cross[1:], cross[:1] + _TWO_PI))
+    s0, s1 = slope, np.concatenate((slope[1:], slope[:1]))
     peak = (s0 > 0.0) & (s1 < 0.0)
-    meet = (s0[peak] * cross[peak] - s1[peak] * nxt[peak]) / (s0[peak] - s1[peak])
+    rise, fall = s0[peak], s1[peak]
+    meet = (rise * cross[peak] - fall * nxt[peak]) / (rise - fall)
     return np.concatenate([(cross + nxt) / 2.0, meet]) % _TWO_PI
 
 
-def _with_antipodes(thetas: np.ndarray, lam: np.ndarray, sel: int):
+def _antipodal(thetas: np.ndarray, i: int) -> float:
+    # entry i of thetas followed by thetas + pi
+    n = len(thetas)
+    return float(thetas[i]) if i < n else float(thetas[i - n] + math.pi)
+
+
+def _best_with_antipodes(thetas: np.ndarray, lam: np.ndarray, sel: int) -> tuple[float, float]:
     # H(theta + pi) = -H(theta): lam_sel at theta + pi is -lam_other at theta
-    return (np.concatenate([thetas, thetas + math.pi]),
-            np.concatenate([lam[:, sel], -lam[:, -1 - sel]]))
+    vals = np.concatenate([lam[:, sel], -lam[:, -1 - sel]])
+    i = int(vals.argmax())
+    return float(vals[i]), _antipodal(thetas, i)
 
 
 def _grid_sup(b: np.ndarray, sel: int):
@@ -221,14 +252,75 @@ def _grid_sup(b: np.ndarray, sel: int):
                      _TWO_PI)
 
 
-def _level_sup(b: np.ndarray, sel: int):
+def _joined(arrays: list) -> np.ndarray:
+    # one array for one batched LAPACK call; a stack of one is used as it is
+    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
+
+
+def _closed_form(b: np.ndarray):
+    # r = 1: H(theta) = |b| cos(theta + arg b); at r = 0, 0 at angle 0
+    z = complex(b[0, 0]) if b.size else 0j
+    return abs(z), -math.atan2(z.imag, z.real) % _TWO_PI, np.ones(len(b), dtype=np.complex128)
+
+
+@functools.cache
+def _diagonal(r: int) -> tuple[np.ndarray, np.ndarray]:
+    # the indices i and i + r, i < r, of the companion's diagonal blocks
+    return np.arange(r), np.arange(r, 2 * r)
+
+
+_START_THETAS = np.arange(_START_ANGLES) * (math.pi / _START_ANGLES)
+_START_PHASES = np.exp(1j * _START_THETAS)
+
+
+class _LevelSearch:
+    """The state of one search of ``_level_sup``: its normalized matrix and
+    every angle evaluated so far, with the eigenvalues there."""
+
+    def __init__(self, b: np.ndarray, sel: int):
+        self.e, self.b = pow2_split(b)
+        self.bh, self.sel = dagger(self.b), sel
+        self.scale = float(np.linalg.norm(self.b))  # normalized: fro_norm would not rescale it
+        self.delta = REFINE_TOL * self.scale / 100.0
+        self.thetas = _START_THETAS
+        self.open = self.scale != 0.0  # still searching
+        self.bounded = not self.open
+
+    def start(self, lam: np.ndarray) -> None:
+        self.lam = lam
+        self.best, self.best_theta = _best_with_antipodes(self.thetas, lam, self.sel)
+
+    def centre(self) -> float:
+        # the Cayley centre: the evaluated angle or its opposite (H -> -H)
+        # where P + gamma is furthest from singular
+        self.gamma, lam = self.best + self.delta, self.lam
+        margin = np.minimum.reduce(np.abs(np.concatenate([lam + self.gamma, self.gamma - lam])),
+                                   axis=1)
+        self.theta_c = _antipodal(self.thetas, int(margin.argmax()))
+        return self.theta_c
+
+    def stop(self, bounded: bool) -> None:
+        self.open, self.bounded = False, bounded
+
+    def evaluated(self, cand: np.ndarray, lam_c: np.ndarray) -> None:
+        self.thetas = np.concatenate([self.thetas, cand])
+        self.lam = np.concatenate([self.lam, lam_c])
+        top, theta = _best_with_antipodes(cand, lam_c, self.sel)
+        if top > self.best:
+            self.best, self.best_theta = top, theta
+        if top < self.gamma:
+            self.stop(True)
+
+
+def _level_sup(b: np.ndarray, sels) -> list[tuple[float, float, np.ndarray]]:
     """sup over theta in [0, 2 pi) of lam_sel(H(theta)), H(theta) =
-    Re(e^{i theta} B), with ``sel`` -1 for the largest eigenvalue and 0 for
-    the smallest.  Returns (value, theta, eigenvector of that eigenvalue).
+    Re(e^{i theta} B), for each matrix B of the stack ``b`` (k, r, r) with its
+    entry of ``sels``: -1 for the largest eigenvalue, 0 for the smallest.
+    Returns (value, theta, eigenvector of that eigenvalue) per matrix.
 
     Level-set iteration (Mengi & Overton, IMA J. Numer. Anal. 25 (2005)):
     at the level gamma = best + delta, with delta = REFINE_TOL ||B||_F / 100,
-    find every angle where gamma is an eigenvalue of H (``_crossings``).  The
+    find every angle where gamma is an eigenvalue of H (``_companion``).  The
     sign of lam_sel - gamma is constant on each arc between crossings, so if
     the function exceeds gamma anywhere, some arc midpoint does.  Evaluate
     the candidates of every arc in one batch; stop when none reaches gamma,
@@ -237,57 +329,80 @@ def _level_sup(b: np.ndarray, sel: int):
     bounds the supremum, because the crossings cannot be computed or the
     level cap is reached, the dense grid (``_grid_sup``) takes over.  All of
     it runs on B normalized by ``pow2_split``: exactly homogeneous under 2^k.
+
+    The searches run in lockstep: one eigvalsh on the start angles of every
+    matrix, then per level one eigh and one eig over the searches still
+    running and one eigvalsh over all their candidates.  LAPACK solves each
+    matrix of a stack as it solves it alone, so each search takes the
+    decisions and values of its run alone.
     """
-    if len(b) <= 1:  # H(theta) = |b| cos(theta + arg b); at r = 0, 0 at angle 0
-        z = complex(b[0, 0]) if b.size else 0j
-        return abs(z), -math.atan2(z.imag, z.real) % _TWO_PI, np.ones(len(b), dtype=np.complex128)
-    e, b = pow2_split(b)
-    bh = dagger(b)
-    scale = float(np.linalg.norm(b))  # b is normalized: fro_norm would not rescale it
-    delta = REFINE_TOL * scale / 100.0
-    thetas = np.arange(_START_ANGLES) * (math.pi / _START_ANGLES)
-    lam = np.linalg.eigvalsh(_rotated_herm(b, thetas))
-    angles, vals = _with_antipodes(thetas, lam, sel)
-    i = int(np.argmax(vals))
-    best, best_theta = float(vals[i]), float(angles[i])
-    bounded = scale == 0.0
-    for _ in range(0 if bounded else _MAX_LEVELS):
-        gamma = best + delta
-        # Cayley centre: the evaluated angle or its opposite (H -> -H) where
-        # P + gamma is furthest from singular
-        centres = np.concatenate([thetas, thetas + math.pi])
-        margin = np.abs(np.concatenate([lam + gamma, gamma - lam])).min(axis=1)
-        found = _crossings(b, bh, gamma, float(centres[np.argmax(margin)]), scale)
-        if found is None:
+    if b.shape[-1] <= 1:
+        return [_closed_form(m) for m in b]
+    searches = [_LevelSearch(m, sel) for m, sel in zip(b, sels)]
+    lam = np.linalg.eigvalsh(_joined([_herm_at(s.b, s.bh, _START_PHASES) for s in searches]))
+    for j, s in enumerate(searches):
+        s.start(lam[j * _START_ANGLES:(j + 1) * _START_ANGLES])
+    r = b.shape[-1]
+    diag = _diagonal(r)
+    # the real parts P and the companions of a level, written over each
+    # round; the companions' block I stays
+    parts = np.empty((len(searches), r, r), dtype=np.complex128)
+    comp = np.zeros((len(searches), 2 * r, 2 * r), dtype=np.complex128)
+    comp[:, diag[0], diag[1]] = 1.0
+    for _ in range(_MAX_LEVELS):
+        live = [s for s in searches if s.open]
+        if not live:
             break
-        if found[0].size == 0:  # lam_sel - gamma keeps the sign it has at best
-            bounded = True
-            break
-        cand = _level_candidates(*found)
-        lam_c = np.linalg.eigvalsh(_rotated_herm(b, cand))
-        thetas, lam = np.concatenate([thetas, cand]), np.concatenate([lam, lam_c])
-        angles, vals = _with_antipodes(cand, lam_c, sel)
-        i = int(np.argmax(vals))
-        if vals[i] > best:
-            best, best_theta = float(vals[i]), float(angles[i])
-        if vals[i] < gamma:
-            bounded = True
-            break
-    if not bounded:
-        theta, value = _grid_sup(b, sel)
-        if value > best:
-            best_theta = theta
-    best_theta %= _TWO_PI
-    ev, vecs = np.linalg.eigh(_rotated_herm(b, np.array([best_theta]))[0])
-    return math.ldexp(float(ev[sel]), e), best_theta, vecs[:, sel]
+        imags = [_parts_at(s.b, s.bh, s.centre(), parts[j]) for j, s in enumerate(live)]
+        lam, vecs = np.linalg.eigh(parts[:len(live)])
+        pencils = [_companion(lam[j], vecs[j], imag, s.gamma, s.scale, comp[j], diag)
+                   for j, (s, imag) in enumerate(zip(live, imags))]
+        solved = []
+        for j, pencil in enumerate(pencils):
+            if pencil is None:
+                live[j].stop(False)
+            else:
+                solved.append(j)
+        if not solved:
+            continue
+        roots, xs = np.linalg.eig(comp[:len(live)] if len(solved) == len(live) else comp[solved])
+        cands = []
+        for j, t, x in zip(solved, roots, xs):
+            cross, slope = _crossing_angles(t, x, *pencils[j], live[j].theta_c)
+            if cross.size == 0:  # lam_sel - gamma keeps the sign it has at best
+                live[j].stop(True)
+            else:
+                cands.append((live[j], _level_candidates(cross, slope)))
+        if not cands:
+            continue
+        lam_c = np.linalg.eigvalsh(_joined([_herm_at(s.b, s.bh, np.exp(1j * cand))
+                                            for s, cand in cands]))
+        at = 0
+        for s, cand in cands:
+            s.evaluated(cand, lam_c[at:at + len(cand)])
+            at += len(cand)
+    for s in searches:
+        if not s.bounded:
+            theta, value = _grid_sup(s.b, s.sel)
+            if value > s.best:
+                s.best_theta = theta
+        s.best_theta %= _TWO_PI
+    ev, vecs = np.linalg.eigh(_joined([_herm_at(s.b, s.bh, np.exp([1j * s.best_theta]))
+                                       for s in searches]))
+    return [(math.ldexp(float(ev[j, s.sel]), s.e), s.best_theta, vecs[j][:, s.sel])
+            for j, s in enumerate(searches)]
+
+
+def _half_period(found):
+    # the largest eigenvalue at theta >= pi is minus the smallest at theta - pi,
+    # with the same eigenvector
+    value, theta, u = found
+    return value, theta - math.pi if theta >= math.pi else theta, u
 
 
 def _radius_seminorm_core(b: np.ndarray):
-    # sup over [0, pi) of the spectral magnitude of Re(e^{i theta} B): the
-    # largest eigenvalue at theta >= pi is minus the smallest at theta - pi,
-    # with the same eigenvector
-    value, theta, u = _level_sup(b, -1)
-    return value, theta - math.pi if theta >= math.pi else theta, u
+    # sup over [0, pi) of the spectral magnitude of Re(e^{i theta} B)
+    return _half_period(_level_sup(b[None], (-1,))[0])
 
 
 def _radius_support_core(b: np.ndarray):
@@ -300,11 +415,34 @@ def _radius_support_core(b: np.ndarray):
 def _crawford_core(b: np.ndarray):
     # sup over [0, 2 pi) of lam_min(Re(e^{i theta} B)); positive part is the
     # distance from 0 to the numerical range
-    return _level_sup(b, 0)
+    return _level_sup(b[None], (0,))[0]
 
 
-# B*, sigma_max(B), B @ B and the kernel runs on B, B @ B and S^# T, kept on
-# the bound operator on first use: this module alone reads and fills its memo
+def crawford_minimize(b: np.ndarray, starts: int = 20, seed: int = 0,
+                      max_iter: int = 150) -> tuple[float, np.ndarray]:
+    """Multi-start minimization of |<B u, u>| over unit u, as the ascent of
+    -|<B u, u>|^2 (``_multistart_ascent``); taken at the returned unit vector,
+    the result is a certified upper bound for the Crawford number of ``B``."""
+    (_, u), = _multistart_ascent([((b,), max(1.0, fro_norm(b)) ** 2)],
+                                 lambda z: -np.abs(z[:, 0]) ** 2, lambda z: -np.conj(z),
+                                 starts, seed, max_iter)
+    return abs(complex(np.vdot(u, b @ u))), u
+
+
+def _ascent_bilinear(pairs, starts: int, seed: int,
+                     max_iter: int = 150) -> list[tuple[float, np.ndarray]]:
+    """Multi-start ascent of Re(conj(<Bt u, u>) <Bs u, u>) over unit u for
+    each pair (Bt, Bs), all in one ``_multistart_ascent``: per pair a
+    heuristic lower estimate at a unit u."""
+    # d/dz_t of Re(conj(z_t) z_s) is conj(z_s)/2, and symmetrically for z_s
+    problems = [((bt, bs), max(1.0, fro_norm(bt) * fro_norm(bs))) for bt, bs in pairs]
+    return _multistart_ascent(problems, lambda z: (np.conj(z[:, 0]) * z[:, 1]).real,
+                              lambda z: 0.5 * np.conj(z[:, ::-1]), starts, seed, max_iter)
+
+
+# B*, sigma_max(B), B @ B and the results of the searches on B and on the
+# matrices built from B and a second bound operator, kept on the bound
+# operator on first use: this module alone reads and fills its memo
 
 def _adjoint(op: OperatorInSpace) -> np.ndarray:
     return op._cached("adjoint", lambda: dagger(op.compress()))
@@ -318,29 +456,135 @@ def _square(op: OperatorInSpace) -> np.ndarray:
     return op._cached("square", lambda: op.compress() @ op.compress())
 
 
+def _fourth_power(op: OperatorInSpace) -> np.ndarray:
+    m = _square(op) + _adjoint(op) @ _adjoint(op)  # (T^2 + (T^#)^2)^2
+    return m @ m
+
+
+# every kind of search, with the selector of ``_level_sup`` (None for the
+# bilinear ascent) and the matrix, or pair of matrices, it runs on, built
+# from T or from T and S
+_KINDS = {
+    "radius": (-1, OperatorInSpace.compress),
+    "square_radius": (-1, _square),
+    "crawford": (0, OperatorInSpace.compress),
+    "fourth_power_crawford": (0, _fourth_power),
+    "sharp_radius": (-1, lambda t, s: _adjoint(s) @ t.compress()),
+    "sum_radius": (-1, lambda t, s: t.compress() + s.compress()),
+    "square_sum_radius": (-1, lambda t, s: _square(t) + _square(s)),
+    "ascent": (None, lambda t, s: (t.compress(), s.compress())),
+    "square_ascent": (None, lambda t, s: (_square(t), _square(s))),
+}
+
+
+def _search(kind: str, *ops: OperatorInSpace, args: tuple = ()):
+    """(owner, key, selector, build) of a search of ``kind`` on T (and S): kept
+    on the last operator under the kind, ``args`` (an ascent's starts, seed
+    and max_iter) and T's identity, if two.  S's memo then holds T too, so the
+    identity names no other operator while the entry lives; T = S needs no
+    such hold, which would only make the operator a cycle for the collector."""
+    sel, build = _KINDS[kind]
+    owner, key = ops[-1], (kind, *args)
+    if len(ops) == 2:
+        if ops[0] is not owner:
+            owner._cached(("operand", id(ops[0])), lambda: ops[0])
+        key += (id(ops[0]),)
+    return owner, key, sel, lambda: build(*ops)
+
+
+def _kept(kind: str, *ops: OperatorInSpace):
+    owner, key, sel, build = _search(kind, *ops)
+    core = _radius_seminorm_core if sel else _crawford_core
+    return owner._cached(key, lambda: core(build()))
+
+
 def _radius_of(op: OperatorInSpace, power: int = 1):
-    b = op.compress() if power == 1 else _square(op)
-    return op._cached(("radius", power), lambda: _radius_seminorm_core(b))
-
-
-def _sharp_radius_of(opt: OperatorInSpace, ops: OperatorInSpace):
-    # kept on S under T's identity; the entry holds T, so the id names no other operator
-    return ops._cached(("sharp_radius", id(opt)),
-                       lambda: (opt, _radius_seminorm_core(_adjoint(ops) @ opt.compress())))[1]
+    return _kept("radius" if power == 1 else "square_radius", op)
 
 
 def _crawford_of(op: OperatorInSpace):
-    return op._cached("crawford", lambda: _crawford_core(op.compress()))
+    return _kept("crawford", op)
 
 
-def crawford_minimize(b: np.ndarray, starts: int = 20, seed: int = 0,
-                      max_iter: int = 150) -> tuple[float, np.ndarray]:
-    """Multi-start minimization of |<B u, u>| over unit u, as the ascent of
-    -|<B u, u>|^2 (``_multistart_ascent``); taken at the returned unit vector,
-    the result is a certified upper bound for the Crawford number of ``B``."""
-    _, u = _multistart_ascent((b,), lambda z: -np.abs(z[:, 0]) ** 2, lambda z: -np.conj(z),
-                              starts, seed, max_iter, max(1.0, fro_norm(b)) ** 2)
-    return abs(complex(np.vdot(u, b @ u))), u
+def _fourth_power_crawford_of(op: OperatorInSpace):
+    return _kept("fourth_power_crawford", op)
+
+
+def _sharp_radius_of(opt: OperatorInSpace, ops: OperatorInSpace):
+    return _kept("sharp_radius", opt, ops)
+
+
+def _sum_radius_of(opt: OperatorInSpace, ops: OperatorInSpace):
+    return _kept("sum_radius", opt, ops)
+
+
+def _square_sum_radius_of(opt: OperatorInSpace, ops: OperatorInSpace):
+    return _kept("square_sum_radius", opt, ops)
+
+
+def _ascent_of(opt: OperatorInSpace, ops: OperatorInSpace, power: int, starts: int,
+               seed: int, max_iter: int):
+    owner, key, _, build = _search("ascent" if power == 1 else "square_ascent", opt, ops,
+                                   args=(starts, seed, max_iter))
+    return owner._cached(key, lambda: _ascent_bilinear([build()], starts, seed, max_iter)[0])
+
+
+# the defaults of the two diagnostics that ascend, which a declared ascent runs with
+ASCENT_STARTS, ASCENT_SEED, ASCENT_MAX_ITER = 32, 0, 150
+ASCENT_ARGS = (ASCENT_STARTS, ASCENT_SEED, ASCENT_MAX_ITER)
+
+# the searches a check declares (``fuzz.CheckSpec.searches``), by name: the
+# kind and the operators it reads
+SEARCHES = {
+    "w(T)": ("radius", "t"), "c(T)": ("crawford", "t"),
+    "w(S)": ("radius", "s"), "c(S)": ("crawford", "s"),
+    "w(T^2)": ("square_radius", "t"), "c((T^2+(T#)^2)^2)": ("fourth_power_crawford", "t"),
+    "w(S#T)": ("sharp_radius", "ts"), "w(T+S)": ("sum_radius", "ts"),
+    "w(T^2+S^2)": ("square_sum_radius", "ts"),
+    "ascent(T,S)": ("ascent", "ts"), "ascent(T^2,S^2)": ("square_ascent", "ts"),
+}
+
+
+def run_declared(operators, names) -> None:
+    """Fill the memos of the bound operators (T, or T and S) with every named
+    search (``SEARCHES``) from two lockstep runs: one ``_level_sup`` over the
+    level searches and one ``_ascent_bilinear`` over the ascents, at the
+    diagnostics' defaults.  Each result is the one its accessor computes
+    alone, bit for bit.  A search on an unbounded operator or a non-finite
+    matrix, and every search of a run LAPACK fails on, is left to its
+    accessor, which raises as it would."""
+    by_role = dict(zip("ts", operators))
+    pending = {}
+    for name in names:
+        kind, roles = SEARCHES[name]
+        ops = [by_role[role] for role in roles]
+        if all(op.a_bounded for op in ops):
+            args = ASCENT_ARGS if _KINDS[kind][0] is None else ()  # an ascent, at the defaults
+            owner, key, sel, build = _search(kind, *ops, args=args)
+            if key not in owner._memo:
+                pending[id(owner), key] = owner, key, sel, build
+    level, ascent = [], []
+    for owner, key, sel, build in pending.values():
+        m = build()
+        if np.isfinite(m).all():
+            (ascent if sel is None else level).append((owner, key, sel, m))
+    for run, searches in ((_run_level, level), (_run_ascent, ascent)):
+        if searches:
+            try:
+                results = run(searches)
+            except np.linalg.LinAlgError:
+                continue
+            for (owner, key, _, _), result in zip(searches, results):
+                owner._cached(key, lambda: result)
+
+
+def _run_level(searches):
+    found = _level_sup(np.stack([m for *_, m in searches]), [sel for _, _, sel, _ in searches])
+    return [_half_period(f) if sel else f for (_, _, sel, _), f in zip(searches, found)]
+
+
+def _run_ascent(searches):
+    return _ascent_bilinear([m for *_, m in searches], *ASCENT_ARGS)
 
 
 def _estimate(op: OperatorInSpace, method: str, route) -> RadiusEstimate:

@@ -94,16 +94,42 @@ def test_check_runs_each_kernel_search_once(monkeypatch, capsys):
     """A generic dim-8 pair needs 9 level searches: w_A(T), w_A(T^2), c_A(T),
     w_A(S), c_A(S) and w_A(S^# T) once each for all the checks, and three on
     matrices a single check builds (T + S, T^2 + S^2 and (T^2 + (T^#)^2)^2).
-    Recomputing per check took 24, and searching S^# T in each of its two
+    check declares them up front and runs them in one lockstep pass, and the
+    two ascents of its radius diagnostics in one lockstep run.  Recomputing
+    per check took 24 searches, and searching S^# T in each of its two
     checks 10."""
     path = next(p for p in CHECK_PAIRS if p.stem == "00-generic-dim8-full")
-    calls = []
-    level_sup = radius._level_sup
+    stacks, ascents = [], []
+    level_sup, ascent = radius._level_sup, radius._multistart_ascent
     monkeypatch.setattr(radius, "_level_sup",
-                        lambda b, sel: calls.append(sel) or level_sup(b, sel))
+                        lambda b, sels: stacks.append(len(sels)) or level_sup(b, sels))
+    monkeypatch.setattr(radius, "_multistart_ascent",
+                        lambda problems, *a: ascents.append(len(problems)) or ascent(problems, *a))
     assert cli.main(["check", str(path), "--json"]) == 0
     capsys.readouterr()
-    assert len(calls) <= 9
+    assert len(stacks) == 1 and stacks[0] <= 9
+    assert ascents == [2]
+    # one check declares only what it and the quantities read: w_A and c_A
+    # of T and S, among which halfnorm_bounds finds w_A(T)
+    stacks.clear()
+    ascents.clear()
+    assert cli.main(["check", str(path), "--check", "halfnorm_bounds"]) == 0
+    assert sum(stacks) <= 4 and ascents == []
+
+
+@pytest.mark.parametrize("name", [n for n in fuzz.CHECK_ORDER if fuzz.CHECKS[n].searches])
+def test_each_check_declares_what_it_searches(monkeypatch, name):
+    """Once a check's declared searches are kept, the check runs no level
+    search or ascent of its own."""
+    path = next(p for p in CHECK_PAIRS if p.stem == "00-generic-dim8-full")
+    space, t, s = cli.load_instance(str(path))
+    operators = (space.bind(t), space.bind(s))
+    radius.run_declared(operators, fuzz.CHECKS[name].searches)
+    calls = []
+    for hook in ("_level_sup", "_multistart_ascent"):
+        monkeypatch.setattr(radius, hook, lambda *a, hook=hook: calls.append(hook))
+    fuzz.CHECKS[name].fn(space, *operators[:fuzz.CHECKS[name].arity])
+    assert calls == []
 
 
 def test_check_complex_entries(tmp_path):
@@ -194,11 +220,17 @@ def test_check_huge_entries_report_errors_per_check(tmp_path, capsys):
     assert {n: rest.split()[0] for n, rest in (x.split(": ", 1) for x in lines[1:])} \
         == HUGE_VERDICTS
     assert "square_bounds: ERROR  SVD did not converge" in lines
+    # a float power's overflow names itself, not its errno tuple
+    overflow = "overflow: Numerical result out of range"
+    for name in ("fourth_power_bounds", "power_inequality", "reverse_power"):
+        assert f"{name}: ERROR  {overflow}" in lines
     blob = json.loads(capsys.readouterr().out)
     assert blob["status"] == 1
     assert [c["name"] for c in blob["checks"]] == list(HUGE_VERDICTS)
     assert {c["name"] for c in blob["checks"] if "error" in c} \
         == {n for n, v in HUGE_VERDICTS.items() if v == "ERROR"}
+    assert {c["error"] for c in blob["checks"] if "error" in c} \
+        == {overflow, "SVD did not converge"}
     assert all(c["holds"] for c in blob["checks"] if "error" not in c)
 
 
@@ -223,6 +255,50 @@ def test_check_subnormal_operator_holds(tmp_path, capsys):
     assert cli.main(["check", path]) == 0
     captured = capsys.readouterr()
     assert captured.err == "" and "w_A=6.675e-311" in captured.out
+
+
+EDGE_INSTANCES = {
+    "subnormal": {"a": (1e-3 * np.eye(3)).tolist(), "t": np.full((3, 3), 2.225e-311).tolist(),
+                  "s": np.diag([4.45e-311, 2.225e-311, 0.0]).tolist()},
+    "rank-one-weight": {"a": [[1, 1, 0], [1, 1, 0], [0, 0, 0]],
+                        "t": [[2, 2, 0], [0, 0, 0], [1, -1, 3]],
+                        "s": [[1, [0, 1], 0], [[0, 1], 1, 0], [0, 0, 1]]},
+    "unbounded-s": {"a": [[1, 0], [0, 0]], "t": [[1, 0], [0, 2]], "s": [[0, 1], [1, 0]]},
+    "tiny": {"a": [[1, 0], [0, 1]], "t": [[1e-200, 0], [0, 1e-200]],
+             "s": [[1e-200, 0], [0, 1e-200]]},
+    "huge-1e150": {"a": [[1e150, 0], [0, 1e150]], "t": [[1e150, 1e150], [0, 1]]},
+    "huge-1e200": {"a": [[1, 0], [0, 1]], "t": [[1e200, 1e200], [0, 1e200]]},
+}
+
+
+@pytest.mark.parametrize("name", EDGE_INSTANCES)
+def test_declared_searches_change_no_output(tmp_path, capsys, monkeypatch, name):
+    """check prints the same text and JSON, with the same exit code, whether
+    its searches run in the declared lockstep pass, fail there, or run each
+    alone in its check: the pass leaves an unbounded operator, a non-finite
+    matrix or a stack LAPACK fails on to the checks, which raise as they
+    would."""
+    path = write_instance(tmp_path, **EDGE_INSTANCES[name])
+
+    def outputs():
+        runs = [(cli.main(["check", path, *flag]), capsys.readouterr())
+                for flag in ([], ["--json"])]
+        return [(code, out.out, out.err) for code, out in runs]
+
+    level_sup = radius._level_sup
+
+    def failing(b, sels):  # LAPACK fails on every stack of more than one
+        if len(sels) > 1:
+            raise np.linalg.LinAlgError("no convergence")
+        return level_sup(b, sels)
+
+    with np.errstate(all="ignore"):
+        declared = outputs()
+        with monkeypatch.context() as patch:
+            patch.setattr(radius, "_level_sup", failing)
+            assert outputs() == declared
+        monkeypatch.setattr(cli, "run_declared", lambda *args: None)
+        assert outputs() == declared
 
 
 @pytest.mark.parametrize("flag", ["--check-tol", "--eq-tol"])

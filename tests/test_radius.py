@@ -107,6 +107,27 @@ def test_unbounded_gets_infinite_marker():
         assert est.certificate_vector is None
 
 
+def level_sup(b, sel):
+    """The kernel on one matrix: a stack of one."""
+    return radius._level_sup(np.asarray(b)[None], (sel,))[0]
+
+
+def level_crossings(b, gamma, theta_c, scale):
+    """The crossings of one level from the Cayley centre theta_c, sorted, with
+    their slopes, as the kernel computes them; None for a refused centre."""
+    r = len(b)
+    p = np.empty((r, r), dtype=complex)
+    imag = radius._parts_at(b, b.conj().T, theta_c, p)
+    lam, vecs = np.linalg.eigh(p)
+    comp = np.zeros((2 * r, 2 * r), dtype=complex)
+    comp[:r, r:] = np.eye(r)
+    pencil = radius._companion(lam, vecs, imag, gamma, scale, comp,
+                               (np.arange(r), np.arange(r, 2 * r)))
+    if pencil is None:
+        return None
+    return radius._crossing_angles(*np.linalg.eig(comp), *pencil, theta_c)
+
+
 def test_rank_zero_degenerates_to_zero():
     op = bound(np.zeros((2, 2)), [[1, 2], [3, 4]])
     est = a_numerical_radius(op)
@@ -117,7 +138,7 @@ def test_rank_zero_degenerates_to_zero():
 @pytest.mark.parametrize("sel", [-1, 0])
 def test_level_sup_at_rank_zero(sel):
     """The kernel answers r = 0 itself: value 0 at angle 0, empty vector."""
-    value, theta, u = radius._level_sup(np.zeros((0, 0)), sel)
+    value, theta, u = level_sup(np.zeros((0, 0)), sel)
     assert (value, theta, u.shape) == (0.0, 0.0, (0,))
 
 
@@ -165,7 +186,7 @@ def test_kernel_and_sigma_are_exactly_homogeneous(r, k, seed):
         assume(_normal(m) and _normal(mk) and _normal(2 * r * mk))
     pairs = [(fro_norm(mk), fro_norm(m)), (ineq._sig_stack(mk), ineq._sig_stack(m))]
     for sel in (-1, 0):
-        (vk, tk, uk), (v, t, u) = radius._level_sup(mk[0], sel), radius._level_sup(m[0], sel)
+        (vk, tk, uk), (v, t, u) = level_sup(mk[0], sel), level_sup(m[0], sel)
         assert tk == t and np.array_equal(uk, u)
         pairs.append((vk, v))
     for got, base in pairs:
@@ -299,7 +320,7 @@ KERNEL_KINDS = ("generic", "nilpotent", "hermitian", "normal", "singular", "scal
 @pytest.mark.parametrize("kind", KERNEL_KINDS)
 def test_level_sup_matches_dense_grid(kind, r, sel):
     b = kernel_case(kind, r)
-    value, theta, u = radius._level_sup(b, sel)
+    value, theta, u = level_sup(b, sel)
     bound = radius._error_estimate(b)
     assert abs(value - dense_sup(b, sel)) <= bound
     # the certificate: a unit eigenvector of H(theta) whose Rayleigh value
@@ -328,8 +349,8 @@ def test_crossings_from_a_regular_cayley_centre():
     exactly singular: the crossing at theta_c + pi is t = infinity, so that
     centre is refused.  From theta_c = 0.3 every crossing is finite."""
     b = np.diag([1.0, -0.5 + 2.0j])
-    assert radius._crossings(b, b.conj().T, 0.5, 0.0, 1.0) is None
-    cross, slope = radius._crossings(b, b.conj().T, 0.5, 0.3, 1.0)
+    assert level_crossings(b, 0.5, 0.0, 1.0) is None
+    cross, slope = level_crossings(b, 0.5, 0.3, 1.0)
     s = TWO_PI - 2.0 * math.atan(0.25)
     np.testing.assert_allclose(cross, [math.pi / 3, math.pi, 5 * math.pi / 3, s], atol=1e-12)
     dg = lambda th: 0.5 * math.sin(th) - 2.0 * math.cos(th)
@@ -360,14 +381,14 @@ def test_crossings_refuse_a_level_on_a_flat_branch():
     b = flat_branch_case()
     scale = np.linalg.norm(b)
     for theta_c in (0.0, 0.3, math.pi):
-        assert radius._crossings(b, b.conj().T, 0.5 + 1e-14 * scale, theta_c, scale) is None
+        assert level_crossings(b, 0.5 + 1e-14 * scale, theta_c, scale) is None
 
 
 @pytest.mark.parametrize("sel", [LAM_MAX, LAM_MIN])
 def test_flat_branch_falls_back_to_the_grid(monkeypatch, sel):
     b = flat_branch_case()
     calls = grid_calls(monkeypatch)
-    value, theta, u = radius._level_sup(b, sel)
+    value, theta, u = level_sup(b, sel)
     bound = radius._error_estimate(b)
     assert calls
     assert abs(value - dense_sup(b, sel)) <= bound
@@ -380,6 +401,35 @@ def test_flat_branch_falls_back_to_the_grid(monkeypatch, sel):
     assert abs(np.vdot(u, _herm(b, theta) @ u).real) == pytest.approx(0.52, abs=bound)
 
 
+def _stack_of(r, seed):
+    """Random r x r matrices of several kinds, the zero matrix, a subnormal
+    matrix and a Jordan block whose flat branch takes the grid fallback."""
+    rng = np.random.default_rng([7, r, seed])
+    mats = [kernel_case(kind, r, int(rng.integers(1000))) for kind in KERNEL_KINDS]
+    mats += [np.zeros((r, r), dtype=complex), np.full((r, r), 2.225e-311 + 1e-311j)]
+    jordan = np.zeros((r, r), dtype=complex)
+    jordan[0, 1] = 1.0
+    if r > 2:
+        jordan[2, 2] = 0.52 * np.exp(1j * math.pi / 8)  # flat_branch_case, padded
+    return np.stack(mats + [jordan])
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("r", [2, 3, 5, 8])
+def test_stacked_searches_are_each_search_alone(monkeypatch, r, seed):
+    """One lockstep pass over a stack with mixed selectors returns, for every
+    matrix, the value, angle and vector of its search alone, bit for bit."""
+    stack = _stack_of(r, seed)
+    sels = [(LAM_MAX, LAM_MIN)[(j + seed) % 2] for j in range(len(stack))]
+    calls = grid_calls(monkeypatch)
+    together = radius._level_sup(stack, sels)
+    assert calls  # the Jordan block's search fell back to the grid
+    for b, sel, (value, theta, u) in zip(stack, sels, together):
+        alone_value, alone_theta, alone_u = level_sup(b, sel)
+        assert (value, theta) == (alone_value, alone_theta)
+        assert u.tobytes() == alone_u.tobytes()
+
+
 @pytest.mark.parametrize("sel", [LAM_MAX, LAM_MIN])
 def test_level_cap_falls_back_to_the_grid(monkeypatch, sel):
     """A search stopped by the level cap has bounded nothing, so the grid
@@ -387,7 +437,7 @@ def test_level_cap_falls_back_to_the_grid(monkeypatch, sel):
     b = kernel_case("generic", 5)
     monkeypatch.setattr(radius, "_MAX_LEVELS", 1)
     calls = grid_calls(monkeypatch)
-    value, _, _ = radius._level_sup(b, sel)
+    value, _, _ = level_sup(b, sel)
     assert calls
     assert abs(value - dense_sup(b, sel)) <= radius._error_estimate(b)
 
@@ -396,7 +446,7 @@ def test_settled_search_skips_the_grid(monkeypatch):
     calls = grid_calls(monkeypatch)
     for kind in KERNEL_KINDS:
         for sel in (LAM_MAX, LAM_MIN):
-            radius._level_sup(kernel_case(kind, 5), sel)
+            level_sup(kernel_case(kind, 5), sel)
     assert not calls
 
 
@@ -407,12 +457,11 @@ def test_kink_maximum_converges_in_few_levels(monkeypatch):
     2 pi - 0.3.  Midpoints alone shrink the gap by 3/8 per level (31
     levels); the tangent meeting point lands on the kink."""
     levels = []
-    crossings = radius._crossings
-    monkeypatch.setattr(radius, "_crossings",
-                        lambda *a: levels.append(1) or crossings(*a))
+    parts_at = radius._parts_at
+    monkeypatch.setattr(radius, "_parts_at", lambda *a: levels.append(1) or parts_at(*a))
     u, _ = np.linalg.qr(np.arange(16).reshape(4, 4) + 1j * np.eye(4))
     b = np.exp(0.3j) * u @ np.diag([1 + 2j, 1 - 0.5j, 3 + 0.5j, 2 + 2j]) @ u.conj().T
-    value, theta, _ = radius._level_sup(b, LAM_MIN)
+    value, theta, _ = level_sup(b, LAM_MIN)
     assert value == pytest.approx(1.0, abs=1e-14 * np.linalg.norm(b))
     assert theta == pytest.approx(TWO_PI - 0.3, abs=1e-7)
     assert 1 <= len(levels) <= 6

@@ -20,9 +20,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from semihilbert import inequalities, linalg, radius
-from semihilbert.inequalities import _ascent_bilinear
 from semihilbert.linalg import fro_norm
-from semihilbert.radius import _crawford_core, _radius_seminorm_core, crawford_minimize
+from semihilbert.radius import (_ascent_bilinear, _crawford_core, _radius_seminorm_core,
+                               crawford_minimize)
 from semihilbert.semispace import make_space
 
 EPS = np.finfo(float).eps
@@ -76,15 +76,33 @@ CRAWFORD_CASES = [
 def test_ascent_reaches_the_serial_reference(kind, r, kwargs, want):
     bt, bs = _pair(kind, r)
     kw = {"starts": 32, "seed": 0, **kwargs}
-    val, u = _ascent_bilinear(bt, bs, **kw)
+    val, u = _ascent_bilinear([(bt, bs)], **kw)[0]
     assert val >= want - _tol(want)
     assert val <= _radius_seminorm_core(bt)[0] * _radius_seminorm_core(bs)[0] * (1 + 64 * EPS)
     assert np.linalg.norm(u) == pytest.approx(1.0, abs=1e-14)
     zt, zs = np.vdot(u, bt @ u), np.vdot(u, bs @ u)
     assert abs((np.conj(zt) * zs).real - val) <= 1e-14 * max(1.0, abs(val))
-    val2, u2 = _ascent_bilinear(bt, bs, **kw)
+    val2, u2 = _ascent_bilinear([(bt, bs)], **kw)[0]
     assert val2 == val
     assert np.array_equal(u2, u)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 5, 8])
+@pytest.mark.parametrize("starts", [1, 2, 6, 32])
+def test_stacked_ascent_is_each_ascent_alone(r, starts):
+    """Two problems ascended in lockstep, as check runs the pair's two
+    diagnostics, give each problem's value and vector of its run alone, bit
+    for bit: the pair (Bt, Bs) and the pair of squares, whose scale2 differs.
+    Small start counts leave one problem with a single live row while the
+    other still has several."""
+    rng = np.random.default_rng([2026, r, starts])
+    bt, bs = _crand(rng, r), _crand(rng, r)
+    pairs = [(bt, bs), (bt @ bt, bs @ bs)]
+    together = _ascent_bilinear(pairs, starts=starts, seed=r)
+    for pair, (val, u) in zip(pairs, together):
+        (alone, ua), = _ascent_bilinear([pair], starts=starts, seed=r)
+        assert val == alone
+        assert u.tobytes() == ua.tobytes()
 
 
 @pytest.mark.parametrize("kind,r,kwargs,want", CRAWFORD_CASES)
@@ -115,13 +133,13 @@ def _recorded(monkeypatch, module, call):
     the number of rows f was called on, call by call, and max_iter."""
     rows, seen = [], {}
 
-    def recorded(mats, f, dfdz, starts, seed, max_iter, scale2):
+    def recorded(problems, f, dfdz, starts, seed, max_iter):
         def counted(z):
             rows.append(len(z))
             return f(z)
 
         seen.update(starts=starts, max_iter=max_iter)
-        return linalg._multistart_ascent(mats, counted, dfdz, starts, seed, max_iter, scale2)
+        return linalg._multistart_ascent(problems, counted, dfdz, starts, seed, max_iter)
 
     monkeypatch.setattr(module, "_multistart_ascent", recorded)
     call()
@@ -146,7 +164,7 @@ def _iterating(cases):  # r = 1 has no direction to move in, so no iteration
 def test_ascent_stops_in_tens_of_iterations(monkeypatch, kind, r, kwargs, want):
     bt, bs = _pair(kind, r)
     kw = {"starts": 32, "seed": 0, **kwargs}
-    _assert_converges(*_recorded(monkeypatch, inequalities, lambda: _ascent_bilinear(bt, bs, **kw)))
+    _assert_converges(*_recorded(monkeypatch, radius, lambda: _ascent_bilinear([(bt, bs)], **kw)))
 
 
 @pytest.mark.parametrize("kind,r,kwargs,want", _iterating(CRAWFORD_CASES))
@@ -199,7 +217,8 @@ def test_searches_on_rank_zero():
     empty = np.zeros((0, 0), dtype=np.complex128)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        results = (_ascent_bilinear(empty, empty, starts=32, seed=0), crawford_minimize(empty))
+        results = (*_ascent_bilinear([(empty, empty)], starts=32, seed=0),
+                   crawford_minimize(empty))
     for val, u in results:
         assert val == 0.0
         assert u.shape == (0,)
@@ -236,7 +255,7 @@ def test_searches_are_homogeneous_in_the_operator(seed, r, e):
     base, _ = crawford_minimize(bt, starts=4)
     scaled, _ = crawford_minimize(c * bt, starts=4)
     assert abs(scaled / c - base) <= 1e-12 * fro_norm(bt)
-    base, _ = _ascent_bilinear(bt, bs, starts=4, seed=0)
-    scaled, _ = _ascent_bilinear(c * bt, c * bs, starts=4, seed=0)
+    base, _ = _ascent_bilinear([(bt, bs)], starts=4, seed=0)[0]
+    scaled, _ = _ascent_bilinear([(c * bt, c * bs)], starts=4, seed=0)[0]
     assert abs(scaled / c ** 2 - base) <= 1e-12 * fro_norm(bt) * fro_norm(bs)
 
