@@ -30,7 +30,7 @@ import numpy as np
 from . import fuzz as fuzz_mod
 from . import inequalities as ineq
 from .errors import NoAdjoint, ParseError, PreconditionNotMet, SemiHilbertError
-from .radius import _crawford_of, a_crawford, a_numerical_radius, run_declared
+from .radius import _kept, a_crawford, a_numerical_radius, run_declared
 from .semispace import make_space
 
 _SQRT2 = math.sqrt(2.0)
@@ -181,16 +181,12 @@ def _fmt(v: float) -> str:
     return f"{v:.10g}"
 
 
-# the searches ``_quantities`` reads, of T and then of S
-QUANTITY_SEARCHES = ("w(T)", "c(T)", "w(S)", "c(S)")
-
-
 def _quantities(op) -> dict:
     # the values of a_numerical_radius and a_crawford, without the witness
     # search a certificate of c_A can need
     return {**op.membership, "a_operator_norm": op.a_operator_norm(),
             "a_numerical_radius": a_numerical_radius(op).value,
-            "a_crawford": max(0.0, _crawford_of(op)[0]) if op.a_bounded else math.inf}
+            "a_crawford": max(0.0, _kept("c(T)", op)[0]) if op.a_bounded else math.inf}
 
 
 def _render_report(r: ineq.InequalityReport) -> str:
@@ -218,10 +214,8 @@ def _cmd_check(args) -> int:
     operators = tuple(space.bind(m) for m in ((t,) if s is None else (t, s)))
     names = [args.check] if explicit else [
         n for n in fuzz_mod.CHECK_ORDER if fuzz_mod.CHECKS[n].arity <= len(operators)]
-    # every search the quantities and the checks read, run up front in lockstep
-    run_declared(operators, QUANTITY_SEARCHES[:2 * len(operators)] + tuple(
-        search for n in names if fuzz_mod.CHECKS[n].arity <= len(operators)
-        for search in fuzz_mod.CHECKS[n].searches))
+    if not explicit:  # every search the quantities and the checks read, in lockstep
+        run_declared(operators)
 
     quantities = {part: _quantities(op) for part, op in zip("ts", operators)}
 
@@ -242,8 +236,9 @@ def _cmd_check(args) -> int:
         except (PreconditionNotMet, NoAdjoint, OverflowError, np.linalg.LinAlgError) as exc:
             if explicit or not isinstance(exc, PreconditionNotMet):
                 errored = True
-                # a float power's OverflowError reads (errno, text)
-                text = f"overflow: {exc.args[-1]}" if isinstance(exc, OverflowError) else str(exc)
+                # a float power's OverflowError reads (errno, text); math's reads its text
+                errno = isinstance(exc, OverflowError) and len(exc.args) == 2
+                text = f"overflow: {exc.args[1]}" if errno else str(exc)
                 lines.append(f"{name}: ERROR  {text}")
                 results.append({"name": name, "error": text})
             else:

@@ -183,9 +183,7 @@ class CheckSpec:
     verdict needs true: ``holds`` for a chain (an InequalityReport), the
     consistency extras for an equality diagnostic.  ``draw(space, rng)``
     builds a campaign instance and returns (operators, extra kwargs for
-    ``fn``, flags that must also hold on that instance).  ``searches`` names
-    the level searches and ascents ``fn`` runs at its default arguments
-    (``radius.SEARCHES``), which ``cli check`` runs in lockstep up front.
+    ``fn``, flags that must also hold on that instance).
     """
 
     name: str
@@ -194,7 +192,6 @@ class CheckSpec:
     min_rank: int  # 0 unless the construction needs independent directions
     flags: tuple[str, ...]
     draw: object
-    searches: tuple[str, ...] = ()
 
     @property
     def kind(self) -> str:
@@ -273,37 +270,29 @@ def _draw_squares_radius(space, rng):
 
 
 CHECKS: dict[str, CheckSpec] = {spec.name: spec for spec in (
-    CheckSpec("halfnorm_bounds", ineq.check_halfnorm_bounds, 1, 0, _HOLDS, _draw_single,
-              ("w(T)",)),
+    CheckSpec("halfnorm_bounds", ineq.check_halfnorm_bounds, 1, 0, _HOLDS, _draw_single),
     CheckSpec("hh_triangle", ineq.check_hh_triangle, 2, 0, _HOLDS, _draw_pair),
     CheckSpec("integral_radius_bound", ineq.check_integral_radius_bound, 1, 0, _HOLDS,
-              _draw_single, ("w(T)",)),
-    CheckSpec("adjoint_sum_bound", ineq.check_adjoint_sum_bound, 2, 0, _HOLDS, _draw_pair,
-              ("w(S#T)",)),
-    CheckSpec("real_part_bounds", ineq.check_real_part_bounds, 1, 0, _HOLDS, _draw_single,
-              ("w(T)",)),
-    CheckSpec("square_bounds", ineq.check_square_bounds, 1, 0, _HOLDS, _draw_single,
-              ("w(T)", "w(T^2)")),
+              _draw_single),
+    CheckSpec("adjoint_sum_bound", ineq.check_adjoint_sum_bound, 2, 0, _HOLDS, _draw_pair),
+    CheckSpec("real_part_bounds", ineq.check_real_part_bounds, 1, 0, _HOLDS, _draw_single),
+    CheckSpec("square_bounds", ineq.check_square_bounds, 1, 0, _HOLDS, _draw_single),
     CheckSpec("fourth_power_bounds", ineq.check_fourth_power_bounds, 1, 0, _HOLDS,
-              _draw_single, ("w(T)", "w(T^2)", "c((T^2+(T#)^2)^2)")),
-    CheckSpec("power_inequality", ineq.check_power_inequality, 1, 0, _HOLDS, _draw_single,
-              ("w(T)", "w(T^2)")),
-    CheckSpec("reverse_power", ineq.check_reverse_power, 1, 0, _HOLDS, _draw_single,
-              ("w(T)", "w(T^2)")),
+              _draw_single),
+    CheckSpec("power_inequality", ineq.check_power_inequality, 1, 0, _HOLDS, _draw_single),
+    CheckSpec("reverse_power", ineq.check_reverse_power, 1, 0, _HOLDS, _draw_single),
     CheckSpec("triangle_equality", ineq.triangle_equality_diagnostic, 2, 0,
               ("consistent",), _draw_triangle_equality),
     CheckSpec("positive_product_equality", ineq.check_positive_product_equality, 2, 0,
               ("agrees_with_triangle",), _draw_positive_product),
     CheckSpec("max_equality", ineq.max_equality_diagnostic, 2, 0,
-              ("forward_consistent",), _draw_max_equality, ("w(S#T)",)),
+              ("forward_consistent",), _draw_max_equality),
     CheckSpec("pythagoras", ineq.pythagoras_diagnostic, 2, 2,
               ("consistent", "intermediate_identity_holds"), _draw_pythagoras),
     CheckSpec("radius_additivity", ineq.radius_additivity_diagnostic, 2, 0,
-              ("ascent_within_bound",), _draw_radius_additivity,
-              ("ascent(T,S)", "w(T)", "w(S)", "w(T+S)")),
+              ("ascent_within_bound",), _draw_radius_additivity),
     CheckSpec("squares_radius_equality", ineq.squares_radius_equality, 2, 0,
-              ("ascent_within_bound",), _draw_squares_radius,
-              ("ascent(T^2,S^2)", "w(T)", "w(S)", "w(T^2+S^2)")),
+              ("ascent_within_bound",), _draw_squares_radius),
 )}
 
 CHECK_ORDER = tuple(CHECKS)

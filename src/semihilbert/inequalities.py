@@ -21,9 +21,8 @@ import numpy as np
 
 from .errors import DimensionMismatch, PreconditionNotMet
 from .linalg import as_matrix, fro_norm, pow2_split, spectral_norm
-from .radius import (ASCENT_MAX_ITER, ASCENT_SEED, ASCENT_STARTS, _adjoint, _ascent_of,
-                     _fourth_power_crawford_of, _norm, _radius_of, _sharp_radius_of, _square,
-                     _square_sum_radius_of, _sum_radius_of, sup_sweep, support_max)
+from .radius import (ASCENT_MAX_ITER, ASCENT_SEED, ASCENT_STARTS, _adjoint, _kept, _norm,
+                     _square, sup_sweep, support_max)
 # the kernel cores and the ascent by the names the benchmark's tracer wraps here
 from .radius import _ascent_bilinear, _crawford_core, _radius_seminorm_core  # noqa: F401
 from .semispace import OperatorInSpace, SemiHilbertSpace
@@ -221,7 +220,7 @@ def check_halfnorm_bounds(space: SemiHilbertSpace, t) -> InequalityReport:
     op = _as_op(space, t)
     nt = _norm(op)
     return _report("halfnorm_bounds",
-                   [("0.5*norm_A(T)", 0.5 * nt), ("w_A(T)", _radius_of(op)[0]),
+                   [("0.5*norm_A(T)", 0.5 * nt), ("w_A(T)", _kept("w(T)", op)[0]),
                     ("norm_A(T)", nt)],
                    _digest(space, op.t))
 
@@ -257,7 +256,7 @@ def check_integral_radius_bound(space: SemiHilbertSpace, t) -> InequalityReport:
                        [("w_A(T)", 0.0), ("sup_theta int norm_A", 0.0), ("norm_A(T)", 0.0)],
                        digest)
     bs = _adjoint(op)
-    w_val, w_theta, _ = _radius_of(op)
+    w_val, w_theta, _ = _kept("w(T)", op)
 
     def path_integral(theta: float) -> float:
         x = np.exp(1j * theta) * bt
@@ -334,7 +333,7 @@ def check_adjoint_sum_bound(space: SemiHilbertSpace, t, s) -> InequalityReport:
     opt, ops = _as_op(space, t), _as_op(space, s)
     bt, bs = opt.compress(), ops.compress()
     mid = math.sqrt(max(0.0, _sig(_adjoint(opt) @ bt + _adjoint(ops) @ bs)
-                        + 2.0 * _sharp_radius_of(opt, ops)[0]))
+                        + 2.0 * _kept("w(S#T)", opt, ops)[0]))
     return _report("adjoint_sum_bound",
                    [("norm_A(T+S)", _sig(bt + bs)),
                     ("sqrt(norm_A(T#T+S#S)+2w_A(S#T))", mid),
@@ -351,7 +350,7 @@ def max_equality_diagnostic(space: SemiHilbertSpace, t, s) -> EqualityDiagnostic
     asymmetric outcome is flagged rather than asserted away.
     """
     opt, ops = _as_op(space, t), _as_op(space, s)
-    lhs, _, u = _sharp_radius_of(opt, ops)
+    lhs, _, u = _kept("w(S#T)", opt, ops)
     nt, ns = _norm(opt), _norm(ops)
     rhs = max(nt * nt, ns * ns)
     eff = _eq_eff(rhs)
@@ -411,7 +410,7 @@ def check_real_part_bounds(space: SemiHilbertSpace, t) -> InequalityReport:
     dm, dp = _sig(bt - bsh), _sig(bt + bsh)
     return _report("real_part_bounds",
                    [("max(norm_A(T-T#),norm_A(T+T#))/2", 0.5 * max(dm, dp)),
-                    ("w_A(T)", _radius_of(op)[0]),
+                    ("w_A(T)", _kept("w(T)", op)[0]),
                     ("sqrt(norm_A(T-T#)^2+norm_A(T+T#)^2)/2",
                      0.5 * math.hypot(dm, dp))],
                    _digest(space, op.t))
@@ -423,10 +422,10 @@ def check_square_bounds(space: SemiHilbertSpace, t) -> InequalityReport:
     op = _as_op(space, t)
     bt2, bsh = _square(op), _adjoint(op)
     m2, p2 = _sig(bt2 - bsh @ bsh), _sig(bt2 + bsh @ bsh)
-    upper = (math.sqrt(2.0) / 2.0) * math.sqrt(_norm(op) ** 2 + _radius_of(op, 2)[0])
+    upper = (math.sqrt(2.0) / 2.0) * math.sqrt(_norm(op) ** 2 + _kept("w(T^2)", op)[0])
     return _report("square_bounds",
                    [("max-diff-sum-squares^(1/2)/2", 0.5 * math.sqrt(max(m2, p2))),
-                    ("w_A(T)", _radius_of(op)[0]),
+                    ("w_A(T)", _kept("w(T)", op)[0]),
                     ("sqrt(2)/2*(norm_A(T)^2+w_A(T^2))^(1/2)", upper)],
                    _digest(space, op.t))
 
@@ -453,8 +452,8 @@ def check_fourth_power_bounds(space: SemiHilbertSpace, t) -> InequalityReport:
     op = _as_op(space, t)
     bt, bsh = op.compress(), _adjoint(op)
     anti = _sig(bt @ bsh + bsh @ bt)
-    c4 = max(0.0, _fourth_power_crawford_of(op)[0])
-    wt, wt2 = _radius_of(op)[0], _radius_of(op, 2)[0]
+    c4 = max(0.0, _kept("c((T^2+(T#)^2)^2)", op)[0])
+    wt, wt2 = _kept("w(T)", op)[0], _kept("w(T^2)", op)[0]
     return _report("fourth_power_bounds",
                    [("norm_A(TT#+T#T)^2/16+c_A((T^2+(T#)^2)^2)/16",
                      anti * anti / 16.0 + c4 / 16.0),
@@ -467,9 +466,9 @@ def check_fourth_power_bounds(space: SemiHilbertSpace, t) -> InequalityReport:
 def check_power_inequality(space: SemiHilbertSpace, t) -> InequalityReport:
     """w_A(T^2) <= w_A(T)^2 <= norm_A(T)^2 <= 4 w_A(T)^2."""
     op = _as_op(space, t)
-    wt = _radius_of(op)[0]
+    wt = _kept("w(T)", op)[0]
     return _report("power_inequality",
-                   [("w_A(T^2)", _radius_of(op, 2)[0]), ("w_A(T)^2", wt * wt),
+                   [("w_A(T^2)", _kept("w(T^2)", op)[0]), ("w_A(T)^2", wt * wt),
                     ("norm_A(T)^2", _norm(op) ** 2), ("4*w_A(T)^2", 4.0 * wt * wt)],
                    _digest(space, op.t))
 
@@ -483,13 +482,13 @@ def check_reverse_power(space: SemiHilbertSpace, t) -> InequalityReport:
     """
     op = _as_op(space, t)
     bt, bsh = op.compress(), _adjoint(op)
-    wt = _radius_of(op)[0]
+    wt = _kept("w(T)", op)[0]
     minterm = min(_sig(bt - bsh), _sig(bt + bsh)) ** 2
     return _report("reverse_power",
                    [("2*w_A(T)^2", 2.0 * wt * wt),
                     ("norm_A(TT#+T#T)", _sig(bt @ bsh + bsh @ bt)),
                     ("2*w_A(T^2)+min(norm_A(T-T#),norm_A(T+T#))^2",
-                     2.0 * _radius_of(op, 2)[0] + minterm)],
+                     2.0 * _kept("w(T^2)", op)[0] + minterm)],
                    _digest(space, op.t))
 
 
@@ -506,11 +505,11 @@ def radius_additivity_diagnostic(space: SemiHilbertSpace, t, s, starts: int = AS
     """
     opt, ops = _as_op(space, t), _as_op(space, s)
     # <x, T x>_A = conj(<T x, x>_A), so the target is Re(conj(z_T) z_S)
-    lhs, u = _ascent_of(opt, ops, 1, starts, seed, max_iter)
-    wt, ws = _radius_of(opt)[0], _radius_of(ops)[0]
+    lhs, u = _kept("ascent(T,S)", opt, ops, args=(starts, seed, max_iter))
+    wt, ws = _kept("w(T)", opt)[0], _kept("w(T)", ops)[0]
     rhs = wt * ws
     eff = _eq_eff(rhs)
-    w_sum = _sum_radius_of(opt, ops)[0]
+    w_sum = _kept("w(T+S)", opt, ops)[0]
     equal = abs(w_sum - (wt + ws)) <= _eq_eff(wt + ws)
     return EqualityDiagnostic(
         name="radius_additivity", lhs=lhs, rhs=rhs, gap=rhs - lhs,
@@ -527,11 +526,11 @@ def squares_radius_equality(space: SemiHilbertSpace, t, s, starts: int = ASCENT_
     characterization on the squares; also reports the chain
     w_A(T^2+S^2) <= 2 max(w_A(T)^2, w_A(S)^2)."""
     opt, ops = _as_op(space, t), _as_op(space, s)
-    lhs, u = _ascent_of(opt, ops, 2, starts, seed, max_iter)
-    wt, ws = _radius_of(opt)[0], _radius_of(ops)[0]
+    lhs, u = _kept("ascent(T^2,S^2)", opt, ops, args=(starts, seed, max_iter))
+    wt, ws = _kept("w(T)", opt)[0], _kept("w(T)", ops)[0]
     rhs = max(wt ** 4, ws ** 4)
     eff = _eq_eff(rhs)
-    chain_lhs = _square_sum_radius_of(opt, ops)[0]
+    chain_lhs = _kept("w(T^2+S^2)", opt, ops)[0]
     chain_rhs = 2.0 * max(wt * wt, ws * ws)
     equal = abs(chain_lhs - chain_rhs) <= _eq_eff(chain_rhs)
     return EqualityDiagnostic(

@@ -186,14 +186,12 @@ def _multistart_ascent(problems, f, dfdz, starts: int, seed: int,
         q = d / np.where(pos, gn, 1.0)[:, None]
         w = np.einsum("ijr,ir->ij", h, q.conj())
         c, m = forms(q, cut), w[:, :k] + w[:, k:].conj()
-        phi, gain = _great_circle_max(f, a, c, m, tol)
-        # numpy takes a product with one row to gemv, which rounds unlike the
-        # gemm of more rows: a problem down to one live row steps alone, as in
-        # its run alone
-        for lo, hi in zip([0, *cut], cut) if cut is not None and len(live) > 1 else ():
-            if hi - lo == 1:
-                phi[lo:hi], gain[lo:hi] = _great_circle_max(f, a[lo:hi], c[lo:hi], m[lo:hi],
-                                                            tol[lo:hi])
+        if cut is None:
+            phi, gain = _great_circle_max(f, a, c, m, tol)
+        else:  # each problem's rows, the products of its run alone
+            phi, gain = map(np.concatenate, zip(*[
+                _great_circle_max(f, a[lo:hi], c[lo:hi], m[lo:hi], tol[lo:hi])
+                for lo, hi in zip([0, *cut], cut) if hi > lo]))
         t = (phi * pos / 2)[:, None]
         ul = np.cos(t) * ul + np.sin(t) * q
         ul /= np.linalg.norm(ul, axis=1, keepdims=True)

@@ -461,30 +461,34 @@ def _fourth_power(op: OperatorInSpace) -> np.ndarray:
     return m @ m
 
 
-# every kind of search, with the selector of ``_level_sup`` (None for the
-# bilinear ascent) and the matrix, or pair of matrices, it runs on, built
-# from T or from T and S
-_KINDS = {
-    "radius": (-1, OperatorInSpace.compress),
-    "square_radius": (-1, _square),
-    "crawford": (0, OperatorInSpace.compress),
-    "fourth_power_crawford": (0, _fourth_power),
-    "sharp_radius": (-1, lambda t, s: _adjoint(s) @ t.compress()),
-    "sum_radius": (-1, lambda t, s: t.compress() + s.compress()),
-    "square_sum_radius": (-1, lambda t, s: _square(t) + _square(s)),
-    "ascent": (None, lambda t, s: (t.compress(), s.compress())),
-    "square_ascent": (None, lambda t, s: (_square(t), _square(s))),
+# every search the checks read, by name: the selector of ``_level_sup`` (None
+# for the bilinear ascent), the operators it reads and the matrix, or pair of
+# matrices, it runs on.  A search of one operator runs on S under its name on T.
+SEARCHES = {
+    "w(T)": (-1, "t", OperatorInSpace.compress),
+    "c(T)": (0, "t", OperatorInSpace.compress),
+    "w(T^2)": (-1, "t", _square),
+    "c((T^2+(T#)^2)^2)": (0, "t", _fourth_power),
+    "w(S#T)": (-1, "ts", lambda t, s: _adjoint(s) @ t.compress()),
+    "w(T+S)": (-1, "ts", lambda t, s: t.compress() + s.compress()),
+    "w(T^2+S^2)": (-1, "ts", lambda t, s: _square(t) + _square(s)),
+    "ascent(T,S)": (None, "ts", lambda t, s: (t.compress(), s.compress())),
+    "ascent(T^2,S^2)": (None, "ts", lambda t, s: (_square(t), _square(s))),
 }
 
+# the defaults of the two diagnostics that ascend, which a declared ascent runs with
+ASCENT_STARTS, ASCENT_SEED, ASCENT_MAX_ITER = 32, 0, 150
+ASCENT_ARGS = (ASCENT_STARTS, ASCENT_SEED, ASCENT_MAX_ITER)
 
-def _search(kind: str, *ops: OperatorInSpace, args: tuple = ()):
-    """(owner, key, selector, build) of a search of ``kind`` on T (and S): kept
-    on the last operator under the kind, ``args`` (an ascent's starts, seed
+
+def _entry(name: str, ops: tuple, args: tuple):
+    """(owner, key, selector, build) of the search ``name`` on T (and S): kept
+    on the last operator under the name, ``args`` (an ascent's starts, seed
     and max_iter) and T's identity, if two.  S's memo then holds T too, so the
     identity names no other operator while the entry lives; T = S needs no
     such hold, which would only make the operator a cycle for the collector."""
-    sel, build = _KINDS[kind]
-    owner, key = ops[-1], (kind, *args)
+    sel, _, build = SEARCHES[name]
+    owner, key = ops[-1], (name, *args)
     if len(ops) == 2:
         if ops[0] is not owner:
             owner._cached(("operand", id(ops[0])), lambda: ops[0])
@@ -492,87 +496,42 @@ def _search(kind: str, *ops: OperatorInSpace, args: tuple = ()):
     return owner, key, sel, lambda: build(*ops)
 
 
-def _kept(kind: str, *ops: OperatorInSpace):
-    owner, key, sel, build = _search(kind, *ops)
+def _kept(name: str, *ops: OperatorInSpace, args: tuple = ()):
+    """The search ``name`` of ``SEARCHES`` on T, or on T and S, run on first
+    use: (value, theta, vector) of a level search, (value, vector) of an
+    ascent, which runs with ``args``."""
+    owner, key, sel, build = _entry(name, ops, args)
+    if sel is None:
+        return owner._cached(key, lambda: _ascent_bilinear([build()], *args)[0])
     core = _radius_seminorm_core if sel else _crawford_core
     return owner._cached(key, lambda: core(build()))
 
 
-def _radius_of(op: OperatorInSpace, power: int = 1):
-    return _kept("radius" if power == 1 else "square_radius", op)
-
-
-def _crawford_of(op: OperatorInSpace):
-    return _kept("crawford", op)
-
-
-def _fourth_power_crawford_of(op: OperatorInSpace):
-    return _kept("fourth_power_crawford", op)
-
-
-def _sharp_radius_of(opt: OperatorInSpace, ops: OperatorInSpace):
-    return _kept("sharp_radius", opt, ops)
-
-
-def _sum_radius_of(opt: OperatorInSpace, ops: OperatorInSpace):
-    return _kept("sum_radius", opt, ops)
-
-
-def _square_sum_radius_of(opt: OperatorInSpace, ops: OperatorInSpace):
-    return _kept("square_sum_radius", opt, ops)
-
-
-def _ascent_of(opt: OperatorInSpace, ops: OperatorInSpace, power: int, starts: int,
-               seed: int, max_iter: int):
-    owner, key, _, build = _search("ascent" if power == 1 else "square_ascent", opt, ops,
-                                   args=(starts, seed, max_iter))
-    return owner._cached(key, lambda: _ascent_bilinear([build()], starts, seed, max_iter)[0])
-
-
-# the defaults of the two diagnostics that ascend, which a declared ascent runs with
-ASCENT_STARTS, ASCENT_SEED, ASCENT_MAX_ITER = 32, 0, 150
-ASCENT_ARGS = (ASCENT_STARTS, ASCENT_SEED, ASCENT_MAX_ITER)
-
-# the searches a check declares (``fuzz.CheckSpec.searches``), by name: the
-# kind and the operators it reads
-SEARCHES = {
-    "w(T)": ("radius", "t"), "c(T)": ("crawford", "t"),
-    "w(S)": ("radius", "s"), "c(S)": ("crawford", "s"),
-    "w(T^2)": ("square_radius", "t"), "c((T^2+(T#)^2)^2)": ("fourth_power_crawford", "t"),
-    "w(S#T)": ("sharp_radius", "ts"), "w(T+S)": ("sum_radius", "ts"),
-    "w(T^2+S^2)": ("square_sum_radius", "ts"),
-    "ascent(T,S)": ("ascent", "ts"), "ascent(T^2,S^2)": ("square_ascent", "ts"),
-}
-
-
-def run_declared(operators, names) -> None:
-    """Fill the memos of the bound operators (T, or T and S) with every named
-    search (``SEARCHES``) from two lockstep runs: one ``_level_sup`` over the
-    level searches and one ``_ascent_bilinear`` over the ascents, at the
-    diagnostics' defaults.  Each result is the one its accessor computes
-    alone, bit for bit.  A search on an unbounded operator or a non-finite
-    matrix, and every search of a run LAPACK fails on, is left to its
-    accessor, which raises as it would."""
-    by_role = dict(zip("ts", operators))
-    pending = {}
-    for name in names:
-        kind, roles = SEARCHES[name]
-        ops = [by_role[role] for role in roles]
-        if all(op.a_bounded for op in ops):
-            args = ASCENT_ARGS if _KINDS[kind][0] is None else ()  # an ascent, at the defaults
-            owner, key, sel, build = _search(kind, *ops, args=args)
-            if key not in owner._memo:
-                pending[id(owner), key] = owner, key, sel, build
+def run_declared(operators) -> None:
+    """Fill the memos of the bound operators (T, or T and S) with every search
+    ``check`` reads of them: each of ``SEARCHES`` whose operators are bound,
+    and w and c of S.  Two lockstep runs compute them: one ``_level_sup`` over
+    the level searches and one ``_ascent_bilinear`` over the ascents, at the
+    diagnostics' defaults.  Each result is the one ``_kept`` computes alone,
+    bit for bit.  A search on an unbounded operator or a non-finite matrix,
+    and every search of a run that LAPACK fails on or whose value overflows,
+    is left to ``_kept``, which raises as it would."""
+    t = operators[0]
+    declared = [(name, (t,) if roles == "t" else operators)
+                for name, (_, roles, _) in SEARCHES.items() if len(roles) <= len(operators)]
+    declared += [(name, operators[1:]) for name in ("w(T)", "c(T)") if len(operators) == 2]
     level, ascent = [], []
-    for owner, key, sel, build in pending.values():
-        m = build()
-        if np.isfinite(m).all():
-            (ascent if sel is None else level).append((owner, key, sel, m))
+    for name, ops in declared:
+        if all(op.a_bounded for op in ops):
+            args = ASCENT_ARGS if SEARCHES[name][0] is None else ()  # an ascent, at the defaults
+            owner, key, sel, build = _entry(name, ops, args)
+            if key not in owner._memo and np.isfinite(m := build()).all():
+                (ascent if sel is None else level).append((owner, key, sel, m))
     for run, searches in ((_run_level, level), (_run_ascent, ascent)):
         if searches:
             try:
                 results = run(searches)
-            except np.linalg.LinAlgError:
+            except (np.linalg.LinAlgError, OverflowError):
                 continue
             for (owner, key, _, _), result in zip(searches, results):
                 owner._cached(key, lambda: result)
@@ -614,7 +573,7 @@ def a_numerical_radius(op: OperatorInSpace) -> RadiusEstimate:
     magnitude of the rotated Hermitian compression.  Returns the infinite
     marker when the operator is not seminorm-bounded.
     """
-    return _estimate(op, "theta_sweep_seminorm", _radius_of)
+    return _estimate(op, "theta_sweep_seminorm", lambda o: _kept("w(T)", o))
 
 
 def a_numerical_radius_oracle(op: OperatorInSpace) -> RadiusEstimate:
@@ -625,7 +584,7 @@ def a_numerical_radius_oracle(op: OperatorInSpace) -> RadiusEstimate:
 
 def _crawford_witnessed(op: OperatorInSpace):
     b = op.compress()
-    raw, theta, u = _crawford_of(op)
+    raw, theta, u = _kept("c(T)", op)
     value = max(0.0, raw)
     # the support eigenvector witnesses the value only when the smallest
     # eigenvalue at the optimal angle is simple and positive; fall back to

@@ -109,27 +109,12 @@ def test_check_runs_each_kernel_search_once(monkeypatch, capsys):
     capsys.readouterr()
     assert len(stacks) == 1 and stacks[0] <= 9
     assert ascents == [2]
-    # one check declares only what it and the quantities read: w_A and c_A
-    # of T and S, among which halfnorm_bounds finds w_A(T)
+    # one check declares nothing: halfnorm_bounds reads w_A(T), which the
+    # quantities' w_A and c_A of T and S already hold
     stacks.clear()
     ascents.clear()
     assert cli.main(["check", str(path), "--check", "halfnorm_bounds"]) == 0
-    assert sum(stacks) <= 4 and ascents == []
-
-
-@pytest.mark.parametrize("name", [n for n in fuzz.CHECK_ORDER if fuzz.CHECKS[n].searches])
-def test_each_check_declares_what_it_searches(monkeypatch, name):
-    """Once a check's declared searches are kept, the check runs no level
-    search or ascent of its own."""
-    path = next(p for p in CHECK_PAIRS if p.stem == "00-generic-dim8-full")
-    space, t, s = cli.load_instance(str(path))
-    operators = (space.bind(t), space.bind(s))
-    radius.run_declared(operators, fuzz.CHECKS[name].searches)
-    calls = []
-    for hook in ("_level_sup", "_multistart_ascent"):
-        monkeypatch.setattr(radius, hook, lambda *a, hook=hook: calls.append(hook))
-    fuzz.CHECKS[name].fn(space, *operators[:fuzz.CHECKS[name].arity])
-    assert calls == []
+    assert stacks == [1] * 4 and ascents == []
 
 
 def test_check_complex_entries(tmp_path):
@@ -268,6 +253,8 @@ EDGE_INSTANCES = {
              "s": [[1e-200, 0], [0, 1e-200]]},
     "huge-1e150": {"a": [[1e150, 0], [0, 1e150]], "t": [[1e150, 1e150], [0, 1]]},
     "huge-1e200": {"a": [[1, 0], [0, 1]], "t": [[1e200, 1e200], [0, 1e200]]},
+    # T^2 is finite, but w_A(T^2) = 2.56e308 overflows
+    "radius-overflow": {"a": [[1, 0], [0, 1]], "t": (8e153 * np.ones((2, 2))).tolist()},
 }
 
 
@@ -276,8 +263,8 @@ def test_declared_searches_change_no_output(tmp_path, capsys, monkeypatch, name)
     """check prints the same text and JSON, with the same exit code, whether
     its searches run in the declared lockstep pass, fail there, or run each
     alone in its check: the pass leaves an unbounded operator, a non-finite
-    matrix or a stack LAPACK fails on to the checks, which raise as they
-    would."""
+    matrix, a stack LAPACK fails on or a value that overflows to the checks,
+    which raise as they would."""
     path = write_instance(tmp_path, **EDGE_INSTANCES[name])
 
     def outputs():

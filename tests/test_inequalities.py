@@ -483,18 +483,23 @@ def test_memo_belongs_to_one_bound_operator(monkeypatch):
 
 @pytest.mark.parametrize("diagnostic", [ineq.radius_additivity_diagnostic,
                                         ineq.squares_radius_equality])
-def test_kept_ascent_is_read_only_with_its_arguments(diagnostic):
+def test_kept_ascent_is_read_only_with_its_arguments(monkeypatch, diagnostic):
     """A declared ascent is kept under its starts, seed and max_iter: the
     campaign's shorter ascents compute their own, and the defaults read the
     kept one."""
     space, t, s = rand_pair(11, n=4)
     opt, ops = space.bind(t), space.bind(s)
-    radius.run_declared((opt, ops), ["ascent(T,S)", "ascent(T^2,S^2)"])
+    radius.run_declared((opt, ops))
     short = {"starts": 6, "seed": 5, "max_iter": 40}
     fresh = diagnostic(space, space.bind(t), space.bind(s), **short)
     assert diagnostic(space, opt, ops, **short).lhs == fresh.lhs
-    assert diagnostic(space, opt, ops).lhs == diagnostic(space, space.bind(t), space.bind(s)).lhs
-    assert fresh.lhs != diagnostic(space, opt, ops).lhs
+    alone = diagnostic(space, space.bind(t), space.bind(s)).lhs
+    ascent = radius._multistart_ascent
+    calls = []
+    monkeypatch.setattr(radius, "_multistart_ascent",
+                        lambda *a: calls.append(len(a[0])) or ascent(*a))
+    kept = diagnostic(space, opt, ops).lhs
+    assert calls == [] and kept == alone and fresh.lhs != kept
 
 
 _entries = st.floats(min_value=-2.0, max_value=2.0,
