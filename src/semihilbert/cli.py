@@ -30,7 +30,7 @@ import numpy as np
 from . import fuzz as fuzz_mod
 from . import inequalities as ineq
 from .errors import NoAdjoint, ParseError, PreconditionNotMet, SemiHilbertError
-from .radius import _kept, a_crawford, a_numerical_radius, run_declared
+from .radius import _kept, a_numerical_radius, run_declared
 from .semispace import make_space
 
 _SQRT2 = math.sqrt(2.0)
@@ -182,10 +182,9 @@ def _fmt(v: float) -> str:
 
 
 def _quantities(op) -> dict:
-    # the values of a_numerical_radius and a_crawford, without the witness
-    # search a certificate of c_A can need
+    # the values of a_numerical_radius and a_crawford, without their certificates
     return {**op.membership, "a_operator_norm": op.a_operator_norm(),
-            "a_numerical_radius": a_numerical_radius(op).value,
+            "a_numerical_radius": _kept("w(T)", op)[0] if op.a_bounded else math.inf,
             "a_crawford": max(0.0, _kept("c(T)", op)[0]) if op.a_bounded else math.inf}
 
 
@@ -276,15 +275,13 @@ def _golden_quantity(case, key, space, op, sop, reports: dict):
         return op.a_operator_norm()
     if key == "a_numerical_radius":
         return a_numerical_radius(op).value
+    # what a check computes is read from the memo or the report it fills
     if key == "a_numerical_radius_of_square":
-        return a_numerical_radius(space.bind(t @ t)).value
+        return _kept("w(T^2)", op)[0]
     if key == "anti_commutator_norm":
-        sh = op.sharp()
-        return space.bind(t @ sh + sh @ t).a_operator_norm()
+        return ineq._anti_commutator_norm(op)
     if key == "crawford_square_sum":
-        sh = op.sharp()
-        m = t @ t + sh @ sh
-        return a_crawford(space.bind(m @ m)).value
+        return max(0.0, _kept("c((T^2+(T#)^2)^2)", op)[0])
     if key == "fourth_power_chain":
         return [v for _, v in report(ineq.check_fourth_power_bounds).chain]
     if key == "fourth_power_chain_holds":
@@ -294,7 +291,7 @@ def _golden_quantity(case, key, space, op, sop, reports: dict):
     if key == "norm_of_s":
         return sop.a_operator_norm()
     if key == "norm_of_sum":
-        return space.bind(t + sop.t).a_operator_norm()
+        return report(ineq.check_hh_triangle, sop).chain[0][1]
     if key == "hh_middle":
         return report(ineq.check_hh_triangle, sop).chain[1][1]
     if key == "hh_chain_holds":

@@ -10,6 +10,8 @@ singular value of Bt* Bt + Bs* Bs where Bt, Bs are the compressions.
 The tolerances are fixed: a chain holds when every consecutive slack is at
 least -(CHECK_TOL * (1 + max |chain value|)), read in ``_report``; an equality
 diagnostic compares |rhs - lhs| with EQ_TOL * max(1, |rhs|), read in ``_eq_eff``.
+A chain or diagnostic with a value past the float range (inf or nan) raises
+OverflowError instead of reporting a verdict.
 """
 
 from __future__ import annotations
@@ -76,6 +78,10 @@ class EqualityDiagnostic:
     eq_tol: float
     extras: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        _refuse_non_finite([("lhs", self.lhs), ("rhs", self.rhs), ("gap", self.gap),
+                            *((k, v) for k, v in self.extras.items() if isinstance(v, float))])
+
     def to_dict(self) -> dict:
         return {
             "name": self.name,
@@ -109,7 +115,15 @@ def _as_op(space: SemiHilbertSpace, t) -> OperatorInSpace:
     return space.bind(t)
 
 
+def _refuse_non_finite(labeled) -> None:
+    # an overflowed value decides nothing, so its check is an error, not a verdict
+    bad = [f"{label}={v}" for label, v in labeled if not math.isfinite(v)]
+    if bad:
+        raise OverflowError("non-finite value: " + ", ".join(bad))
+
+
 def _report(name: str, labeled: list[tuple[str, float]], digest: dict) -> InequalityReport:
+    _refuse_non_finite(labeled)
     values = [v for _, v in labeled]
     slacks = tuple(values[i + 1] - values[i] for i in range(len(values) - 1))
     eff = CHECK_TOL * (1.0 + max((abs(v) for v in values), default=0.0))
@@ -122,6 +136,11 @@ def _report(name: str, labeled: list[tuple[str, float]], digest: dict) -> Inequa
 
 def _sig(m: np.ndarray) -> float:
     return spectral_norm(m)
+
+
+def _anti_commutator_norm(op: OperatorInSpace) -> float:
+    # norm_A(TT# + T#T), read by the fourth-power and reverse power chains
+    return _sig(op.compress() @ _adjoint(op) + _adjoint(op) @ op.compress())
 
 
 # -- quadrature ---------------------------------------------------------------
@@ -310,8 +329,10 @@ def check_positive_product_equality(space: SemiHilbertSpace, t, s) -> EqualityDi
     """For S^# T A-positive: norm_A(S^# T) = norm_A(S) norm_A(T) iff the
     triangle equality holds for the pair; both are evaluated and compared."""
     opt, ops = _as_op(space, t), _as_op(space, s)
-    product = space.bind(ops.sharp() @ opt.t)
-    if not product.is_a_positive():
+    product = ops.sharp() @ opt.t
+    if not np.isfinite(product).all():
+        raise OverflowError("non-finite entries in S^# T")
+    if not space.bind(product).is_a_positive():
         raise PreconditionNotMet("S^# T is not A-positive")
     tri = triangle_equality_diagnostic(space, opt, ops)
     # the same rhs norm_A(T) norm_A(S) and tolerance as the triangle equality
@@ -332,8 +353,9 @@ def check_adjoint_sum_bound(space: SemiHilbertSpace, t, s) -> InequalityReport:
     """norm_A(T+S) <= sqrt(norm_A(T^#T + S^#S) + 2 w_A(S^#T)) <= norm_A(T)+norm_A(S)."""
     opt, ops = _as_op(space, t), _as_op(space, s)
     bt, bs = opt.compress(), ops.compress()
-    mid = math.sqrt(max(0.0, _sig(_adjoint(opt) @ bt + _adjoint(ops) @ bs)
-                        + 2.0 * _kept("w(S#T)", opt, ops)[0]))
+    # max keeps its first argument unless a later one is larger: NaN stays NaN
+    mid = math.sqrt(max(_sig(_adjoint(opt) @ bt + _adjoint(ops) @ bs)
+                        + 2.0 * _kept("w(S#T)", opt, ops)[0], 0.0))
     return _report("adjoint_sum_bound",
                    [("norm_A(T+S)", _sig(bt + bs)),
                     ("sqrt(norm_A(T#T+S#S)+2w_A(S#T))", mid),
@@ -433,8 +455,8 @@ def check_square_bounds(space: SemiHilbertSpace, t) -> InequalityReport:
 def verify_square_identity(x, y) -> float:
     """Frobenius residual of the algebraic identity
     (XY+YX)^2 + (X^2+Y^2)^2 = ((X+Y)^4 + (X-Y)^4)/2."""
-    xm = as_matrix(x, square=True)
-    ym = as_matrix(y, square=True)
+    xm = as_matrix(x)
+    ym = as_matrix(y)
     if xm.shape != ym.shape:
         raise DimensionMismatch(f"shapes differ: {xm.shape} vs {ym.shape}")
     anti = xm @ ym + ym @ xm
@@ -450,8 +472,7 @@ def check_fourth_power_bounds(space: SemiHilbertSpace, t) -> InequalityReport:
     """norm_A(TT#+T#T)^2/16 + c_A((T^2+(T#)^2)^2)/16 <= w_A(T)^4
     <= norm_A(TT#+T#T)^2/8 + w_A(T^2)^2/2."""
     op = _as_op(space, t)
-    bt, bsh = op.compress(), _adjoint(op)
-    anti = _sig(bt @ bsh + bsh @ bt)
+    anti = _anti_commutator_norm(op)
     c4 = max(0.0, _kept("c((T^2+(T#)^2)^2)", op)[0])
     wt, wt2 = _kept("w(T)", op)[0], _kept("w(T^2)", op)[0]
     return _report("fourth_power_bounds",
@@ -486,7 +507,7 @@ def check_reverse_power(space: SemiHilbertSpace, t) -> InequalityReport:
     minterm = min(_sig(bt - bsh), _sig(bt + bsh)) ** 2
     return _report("reverse_power",
                    [("2*w_A(T)^2", 2.0 * wt * wt),
-                    ("norm_A(TT#+T#T)", _sig(bt @ bsh + bsh @ bt)),
+                    ("norm_A(TT#+T#T)", _anti_commutator_norm(op)),
                     ("2*w_A(T^2)+min(norm_A(T-T#),norm_A(T+T#))^2",
                      2.0 * _kept("w(T^2)", op)[0] + minterm)],
                    _digest(space, op.t))

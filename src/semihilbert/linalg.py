@@ -20,14 +20,14 @@ DEFAULT_RANK_TOL = 1e-10
 DEFAULT_HERMITICITY_TOL = 1e-10
 
 
-def as_matrix(m, *, square: bool = False) -> np.ndarray:
-    """Coerce to a complex 2-D array and validate finiteness."""
+def as_matrix(m) -> np.ndarray:
+    """Coerce to a complex square matrix and validate finiteness."""
     a = np.asarray(m, dtype=np.complex128)
     if a.ndim != 2:
         raise DimensionMismatch(f"expected a 2-D matrix, got ndim={a.ndim}")
     if not np.isfinite(a).all():
         raise ValueError("matrix has non-finite entries")
-    if square and a.shape[0] != a.shape[1]:
+    if a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
     return a
 
@@ -83,7 +83,7 @@ def hermitian_eig(m) -> EigDecomposition:
     ``DEFAULT_HERMITICITY_TOL`` relative to the matrix scale, NoConvergence if
     the underlying iteration fails or the eigenvalues overflow.
     """
-    a = as_matrix(m, square=True)
+    a = as_matrix(m)
     defect = fro_norm(a - dagger(a))
     if defect > DEFAULT_HERMITICITY_TOL * max(1.0, fro_norm(a)):
         raise NotHermitian(f"Hermitian defect {defect:.3e} exceeds tolerance")

@@ -75,10 +75,6 @@ class RadiusEstimate:
         }
 
 
-def _rotated_herm(b: np.ndarray, thetas: np.ndarray) -> np.ndarray:
-    return _herm_at(b, dagger(b), np.exp(1j * thetas))
-
-
 def _herm_at(b: np.ndarray, bh: np.ndarray, ph: np.ndarray) -> np.ndarray:
     # Re(e^{i theta} B) at every phase e^{i theta} of ``ph``, given bh = B*
     h = ph[:, None, None] * b
@@ -248,7 +244,8 @@ def _best_with_antipodes(thetas: np.ndarray, lam: np.ndarray, sel: int) -> tuple
 def _grid_sup(b: np.ndarray, sel: int):
     """sup over theta in [0, 2 pi) of lam_sel(H(theta)) by ``sup_sweep`` on
     the dense grid.  Returns (theta, value)."""
-    return sup_sweep(lambda thetas: np.linalg.eigvalsh(_rotated_herm(b, thetas))[:, sel],
+    bh = dagger(b)
+    return sup_sweep(lambda ts: np.linalg.eigvalsh(_herm_at(b, bh, np.exp(1j * ts)))[:, sel],
                      _TWO_PI)
 
 

@@ -89,7 +89,7 @@ class SemiHilbertSpace:
 
     def compress_matrix(self, m) -> np.ndarray:
         """Compression of an n x n matrix to the range of ``a`` (r x r)."""
-        t = linalg.as_matrix(m, square=True)
+        t = linalg.as_matrix(m)
         if t.shape[0] != self.dim:
             raise DimensionMismatch(f"operator is {t.shape}, space has dim {self.dim}")
         v = self.range_basis
@@ -100,7 +100,7 @@ class SemiHilbertSpace:
     def lift_matrix(self, b) -> np.ndarray:
         """Inverse of ``compress_matrix`` on the range block: the admissible
         n x n operator whose compression is ``b`` and which kills ker(a)."""
-        bm = linalg.as_matrix(b, square=True)
+        bm = linalg.as_matrix(b)
         if bm.shape[0] != self.rank:
             raise DimensionMismatch(f"block is {bm.shape}, range has rank {self.rank}")
         v = self.range_basis
@@ -119,7 +119,7 @@ class SemiHilbertSpace:
     def bind(self, t) -> "OperatorInSpace":
         """Attach an operator to this space, deciding seminorm-boundedness and
         adjoint admissibility and caching the adjoint and compression."""
-        tm = linalg.as_matrix(t, square=True)
+        tm = linalg.as_matrix(t)
         if tm.shape[0] != self.dim:
             raise DimensionMismatch(f"operator is {tm.shape}, space has dim {self.dim}")
 
@@ -154,7 +154,7 @@ def make_space(a) -> SemiHilbertSpace:
     is legal and produces the everywhere-degenerate space of rank 0, as
     does an ``a`` whose eigenvalues are all subnormal.
     """
-    am = linalg.as_matrix(a, square=True)
+    am = linalg.as_matrix(a)
     dec = linalg._psd_eig(am)
     lam, vecs = dec.eigenvalues, dec.eigenvectors
     n = am.shape[0]

@@ -12,7 +12,7 @@ import warnings
 import numpy as np
 import pytest
 
-from semihilbert import cli, fuzz, radius
+from semihilbert import cli, fuzz, radius, semispace
 from semihilbert.errors import ParseError
 from semihilbert.radius import a_crawford, a_numerical_radius
 
@@ -115,6 +115,23 @@ def test_check_runs_each_kernel_search_once(monkeypatch, capsys):
     ascents.clear()
     assert cli.main(["check", str(path), "--check", "halfnorm_bounds"]) == 0
     assert stacks == [1] * 4 and ascents == []
+
+
+def test_paper_examples_read_what_their_checks_compute(monkeypatch, capsys):
+    """The six worked examples make 8 level searches and 8 binds: each
+    example's t and s, the second weight's t, and no product.  w_A(T^2),
+    c_A((T^2+(T#)^2)^2) and norm_A(T+S) come from the memo and the report
+    their checks fill; binding the products and searching them again took 11
+    searches and 13 binds."""
+    searches, binds = [], []
+    level_sup, bind = radius._level_sup, semispace.SemiHilbertSpace.bind
+    monkeypatch.setattr(radius, "_level_sup",
+                        lambda b, sels: searches.extend(sels) or level_sup(b, sels))
+    monkeypatch.setattr(semispace.SemiHilbertSpace, "bind",
+                        lambda space, t: binds.append(t) or bind(space, t))
+    assert cli.main(["paper-examples", "--json"]) == 0
+    capsys.readouterr()
+    assert len(searches) == 8 and len(binds) == 8
 
 
 def test_check_complex_entries(tmp_path):
@@ -255,7 +272,47 @@ EDGE_INSTANCES = {
     "huge-1e200": {"a": [[1, 0], [0, 1]], "t": [[1e200, 1e200], [0, 1e200]]},
     # T^2 is finite, but w_A(T^2) = 2.56e308 overflows
     "radius-overflow": {"a": [[1, 0], [0, 1]], "t": (8e153 * np.ones((2, 2))).tolist()},
+    # S^# T overflows, and with it the checks that bind or norm it
+    "huge-pair-1e200": {"a": [[1, 0], [0, 1]], "t": [[1e200, 1e200], [0, 1e200]],
+                        "s": [[1e200, 0], [1e200, 1e200]]},
+    "huge-pair-rank-one": {"a": [[1, 0], [0, 0]], "t": [[1e200, 0], [0, 1e200]],
+                           "s": [[1e200, 0], [0, 1e200]]},
+    # values that overflow to inf or nan and used to read as verdicts
+    "huge-1e300": {"a": [[1, 0], [0, 1]], "t": [[1e300, 0], [0, 1e300]]},
+    "huge-pair-1e300": {"a": [[1, 0], [0, 1]], "t": [[1e300, 0], [0, 1e300]],
+                        "s": [[1e300, 0], [0, 2e300]]},
+    "huge-ones-1e155": {"a": [[1, 0], [0, 1]], "t": (1e155 * np.ones((2, 2))).tolist(),
+                        "s": [[1e155, 0], [0, 1e155]]},
 }
+OVERFLOWING = ("huge-pair-1e200", "huge-pair-rank-one", "huge-1e300", "huge-pair-1e300",
+               "huge-ones-1e155")
+
+
+@pytest.mark.parametrize("name", OVERFLOWING)
+def test_check_overflow_is_an_error_not_a_verdict(tmp_path, capsys, name):
+    """A check whose values overflow prints an ERROR line and exits 1, in
+    text and JSON, run with the others or alone; the others still print.
+    None ends in a traceback or reads inf or nan as HOLDS, VIOLATED, OK or
+    INCONSISTENT."""
+    path = write_instance(tmp_path, **EDGE_INSTANCES[name])
+    assert cli.main(["check", path]) == 1
+    text = capsys.readouterr()
+    assert cli.main(["check", path, "--json"]) == 1
+    blob = json.loads(capsys.readouterr().out)
+    assert text.err == ""
+    lines = [line for line in text.out.splitlines() if line.split(":")[0] in fuzz.CHECKS]
+    verdicts = {line.split(":")[0]: line.split()[1] for line in lines}
+    assert "ERROR" in verdicts.values() and {"HOLDS", "OK"} & set(verdicts.values())
+    assert all("=nan" not in line and "=inf" not in line
+               for line in lines if line.split()[1] != "ERROR")
+    assert [c["name"] for c in blob["checks"]] == list(verdicts)
+    assert {c["name"] for c in blob["checks"] if "error" in c} \
+        == {n for n, v in verdicts.items() if v == "ERROR"}
+    for check in verdicts:
+        code = cli.main(["check", path, "--check", check])
+        out = capsys.readouterr()
+        assert out.err == "" and code == (1 if verdicts[check] == "ERROR" else 0)
+        assert out.out.splitlines()[-1].split()[1] == verdicts[check]
 
 
 @pytest.mark.parametrize("name", EDGE_INSTANCES)

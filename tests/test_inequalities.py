@@ -327,6 +327,25 @@ def test_real_part_upper_bound_does_not_underflow():
                                   rel=1e-14, abs=0.0)
 
 
+def test_non_finite_values_are_errors_not_verdicts():
+    """A chain or a diagnostic with a value past the float range raises
+    OverflowError naming it, whichever way its comparisons would fall; NaN
+    is not hidden by the max of the adjoint-sum middle value."""
+    with pytest.raises(OverflowError, match=r"non-finite value: b=nan, c=inf"):
+        ineq._report("x", [("a", 1.0), ("b", math.nan), ("c", math.inf)], {})
+    diag = dict(name="x", lhs=1.0, rhs=1.0, gap=0.0, witness=np.zeros(1), equal=True,
+                eq_tol=1e-7)
+    ineq.EqualityDiagnostic(**diag, extras={"w_sum": 2.0, "consistent": True})
+    with pytest.raises(OverflowError, match=r"lhs=nan"):
+        ineq.EqualityDiagnostic(**{**diag, "lhs": math.nan})
+    with pytest.raises(OverflowError, match=r"w_sum=-inf"):
+        ineq.EqualityDiagnostic(**diag, extras={"w_sum": -math.inf})
+    space = make_space(np.eye(2))
+    with np.errstate(all="ignore"), pytest.raises(
+            OverflowError, match=r"sqrt\(norm_A\(T#T\+S#S\)\+2w_A\(S#T\)\)=nan"):
+        check_adjoint_sum_bound(space, 1e300 * np.eye(2), np.diag([1e300, 2e300]))
+
+
 def test_fourth_power_bounds_worked(worked):
     space, t = worked
     report = check_fourth_power_bounds(space, t)

@@ -74,7 +74,7 @@ def test_hermitian_eig_rejects_non_hermitian():
 
 def test_as_matrix_validation():
     with pytest.raises(DimensionMismatch):
-        as_matrix(np.zeros((2, 3)), square=True)
+        as_matrix(np.zeros((2, 3)))
     with pytest.raises(ValueError):
         as_matrix(np.array([[np.inf, 0], [0, 1]]))
     with pytest.raises(DimensionMismatch):
