@@ -380,22 +380,26 @@ def _parse_dims(text: str) -> tuple[int, ...]:
     return dims
 
 
-def _campaign_dims(args) -> tuple[int, ...]:
-    """The dims of a fuzz or tightness run, once --seed is checked to be
-    non-negative and --trials positive (zero trials would check nothing)."""
+def _campaign_dims(args, checks) -> tuple[int, ...]:
+    """The dims of a fuzz or tightness run of ``checks``, once each check is
+    known, --seed >= 0, --trials >= 1 and no dim below a check's min rank."""
+    for name in checks:
+        if name not in fuzz_mod.CHECKS:
+            raise ParseError(f"unknown check {name!r}")
     if args.seed < 0:
         raise ParseError(f"--seed must be non-negative, got {args.seed}")
     if args.trials < 1:
         raise ParseError(f"--trials must be positive, got {args.trials}")
-    return _parse_dims(args.dims)
+    dims = _parse_dims(args.dims)
+    for name in checks:
+        if min(dims) < (need := fuzz_mod.CHECKS[name].min_rank):
+            raise ParseError(f"{name} needs every dim >= {need}, got {min(dims)}")
+    return dims
 
 
 def _cmd_fuzz(args) -> int:
     checks = tuple(args.checks.split(",")) if args.checks else fuzz_mod.CHECK_ORDER
-    for name in checks:
-        if name not in fuzz_mod.CHECKS:
-            raise ParseError(f"unknown check {name!r}")
-    config = fuzz_mod.CampaignConfig(seed=args.seed, dims=_campaign_dims(args),
+    config = fuzz_mod.CampaignConfig(seed=args.seed, dims=_campaign_dims(args, checks),
                                      trials=args.trials, checks=checks)
     # outputs are opened before the campaign, so a bad path fails before the work
     with open(args.out, "w") if args.out else contextlib.nullcontext() as out:
@@ -414,9 +418,7 @@ def _cmd_fuzz(args) -> int:
 # -- tightness subcommand ----------------------------------------------------------
 
 def _cmd_tightness(args) -> int:
-    if args.check not in fuzz_mod.CHECKS:
-        raise ParseError(f"unknown check {args.check!r}")
-    dims = _campaign_dims(args)
+    dims = _campaign_dims(args, (args.check,))
     is_chain = fuzz_mod.CHECKS[args.check].kind == "chain"
     rows, header = [], None
     any_violation = False

@@ -39,10 +39,12 @@ REFINE_TOL = 1e-12
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _TWO_PI = 2.0 * math.pi
 # level-set kernel: start angles on [0, pi) (each also gives its antipode),
-# cap on levels, the relative singularity of P + gamma that rejects the
-# Cayley centre, and the relative imaginary part under which a root of the
-# pencil counts as real
+# caps on Newton steps, their length and levels, the relative singularity of
+# P + gamma that rejects the Cayley centre, and the relative imaginary part
+# under which a root of the pencil counts as real
 _START_ANGLES = 4
+_NEWTON_STEPS = 5
+_MAX_STEP = math.pi / 8
 _MAX_LEVELS = 64
 _SINGULAR = 1e-8
 _REAL_ROOT = 1e-8
@@ -228,17 +230,13 @@ def _level_candidates(cross: np.ndarray, slope: np.ndarray) -> np.ndarray:
     return np.concatenate([(cross + nxt) / 2.0, meet]) % _TWO_PI
 
 
-def _antipodal(thetas: np.ndarray, i: int) -> float:
-    # entry i of thetas followed by thetas + pi
+def _point(thetas: np.ndarray, lam: np.ndarray, vecs: np.ndarray, i: int) -> tuple:
+    # entry i of the evaluated angles followed by their antipodes, where
+    # H(theta + pi) = -H(theta): (angle, eigenvalues, eigenvectors) of H there
     n = len(thetas)
-    return float(thetas[i]) if i < n else float(thetas[i - n] + math.pi)
-
-
-def _best_with_antipodes(thetas: np.ndarray, lam: np.ndarray, sel: int) -> tuple[float, float]:
-    # H(theta + pi) = -H(theta): lam_sel at theta + pi is -lam_other at theta
-    vals = np.concatenate([lam[:, sel], -lam[:, -1 - sel]])
-    i = int(vals.argmax())
-    return float(vals[i]), _antipodal(thetas, i)
+    if i < n:
+        return float(thetas[i]), lam[i], vecs[i]
+    return float(thetas[i - n] + math.pi), -lam[i - n, ::-1], vecs[i - n][:, ::-1]
 
 
 def _grid_sup(b: np.ndarray, sel: int):
@@ -252,6 +250,13 @@ def _grid_sup(b: np.ndarray, sel: int):
 def _joined(arrays: list) -> np.ndarray:
     # one array for one batched LAPACK call; a stack of one is used as it is
     return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
+
+
+def _solved(jobs: list) -> list:
+    # each job (search, angles) with its share of one batched eigh of H there
+    lam, vecs = np.linalg.eigh(_joined([_herm_at(s.b, s.bh, np.exp(1j * a)) for s, a in jobs]))
+    ends = np.cumsum([len(a) for _, a in jobs])
+    return [(s, a, lam[e - len(a):e], vecs[e - len(a):e]) for (s, a), e in zip(jobs, ends)]
 
 
 def _closed_form(b: np.ndarray):
@@ -271,8 +276,8 @@ _START_PHASES = np.exp(1j * _START_THETAS)
 
 
 class _LevelSearch:
-    """The state of one search of ``_level_sup``: its normalized matrix and
-    every angle evaluated so far, with the eigenvalues there."""
+    """The state of one search of ``_level_sup``: its normalized matrix, the
+    angles evaluated with their eigenvalues, its best point and Newton points."""
 
     def __init__(self, b: np.ndarray, sel: int):
         self.e, self.b = pow2_split(b)
@@ -283,9 +288,46 @@ class _LevelSearch:
         self.open = self.scale != 0.0  # still searching
         self.bounded = not self.open
 
-    def start(self, lam: np.ndarray) -> None:
-        self.lam = lam
-        self.best, self.best_theta = _best_with_antipodes(self.thetas, lam, self.sel)
+    def start(self, lam: np.ndarray, vecs: np.ndarray) -> None:
+        # the Newton points (angle, eigenvalues, eigenvectors, step cap): the
+        # two best peaks of the 2n values in circular order (all are, if NaN)
+        self.lam, m = lam, 2 * len(lam)
+        v = np.concatenate([lam[:, self.sel], -lam[:, -1 - self.sel]]).tolist()
+        peaks = [i for i in range(m) if not (v[i] < v[i - 1] or v[i] < v[(i + 1) % m])]
+        self.points = [(*_point(self.thetas, lam, vecs, i), _MAX_STEP)
+                       for i in sorted(peaks, key=v.__getitem__, reverse=True)[:2]]
+        self.take(self.points[0])
+
+    def take(self, point) -> None:
+        self.best_theta, lam, vecs, _ = point
+        self.best, self.u = float(lam[self.sel]), vecs[:, self.sel]
+
+    def newton(self) -> np.ndarray:
+        """The angles of guarded Newton steps on f = lam_sel(H): at theta, H =
+        U diag(lam) U*, K = U* H' U, f' = K_kk, f'' = -lam_k + 2 sum_{j != k}
+        |K_jk|^2 / (lam_k - lam_j) as H'' = -H (Lancaster, Numer. Math. 6 (1964)),
+        zero gaps left out.  A point steps only where f'' < 0 and its predicted
+        gain f'^2 / (-2 f'') takes it above best + delta, at most its cap far."""
+        points, angles = [], []
+        for theta, lam, vecs, cap in self.points:
+            # z = conj(U* B u_k): K_jk = i e^{i theta} conj(z_j) for j != k
+            z, ls = ((self.b @ vecs[:, self.sel]).conj() @ vecs).tolist(), lam.tolist()
+            lk, d1 = ls[self.sel], (complex(math.cos(theta), -math.sin(theta)) * z[self.sel]).imag
+            d2 = 2.0 * sum(abs(zj) ** 2 / (lk - lj) for zj, lj in zip(z, ls) if lj != lk) - lk
+            if d2 < 0.0 and d1 * d1 > -2.0 * d2 * (self.best + self.delta - lk):
+                points.append((theta, lam, vecs, cap))
+                angles.append(theta + min(max(-d1 / d2, -cap), cap))
+        self.points = points
+        return np.array(angles)
+
+    def stepped(self, angles: np.ndarray, lam: np.ndarray, vecs: np.ndarray) -> None:
+        # a point moves where f rises, else stays with half that step as cap
+        self.points = [(a, l, v, _MAX_STEP) if l[self.sel] > p[1][self.sel] else
+                       (*p[:3], abs(a - p[0]) / 2.0)
+                       for p, a, l, v in zip(self.points, angles, lam, vecs)]
+        for p in self.points:
+            if p[1][self.sel] > self.best:
+                self.take(p)
 
     def centre(self) -> float:
         # the Cayley centre: the evaluated angle or its opposite (H -> -H)
@@ -293,19 +335,20 @@ class _LevelSearch:
         self.gamma, lam = self.best + self.delta, self.lam
         margin = np.minimum.reduce(np.abs(np.concatenate([lam + self.gamma, self.gamma - lam])),
                                    axis=1)
-        self.theta_c = _antipodal(self.thetas, int(margin.argmax()))
+        i, n = int(margin.argmax()), len(self.thetas)
+        self.theta_c = float(self.thetas[i % n] + math.pi * (i >= n))
         return self.theta_c
 
     def stop(self, bounded: bool) -> None:
         self.open, self.bounded = False, bounded
 
-    def evaluated(self, cand: np.ndarray, lam_c: np.ndarray) -> None:
-        self.thetas = np.concatenate([self.thetas, cand])
-        self.lam = np.concatenate([self.lam, lam_c])
-        top, theta = _best_with_antipodes(cand, lam_c, self.sel)
-        if top > self.best:
-            self.best, self.best_theta = top, theta
-        if top < self.gamma:
+    def evaluated(self, ts: np.ndarray, lam: np.ndarray, vecs: np.ndarray) -> None:
+        self.thetas, self.lam = np.concatenate([self.thetas, ts]), np.concatenate([self.lam, lam])
+        vals = np.concatenate([lam[:, self.sel], -lam[:, -1 - self.sel]])
+        i = int(vals.argmax())
+        if vals[i] > self.best:
+            self.take((*_point(ts, lam, vecs, i), None))
+        if vals[i] < self.gamma:
             self.stop(True)
 
 
@@ -315,30 +358,37 @@ def _level_sup(b: np.ndarray, sels) -> list[tuple[float, float, np.ndarray]]:
     entry of ``sels``: -1 for the largest eigenvalue, 0 for the smallest.
     Returns (value, theta, eigenvector of that eigenvalue) per matrix.
 
-    Level-set iteration (Mengi & Overton, IMA J. Numer. Anal. 25 (2005)):
-    at the level gamma = best + delta, with delta = REFINE_TOL ||B||_F / 100,
-    find every angle where gamma is an eigenvalue of H (``_companion``).  The
-    sign of lam_sel - gamma is constant on each arc between crossings, so if
-    the function exceeds gamma anywhere, some arc midpoint does.  Evaluate
-    the candidates of every arc in one batch; stop when none reaches gamma,
-    which bounds the supremum by best + delta.  Each evaluation at theta
-    also gives theta + pi, since H(theta + pi) = -H(theta).  When no level
-    bounds the supremum, because the crossings cannot be computed or the
-    level cap is reached, the dense grid (``_grid_sup``) takes over.  All of
-    it runs on B normalized by ``pow2_split``: exactly homogeneous under 2^k.
-
-    The searches run in lockstep: one eigvalsh on the start angles of every
-    matrix, then per level one eigh and one eig over the searches still
-    running and one eigvalsh over all their candidates.  LAPACK solves each
+    Guarded Newton steps (``_LevelSearch.newton``) from the best two start
+    points (four angles and their antipodes, H(theta + pi) = -H(theta)) raise
+    ``best``, mostly to within delta = REFINE_TOL ||B||_F / 100 of the
+    supremum.  The level-set iteration (Mengi & Overton, IMA J. Numer. Anal.
+    25 (2005)) certifies it: at the level gamma = best + delta, find every
+    angle where gamma is an eigenvalue of H (``_companion``).  lam_sel -
+    gamma keeps its sign on each arc between crossings, so if the function
+    exceeds gamma anywhere, some arc midpoint does.  Evaluate the candidates
+    of every arc; stop when none reaches gamma, which bounds the supremum by
+    best + delta.  When no level does (the crossings cannot be computed, or
+    the level cap is reached), the dense grid (``_grid_sup``) takes over.
+    All of it runs on B normalized by ``pow2_split``: exactly homogeneous
+    under 2^k.  The searches run in lockstep, one batched eigh over those
+    still running for the start angles, per Newton step and per level for P
+    and the candidates, with one eig of the companions; LAPACK solves each
     matrix of a stack as it solves it alone, so each search takes the
     decisions and values of its run alone.
     """
     if b.shape[-1] <= 1:
         return [_closed_form(m) for m in b]
     searches = [_LevelSearch(m, sel) for m, sel in zip(b, sels)]
-    lam = np.linalg.eigvalsh(_joined([_herm_at(s.b, s.bh, _START_PHASES) for s in searches]))
+    lam, vecs = np.linalg.eigh(_joined([_herm_at(s.b, s.bh, _START_PHASES) for s in searches]))
     for j, s in enumerate(searches):
-        s.start(lam[j * _START_ANGLES:(j + 1) * _START_ANGLES])
+        s.start(lam[j * _START_ANGLES:(j + 1) * _START_ANGLES],
+                vecs[j * _START_ANGLES:(j + 1) * _START_ANGLES])
+    for _ in range(_NEWTON_STEPS):
+        steps = [(s, angles) for s in searches if (angles := s.newton()).size]
+        if not steps:
+            break
+        for s, angles, lam, vecs in _solved(steps):
+            s.stepped(angles, lam, vecs)
     r = b.shape[-1]
     diag = _diagonal(r)
     # the real parts P and the companions of a level, written over each
@@ -354,12 +404,10 @@ def _level_sup(b: np.ndarray, sels) -> list[tuple[float, float, np.ndarray]]:
         lam, vecs = np.linalg.eigh(parts[:len(live)])
         pencils = [_companion(lam[j], vecs[j], imag, s.gamma, s.scale, comp[j], diag)
                    for j, (s, imag) in enumerate(zip(live, imags))]
-        solved = []
-        for j, pencil in enumerate(pencils):
+        for s, pencil in zip(live, pencils):
             if pencil is None:
-                live[j].stop(False)
-            else:
-                solved.append(j)
+                s.stop(False)
+        solved = [j for j, pencil in enumerate(pencils) if pencil is not None]
         if not solved:
             continue
         roots, xs = np.linalg.eig(comp[:len(live)] if len(solved) == len(live) else comp[solved])
@@ -370,24 +418,12 @@ def _level_sup(b: np.ndarray, sels) -> list[tuple[float, float, np.ndarray]]:
                 live[j].stop(True)
             else:
                 cands.append((live[j], _level_candidates(cross, slope)))
-        if not cands:
-            continue
-        lam_c = np.linalg.eigvalsh(_joined([_herm_at(s.b, s.bh, np.exp(1j * cand))
-                                            for s, cand in cands]))
-        at = 0
-        for s, cand in cands:
-            s.evaluated(cand, lam_c[at:at + len(cand)])
-            at += len(cand)
-    for s in searches:
-        if not s.bounded:
-            theta, value = _grid_sup(s.b, s.sel)
-            if value > s.best:
-                s.best_theta = theta
-        s.best_theta %= _TWO_PI
-    ev, vecs = np.linalg.eigh(_joined([_herm_at(s.b, s.bh, np.exp([1j * s.best_theta]))
-                                       for s in searches]))
-    return [(math.ldexp(float(ev[j, s.sel]), s.e), s.best_theta, vecs[j][:, s.sel])
-            for j, s in enumerate(searches)]
+        for s, cand, lam, vecs in _solved(cands) if cands else ():
+            s.evaluated(cand, lam, vecs)
+    grid = [(s, np.array([_grid_sup(s.b, s.sel)[0]])) for s in searches if not s.bounded]
+    for s, theta, lam, vecs in _solved(grid) if grid else ():
+        s.evaluated(theta, lam, vecs)
+    return [(math.ldexp(s.best, s.e), float(s.best_theta) % _TWO_PI, s.u) for s in searches]
 
 
 def _half_period(found):

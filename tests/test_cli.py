@@ -450,6 +450,23 @@ def test_fuzz_bad_dims(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["fuzz", "--seed", "1", "--trials", "30", "--dims", "1,3", "--out"],
+    ["fuzz", "--checks", "halfnorm_bounds,pythagoras", "--dims", "3,1", "--out"],
+    ["tightness", "--check", "pythagoras", "--dims", "1,3", "--csv"],
+])
+def test_dims_below_a_checks_minimum_rank_are_refused(tmp_path, capsys, monkeypatch, argv):
+    """pythagoras draws rank >= 2: a dim of 1 is refused before any trial
+    runs or any output file is opened."""
+    monkeypatch.setattr(cli.fuzz_mod, "run_single_trial",
+                        lambda *a: pytest.fail("a trial ran"))
+    out = tmp_path / "out"
+    assert cli.main(argv + [str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: pythagoras needs every dim >= 2")
+    assert not out.exists()
+
+
 def test_tightness_chain_csv(tmp_path):
     out = tmp_path / "t.csv"
     argv = ["tightness", "--check", "halfnorm_bounds", "--seed", "0",
