@@ -22,9 +22,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, PreconditionNotMet
-from .linalg import as_matrix, fro_norm, pow2_split, spectral_norm
-from .radius import (ASCENT_MAX_ITER, ASCENT_SEED, ASCENT_STARTS, _adjoint, _kept, _norm,
-                     _square, sup_sweep, support_max)
+from .linalg import as_matrix, dagger, fro_norm, pow2_split, spectral_norm
+from .radius import (_TWO_PI, ASCENT_MAX_ITER, ASCENT_SEED, ASCENT_STARTS, _adjoint,
+                     _competitive_peaks, _kept, _norm, _square, support_max)
 # the kernel cores and the ascent by the names the benchmark's tracer wraps here
 from .radius import _ascent_bilinear, _crawford_core, _radius_seminorm_core  # noqa: F401
 from .semispace import OperatorInSpace, SemiHilbertSpace
@@ -38,6 +38,7 @@ QUAD_MAX_DEPTH = 14  # interval cap 2**14
 # smooths the support function, so a coarser angular grid locates the sup
 INTEGRAL_SWEEP_POINTS = 120
 INTEGRAL_SIMPSON_INTERVALS = 16
+_SUP_STEPS = 64  # cap on the stacked eigh steps that refine the sweep's peaks
 
 
 # -- report types ------------------------------------------------------------
@@ -150,7 +151,7 @@ _HALVES = np.array([[0, 1, 2], [2, 3, 4]])
 
 
 def adaptive_simpson(f, a: float, b: float, tol: float = QUAD_TOL,
-                     max_depth: int = QUAD_MAX_DEPTH) -> float:
+                     max_depth: int = QUAD_MAX_DEPTH, trees: int = 1):
     """Adaptive Simpson quadrature with Richardson acceptance and correction.
 
     ``f`` maps a 1-D array of nodes to the array of its values.  The
@@ -159,10 +160,17 @@ def adaptive_simpson(f, a: float, b: float, tol: float = QUAD_TOL,
     every open interval: at most ``max_depth + 2`` calls.  The nodes, the
     acceptance test and the sum are those of the recursive rule, summed in
     its order (``docs/quadrature.md``).
+
+    With ``trees`` = k > 1, k functions share the walk: ``f(nodes, owner)``,
+    owner[j] the function of node j, and the list of k values is returned,
+    each tree and value that of its run alone.
     """
-    # one column per open interval: its nodes (lo, mid, hi) and their values
-    x = np.array([[a], [(a + b) / 2.0], [b]])
-    fx = np.reshape(f(x[:, 0]), (3, 1))
+    # one column per open interval: its nodes (lo, mid, hi), their values, its function
+    x = np.repeat([[a], [(a + b) / 2.0], [b]], trees, axis=1)
+    own = np.arange(trees)  # kept only for trees > 1: a single f pays no bookkeeping
+    ev = ((lambda nodes, rows: f(nodes)) if trees == 1
+          else lambda nodes, rows: f(nodes, np.tile(own, rows)))
+    fx = np.reshape(ev(x.ravel(), 3), (3, trees))
     approx = (b - a) / 6.0 * (fx[0] + 4.0 * fx[1] + fx[2])
     eps = tol
     levels = []
@@ -171,7 +179,7 @@ def adaptive_simpson(f, a: float, b: float, tol: float = QUAD_TOL,
         x5, f5 = np.empty((5, k)), np.empty((5, k))
         x5[::2], f5[::2] = x, fx
         x5[1::2] = (x[:-1] + x[1:]) / 2.0
-        f5[1::2] = np.reshape(f(x5[1::2].ravel()), (2, k))
+        f5[1::2] = np.reshape(ev(x5[1::2].ravel(), 2), (2, k))
         # the nodes of the left and of the right half of every interval
         hx, hf = x5[_HALVES], f5[_HALVES]
         halves = (hx[:, 2] - hx[:, 0]) / 6.0 * (hf[:, 0] + 4.0 * hf[:, 1] + hf[:, 2])
@@ -185,6 +193,7 @@ def adaptive_simpson(f, a: float, b: float, tol: float = QUAD_TOL,
         x = hx[:, :, split].transpose(1, 2, 0).reshape(3, -1)
         fx = hf[:, :, split].transpose(1, 2, 0).reshape(3, -1)
         approx = halves[:, split].T.ravel()
+        own = np.repeat(own[split], 2) if trees > 1 else own
         eps /= 2.0
     # a split interval's value is the sum of its halves, added bottom-up as
     # the recursion adds them
@@ -193,7 +202,12 @@ def adaptive_simpson(f, a: float, b: float, tol: float = QUAD_TOL,
         if below is not None:
             value[split] = below[0::2] + below[1::2]
         below = value
-    return float(below[0])
+    return float(below[0]) if trees == 1 else below.tolist()
+
+
+def _top_root(lam: np.ndarray) -> np.ndarray:
+    # sigma_max of each matrix of a stack from the ascending eigenvalues of its Gram matrix
+    return np.sqrt(np.maximum(lam[..., -1], 0.0))
 
 
 def _sig_stack(m: np.ndarray) -> np.ndarray:
@@ -203,8 +217,7 @@ def _sig_stack(m: np.ndarray) -> np.ndarray:
     if m.shape[-1] == 0:
         return np.zeros(m.shape[:-2])
     e, m = pow2_split(m)
-    gram = np.conj(np.swapaxes(m, -1, -2)) @ m
-    return np.ldexp(np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[..., -1], 0.0)), e)
+    return np.ldexp(_top_root(np.linalg.eigvalsh(np.conj(np.swapaxes(m, -1, -2)) @ m)), e)
 
 
 def _sig_path(x: np.ndarray, y: np.ndarray, taus: np.ndarray) -> np.ndarray:
@@ -223,13 +236,60 @@ _FOLD_WEIGHTS[[0, -1]] = 2.0
 _FOLD_WEIGHTS *= (1.0 / INTEGRAL_SIMPSON_INTERVALS) / 3.0
 
 
-def _fixed_path_integrals(b: np.ndarray, bs: np.ndarray, thetas: np.ndarray) -> np.ndarray:
-    """The fixed rule's integral of norm(t e^{i theta} B + (1-t) B*) over [0, 1]
-    for every theta of an array, from one stack."""
-    ph = np.exp(1j * thetas)
-    # no name holds the stack, so _sig_stack frees it once it is normalized
-    return _sig_stack(ph[:, None, None, None] * _FOLD_NODES[None, :, None, None] * b
-                      + (1.0 - _FOLD_NODES)[None, :, None, None] * bs) @ _FOLD_WEIGHTS
+def _gram_path(b: np.ndarray, taus: np.ndarray):
+    """Gram matrices M*M of M = tau e^{i theta} B + (1 - tau) B* at each tau of ``taus`` by
+    M*M = tau^2 B*B + (1 - tau)^2 BB* + tau (1 - tau)(X + X*), X = e^{i theta} B^2, with no
+    matrix product per matrix: a function of angles giving the stack (angles, taus, r, r), X."""
+    bh, t = dagger(b), taus[:, None, None]
+    base, c, y = t * t * (bh @ b) + (1.0 - t) ** 2 * (b @ bh), t * (1.0 - t), b @ b
+
+    def at(thetas):
+        x = np.exp(1j * thetas)[:, None, None] * y
+        return base + c * (x + np.conj(np.swapaxes(x, -1, -2)))[:, None], x
+
+    return at
+
+
+def _fixed_rule_sup(b: np.ndarray) -> float:
+    """The angle in [0, 2 pi) of the supremum of the fixed rule's integral F(theta) of
+    the folded path, on B normalized by ``pow2_split``: a grid of INTEGRAL_SWEEP_POINTS
+    angles on the Gram route, then safeguarded Newton steps from every competitive grid
+    peak at once, one stacked ``eigh`` per step giving F' and F'' (docs/quadrature.md)."""
+    b = pow2_split(b)[1]
+    at = _gram_path(b, _FOLD_NODES[1:])
+    c, w = (_FOLD_NODES * (1.0 - _FOLD_NODES))[1:], _FOLD_WEIGHTS[1:]
+    f0 = _FOLD_WEIGHTS[0] * _top_root(np.linalg.eigvalsh(b @ dagger(b)))  # tau = 0: BB*
+    h = _TWO_PI / INTEGRAL_SWEEP_POINTS
+    grid = np.arange(INTEGRAL_SWEEP_POINTS) * h
+    vals = f0 + _top_root(np.linalg.eigvalsh(at(grid)[0])) @ w
+    best, cand = _competitive_peaks(vals, h)
+    seen = [(grid[best:best + 1], vals[best:best + 1])]
+    theta = grid[cand]
+    lo, hi = theta - h, theta + h
+    for _ in range(_SUP_STEPS):
+        if not theta.size:
+            break
+        grams, x = at(theta)
+        lam, vecs = np.linalg.eigh(grams)
+        # V* X V gives v* X v and V* (X - X*) v, v the top eigenvector
+        kx = np.conj(np.swapaxes(vecs, -1, -2)) @ x[:, None] @ vecs
+        z, d = kx[..., -1, -1], kx[..., :-1, -1] - np.conj(kx[..., -1, :-1])
+        gap = lam[..., -1:] - lam[..., :-1]
+        curv = np.divide(np.abs(d) ** 2, gap, out=np.zeros(gap.shape), where=gap != 0.0)
+        sig = _top_root(lam)
+        half_inv = np.divide(0.5, sig, out=np.zeros(sig.shape), where=sig > 0.0)
+        s1 = -2.0 * c * z.imag * half_inv
+        f, d1 = f0 + sig @ w, s1 @ w
+        d2 = ((2.0 * c * (c * curv.sum(-1) - z.real) - 2.0 * s1 * s1) * half_inv) @ w
+        seen.append((theta, f))
+        lo, hi = np.where(d1 > 0.0, theta, lo), np.where(d1 < 0.0, theta, hi)
+        newton = theta + d1 / np.where(d2 < 0.0, -d2, np.inf)
+        nxt = np.where((lo < newton) & (newton < hi), newton, (lo + hi) / 2.0)
+        go = ~(np.abs(d1 * (nxt - theta)) <= np.finfo(np.float64).eps * np.abs(f))
+        theta, lo, hi = nxt[go], lo[go], hi[go]
+    # the first of the best points: a refined point replaces the grid's only if higher
+    thetas, values = map(np.concatenate, zip(*seen))
+    return float(thetas[np.argmax(values)]) % _TWO_PI
 
 
 # -- the checks ---------------------------------------------------------------
@@ -260,12 +320,11 @@ def check_hh_triangle(space: SemiHilbertSpace, t, s) -> InequalityReport:
 def check_integral_radius_bound(space: SemiHilbertSpace, t) -> InequalityReport:
     """w_A(T) <= sup_theta integral_0^1 norm_A(t e^{i theta} T + (1-t) T^#) dt <= norm_A(T).
 
-    The middle supremum is located on a coarse angle grid with a fixed
-    Simpson rule evaluated in one batch, refined by golden section, and the
-    final value is recomputed with the adaptive rule.  Both rules evaluate
-    the path on tau <= 1/2 only, which its symmetry allows.  The angle doubling
-    the radius certificate is always included as a candidate: the averaged
-    path at that angle dominates w_A(T), which protects the lower link.
+    The supremum is located on the fixed Simpson rule (``_fixed_rule_sup``),
+    and the adaptive rule takes the value there and at the angle doubling the
+    radius certificate, whose path dominates w_A(T), in one lockstep walk.
+    Both rules run on B normalized by a power of two and evaluate the path on
+    tau <= 1/2 only, which its symmetry allows.
     """
     op = _as_op(space, t)
     bt = op.compress()
@@ -274,26 +333,22 @@ def check_integral_radius_bound(space: SemiHilbertSpace, t) -> InequalityReport:
         return _report("integral_radius_bound",
                        [("w_A(T)", 0.0), ("sup_theta int norm_A", 0.0), ("norm_A(T)", 0.0)],
                        digest)
-    bs = _adjoint(op)
     w_val, w_theta, _ = _kept("w(T)", op)
+    thetas = np.array([_fixed_rule_sup(bt), 2.0 * w_theta])
+    e, b = pow2_split(bt)
+    x, bh = np.exp(1j * thetas)[:, None, None] * b, dagger(b)
 
-    def path_integral(theta: float) -> float:
-        x = np.exp(1j * theta) * bt
+    def g(taus, owner):
+        # dyadic nodes mirror exactly, so each pair costs one matrix per path
+        key, where = np.unique(np.minimum(taus, 1.0 - taus) + owner, return_inverse=True)
+        o = key.astype(np.intp)
+        half = (key - o)[:, None, None]
+        m = half * x[o] + (1.0 - half) * bh
+        return _top_root(np.linalg.eigvalsh(np.conj(np.swapaxes(m, -1, -2)) @ m))[where]
 
-        def g(taus):
-            # dyadic nodes mirror exactly, so each pair costs one matrix
-            half, where = np.unique(np.minimum(taus, 1.0 - taus), return_inverse=True)
-            return _sig_path(x, bs, half)[where]
-
-        return adaptive_simpson(g, 0.0, 1.0, QUAD_TOL / 4.0)
-
-    # locate on the cheap fixed rule, then recompute the value adaptively;
-    # a location error only flattens the reported sup quadratically, while
-    # the certificate-angle candidate below keeps the lower link exact
-    theta0, _ = sup_sweep(lambda thetas: _fixed_path_integrals(bt, bs, thetas),
-                          2.0 * math.pi, INTEGRAL_SWEEP_POINTS, 1e-5)
-    mid = max(path_integral(theta0), path_integral(2.0 * w_theta))
-
+    # the tolerance scales with B, so the trees are those of the unnormalized paths
+    mid = math.ldexp(max(adaptive_simpson(g, 0.0, 1.0, math.ldexp(QUAD_TOL / 4.0, -e),
+                                          trees=2)), e)
     return _report("integral_radius_bound",
                    [("w_A(T)", w_val), ("sup_theta int norm_A", mid), ("norm_A(T)", _norm(op))],
                    digest)

@@ -138,22 +138,26 @@ def sup_sweep(f, period: float, coarse_points: int = COARSE_POINTS,
     h = period / coarse_points
     grid = np.arange(coarse_points) * h
     vals = np.asarray(f(grid), dtype=np.float64)
-
-    best_i = int(np.argmax(vals))
+    best_i, cand = _competitive_peaks(vals, h)
     best_x, best_v = float(grid[best_i]), float(vals[best_i])
-
-    left, right = np.roll(vals, 1), np.roll(vals, -1)
-    peaks = np.flatnonzero((vals >= left) & (vals >= right))
-    slope = float(np.max(np.abs(vals - left))) / h
-    margin = 2.0 * h * slope
-    cand = [int(i) for i in peaks if vals[i] >= best_v - margin]
-    cand.sort(key=lambda i: -vals[i])
-    for i in cand[:8]:
+    for i in cand:
         x, v = _golden_max(lambda t: float(f(np.array([t]))[0]),
                            grid[i] - h, grid[i] + h, refine_tol)
         if v > best_v:
             best_x, best_v = x, v
     return best_x % period, best_v
+
+
+def _competitive_peaks(vals: np.ndarray, h: float) -> tuple[int, list[int]]:
+    """The index of the largest value of a periodic grid of spacing ``h`` and its
+    at most 8 local maxima within twice the largest neighbour step of it, best first."""
+    best_i = int(np.argmax(vals))
+    left, right = np.roll(vals, 1), np.roll(vals, -1)
+    peaks = np.flatnonzero((vals >= left) & (vals >= right))
+    margin = 2.0 * h * (float(np.max(np.abs(vals - left))) / h)
+    cand = [int(i) for i in peaks if vals[i] >= vals[best_i] - margin]
+    cand.sort(key=lambda i: -vals[i])
+    return best_i, cand[:8]
 
 
 def _error_estimate(b: np.ndarray) -> float:

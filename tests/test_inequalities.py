@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -60,15 +60,18 @@ def chain_values(report):
     return [v for _, v in report.chain]
 
 
-def recursive_simpson(f, a, b, tol=ineq.QUAD_TOL, max_depth=ineq.QUAD_MAX_DEPTH):
+def recursive_simpson(f, a, b, tol=ineq.QUAD_TOL, max_depth=ineq.QUAD_MAX_DEPTH, depths=None):
     """The recursive adaptive Simpson rule with a scalar ``f``: the reference
-    the level-by-level ``adaptive_simpson`` must reproduce."""
+    the level-by-level ``adaptive_simpson`` must reproduce.  ``depths``, if
+    given, collects the depth of every interval visited."""
     fa, fb = f(a), f(b)
     m = (a + b) / 2.0
     fm = f(m)
     whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
 
     def rec(lo, flo, mid, fmid, hi, fhi, approx, eps, depth):
+        if depths is not None:
+            depths.append(depth)
         lm, rm = (lo + mid) / 2.0, (mid + hi) / 2.0
         flm, frm = f(lm), f(rm)
         left = (mid - lo) / 6.0 * (flo + 4.0 * flm + fmid)
@@ -89,26 +92,81 @@ def sigma_path(r, seed=0):
     return lambda taus: ineq._sig_path(x, y, taus)
 
 
-@pytest.mark.parametrize("f, tol, max_depth", [
+LEVEL_CASES = [
     (lambda x: x * x, 1e-8, 14),
     (np.sqrt, 1e-10, 14),
     (lambda x: abs(x - 1 / 3), 1e-10, 14),
     (np.sqrt, 1e-10, 2),  # capped: the depth limit ends the refinement
     (sigma_path(5), 1e-9, 14),
-], ids=["square", "sqrt", "kink", "capped", "sigma-path-r5"])
-def test_level_rule_matches_the_recursion(f, tol, max_depth):
+]
+LEVEL_IDS = ["square", "sqrt", "kink", "capped", "sigma-path-r5"]
+
+
+def counted_simpson(f, tol, max_depth):
+    """adaptive_simpson on [0, 1] alone: (value, node counts of its calls)."""
     calls = []
 
     def counted(nodes):
         calls.append(len(nodes))
         return f(nodes)
 
-    got = adaptive_simpson(counted, 0.0, 1.0, tol, max_depth)
+    return adaptive_simpson(counted, 0.0, 1.0, tol, max_depth), calls
+
+
+@pytest.mark.parametrize("f, tol, max_depth", LEVEL_CASES, ids=LEVEL_IDS)
+def test_level_rule_matches_the_recursion(f, tol, max_depth):
+    got, calls = counted_simpson(f, tol, max_depth)
     want = recursive_simpson(lambda x: float(f(np.array([x]))[0]), 0.0, 1.0, tol, max_depth)
     # same nodes, decisions and order of additions: bit for bit
     assert got == want
     assert len(calls) <= max_depth + 2
     assert calls[0] == 3 and all(n % 2 == 0 for n in calls[1:])
+
+
+@pytest.mark.parametrize("i", range(len(LEVEL_CASES)), ids=LEVEL_IDS)
+@pytest.mark.parametrize("shift", [0, 1, 2], ids=["same", "next", "after-next"])
+def test_lockstep_rule_matches_each_run_alone(i, shift):
+    """Two integrands in one level walk, at case i's tolerance and depth:
+    each value is its run alone, bit for bit, and the walk calls the pair
+    as often as the longer of the two runs."""
+    _, tol, max_depth = LEVEL_CASES[i]
+    fs = [LEVEL_CASES[i][0], LEVEL_CASES[(i + shift) % len(LEVEL_CASES)][0]]
+    alone = [counted_simpson(f, tol, max_depth) for f in fs]
+    calls = []
+
+    def pair(nodes, owner):
+        calls.append(len(nodes))
+        out = np.empty(len(nodes))
+        for j, f in enumerate(fs):
+            out[owner == j] = f(nodes[owner == j])
+        return out
+
+    got = adaptive_simpson(pair, 0.0, 1.0, tol, max_depth, trees=2)
+    assert got == [value for value, _ in alone]
+    assert len(calls) == max(len(c) for _, c in alone)
+    # each call holds the nodes the runs alone ask for at that level
+    for n, level in enumerate(calls):
+        assert level == sum(c[n] for _, c in alone if n < len(c))
+
+
+def test_hh_triangle_integral_is_one_tree(monkeypatch):
+    """hh_triangle integrates its one path alone: the recursion's value, bit
+    for bit, in one call for the start and one per level of its tree."""
+    space, t, s = rand_pair(3, n=4)
+    opt, ops = space.bind(t), space.bind(s)
+    bt, bs = opt.compress(), ops.compress()
+    calls, depths = [], []
+    real = ineq._sig_path
+
+    def counted(*args):
+        calls.append(len(args[-1]))
+        return real(*args)
+
+    want = recursive_simpson(lambda x: float(real(bt, bs, np.array([x]))[0]), 0.0, 1.0,
+                             depths=depths)
+    monkeypatch.setattr(ineq, "_sig_path", counted)
+    assert chain_values(check_hh_triangle(space, opt, ops))[1] == 2.0 * want
+    assert len(calls) == max(depths) + 2
 
 
 def test_adaptive_simpson_polynomial_exact():
@@ -142,17 +200,23 @@ def test_gram_sigma_at_extreme_scales(k):
 
 @pytest.mark.parametrize("r", [1, 2, 5, 8])
 def test_radius_path_is_symmetric(r):
-    """g(tau) = norm(tau e^{i theta} B + (1 - tau) B*) equals g(1 - tau)."""
+    """g(tau) = norm(tau e^{i theta} B + (1 - tau) B*) equals g(1 - tau), on
+    the stacked path and on the Gram route of the fixed rule."""
     rng = np.random.default_rng(10 + r)
     b = rng.standard_normal((r, r)) + 1j * rng.standard_normal((r, r))
     taus = np.linspace(0.0, 1.0, 33)
+    grams = ineq._gram_path(b, taus)
     for theta in (0.0, 0.7, math.pi / 2, 2.9, 5.5):
         g = ineq._sig_path(np.exp(1j * theta) * b, b.conj().T, taus)
+        np.testing.assert_allclose(g, g[::-1], rtol=1e-14, atol=0.0)
+        g = np.sqrt(np.linalg.eigvalsh(grams(np.array([theta]))[0][0])[:, -1])
         np.testing.assert_allclose(g, g[::-1], rtol=1e-14, atol=0.0)
 
 
 @pytest.mark.parametrize("r", [1, 2, 5, 8])
 def test_folded_fixed_rule_matches_the_full_rule(r):
+    """The fixed rule on [0, 1/2] from the Gram identity is the full rule on
+    [0, 1] from the singular values."""
     rng = np.random.default_rng(20 + r)
     b = rng.standard_normal((r, r)) + 1j * rng.standard_normal((r, r))
     n = ineq.INTEGRAL_SIMPSON_INTERVALS
@@ -163,9 +227,66 @@ def test_folded_fixed_rule_matches_the_full_rule(r):
     full = [np.linalg.svd(np.exp(1j * th) * taus[:, None, None] * b
                           + (1.0 - taus)[:, None, None] * b.conj().T,
                           compute_uv=False)[:, 0] @ weights / (3.0 * n) for th in thetas]
-    folded = ineq._fixed_path_integrals(b, b.conj().T, thetas)
+    grams, _ = ineq._gram_path(b, ineq._FOLD_NODES)(thetas)
+    folded = np.sqrt(np.linalg.eigvalsh(grams)[..., -1]) @ ineq._FOLD_WEIGHTS
     assert len(ineq._FOLD_NODES) == n // 2 + 1
     np.testing.assert_allclose(folded, full, rtol=1e-14, atol=0.0)
+
+
+def fixed_rule(b, thetas):
+    """The fixed folded rule at every angle of an array, on _sig_path."""
+    return np.array([ineq._sig_path(np.exp(1j * th) * b, b.conj().T, ineq._FOLD_NODES)
+                     @ ineq._FOLD_WEIGHTS for th in np.atleast_1d(thetas)])
+
+
+def seeded_compression(r, seed):
+    """The r x r compression of a random T on a random positive definite A."""
+    space, t, _ = rand_pair(seed, n=r)
+    return space.bind(t).compress()
+
+
+STRUCTURED = {
+    "zero": np.zeros((3, 3), dtype=complex),
+    "jordan": np.array([[0, 1], [0, 0]], dtype=complex),  # B^2 = 0: F is constant
+    "scalar": 1.7 * np.exp(0.3j) * np.eye(3),
+    "normal": np.diag([1.0, 1j, -0.5 + 0.2j]),
+    "rank-one": np.array([[0.3 - 2.0j]]),
+}
+
+
+@pytest.mark.parametrize("b", [seeded_compression(r, 40 + r) for r in range(1, 9)]
+                         + list(STRUCTURED.values()),
+                         ids=[f"r{r}" for r in range(1, 9)] + list(STRUCTURED))
+def test_fixed_rule_sup_reaches_golden_section(b, monkeypatch):
+    """The Newton-refined supremum of the fixed rule is no lower, up to
+    rounding, than golden section's on the same grid, within the step cap;
+    Newton steps, not bisection, get there (a wrong F'' would bisect ~20 times)."""
+    steps = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda m: steps.append(len(m)) or eigh(m))
+    theta = ineq._fixed_rule_sup(b)
+    monkeypatch.undo()
+    _, ref = radius.sup_sweep(lambda ts: fixed_rule(b, ts), 2.0 * math.pi,
+                              ineq.INTEGRAL_SWEEP_POINTS, 1e-5)
+    value = fixed_rule(b, theta)[0]
+    assert 0.0 <= theta < 2.0 * math.pi
+    assert value >= ref - 4.0 * np.finfo(float).eps * (1.0 + abs(ref))
+    assert 1 <= len(steps) < ineq._SUP_STEPS
+    assert len(steps) <= 5
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 6), st.integers(-1000, 1000), st.integers(0, 2 ** 32 - 1))
+def test_fixed_rule_sup_is_scale_free(r, k, seed):
+    """The located angle of B and of 2^k B is the same float wherever the
+    entries of both are normal: the rule runs on the normalized matrix."""
+    rng = np.random.default_rng(seed)
+    b = (rng.standard_normal((r, r)) + 1j * rng.standard_normal((r, r))) * 10.0 ** rng.uniform(-30, 30)
+    with np.errstate(over="ignore", under="ignore"):
+        bk = b * 2.0 ** k
+    parts = np.abs(np.concatenate([b.view(np.float64), bk.view(np.float64)]))
+    assume(np.all(np.isfinite(parts) & (parts >= np.finfo(float).tiny)))
+    assert ineq._fixed_rule_sup(bk) == ineq._fixed_rule_sup(b)
 
 
 def test_halfnorm_bounds_worked(worked):
