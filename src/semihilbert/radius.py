@@ -15,15 +15,19 @@ H(theta) = Re(e^{i theta} B):
   e^{-i theta} separating the range from the origin, and the best such
   margin is attained at the closest point (the supporting-line argument).
 
-The radius and the Crawford number take their suprema over theta by a
-level-set iteration that finds every angle where a level is crossed
-(``_level_sup``), so the supremum is certified by the last level crossed
-nowhere above it.  The oracle keeps a dense coarse grid followed by
-golden-section refinement of every competitive bracket (``sup_sweep``).
+The radius and the Crawford number take their suprema over theta in
+``_level_sup``.  At r <= 2 the numerical range is an elliptical disk (a
+point at r <= 1), whose extreme points ``_ellipse_sup`` finds from the
+roots of one quartic, exact up to rounding.  At r >= 3 a level-set
+iteration finds every angle where a level is crossed, so the supremum is
+certified by the last level crossed nowhere above it.  The oracle keeps a
+dense coarse grid followed by golden-section refinement of every
+competitive bracket (``sup_sweep``).
 """
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 from dataclasses import dataclass
@@ -48,6 +52,7 @@ _MAX_STEP = math.pi / 8
 _MAX_LEVELS = 64
 _SINGULAR = 1e-8
 _REAL_ROOT = 1e-8
+_HALF_SQRT2 = math.sqrt(0.5)
 
 
 @dataclass(frozen=True)
@@ -263,10 +268,79 @@ def _solved(jobs: list) -> list:
     return [(s, a, lam[e - len(a):e], vecs[e - len(a):e]) for (s, a), e in zip(jobs, ends)]
 
 
-def _closed_form(b: np.ndarray):
-    # r = 1: H(theta) = |b| cos(theta + arg b); at r = 0, 0 at angle 0
-    z = complex(b[0, 0]) if b.size else 0j
-    return abs(z), -math.atan2(z.imag, z.real) % _TWO_PI, np.ones(len(b), dtype=np.complex128)
+def _ellipse_sup(m: np.ndarray, sel: int):
+    """The search of ``_level_sup`` on one matrix with r <= 2, exact by
+    construction.  W(B) is the elliptical disk z(s) = tau + e^{i alpha} (a cos
+    s + i b sin s) (Li, Proc. AMS 124 (1996); a point at r <= 1), so the
+    supremum is the largest |z(s)| (sel -1) or the smallest, negated where 0
+    lies inside (sel 0).  The critical points of |z(s)|^2 are s0 + pi and the
+    real roots of one quartic in tan((s - s0) / 2), s0 + pi the one of four
+    angles where its leading coefficient is largest; guarded Newton steps
+    polish the best of them.  The angle is the best of the extreme point and
+    the outward normal there, either way round, and the value is lam_sel of
+    H at that angle, in closed form (``docs/compression.md``)."""
+    e, m = pow2_split(m)
+    r, tr = len(m), complex(m.trace())
+    (b00, b01), (b10, b11) = m.tolist() if r == 2 else ((tr, 0j), (0j, tr))
+    tau, x = (b00 + b11) / 2, (b00 - b11) / 2  # B = tau I + N, N = [[x, b01], [b10, -x]]
+    t2, ay, az = 2 * (x * x + b01 * b10), abs(b01), abs(b10)  # t2 = tr N^2
+    a = math.sqrt(2 * abs(x) ** 2 + ay * ay + az * az + abs(t2)) / 2
+    # b from the commutator, ||N*N - NN*||_F = 4 sqrt(2) a b: ||N||_F^2 - |t2| = 4 b^2 cancels
+    # to sqrt(eps) ||N||_F where B is near normal
+    b = math.hypot((ay - az) * (ay + az), 2 * abs(x.conjugate() * b01 - x * b10.conjugate()))
+    b = min(b / (4 * a), a) if a else 0.0
+    rot = cmath.sqrt(t2 / abs(t2)) if t2 else 1.0  # e^{i alpha}
+    p, q = (tau * rot.conjugate()).real, (tau * rot.conjugate()).imag
+    # d/ds |z(s)|^2 / 2 = A sin s + B cos s + C sin 2s
+    A, B, C, sgn = -a * p, b * q, -abs(t2) / 4, (1.0 if sel else -1.0)
+    _, s_inf = max(((-B, math.pi), (-A, 1.5 * math.pi), ((A + B) * _HALF_SQRT2 + C, math.pi / 4),
+                    ((B - A) * _HALF_SQRT2 - C, 1.75 * math.pi)), key=lambda c: abs(c[0]))
+    c0, s0 = -math.cos(s_inf), -math.sin(s_inf)  # of s0 = s_inf - pi
+    A1, B1, A2, B2 = A * s0 + B * c0, A * c0 - B * s0, 2 * C * s0 * c0, C * (c0 * c0 - s0 * s0)
+    # the monic quartic's companion; none where the derivative is 0 (B = tau I, or a disk
+    # about 0) or B is not finite
+    lead, starts = A2 - A1, [s_inf]
+    co = [-v / lead for v in (A1 + A2, 2 * B1 + 4 * B2, -6 * A2, 2 * B1 - 4 * B2)] if lead else []
+    if co and all(map(math.isfinite, co)):
+        comp = np.array([[0, 0, 0, co[0]], [1, 0, 0, co[1]], [0, 1, 0, co[2]], [0, 0, 1, co[3]]])
+        starts += [s_inf - math.pi + 2 * math.atan(t)
+                   for t in np.linalg.eigvals(comp).real.tolist()]
+
+    def height(s):  # |z(s)|, negated for sel 0: the extreme point is the highest
+        return sgn * math.hypot(p + a * math.cos(s), q + b * math.sin(s))
+
+    s = max(starts, key=height)
+    for _ in range(_NEWTON_STEPS):  # guarded: a step is taken only where it climbs
+        cs, ss = math.cos(s), math.sin(s)
+        d2 = A * cs - B * ss + 2 * C * (cs * cs - ss * ss)
+        t = s - min(max((A * ss + B * cs + 2 * C * ss * cs) / d2 if d2 else 0.0, -_MAX_STEP),
+                    _MAX_STEP)
+        if not height(t) > height(s):
+            break
+        s = t
+    cs, ss = math.cos(s), math.sin(s)
+    normal, point = rot * complex(b * cs, a * ss), tau + rot * complex(a * cs, b * ss)
+
+    def lam(theta):  # lam_sel(H(theta)) = Re(e^{i theta} tau) -+ the support of the centred disk
+        ph = complex(math.cos(theta), math.sin(theta))
+        return (ph * tau).real + sgn * math.hypot(a * (ph * rot).real, b * (ph * rot).imag)
+
+    # of the nonzero directions, the point first: where lam ties (c = 0 at the end of a
+    # segment), its angle's eigenvector is the one that witnesses |<B u, u>|; twice %, as
+    # a tiny negative angle rounds to 2 pi
+    theta = max((-cmath.phase(d) % _TWO_PI % _TWO_PI
+                 for d in (point, -point, normal, -normal) if d), key=lam, default=0.0)
+    value = lam(theta)
+    # the eigenvector of lam_sel = mean + sgn rho of H(theta) = [[mean + d, h], [conj(h),
+    # mean - d]] from the row of H - lam_sel that keeps its digits; any vector if H = mean I
+    ph = complex(math.cos(theta), math.sin(theta))
+    d, h = ((ph * b00).real - (ph * b11).real) / 2, (ph * b01 + (ph * b10).conjugate()) / 2
+    rho = math.hypot(d, abs(h))
+    v = (d + sgn * rho, h.conjugate()) if sgn * d >= 0 else (h, sgn * rho - d)
+    v = v if any(v) else (1 + sel, -sel)
+    u = (np.array(v, dtype=np.complex128) / math.hypot(abs(v[0]), abs(v[1])) if r == 2
+         else np.ones(r, dtype=np.complex128))
+    return math.ldexp(value, e), theta, u
 
 
 @functools.cache
@@ -362,7 +436,8 @@ def _level_sup(b: np.ndarray, sels) -> list[tuple[float, float, np.ndarray]]:
     entry of ``sels``: -1 for the largest eigenvalue, 0 for the smallest.
     Returns (value, theta, eigenvector of that eigenvalue) per matrix.
 
-    Guarded Newton steps (``_LevelSearch.newton``) from the best two start
+    A stack with r <= 2 takes the closed form of ``_ellipse_sup``.  Else
+    guarded Newton steps (``_LevelSearch.newton``) from the best two start
     points (four angles and their antipodes, H(theta + pi) = -H(theta)) raise
     ``best``, mostly to within delta = REFINE_TOL ||B||_F / 100 of the
     supremum.  The level-set iteration (Mengi & Overton, IMA J. Numer. Anal.
@@ -380,8 +455,8 @@ def _level_sup(b: np.ndarray, sels) -> list[tuple[float, float, np.ndarray]]:
     matrix of a stack as it solves it alone, so each search takes the
     decisions and values of its run alone.
     """
-    if b.shape[-1] <= 1:
-        return [_closed_form(m) for m in b]
+    if b.shape[-1] <= 2:
+        return [_ellipse_sup(m, sel) for m, sel in zip(b, sels)]
     searches = [_LevelSearch(m, sel) for m, sel in zip(b, sels)]
     lam, vecs = np.linalg.eigh(_joined([_herm_at(s.b, s.bh, _START_PHASES) for s in searches]))
     for j, s in enumerate(searches):

@@ -403,7 +403,8 @@ def test_flat_branch_falls_back_to_the_grid(monkeypatch, sel):
 
 def _stack_of(r, seed):
     """Random r x r matrices of several kinds, the zero matrix, a subnormal
-    matrix and a Jordan block whose flat branch takes the grid fallback."""
+    matrix and a Jordan block, whose flat branch takes the grid fallback at
+    r >= 3."""
     rng = np.random.default_rng([7, r, seed])
     mats = [kernel_case(kind, r, int(rng.integers(1000))) for kind in KERNEL_KINDS]
     mats += [np.zeros((r, r), dtype=complex), np.full((r, r), 2.225e-311 + 1e-311j)]
@@ -423,7 +424,8 @@ def test_stacked_searches_are_each_search_alone(monkeypatch, r, seed):
     sels = [(LAM_MAX, LAM_MIN)[(j + seed) % 2] for j in range(len(stack))]
     calls = grid_calls(monkeypatch)
     together = radius._level_sup(stack, sels)
-    assert calls  # the Jordan block's search fell back to the grid
+    # the Jordan block's search fell back to the grid; r = 2 has no level set
+    assert bool(calls) == (r >= 3)
     for b, sel, (value, theta, u) in zip(stack, sels, together):
         alone_value, alone_theta, alone_u = level_sup(b, sel)
         assert (value, theta) == (alone_value, alone_theta)
@@ -482,13 +484,13 @@ def test_kink_maximum_converges_in_few_levels(monkeypatch):
 
 def test_most_searches_certify_at_their_first_level(monkeypatch):
     """The Newton phase brings the incumbent within delta of the supremum, so
-    the first level is crossed nowhere above it: at least 90% of these 280
-    searches make one level (93% do; without the phase none did, at 3.6
-    levels per search)."""
+    the first level is crossed nowhere above it: at least 90% of these 240
+    searches make one level (92.5% do; without the phase none did).  r = 2
+    takes no level (``_ellipse_sup``)."""
     levels = level_calls(monkeypatch)
     counts = []
     for kind in ("generic", "sector"):
-        for r in range(2, 9):
+        for r in range(3, 9):
             for seed in range(10):
                 for sel in (LAM_MAX, LAM_MIN):
                     levels.clear()
@@ -507,7 +509,7 @@ def _repeated_top():
 @pytest.mark.parametrize("b", [
     (0.6 - 1.3j) * np.eye(3),  # every eigenvalue repeated at every angle
     _repeated_top(),  # Hermitian times e^{0.3i}, its top eigenvalue twice
-    np.array([[0, 1], [0, 0]], dtype=complex),  # Jordan block: +-1/2, flat
+    np.pad(np.array([[0, 1], [0, 0]], dtype=complex), (0, 1)),  # Jordan block (+-1/2, flat) and 0
     kink_case(),
 ], ids=["scalar", "repeated-top", "jordan", "kink"])
 def test_degenerate_spectra_take_finite_newton_angles(monkeypatch, b, sel):
@@ -524,6 +526,105 @@ def test_degenerate_spectra_take_finite_newton_angles(monkeypatch, b, sel):
     assert all(np.isfinite(angles).all() for angles in rounds)
     assert abs(value - dense_sup(b, sel)) <= bound
     assert float(np.vdot(u, _herm(b, theta) @ u).real) == pytest.approx(value, abs=bound)
+
+
+# -- r <= 2: the elliptical range ------------------------------------------------
+
+
+def assert_exact_search(b, sel):
+    """The search on a 2 x 2 (or smaller) B lies within the error estimate of
+    the dense grid, and its certificate, a unit eigenvector of H(theta),
+    attains the value."""
+    value, theta, u = level_sup(b, sel)
+    bound = radius._error_estimate(b)
+    assert abs(value - dense_sup(b, sel)) <= bound
+    assert 0.0 <= theta < TWO_PI
+    assert np.linalg.norm(u) == pytest.approx(1.0, abs=1e-12)
+    assert float(np.vdot(u, _herm(b, theta) @ u).real) == pytest.approx(value, abs=bound)
+    return value
+
+
+@pytest.mark.parametrize("b, w, c", [
+    ([[0, 1], [0, 0]], 0.5, -0.5),  # the disk of radius 1/2 about 0
+    (np.diag([1, 3]), 3.0, 1.0),  # the segment [1, 3]
+    (np.diag([1 + 1j, -1 + 1j]), math.sqrt(2.0), 1.0),  # [-1 + i, 1 + i], closest at i
+    (np.diag([1, -1]), 1.0, 0.0),  # [-1, 1] through 0
+    (np.ones((2, 2)), 2.0, 0.0),  # [0, 2]: |z(s)|^2 is flat to fourth order at 0
+    ((0.6 - 1.3j) * np.eye(2), abs(0.6 - 1.3j), abs(0.6 - 1.3j)),  # a point
+], ids=["jordan", "diag-1-3", "normal-1+i", "diag-1--1", "ones", "scalar"])
+def test_elliptical_range_hand_values(b, w, c):
+    """w is the largest |z| on W(B), and the raw Crawford value the smallest,
+    negated where 0 lies inside W(B)."""
+    b = np.asarray(b, dtype=complex)
+    for sel, want in ((LAM_MAX, w), (LAM_MIN, c)):
+        assert assert_exact_search(b, sel) == pytest.approx(want, abs=4e-16 * max(1.0, want))
+
+
+def test_crawford_zero_at_a_segment_end_is_witnessed(monkeypatch):
+    """W([[1, 1], [1, 1]]) = [0, 2], so c = 0 at its end, and lam_min = 0 at
+    every angle with cos(theta) >= 0.  The angle is taken from the extreme
+    point, theta = 0, whose lam_min eigenvector (1, -1) / sqrt(2) has
+    <B u, u> = 0: a_crawford keeps it and needs no direct minimization."""
+    monkeypatch.setattr(radius, "crawford_minimize", None)
+    est = a_crawford(bound(np.eye(2), np.ones((2, 2))))
+    assert (est.value, est.certificate_theta) == (0.0, 0.0)
+    x = est.certificate_vector
+    assert abs(np.vdot(x, np.ones((2, 2)) @ x)) <= 1e-15
+
+
+def test_near_jordan_crawford_search_is_exact():
+    """B = [[0, 1], [0, 0]] + 10^-7.69 E: W(B) is nearly the disk of radius
+    1/2 about 0, lam_min is nearly flat, and the level-set iteration ended
+    1.2e3 times its error estimate below the supremum; the closed form is
+    within it."""
+    rng = np.random.default_rng(226)
+    k = rng.uniform(5, 9)
+    b = np.array([[0, 1], [0, 0]]) + 10.0 ** -k * (rng.standard_normal((2, 2))
+                                                  + 1j * rng.standard_normal((2, 2)))
+    assert_exact_search(b, LAM_MIN)
+
+
+def test_near_normal_minor_axis_keeps_its_digits():
+    """For B = U diag(1 - 5e-4 i, 1 + 5e-4 i) U* + 1e-12 E, W(B) is a needle
+    of width about 1e-12 across [1 - 5e-4 i, 1 + 5e-4 i], and the point of it
+    closest to 0 lies mid-needle, so c = 1 - b to first order in the minor
+    semi-axis b.  Taken from ||N||_F^2 - |tr N^2|, b would carry an error of
+    about sqrt(eps) ||N||_F, past the error estimate on 6 of these 10 draws;
+    the commutator keeps its digits.  (With 0 off the needle's ends, as for
+    diag(1, 1 + 1e-3 i), c reads b only to second order and shows nothing.)"""
+    for seed in range(10):
+        rng = np.random.default_rng(seed)
+        u, _ = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+        noise = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        b = u @ np.diag([1.0 - 5e-4j, 1.0 + 5e-4j]) @ u.conj().T + 1e-12 * noise
+        for sel in (LAM_MAX, LAM_MIN):
+            assert_exact_search(b, sel)
+
+
+def test_elliptical_range_runs_no_hermitian_eigensolve(monkeypatch):
+    """At r <= 2 the certificate vector is taken in closed form: the only
+    eigensolve is that of the quartic's 4 x 4 companion."""
+    def refuse(*args):
+        raise AssertionError("a Hermitian eigensolve at r <= 2")
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    for r in (1, 2):
+        radius._level_sup(np.stack([kernel_case(kind, r) for kind in KERNEL_KINDS]),
+                          [LAM_MAX, LAM_MIN] * 3 + [LAM_MAX])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from(["generic", "normal", "sector"]),
+       st.floats(4.0, 12.0), st.sampled_from([LAM_MAX, LAM_MIN]))
+def test_elliptical_range_matches_dense_grid(seed, kind, k, sel):
+    """Random 2 x 2 B, generic, normal plus noise of size 10^-k, or with its
+    range in a sector: the exact route agrees with the dense grid within the
+    error estimate, and its certificate attains its value."""
+    rng = np.random.default_rng(seed)
+    b = kernel_case(kind, 2, seed % 1000)
+    if kind == "normal":
+        b = b + 10.0 ** -k * (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+    assert_exact_search(b, sel)
 
 
 @settings(max_examples=40, deadline=None)
