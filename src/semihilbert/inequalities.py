@@ -34,9 +34,9 @@ EQ_TOL = 1e-7
 QUAD_TOL = 1e-8
 QUAD_MAX_DEPTH = 14  # interval cap 2**14
 
-# coarse resolution for the integral-of-seminorms sweep; the t-average
-# smooths the support function, so a coarser angular grid locates the sup
-INTEGRAL_SWEEP_POINTS = 120
+# the integral sweep's grid only brackets the basins of F(theta), whose peaks
+# Newton steps then refine (docs/quadrature.md)
+INTEGRAL_SWEEP_POINTS = 40
 INTEGRAL_SIMPSON_INTERVALS = 16
 _SUP_STEPS = 64  # cap on the stacked eigh steps that refine the sweep's peaks
 

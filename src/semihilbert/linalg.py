@@ -109,27 +109,30 @@ def _psd_eig(m) -> EigDecomposition:
     return dec
 
 
-# f on a great circle is Re sum_m c_m e^{-i m phi}, m = 0, 1, 2: _SAMPLES maps
-# (a + c, a - c, m) to the forms at phi_j = 2 pi j / 5, f there times _FIT is c
+# f on a great circle is Re sum_m c_m e^{-i m phi}, m = 0, 1, 2: f at phi_j = 2 pi j / 5
+# times _FIT is c.  No product is a gemm, whose rounding depends on the row count: an
+# unoptimized einsum adds each row's terms in order, so a row is the same in any stack
 _M, _PHI5, _GRID = np.arange(3), 2 * np.pi * np.arange(5) / 5, 2 * np.pi * np.arange(64) / 64
-_SAMPLES = 0.5 * np.stack((np.ones(5), np.cos(_PHI5), np.sin(_PHI5)), axis=1).astype(complex)
+_COS5, _SIN5 = 0.5 * np.cos(_PHI5)[:, None], 0.5 * np.sin(_PHI5)[:, None]
 _FIT, _GRID_EXP = np.exp(1j * np.outer(_PHI5, _M)) * [0.2, 0.4, 0.4], np.exp(-1j * np.outer(_M, _GRID))
 
 
-def _great_circle_max(f, a: np.ndarray, c: np.ndarray, m: np.ndarray, tol: float):
+def _great_circle_max(f, a: np.ndarray, c: np.ndarray, m: np.ndarray, tol):
     """Maximize f on the great circles cos(phi/2) u + sin(phi/2) q, q a unit
     vector orthogonal to u, from the forms a = <B_k u, u>, c = <B_k q, q> and
     m = <B_k u, q> + <B_k q, u>, rows (n, K) (docs/search.md).  Returns the
-    maximizer (Newton's unless the grid's is better by ``tol``) and its gain."""
-    coef = f((_SAMPLES @ np.stack((a + c, a - c, m), axis=1)).reshape(-1, a.shape[1]))
-    coef = coef.reshape(len(a), 5) @ _FIT
-    grid = (coef @ _GRID_EXP).real
+    maximizer (Newton's unless the grid's is better by ``tol``, a float or one
+    per row) and its gain, each row as it would be alone."""
+    z = (0.5 * (a + c))[:, None] + _COS5 * (a - c)[:, None] + _SIN5 * m[:, None]
+    coef = np.einsum("nj,jm->nm", f(z.reshape(-1, a.shape[1])).reshape(len(a), 5), _FIT)
+    grid = np.einsum("nm,mg->ng", coef, _GRID_EXP).real
     phi = start = _GRID[grid.argmax(axis=1)]
-    for _ in range(3):  # with t the terms at phi, f' = t.imag @ _M and -f'' = t.real @ _M^2
+    for _ in range(3):  # t_m = c_m e^{-i m phi}: f' = sum m Im t_m, -f'' = sum m^2 Re t_m
         t = coef * np.exp(np.multiply.outer(phi, -1j * _M))
-        d2 = t.real @ _M ** 2
-        phi = phi + np.divide(t.imag @ _M, d2, out=np.zeros_like(phi), where=d2 > 0)
-    top, newton = grid.max(axis=1), (coef * np.exp(np.multiply.outer(phi, -1j * _M))).real.sum(1)
+        d1, d2 = t.imag[:, 1] + 2 * t.imag[:, 2], t.real[:, 1] + 4 * t.real[:, 2]
+        phi = phi + np.divide(d1, d2, out=np.zeros_like(phi), where=d2 > 0)
+    t = (coef * np.exp(np.multiply.outer(phi, -1j * _M))).real
+    top, newton = grid.max(axis=1), t[:, 0] + t[:, 1] + t[:, 2]
     return np.where(newton >= top - tol, phi, start), np.maximum(newton, top) - grid[:, 0]
 
 
@@ -141,9 +144,9 @@ def _multistart_ascent(problems, f, dfdz, starts: int, seed: int,
     same K and r, from the draws standard_normal(r) + 1j * standard_normal(r),
     normalized, all moving to the maximum on a great circle per iteration
     until a move gains at most 4 eps scale2 (docs/search.md).  The problems
-    run in lockstep, their rows grouped by problem, and each takes the steps
-    of its run alone.  Returns per problem the first best start's value and
-    vector; ValueError when starts < 1."""
+    run in lockstep, rows grouped by problem, one line maximization for all;
+    each takes the steps of its run alone.  Returns per problem the first
+    best start's value and vector; ValueError when starts < 1."""
     if starts < 1:
         raise ValueError(f"need at least one start, got starts={starts}")
     k, r = len(problems[0][0]), problems[0][0][0].shape[0]
@@ -186,12 +189,7 @@ def _multistart_ascent(problems, f, dfdz, starts: int, seed: int,
         q = d / np.where(pos, gn, 1.0)[:, None]
         w = np.einsum("ijr,ir->ij", h, q.conj())
         c, m = forms(q, cut), w[:, :k] + w[:, k:].conj()
-        if cut is None:
-            phi, gain = _great_circle_max(f, a, c, m, tol)
-        else:  # each problem's rows, the products of its run alone
-            phi, gain = map(np.concatenate, zip(*[
-                _great_circle_max(f, a[lo:hi], c[lo:hi], m[lo:hi], tol[lo:hi])
-                for lo, hi in zip([0, *cut], cut) if hi > lo]))
+        phi, gain = _great_circle_max(f, a, c, m, tol)
         t = (phi * pos / 2)[:, None]
         ul = np.cos(t) * ul + np.sin(t) * q
         ul /= np.linalg.norm(ul, axis=1, keepdims=True)

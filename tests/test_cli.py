@@ -315,14 +315,16 @@ def test_check_overflow_is_an_error_not_a_verdict(tmp_path, capsys, name):
         assert out.out.splitlines()[-1].split()[1] == verdicts[check]
 
 
-@pytest.mark.parametrize("name", EDGE_INSTANCES)
+@pytest.mark.parametrize("name", [*EDGE_INSTANCES, *(p.stem for p in CHECK_PAIRS)])
 def test_declared_searches_change_no_output(tmp_path, capsys, monkeypatch, name):
     """check prints the same text and JSON, with the same exit code, whether
     its searches run in the declared lockstep pass, fail there, or run each
     alone in its check: the pass leaves an unbounded operator, a non-finite
     matrix, a stack LAPACK fails on or a value that overflows to the checks,
-    which raise as they would."""
-    path = write_instance(tmp_path, **EDGE_INSTANCES[name])
+    which raise as they would.  The 12 reference pairs (r = 3..8) stack both
+    ascents and every level search of a dim-8 or dim-5 pair."""
+    path = (write_instance(tmp_path, **EDGE_INSTANCES[name]) if name in EDGE_INSTANCES
+            else str(next(p for p in CHECK_PAIRS if p.stem == name)))
 
     def outputs():
         runs = [(cli.main(["check", path, *flag]), capsys.readouterr())

@@ -234,15 +234,47 @@ def test_folded_fixed_rule_matches_the_full_rule(r):
 
 
 def fixed_rule(b, thetas):
-    """The fixed folded rule at every angle of an array, on _sig_path."""
-    return np.array([ineq._sig_path(np.exp(1j * th) * b, b.conj().T, ineq._FOLD_NODES)
-                     @ ineq._FOLD_WEIGHTS for th in np.atleast_1d(thetas)])
+    """The fixed folded rule at every angle of an array, on the singular values
+    of each path matrix (``_sig_stack``), all angles in one stack."""
+    x = np.exp(1j * np.atleast_1d(thetas))[:, None, None] * b
+    taus = ineq._FOLD_NODES[:, None, None]
+    return ineq._sig_stack(taus * x[:, None] + (1.0 - taus) * b.conj().T) @ ineq._FOLD_WEIGHTS
 
 
 def seeded_compression(r, seed):
     """The r x r compression of a random T on a random positive definite A."""
     space, t, _ = rand_pair(seed, n=r)
     return space.bind(t).compress()
+
+
+def campaign_compressions(monkeypatch, seeds, count):
+    """The first ``count`` nonempty compressions that the campaign's
+    integral_radius_bound trials hand to ``_fixed_rule_sup``, seed by seed."""
+    seen, real = [], ineq._fixed_rule_sup
+    with monkeypatch.context() as patch:
+        patch.setattr(ineq, "_fixed_rule_sup", lambda b: seen.append(b) or real(b))
+        for seed in seeds:
+            for trial in range(count):
+                fuzz.run_single_trial("integral_radius_bound", seed, trial)
+                if len(seen) == count:
+                    return seen
+    raise AssertionError(f"only {len(seen)} nonempty compressions drawn")
+
+
+def assert_reaches_golden_section(b, monkeypatch):
+    """The Newton-refined supremum of the fixed rule is no lower, up to
+    rounding, than golden section's from an independent dense grid (720
+    angles, refined to REFINE_TOL), within 5 stacked eigh steps."""
+    steps = []
+    eigh = np.linalg.eigh
+    with monkeypatch.context() as patch:
+        patch.setattr(np.linalg, "eigh", lambda m: steps.append(len(m)) or eigh(m))
+        theta = ineq._fixed_rule_sup(b)
+    _, ref = radius.sup_sweep(lambda ts: fixed_rule(b, ts), 2.0 * math.pi, radius.COARSE_POINTS)
+    value = fixed_rule(b, theta)[0]
+    assert 0.0 <= theta < 2.0 * math.pi
+    assert value >= ref - 4.0 * np.finfo(float).eps * (1.0 + abs(ref)), (value, ref)
+    assert 1 <= len(steps) <= 5 < ineq._SUP_STEPS
 
 
 STRUCTURED = {
@@ -258,21 +290,16 @@ STRUCTURED = {
                          + list(STRUCTURED.values()),
                          ids=[f"r{r}" for r in range(1, 9)] + list(STRUCTURED))
 def test_fixed_rule_sup_reaches_golden_section(b, monkeypatch):
-    """The Newton-refined supremum of the fixed rule is no lower, up to
-    rounding, than golden section's on the same grid, within the step cap;
-    Newton steps, not bisection, get there (a wrong F'' would bisect ~20 times)."""
-    steps = []
-    eigh = np.linalg.eigh
-    monkeypatch.setattr(np.linalg, "eigh", lambda m: steps.append(len(m)) or eigh(m))
-    theta = ineq._fixed_rule_sup(b)
-    monkeypatch.undo()
-    _, ref = radius.sup_sweep(lambda ts: fixed_rule(b, ts), 2.0 * math.pi,
-                              ineq.INTEGRAL_SWEEP_POINTS, 1e-5)
-    value = fixed_rule(b, theta)[0]
-    assert 0.0 <= theta < 2.0 * math.pi
-    assert value >= ref - 4.0 * np.finfo(float).eps * (1.0 + abs(ref))
-    assert 1 <= len(steps) < ineq._SUP_STEPS
-    assert len(steps) <= 5
+    """``assert_reaches_golden_section`` on seeded and structured cases: Newton
+    steps, not bisection, get there (a wrong F'' would bisect ~20 times)."""
+    assert_reaches_golden_section(b, monkeypatch)
+
+
+def test_fixed_rule_sup_reaches_golden_section_on_campaign_draws(monkeypatch):
+    """The same on 500 compressions the campaign draws at seeds 1 and 2, ranks
+    0 to 8: the sweep's grid need only bracket the basins of F."""
+    for b in campaign_compressions(monkeypatch, (1, 2), 500):
+        assert_reaches_golden_section(b, monkeypatch)
 
 
 @settings(max_examples=40, deadline=None)

@@ -213,6 +213,25 @@ def test_line_maximizer_matches_dense_sampling(objective, r):
         assert abs(at_zero + gain[i] - at_phi) <= 64 * EPS * scale2
 
 
+@pytest.mark.parametrize("objective", ["ascent", "crawford"])
+@pytest.mark.parametrize("rows", [1, 2, 6, 64])
+def test_line_maximizer_is_row_wise(objective, rows):
+    """A stack of rows at mixed scales, each with its own stopping gain, gives
+    each row's maximizer and gain of its line maximization alone, bit for bit,
+    as the ascent needs when it stacks the live rows of several problems."""
+    f, k = (_ascent_f, 2) if objective == "ascent" else (_crawford_f, 1)
+    rng = np.random.default_rng([11, rows, k])
+    scale = 10.0 ** rng.uniform(-8.0, 8.0, (rows, 1))
+    a, c, m = (scale * (rng.standard_normal((rows, k)) + 1j * rng.standard_normal((rows, k)))
+               for _ in range(3))
+    tol = scale[:, 0] ** 2 * rng.choice([0.0, 4 * EPS, 1e-3], rows)
+    phi, gain = linalg._great_circle_max(f, a, c, m, tol)
+    for i in range(rows):
+        one = slice(i, i + 1)
+        alone = linalg._great_circle_max(f, a[one], c[one], m[one], tol[one])
+        assert (phi[i].tobytes(), gain[i].tobytes()) == tuple(x[0].tobytes() for x in alone)
+
+
 def test_searches_on_rank_zero():
     empty = np.zeros((0, 0), dtype=np.complex128)
     with warnings.catch_warnings():
