@@ -109,12 +109,13 @@ def _psd_eig(m) -> EigDecomposition:
     return dec
 
 
-# f on a great circle is Re sum_m c_m e^{-i m phi}, m = 0, 1, 2: f at phi_j = 2 pi j / 5
-# times _FIT is c.  No product is a gemm, whose rounding depends on the row count: an
-# unoptimized einsum adds each row's terms in order, so a row is the same in any stack
+# f on a great circle is Re sum_m c_m e^{-i m phi}, m = 0, 1, 2; at phi_j = 2 pi j / 5 the
+# forms are a _ZW[0] + c _ZW[1] + m _ZW[2], and f there times _FIT is c, times _GRID_F f on
+# the grid.  No gemm, whose rounding depends on the row count: einsum adds a row's terms in order
 _M, _PHI5, _GRID = np.arange(3), 2 * np.pi * np.arange(5) / 5, 2 * np.pi * np.arange(64) / 64
-_COS5, _SIN5 = 0.5 * np.cos(_PHI5)[:, None], 0.5 * np.sin(_PHI5)[:, None]
-_FIT, _GRID_EXP = np.exp(1j * np.outer(_PHI5, _M)) * [0.2, 0.4, 0.4], np.exp(-1j * np.outer(_M, _GRID))
+_ZW = 0.5 * np.stack((1 + np.cos(_PHI5), 1 - np.cos(_PHI5), np.sin(_PHI5)))[..., None]
+_FIT = np.exp(1j * np.outer(_PHI5, _M)) * [0.2, 0.4, 0.4]
+_GRID_F = (_FIT @ np.exp(-1j * np.outer(_M, _GRID))).real
 
 
 def _great_circle_max(f, a: np.ndarray, c: np.ndarray, m: np.ndarray, tol):
@@ -123,16 +124,17 @@ def _great_circle_max(f, a: np.ndarray, c: np.ndarray, m: np.ndarray, tol):
     m = <B_k u, q> + <B_k q, u>, rows (n, K) (docs/search.md).  Returns the
     maximizer (Newton's unless the grid's is better by ``tol``, a float or one
     per row) and its gain, each row as it would be alone."""
-    z = (0.5 * (a + c))[:, None] + _COS5 * (a - c)[:, None] + _SIN5 * m[:, None]
-    coef = np.einsum("nj,jm->nm", f(z.reshape(-1, a.shape[1])).reshape(len(a), 5), _FIT)
-    grid = np.einsum("nm,mg->ng", coef, _GRID_EXP).real
+    z = a[:, None] * _ZW[0] + c[:, None] * _ZW[1] + m[:, None] * _ZW[2]
+    vals = f(z.reshape(-1, a.shape[1])).reshape(len(a), 5)
+    coef, grid = np.einsum("nj,jm->nm", vals, _FIT), np.einsum("nj,jg->ng", vals, _GRID_F)
     phi = start = _GRID[grid.argmax(axis=1)]
     for _ in range(3):  # t_m = c_m e^{-i m phi}: f' = sum m Im t_m, -f'' = sum m^2 Re t_m
-        t = coef * np.exp(np.multiply.outer(phi, -1j * _M))
-        d1, d2 = t.imag[:, 1] + 2 * t.imag[:, 2], t.real[:, 1] + 4 * t.real[:, 2]
-        phi = phi + np.divide(d1, d2, out=np.zeros_like(phi), where=d2 > 0)
-    t = (coef * np.exp(np.multiply.outer(phi, -1j * _M))).real
-    top, newton = grid.max(axis=1), t[:, 0] + t[:, 1] + t[:, 2]
+        e = np.exp(-1j * phi)
+        t1, t2 = coef[:, 1] * e, coef[:, 2] * e * e
+        d2 = t1.real + 4 * t2.real
+        phi = phi + (t1.imag + 2 * t2.imag) / np.where(d2 > 0, d2, np.inf)
+    e = np.exp(-1j * phi)
+    top, newton = grid.max(axis=1), (coef[:, 0] + coef[:, 1] * e + coef[:, 2] * e * e).real
     return np.where(newton >= top - tol, phi, start), np.maximum(newton, top) - grid[:, 0]
 
 
