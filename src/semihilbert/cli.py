@@ -246,9 +246,18 @@ def _cmd_check(args) -> int:
 
     status = 2 if violated else (1 if errored else 0)
     if args.json:
-        print(json.dumps({"instance": args.instance, "quantities": quantities,
-                          "checks": results, "status": status},
-                         sort_keys=True, default=str))
+        # the chains of T (of T and S) share one digest: each is encoded once and
+        # spliced in at its placeholder, led by a NUL, which no path or message holds
+        digests = {}
+        for r in results:
+            if "inputs_digest" in r:
+                d = r["inputs_digest"]
+                r["inputs_digest"] = digests.setdefault(id(d), (f"\x00{len(digests)}", d))[0]
+        line = json.dumps({"instance": args.instance, "quantities": quantities,
+                           "checks": results, "status": status}, sort_keys=True, default=str)
+        for mark, d in digests.values():
+            line = line.replace(json.dumps(mark), json.dumps(d, sort_keys=True, default=str))
+        print(line)
     else:
         for part, q in quantities.items():
             flags = ", ".join(f"{k}={v}" for k, v in q.items() if isinstance(v, bool))

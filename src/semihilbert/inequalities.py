@@ -22,9 +22,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, PreconditionNotMet
-from .linalg import as_matrix, dagger, fro_norm, pow2_split, spectral_norm
+from .linalg import as_matrix, dagger, encode_matrix, fro_norm, pow2_split, spectral_norm
 from .radius import (_TWO_PI, ASCENT_MAX_ITER, ASCENT_SEED, ASCENT_STARTS, _adjoint,
-                     _competitive_peaks, _kept, _norm, _square, support_max)
+                     _competitive_peaks, _held, _kept, _norm, _square, support_max)
 # the kernel cores and the ascent by the names the benchmark's tracer wraps here
 from .radius import _ascent_bilinear, _crawford_core, _radius_seminorm_core  # noqa: F401
 from .semispace import OperatorInSpace, SemiHilbertSpace
@@ -89,23 +89,22 @@ class EqualityDiagnostic:
             "lhs": self.lhs,
             "rhs": self.rhs,
             "gap": self.gap,
-            "witness": [[float(z.real), float(z.imag)] for z in self.witness],
+            "witness": encode_matrix(self.witness),
             "equal": self.equal,
             "eq_tol": self.eq_tol,
             "extras": dict(self.extras),
         }
 
 
-def encode_matrix(m: np.ndarray) -> list:
-    return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(m)]
-
-
-def _digest(space: SemiHilbertSpace, t: np.ndarray, s: np.ndarray | None = None) -> dict:
-    d = {"dim": space.dim, "rank": space.rank, "a": encode_matrix(space.a),
-         "t": encode_matrix(t)}
-    if s is not None:
-        d["s"] = encode_matrix(s)
-    return d
+def _digest(*ops: OperatorInSpace) -> dict:
+    """The inputs of a report on T (or T and S), for replay: dim, rank, A, T
+    (and S) as [re, im] pairs.  Built once and kept on the operators' memo,
+    so every report on the same operators holds the same dict."""
+    owner, key = _held("digest", ops)
+    sp = owner.space
+    return owner._cached(key, lambda: {
+        "dim": sp.dim, "rank": sp.rank, "a": encode_matrix(sp.a),
+        **{part: encode_matrix(op.t) for part, op in zip("ts", ops)}})
 
 
 def _as_op(space: SemiHilbertSpace, t) -> OperatorInSpace:
@@ -301,7 +300,7 @@ def check_halfnorm_bounds(space: SemiHilbertSpace, t) -> InequalityReport:
     return _report("halfnorm_bounds",
                    [("0.5*norm_A(T)", 0.5 * nt), ("w_A(T)", _kept("w(T)", op)[0]),
                     ("norm_A(T)", nt)],
-                   _digest(space, op.t))
+                   _digest(op))
 
 
 def check_hh_triangle(space: SemiHilbertSpace, t, s) -> InequalityReport:
@@ -314,7 +313,7 @@ def check_hh_triangle(space: SemiHilbertSpace, t, s) -> InequalityReport:
                    [("norm_A(T+S)", _sig(bt + bs)),
                     ("2*int_0^1 norm_A(tT+(1-t)S) dt", 2.0 * integral),
                     ("norm_A(T)+norm_A(S)", _norm(opt) + _norm(ops))],
-                   _digest(space, opt.t, ops.t))
+                   _digest(opt, ops))
 
 
 def check_integral_radius_bound(space: SemiHilbertSpace, t) -> InequalityReport:
@@ -328,7 +327,7 @@ def check_integral_radius_bound(space: SemiHilbertSpace, t) -> InequalityReport:
     """
     op = _as_op(space, t)
     bt = op.compress()
-    digest = _digest(space, op.t)
+    digest = _digest(op)
     if bt.size == 0:
         return _report("integral_radius_bound",
                        [("w_A(T)", 0.0), ("sup_theta int norm_A", 0.0), ("norm_A(T)", 0.0)],
@@ -415,7 +414,7 @@ def check_adjoint_sum_bound(space: SemiHilbertSpace, t, s) -> InequalityReport:
                    [("norm_A(T+S)", _sig(bt + bs)),
                     ("sqrt(norm_A(T#T+S#S)+2w_A(S#T))", mid),
                     ("norm_A(T)+norm_A(S)", _norm(opt) + _norm(ops))],
-                   _digest(space, opt.t, ops.t))
+                   _digest(opt, ops))
 
 
 def max_equality_diagnostic(space: SemiHilbertSpace, t, s) -> EqualityDiagnostic:
@@ -490,7 +489,7 @@ def check_real_part_bounds(space: SemiHilbertSpace, t) -> InequalityReport:
                     ("w_A(T)", _kept("w(T)", op)[0]),
                     ("sqrt(norm_A(T-T#)^2+norm_A(T+T#)^2)/2",
                      0.5 * math.hypot(dm, dp))],
-                   _digest(space, op.t))
+                   _digest(op))
 
 
 def check_square_bounds(space: SemiHilbertSpace, t) -> InequalityReport:
@@ -504,7 +503,7 @@ def check_square_bounds(space: SemiHilbertSpace, t) -> InequalityReport:
                    [("max-diff-sum-squares^(1/2)/2", 0.5 * math.sqrt(max(m2, p2))),
                     ("w_A(T)", _kept("w(T)", op)[0]),
                     ("sqrt(2)/2*(norm_A(T)^2+w_A(T^2))^(1/2)", upper)],
-                   _digest(space, op.t))
+                   _digest(op))
 
 
 def verify_square_identity(x, y) -> float:
@@ -536,7 +535,7 @@ def check_fourth_power_bounds(space: SemiHilbertSpace, t) -> InequalityReport:
                     ("w_A(T)^4", wt ** 4),
                     ("norm_A(TT#+T#T)^2/8+w_A(T^2)^2/2",
                      anti * anti / 8.0 + wt2 * wt2 / 2.0)],
-                   _digest(space, op.t))
+                   _digest(op))
 
 
 def check_power_inequality(space: SemiHilbertSpace, t) -> InequalityReport:
@@ -546,7 +545,7 @@ def check_power_inequality(space: SemiHilbertSpace, t) -> InequalityReport:
     return _report("power_inequality",
                    [("w_A(T^2)", _kept("w(T^2)", op)[0]), ("w_A(T)^2", wt * wt),
                     ("norm_A(T)^2", _norm(op) ** 2), ("4*w_A(T)^2", 4.0 * wt * wt)],
-                   _digest(space, op.t))
+                   _digest(op))
 
 
 def check_reverse_power(space: SemiHilbertSpace, t) -> InequalityReport:
@@ -565,7 +564,7 @@ def check_reverse_power(space: SemiHilbertSpace, t) -> InequalityReport:
                     ("norm_A(TT#+T#T)", _anti_commutator_norm(op)),
                     ("2*w_A(T^2)+min(norm_A(T-T#),norm_A(T+T#))^2",
                      2.0 * _kept("w(T^2)", op)[0] + minterm)],
-                   _digest(space, op.t))
+                   _digest(op))
 
 
 def radius_additivity_diagnostic(space: SemiHilbertSpace, t, s, starts: int = ASCENT_STARTS,

@@ -64,6 +64,13 @@ def herm_part(m: np.ndarray) -> np.ndarray:
     return (m + dagger(m)) / 2
 
 
+def encode_matrix(m) -> list:
+    """A complex array (a matrix or a vector) as nested lists with an [re, im]
+    pair of Python floats per entry, the JSON form of the reports."""
+    m = np.asarray(m, dtype=np.complex128)
+    return np.stack((m.real, m.imag), -1).tolist()
+
+
 @dataclass(frozen=True)
 class EigDecomposition:
     """Spectral decomposition of a Hermitian matrix.

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch
-from .linalg import _multistart_ascent, dagger, fro_norm, pow2_split, spectral_norm
+from .linalg import _multistart_ascent, dagger, encode_matrix, fro_norm, pow2_split, spectral_norm
 from .semispace import OperatorInSpace
 
 COARSE_POINTS = 720
@@ -75,8 +75,7 @@ class RadiusEstimate:
         return {
             "value": self.value,
             "certificate_theta": self.certificate_theta,
-            "certificate_vector": None if vec is None else
-                [[float(z.real), float(z.imag)] for z in vec],
+            "certificate_vector": None if vec is None else encode_matrix(vec),
             "method": self.method,
             "abs_error_bound": self.abs_error_bound,
         }
@@ -554,7 +553,8 @@ def _ascent_bilinear(pairs, starts: int, seed: int,
 
 # B*, sigma_max(B), B @ B and the results of the searches on B and on the
 # matrices built from B and a second bound operator, kept on the bound
-# operator on first use: this module alone reads and fills its memo
+# operator on first use; the memo's one other entry is the reports' inputs
+# digest, which inequalities._digest keeps there through ``_held``
 
 def _adjoint(op: OperatorInSpace) -> np.ndarray:
     return op._cached("adjoint", lambda: dagger(op.compress()))
@@ -593,19 +593,25 @@ ASCENT_STARTS, ASCENT_SEED, ASCENT_MAX_ITER = 32, 0, 150
 ASCENT_ARGS = (ASCENT_STARTS, ASCENT_SEED, ASCENT_MAX_ITER)
 
 
-def _entry(name: str, ops: tuple, args: tuple):
-    """(owner, key, selector, build) of the search ``name`` on T (and S): kept
-    on the last operator under the name, ``args`` (an ascent's starts, seed
-    and max_iter) and T's identity, if two.  S's memo then holds T too, so the
-    identity names no other operator while the entry lives; T = S needs no
-    such hold, which would only make the operator a cycle for the collector."""
-    sel, _, build = SEARCHES[name]
+def _held(name: str, ops: tuple, args: tuple = ()):
+    """(owner, key) of what is kept of T (and S) under ``name``: on the last
+    operator under the name, ``args`` and T's identity, if two.  S's memo then
+    holds T too, so the identity names no other operator while the entry
+    lives; T = S needs no such hold, which would only make the operator a
+    cycle for the collector."""
     owner, key = ops[-1], (name, *args)
     if len(ops) == 2:
         if ops[0] is not owner:
             owner._cached(("operand", id(ops[0])), lambda: ops[0])
         key += (id(ops[0]),)
-    return owner, key, sel, lambda: build(*ops)
+    return owner, key
+
+
+def _entry(name: str, ops: tuple, args: tuple):
+    """(owner, key, selector, build) of the search ``name`` on T (and S), held
+    as ``_held`` keeps it with ``args``, an ascent's starts, seed and max_iter."""
+    sel, _, build = SEARCHES[name]
+    return (*_held(name, ops, args), sel, lambda: build(*ops))
 
 
 def _kept(name: str, *ops: OperatorInSpace, args: tuple = ()):

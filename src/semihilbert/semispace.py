@@ -185,7 +185,8 @@ class OperatorInSpace:
     admits_adjoint: bool
     sharp_mat: np.ndarray | None
     compression: np.ndarray | None
-    # quantities of the compression, read and filled only by radius.py's accessors
+    # quantities of the compression, read and filled by radius.py's accessors,
+    # and the inputs digest of the reports on the operator (inequalities._digest)
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def _cached(self, key, compute):

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from semihilbert import cli, fuzz, radius, semispace
+from semihilbert import inequalities as ineq
 from semihilbert.errors import ParseError
 from semihilbert.radius import a_crawford, a_numerical_radius
 
@@ -315,20 +316,35 @@ def test_check_overflow_is_an_error_not_a_verdict(tmp_path, capsys, name):
         assert out.out.splitlines()[-1].split()[1] == verdicts[check]
 
 
-@pytest.mark.parametrize("name", [*EDGE_INSTANCES, *(p.stem for p in CHECK_PAIRS)])
+# a reference pair under a file name that JSON escapes: a quote, a backslash
+# and the six characters of the escape of the digests' placeholders
+ODD_NAME = 'pair"\\u00000".json'
+
+
+@pytest.mark.parametrize("name", [*EDGE_INSTANCES, *(p.stem for p in CHECK_PAIRS), ODD_NAME])
 def test_declared_searches_change_no_output(tmp_path, capsys, monkeypatch, name):
     """check prints the same text and JSON, with the same exit code, whether
     its searches run in the declared lockstep pass, fail there, or run each
     alone in its check: the pass leaves an unbounded operator, a non-finite
     matrix, a stack LAPACK fails on or a value that overflows to the checks,
     which raise as they would.  The 12 reference pairs (r = 3..8) stack both
-    ascents and every level search of a dim-8 or dim-5 pair."""
-    path = (write_instance(tmp_path, **EDGE_INSTANCES[name]) if name in EDGE_INSTANCES
-            else str(next(p for p in CHECK_PAIRS if p.stem == name)))
+    ascents and every level search of a dim-8 or dim-5 pair.  The JSON line,
+    with its digests spliced in, is what json.dumps makes of its own parse."""
+    if name in EDGE_INSTANCES:
+        path = write_instance(tmp_path, **EDGE_INSTANCES[name])
+    elif name == ODD_NAME:
+        path = tmp_path / name
+        path.write_bytes(CHECK_PAIRS[0].read_bytes())
+        path = str(path)
+    else:
+        path = str(next(p for p in CHECK_PAIRS if p.stem == name))
 
     def outputs():
         runs = [(cli.main(["check", path, *flag]), capsys.readouterr())
                 for flag in ([], ["--json"])]
+        line = runs[1][1].out
+        assert line == json.dumps(json.loads(line), sort_keys=True, default=str) + "\n"
+        assert json.loads(line)["instance"] == path
         return [(code, out.out, out.err) for code, out in runs]
 
     level_sup = radius._level_sup
@@ -345,6 +361,22 @@ def test_declared_searches_change_no_output(tmp_path, capsys, monkeypatch, name)
             assert outputs() == declared
         monkeypatch.setattr(cli, "run_declared", lambda *args: None)
         assert outputs() == declared
+
+
+def test_check_builds_one_digest_per_operator(monkeypatch, capsys):
+    """In one check run the 7 chains of T hold one digest object and the 2
+    chains of the pair another, and the JSON splices each into its own chains."""
+    reports, to_dict = [], ineq.InequalityReport.to_dict
+    monkeypatch.setattr(ineq.InequalityReport, "to_dict",
+                        lambda self: reports.append(self) or to_dict(self))
+    assert cli.main(["check", str(CHECK_PAIRS[0]), "--json"]) == 0
+    chains = json.loads(capsys.readouterr().out)["checks"]
+    one = [r.inputs_digest for r in reports if "s" not in r.inputs_digest]
+    pair = [r.inputs_digest for r in reports if "s" in r.inputs_digest]
+    assert (len(one), len(pair)) == (7, 2)
+    assert all(d is one[0] for d in one) and all(d is pair[0] for d in pair)
+    digests = [c["inputs_digest"] for c in chains if "inputs_digest" in c]
+    assert digests == [one[0] if "s" not in d else pair[0] for d in digests]
 
 
 @pytest.mark.parametrize("flag", ["--check-tol", "--eq-tol"])

@@ -12,6 +12,7 @@ from semihilbert.errors import DimensionMismatch, NotHermitian
 from semihilbert.linalg import (
     as_matrix,
     dagger,
+    encode_matrix,
     fro_norm,
     herm_part,
     hermitian_eig,
@@ -92,6 +93,31 @@ def test_norms_hand_values():
 def test_fro_norm_neither_overflows_nor_underflows(k):
     m = np.array([[3, 0], [0, -4j]])
     assert fro_norm(2.0 ** k * m) == 2.0 ** k * 5.0
+
+
+def _bits(x):
+    # float.hex tells -0.0 from 0.0; the type tells a float from an int
+    return [_bits(y) for y in x] if isinstance(x, list) else (type(x), x.hex())
+
+
+_EDGE = [0.0, -0.0, 5e-324, -2.225e-311, 1.7e308, -1.7e308, 1.0, -3.5]
+
+
+@pytest.mark.parametrize("m", [
+    np.array(_EDGE[:4]) + 1j * np.array(_EDGE[4:]),  # a 1-D vector
+    (np.array(_EDGE) + 1j * np.array(_EDGE[::-1])).reshape(2, 4),
+    np.array(_EDGE).reshape(4, 2),  # real-typed
+    np.array([[1, -2], [0, 2 ** 60 + 1]]),  # integer-typed, one entry past 2^53
+    (np.array(_EDGE) - 1j * np.array(_EDGE[::-1])).reshape(4, 2).T,  # a transposed view
+    np.zeros((0, 3), dtype=complex),
+])
+def test_encode_matrix_is_the_elementwise_form(m):
+    """The stacked encoder gives bit for bit the per-entry [float(re),
+    float(im)] lists the reports were first written with."""
+    def old(v):
+        return [[float(z.real), float(z.imag)] for z in v]
+    want = old(m) if m.ndim == 1 else [old(row) for row in np.asarray(m)]
+    assert _bits(encode_matrix(m)) == _bits(want)
 
 
 @pytest.mark.parametrize("shape", [(1, 1), (2, 2), (3, 5), (5, 3), (8, 8)])
