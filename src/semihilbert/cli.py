@@ -157,12 +157,12 @@ def decode_matrix(obj, what: str = "matrix") -> np.ndarray:
 def load_instance(path: str):
     """Read an instance file; returns (space, t, s_or_None)."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path} is not valid JSON: {exc}") from exc
+    except (OSError, ValueError) as exc:  # ValueError: a NUL in the path, or not UTF-8
+        raise ParseError(f"cannot read {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ParseError(f"{path}: top level must be an object")
     for key in ("a", "t"):

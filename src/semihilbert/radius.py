@@ -28,7 +28,6 @@ competitive bracket (``sup_sweep``).
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 from dataclasses import dataclass
 
@@ -169,43 +168,40 @@ def _error_estimate(b: np.ndarray) -> float:
     return scale * (REFINE_TOL / 2.0 + 64.0 * np.finfo(np.float64).eps)
 
 
-def _parts_at(b: np.ndarray, bh: np.ndarray, theta_c: float, out: np.ndarray) -> np.ndarray:
-    # the real part P of e^{i theta_c} B into ``out``, for the batched eigh,
-    # and its imaginary part S returned, for ``_companion`` (``bh`` is B*)
+def _parts_at(b: np.ndarray, bh: np.ndarray, theta_c: float) -> tuple[np.ndarray, np.ndarray]:
+    # the real part P of e^{i theta_c} B, for the eigh, and its imaginary
+    # part S, for ``_companion`` (``bh`` is B*)
     ph = complex(math.cos(theta_c), math.sin(theta_c))
     c, ch = ph * b, ph.conjugate() * bh
-    np.add(c, ch, out=out)
-    out /= 2.0
-    return (c - ch) / 2j
+    return (c + ch) / 2.0, (c - ch) / 2j
 
 
 def _companion(lam: np.ndarray, vecs: np.ndarray, imag: np.ndarray, gamma: float,
-               scale: float, out: np.ndarray, diag: tuple):
-    """Write into ``out`` the companion matrix of the crossings of ``gamma``
-    and return (lam, S) for ``_crossing_angles``, or None when P + gamma is
+               scale: float):
+    """The companion matrix of the crossings of ``gamma`` and the S its
+    roots need in ``_crossing_angles``, or None when P + gamma is
     near-singular.
 
     With P, S the real and imaginary parts of e^{i theta_c} B (P = V diag(lam)
     V* from eigh) and t = tan((theta - theta_c) / 2), (1 + t^2)(H(theta) -
     gamma) is the Hermitian quadratic pencil (P - gamma) - 2 t S - t^2 (P +
     gamma); its real eigenvalues t are the crossings.  In the eigenbasis of P
-    the pencil linearizes to a 2r x 2r companion matrix, whose upper right
-    block I ``out`` holds already (``diag`` holds the indices i and i + r,
-    i < r).  A crossing at theta_c + pi itself is t = infinity, where P +
-    gamma is singular.  None means P + gamma is near-singular, which the
-    centre ``_level_sup`` picks avoids unless H(theta) keeps an eigenvalue
-    within about delta of the level at every angle (the Jordan block
-    [[0, 1], [0, 0]] keeps +-1/2): the roots are then not to be trusted.
+    the pencil linearizes to a 2r x 2r companion matrix.  A crossing at
+    theta_c + pi itself is t = infinity, where P + gamma is singular.  None
+    means P + gamma is near-singular, which the centre ``_search`` picks
+    avoids unless H(theta) keeps an eigenvalue within about delta of the
+    level at every angle (the Jordan block [[0, 1], [0, 0]] keeps +-1/2): the
+    roots are then not to be trusted.
     """
     lead = lam + gamma
     if not np.minimum.reduce(np.abs(lead)) > _SINGULAR * scale:  # NaN included
         return None
     r = lam.size
     s = dagger(vecs) @ imag @ vecs
-    idx, idx_r = diag
-    out[idx_r, idx] = (lam - gamma) / lead
-    np.multiply(s, (-2.0 / lead)[:, None], out=out[r:, r:])
-    return lam, s
+    comp = np.eye(2 * r, k=r, dtype=np.complex128)  # the block I upper right
+    comp[r:, :r] = np.diag((lam - gamma) / lead)
+    comp[r:, r:] = s * (-2.0 / lead)[:, None]
+    return comp, s
 
 
 def _crossing_angles(t: np.ndarray, x: np.ndarray, lam: np.ndarray, s: np.ndarray,
@@ -253,18 +249,6 @@ def _grid_sup(b: np.ndarray, sel: int):
     bh = dagger(b)
     return sup_sweep(lambda ts: np.linalg.eigvalsh(_herm_at(b, bh, np.exp(1j * ts)))[:, sel],
                      _TWO_PI)
-
-
-def _joined(arrays: list) -> np.ndarray:
-    # one array for one batched LAPACK call; a stack of one is used as it is
-    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
-
-
-def _solved(jobs: list) -> list:
-    # each job (search, angles) with its share of one batched eigh of H there
-    lam, vecs = np.linalg.eigh(_joined([_herm_at(s.b, s.bh, np.exp(1j * a)) for s, a in jobs]))
-    ends = np.cumsum([len(a) for _, a in jobs])
-    return [(s, a, lam[e - len(a):e], vecs[e - len(a):e]) for (s, a), e in zip(jobs, ends)]
 
 
 def _ellipse_sup(m: np.ndarray, sel: int):
@@ -342,91 +326,123 @@ def _ellipse_sup(m: np.ndarray, sel: int):
     return math.ldexp(value, e), theta, u
 
 
-@functools.cache
-def _diagonal(r: int) -> tuple[np.ndarray, np.ndarray]:
-    # the indices i and i + r, i < r, of the companion's diagonal blocks
-    return np.arange(r), np.arange(r, 2 * r)
-
-
 _START_THETAS = np.arange(_START_ANGLES) * (math.pi / _START_ANGLES)
 _START_PHASES = np.exp(1j * _START_THETAS)
 
 
-class _LevelSearch:
-    """The state of one search of ``_level_sup``: its normalized matrix, the
-    angles evaluated with their eigenvalues, its best point and Newton points."""
+def _highest(ts: np.ndarray, lam: np.ndarray, vecs: np.ndarray, sel: int) -> tuple:
+    # the point of ``_point`` with the largest lam_sel, of the angles ts and their antipodes
+    return _point(ts, lam, vecs, int(np.concatenate([lam[:, sel], -lam[:, -1 - sel]]).argmax()))
 
-    def __init__(self, b: np.ndarray, sel: int):
-        self.e, self.b = pow2_split(b)
-        self.bh, self.sel = dagger(self.b), sel
-        self.scale = float(np.linalg.norm(self.b))  # normalized: fro_norm would not rescale it
-        self.delta = REFINE_TOL * self.scale / 100.0
-        self.thetas = _START_THETAS
-        self.open = self.scale != 0.0  # still searching
-        self.bounded = not self.open
 
-    def start(self, lam: np.ndarray, vecs: np.ndarray) -> None:
-        # the Newton points (angle, eigenvalues, eigenvectors, step cap): the
-        # two best peaks of the 2n values in circular order (all are, if NaN)
-        self.lam, m = lam, 2 * len(lam)
-        v = np.concatenate([lam[:, self.sel], -lam[:, -1 - self.sel]]).tolist()
-        peaks = [i for i in range(m) if not (v[i] < v[i - 1] or v[i] < v[(i + 1) % m])]
-        self.points = [(*_point(self.thetas, lam, vecs, i), _MAX_STEP)
-                       for i in sorted(peaks, key=v.__getitem__, reverse=True)[:2]]
-        self.take(self.points[0])
+def _newton(b: np.ndarray, sel: int, points: list, floor: float) -> tuple[list, np.ndarray]:
+    """The points (angle, eigenvalues, eigenvectors, step cap) of ``points``
+    that take a guarded Newton step on f = lam_sel(H), and the angles they
+    step to.  At theta, H = U diag(lam) U*, K = U* H' U, f' = K_kk, f'' =
+    -lam_k + 2 sum_{j != k} |K_jk|^2 / (lam_k - lam_j) as H'' = -H (Lancaster,
+    Numer. Math. 6 (1964)), zero gaps left out.  A point steps only where f''
+    < 0 and its predicted gain f'^2 / (-2 f'') takes it above ``floor``, at
+    most its cap far."""
+    stepping, angles = [], []
+    for theta, lam, vecs, cap in points:
+        # z = conj(U* B u_k): K_jk = i e^{i theta} conj(z_j) for j != k
+        z, ls = ((b @ vecs[:, sel]).conj() @ vecs).tolist(), lam.tolist()
+        lk, d1 = ls[sel], (complex(math.cos(theta), -math.sin(theta)) * z[sel]).imag
+        d2 = 2.0 * sum(abs(zj) ** 2 / (lk - lj) for zj, lj in zip(z, ls) if lj != lk) - lk
+        if d2 < 0.0 and d1 * d1 > -2.0 * d2 * (floor - lk):
+            stepping.append((theta, lam, vecs, cap))
+            angles.append(theta + min(max(-d1 / d2, -cap), cap))
+    return stepping, np.array(angles)
 
-    def take(self, point) -> None:
-        self.best_theta, lam, vecs, _ = point
-        self.best, self.u = float(lam[self.sel]), vecs[:, self.sel]
 
-    def newton(self) -> np.ndarray:
-        """The angles of guarded Newton steps on f = lam_sel(H): at theta, H =
-        U diag(lam) U*, K = U* H' U, f' = K_kk, f'' = -lam_k + 2 sum_{j != k}
-        |K_jk|^2 / (lam_k - lam_j) as H'' = -H (Lancaster, Numer. Math. 6 (1964)),
-        zero gaps left out.  A point steps only where f'' < 0 and its predicted
-        gain f'^2 / (-2 f'') takes it above best + delta, at most its cap far."""
-        points, angles = [], []
-        for theta, lam, vecs, cap in self.points:
-            # z = conj(U* B u_k): K_jk = i e^{i theta} conj(z_j) for j != k
-            z, ls = ((self.b @ vecs[:, self.sel]).conj() @ vecs).tolist(), lam.tolist()
-            lk, d1 = ls[self.sel], (complex(math.cos(theta), -math.sin(theta)) * z[self.sel]).imag
-            d2 = 2.0 * sum(abs(zj) ** 2 / (lk - lj) for zj, lj in zip(z, ls) if lj != lk) - lk
-            if d2 < 0.0 and d1 * d1 > -2.0 * d2 * (self.best + self.delta - lk):
-                points.append((theta, lam, vecs, cap))
-                angles.append(theta + min(max(-d1 / d2, -cap), cap))
-        self.points = points
-        return np.array(angles)
-
-    def stepped(self, angles: np.ndarray, lam: np.ndarray, vecs: np.ndarray) -> None:
+def _search(b: np.ndarray, sel: int):
+    """One search of ``_level_sup`` at r >= 3, as a generator for
+    ``_lockstep``: it yields each stack it needs solved, ("eigh", Hermitian
+    matrices) or ("eig", companion matrices), is sent back (eigenvalues,
+    eigenvectors), and returns (value, theta, eigenvector)."""
+    e, b = pow2_split(b)
+    bh = dagger(b)
+    scale = float(np.linalg.norm(b))  # normalized: fro_norm would not rescale it
+    delta = REFINE_TOL * scale / 100.0
+    thetas = _START_THETAS
+    lam, vecs = yield "eigh", _herm_at(b, bh, _START_PHASES)
+    # the Newton points (angle, eigenvalues, eigenvectors, step cap): the two
+    # best peaks of the 2n values in circular order (all are, if NaN); ``top``
+    # is the best point so far (the first of ties), best = top[1][sel]
+    v, m = np.concatenate([lam[:, sel], -lam[:, -1 - sel]]).tolist(), 2 * len(lam)
+    peaks = [i for i in range(m) if not (v[i] < v[i - 1] or v[i] < v[(i + 1) % m])]
+    points = [(*_point(thetas, lam, vecs, i), _MAX_STEP)
+              for i in sorted(peaks, key=v.__getitem__, reverse=True)[:2]]
+    top = points[0]
+    for _ in range(_NEWTON_STEPS):
+        points, angles = _newton(b, sel, points, top[1][sel] + delta)
+        if not angles.size:
+            break
+        lam_n, vecs_n = yield "eigh", _herm_at(b, bh, np.exp(1j * angles))
         # a point moves where f rises, else stays with half that step as cap
-        self.points = [(a, l, v, _MAX_STEP) if l[self.sel] > p[1][self.sel] else
-                       (*p[:3], abs(a - p[0]) / 2.0)
-                       for p, a, l, v in zip(self.points, angles, lam, vecs)]
-        for p in self.points:
-            if p[1][self.sel] > self.best:
-                self.take(p)
-
-    def centre(self) -> float:
+        points = [(a, l, x, _MAX_STEP) if l[sel] > p[1][sel] else (*p[:3], abs(a - p[0]) / 2.0)
+                  for p, a, l, x in zip(points, angles, lam_n, vecs_n)]
+        top = max([top, *points], key=lambda p: p[1][sel])
+    bounded = not scale  # the zero matrix has nothing to search
+    for _ in range(0 if bounded else _MAX_LEVELS):
         # the Cayley centre: the evaluated angle or its opposite (H -> -H)
         # where P + gamma is furthest from singular
-        self.gamma, lam = self.best + self.delta, self.lam
-        margin = np.minimum.reduce(np.abs(np.concatenate([lam + self.gamma, self.gamma - lam])),
-                                   axis=1)
-        i, n = int(margin.argmax()), len(self.thetas)
-        self.theta_c = float(self.thetas[i % n] + math.pi * (i >= n))
-        return self.theta_c
+        gamma = top[1][sel] + delta
+        margin = np.minimum.reduce(np.abs(np.concatenate([lam + gamma, gamma - lam])), axis=1)
+        i, n = int(margin.argmax()), len(thetas)
+        theta_c = float(thetas[i % n] + math.pi * (i >= n))
+        p, imag = _parts_at(b, bh, theta_c)
+        lam_p, vecs_p = yield "eigh", p[None]
+        pencil = _companion(lam_p[0], vecs_p[0], imag, gamma, scale)
+        if pencil is None:
+            break
+        roots, xs = yield "eig", pencil[0][None]
+        cross, slope = _crossing_angles(roots[0], xs[0], lam_p[0], pencil[1], theta_c)
+        if cross.size == 0:  # lam_sel - gamma keeps the sign it has at best
+            bounded = True
+            break
+        ts = _level_candidates(cross, slope)
+        lam_c, vecs_c = yield "eigh", _herm_at(b, bh, np.exp(1j * ts))
+        thetas, lam = np.concatenate([thetas, ts]), np.concatenate([lam, lam_c])
+        point = _highest(ts, lam_c, vecs_c, sel)
+        top = max(top, point, key=lambda p: p[1][sel])
+        if bounded := point[1][sel] < gamma:
+            break
+    if not bounded:
+        ts = np.array([_grid_sup(b, sel)[0]])
+        point = _highest(ts, *(yield "eigh", _herm_at(b, bh, np.exp(1j * ts))), sel)
+        top = max(top, point, key=lambda p: p[1][sel])
+    return math.ldexp(float(top[1][sel]), e), float(top[0]) % _TWO_PI, top[2][:, sel]
 
-    def stop(self, bounded: bool) -> None:
-        self.open, self.bounded = False, bounded
 
-    def evaluated(self, ts: np.ndarray, lam: np.ndarray, vecs: np.ndarray) -> None:
-        self.thetas, self.lam = np.concatenate([self.thetas, ts]), np.concatenate([self.lam, lam])
-        vals = np.concatenate([lam[:, self.sel], -lam[:, -1 - self.sel]])
-        i = int(vals.argmax())
-        if vals[i] > self.best:
-            self.take((*_point(ts, lam, vecs, i), None))
-        if vals[i] < self.gamma:
-            self.stop(True)
+def _lockstep(searches: list) -> list:
+    """Run the generators ``searches`` of ``_search`` together and return
+    what each returns.  Each round solves every waiting stack of one kind in
+    one batched LAPACK call: the "eigh" stacks while any waits, else the
+    "eig" ones, so the companions of a level wait for every other eigh and
+    share one call."""
+    results, waiting = [None] * len(searches), {"eigh": [], "eig": []}
+
+    def advance(j, reply):
+        try:
+            kind, stack = searches[j].send(reply)
+            waiting[kind].append((j, stack))
+        except StopIteration as done:
+            results[j] = done.value
+
+    for j in range(len(searches)):
+        advance(j, None)
+    while waiting["eigh"] or waiting["eig"]:
+        kind = "eigh" if waiting["eigh"] else "eig"
+        jobs, waiting[kind] = waiting[kind], []
+        stacks = [m for _, m in jobs]  # a stack of one is solved as it is
+        solve = getattr(np.linalg, kind)  # looked up per call, as a tracer may wrap it
+        vals, vecs = solve(stacks[0] if len(stacks) == 1 else np.concatenate(stacks))
+        end = 0
+        for j, m in jobs:
+            advance(j, (vals[end:end + len(m)], vecs[end:end + len(m)]))
+            end += len(m)
+    return results
 
 
 def _level_sup(b: np.ndarray, sels) -> list[tuple[float, float, np.ndarray]]:
@@ -435,73 +451,27 @@ def _level_sup(b: np.ndarray, sels) -> list[tuple[float, float, np.ndarray]]:
     entry of ``sels``: -1 for the largest eigenvalue, 0 for the smallest.
     Returns (value, theta, eigenvector of that eigenvalue) per matrix.
 
-    A stack with r <= 2 takes the closed form of ``_ellipse_sup``.  Else
-    guarded Newton steps (``_LevelSearch.newton``) from the best two start
-    points (four angles and their antipodes, H(theta + pi) = -H(theta)) raise
-    ``best``, mostly to within delta = REFINE_TOL ||B||_F / 100 of the
-    supremum.  The level-set iteration (Mengi & Overton, IMA J. Numer. Anal.
-    25 (2005)) certifies it: at the level gamma = best + delta, find every
-    angle where gamma is an eigenvalue of H (``_companion``).  lam_sel -
-    gamma keeps its sign on each arc between crossings, so if the function
-    exceeds gamma anywhere, some arc midpoint does.  Evaluate the candidates
-    of every arc; stop when none reaches gamma, which bounds the supremum by
-    best + delta.  When no level does (the crossings cannot be computed, or
-    the level cap is reached), the dense grid (``_grid_sup``) takes over.
-    All of it runs on B normalized by ``pow2_split``: exactly homogeneous
-    under 2^k.  The searches run in lockstep, one batched eigh over those
-    still running for the start angles, per Newton step and per level for P
-    and the candidates, with one eig of the companions; LAPACK solves each
-    matrix of a stack as it solves it alone, so each search takes the
-    decisions and values of its run alone.
+    A stack with r <= 2 takes the closed form of ``_ellipse_sup``.  Else each
+    matrix runs one ``_search``: guarded Newton steps (``_newton``) from the
+    best two start points (four angles and their antipodes, H(theta + pi) =
+    -H(theta)) raise ``best``, mostly to within delta = REFINE_TOL ||B||_F /
+    100 of the supremum.  The level-set iteration (Mengi & Overton, IMA J.
+    Numer. Anal. 25 (2005)) certifies it: at the level gamma = best + delta,
+    find every angle where gamma is an eigenvalue of H (``_companion``).
+    lam_sel - gamma keeps its sign on each arc between crossings, so if the
+    function exceeds gamma anywhere, some arc midpoint does.  Evaluate the
+    candidates of every arc; stop when none reaches gamma, which bounds the
+    supremum by best + delta.  When no level does (the crossings cannot be
+    computed, or the level cap is reached), the dense grid (``_grid_sup``)
+    takes over.  All of it runs on B normalized by ``pow2_split``: exactly
+    homogeneous under 2^k.  ``_lockstep`` runs the searches together, one
+    batched eigh for every search waiting on one and one batched eig for the
+    companions of a level; LAPACK solves each matrix of a stack as it solves
+    it alone, so each search takes the decisions and values of its run alone.
     """
     if b.shape[-1] <= 2:
         return [_ellipse_sup(m, sel) for m, sel in zip(b, sels)]
-    searches = [_LevelSearch(m, sel) for m, sel in zip(b, sels)]
-    lam, vecs = np.linalg.eigh(_joined([_herm_at(s.b, s.bh, _START_PHASES) for s in searches]))
-    for j, s in enumerate(searches):
-        s.start(lam[j * _START_ANGLES:(j + 1) * _START_ANGLES],
-                vecs[j * _START_ANGLES:(j + 1) * _START_ANGLES])
-    for _ in range(_NEWTON_STEPS):
-        steps = [(s, angles) for s in searches if (angles := s.newton()).size]
-        if not steps:
-            break
-        for s, angles, lam, vecs in _solved(steps):
-            s.stepped(angles, lam, vecs)
-    r = b.shape[-1]
-    diag = _diagonal(r)
-    # the real parts P and the companions of a level, written over each
-    # round; the companions' block I stays
-    parts = np.empty((len(searches), r, r), dtype=np.complex128)
-    comp = np.zeros((len(searches), 2 * r, 2 * r), dtype=np.complex128)
-    comp[:, diag[0], diag[1]] = 1.0
-    for _ in range(_MAX_LEVELS):
-        live = [s for s in searches if s.open]
-        if not live:
-            break
-        imags = [_parts_at(s.b, s.bh, s.centre(), parts[j]) for j, s in enumerate(live)]
-        lam, vecs = np.linalg.eigh(parts[:len(live)])
-        pencils = [_companion(lam[j], vecs[j], imag, s.gamma, s.scale, comp[j], diag)
-                   for j, (s, imag) in enumerate(zip(live, imags))]
-        for s, pencil in zip(live, pencils):
-            if pencil is None:
-                s.stop(False)
-        solved = [j for j, pencil in enumerate(pencils) if pencil is not None]
-        if not solved:
-            continue
-        roots, xs = np.linalg.eig(comp[:len(live)] if len(solved) == len(live) else comp[solved])
-        cands = []
-        for j, t, x in zip(solved, roots, xs):
-            cross, slope = _crossing_angles(t, x, *pencils[j], live[j].theta_c)
-            if cross.size == 0:  # lam_sel - gamma keeps the sign it has at best
-                live[j].stop(True)
-            else:
-                cands.append((live[j], _level_candidates(cross, slope)))
-        for s, cand, lam, vecs in _solved(cands) if cands else ():
-            s.evaluated(cand, lam, vecs)
-    grid = [(s, np.array([_grid_sup(s.b, s.sel)[0]])) for s in searches if not s.bounded]
-    for s, theta, lam, vecs in _solved(grid) if grid else ():
-        s.evaluated(theta, lam, vecs)
-    return [(math.ldexp(s.best, s.e), float(s.best_theta) % _TWO_PI, s.u) for s in searches]
+    return _lockstep([_search(m, sel) for m, sel in zip(b, sels)])
 
 
 def _half_period(found):

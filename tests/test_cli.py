@@ -173,6 +173,45 @@ def test_check_malformed_instance(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+# each file of test_bad_input_ends_in_one_error_line, by name
+BAD_FILES = {
+    "not-utf8.json": b"\xff\xfe{",
+    "list.json": b"[[1, 0], [0, 1]]",
+    "no-t.json": b'{"a": [[1, 0], [0, 1]]}',
+    "flat-row.json": b'{"a": [[1, 0], [0, 1]], "t": [[1, 0], 7]}',
+    "t-only.json": b'{"a": [[1, 0], [0, 1]], "t": [[1, 2], [0, 1]]}',
+}
+
+
+@pytest.mark.parametrize("argv, line", [
+    (["check", "missing.json"], "error: cannot read missing.json: "),
+    (["check", "."], "error: cannot read .: "),
+    (["check", "not-utf8.json"], "error: cannot read not-utf8.json: 'utf-8' codec"),
+    (["check", "a\x00b.json"], "error: cannot read a\x00b.json: embedded null byte"),
+    (["check", "list.json"], "error: list.json: top level must be an object"),
+    (["check", "no-t.json"], "error: no-t.json: missing required key 't'"),
+    (["check", "flat-row.json"], "error: t: row 1 is not a non-empty list"),
+    (["check", "t-only.json", "--check", "hh_triangle"],
+     "hh_triangle: ERROR  needs a second operator s"),
+    (["fuzz", "--dims", "0,3", "--trials", "1"], "error: bad dims '0,3'"),
+    (["tightness", "--check", "halfnorm_bounds", "--dims", "2,-1", "--trials", "1"],
+     "error: bad dims '2,-1'"),
+], ids=["missing-file", "directory", "not-utf8", "nul-in-path", "not-an-object", "missing-t",
+        "row-not-a-list", "hh-triangle-without-s", "fuzz-dims", "tightness-dims"])
+def test_bad_input_ends_in_one_error_line(tmp_path, capsys, monkeypatch, argv, line):
+    """Each bad input exits 1 with an `error:` line, or a `NAME: ERROR` line
+    for a check that cannot run, and no traceback: a file that is not UTF-8
+    and a path holding a NUL included, which read as `cannot read`."""
+    for name, data in BAD_FILES.items():
+        (tmp_path / name).write_bytes(data)
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    lines = (captured.out + captured.err).splitlines()
+    assert any(row.startswith(line) for row in lines), lines
+    assert "Traceback" not in captured.out + captured.err
+
+
 def test_check_rejects_indefinite_weight(tmp_path, capsys):
     path = write_instance(tmp_path, a=[[1, 0], [0, -1]], t=[[1, 0], [0, 1]])
     assert cli.main(["check", path]) == 1

@@ -115,17 +115,13 @@ def level_sup(b, sel):
 def level_crossings(b, gamma, theta_c, scale):
     """The crossings of one level from the Cayley centre theta_c, sorted, with
     their slopes, as the kernel computes them; None for a refused centre."""
-    r = len(b)
-    p = np.empty((r, r), dtype=complex)
-    imag = radius._parts_at(b, b.conj().T, theta_c, p)
+    p, imag = radius._parts_at(b, b.conj().T, theta_c)
     lam, vecs = np.linalg.eigh(p)
-    comp = np.zeros((2 * r, 2 * r), dtype=complex)
-    comp[:r, r:] = np.eye(r)
-    pencil = radius._companion(lam, vecs, imag, gamma, scale, comp,
-                               (np.arange(r), np.arange(r, 2 * r)))
+    pencil = radius._companion(lam, vecs, imag, gamma, scale)
     if pencil is None:
         return None
-    return radius._crossing_angles(*np.linalg.eig(comp), *pencil, theta_c)
+    comp, s = pencil
+    return radius._crossing_angles(*np.linalg.eig(comp), lam, s, theta_c)
 
 
 def test_rank_zero_degenerates_to_zero():
@@ -504,6 +500,29 @@ def test_most_searches_certify_at_their_first_level(monkeypatch):
     assert np.mean(np.array(counts) == 1) >= 0.9
 
 
+@pytest.mark.parametrize("r", [5, 6])
+def test_lockstep_solves_each_level_in_one_eig(monkeypatch, r):
+    """The driver solves every waiting eigh before any eig, so the companions
+    of a level share one eig call even where the searches took different
+    numbers of Newton steps (0 to 4 at r = 5, 0 to 5 at r = 6): a stacked
+    pass makes as many eig calls as the most levels any one search takes
+    alone.  A driver that ran both kinds every round made 6 and 9."""
+    stack = [kernel_case(kind, r, seed)
+             for kind in ("generic", "sector", "normal", "singular") for seed in range(3)]
+    sels = [(LAM_MAX, LAM_MIN)[j % 2] for j in range(len(stack))]
+    levels = level_calls(monkeypatch)
+    alone = []
+    for b, sel in zip(stack, sels):
+        levels.clear()
+        level_sup(b, sel)
+        alone.append(len(levels))
+    eig, calls = np.linalg.eig, []
+    monkeypatch.setattr(np.linalg, "eig", lambda *a: calls.append(1) or eig(*a))
+    radius._level_sup(np.stack(stack), sels)
+    assert max(alone) > 1
+    assert len(calls) == max(alone)
+
+
 def _repeated_top():
     u, _ = np.linalg.qr(kernel_case("generic", 4, 5))
     return np.exp(0.3j) * u @ np.diag([2.0, 2.0, -1.0, 0.5]) @ u.conj().T
@@ -521,9 +540,14 @@ def test_degenerate_spectra_take_finite_newton_angles(monkeypatch, b, sel):
     Newton phase runs, every angle it steps to is finite, and the search
     still finds the supremum."""
     rounds = []
-    newton = radius._LevelSearch.newton
-    monkeypatch.setattr(radius._LevelSearch, "newton",
-                        lambda self: rounds.append(newton(self)) or rounds[-1])
+    newton = radius._newton
+
+    def recorded(*args):
+        points, angles = newton(*args)
+        rounds.append(angles)
+        return points, angles
+
+    monkeypatch.setattr(radius, "_newton", recorded)
     value, theta, u = level_sup(b, sel)
     bound = radius._error_estimate(b)
     assert rounds
