@@ -59,6 +59,7 @@ def gen_psd(rng: np.random.Generator, dim: int, rank: int) -> np.ndarray:
 
 
 def _kernel_basis(space: SemiHilbertSpace) -> np.ndarray:
+    # not space.kernel_basis: the gate's draws are defined on this basis of the same kernel
     lam, vecs = np.linalg.eigh(space.proj)
     return vecs[:, lam < 0.5]
 

@@ -91,8 +91,9 @@ def hermitian_eig(m) -> EigDecomposition:
     the underlying iteration fails or the eigenvalues overflow.
     """
     a = as_matrix(m)
-    defect = fro_norm(a - dagger(a))
-    if defect > DEFAULT_HERMITICITY_TOL * max(1.0, fro_norm(a)):
+    d = a - dagger(a)
+    # an exactly Hermitian matrix has no defect to measure
+    if d.any() and (defect := fro_norm(d)) > DEFAULT_HERMITICITY_TOL * max(1.0, fro_norm(a)):
         raise NotHermitian(f"Hermitian defect {defect:.3e} exceeds tolerance")
     try:
         lam, vecs = np.linalg.eigh(herm_part(a))

@@ -21,7 +21,9 @@ derivation ships in ``docs/compression.md``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -41,25 +43,81 @@ DEFAULT_PREDICATE_TOL = 1e-8
 _EIG_FLOOR = float(np.finfo(np.float64).tiny)
 
 
-@dataclass(frozen=True)
+def _fro(m: np.ndarray) -> float:
+    # ||m||_F by one dot, or by fro_norm where the sum of squares may leave [2^-900, 2^900]
+    sq = float(np.vdot(m, m).real)
+    return math.sqrt(sq) if 2.0 ** -900 < sq < 2.0 ** 900 else fro_norm(m)
+
+
+def _bracket(m: np.ndarray) -> tuple[float, float]:
+    # ||m||_F / sqrt(k) <= ||m||_2 <= ||m||_F for k = min(m.shape), each end widened
+    # by 4 eps (2^-50) per entry, past the rounding of the sum of squares and of an SVD
+    f, pad = _fro(m), m.size * 2.0 ** -50
+    return f / math.sqrt(max(min(m.shape), 1)) * (1 - pad), f * (1 + pad)
+
+
+def _at_most(res, c: float, *ys: np.ndarray) -> bool:
+    """The spectral-norm rule res <= c ||y_1||_2 ||y_2||_2 ..., where ``res``
+    is a float or a matrix standing for its spectral norm.  Frobenius norms
+    bracket every spectral norm; the SVDs run only when the brackets leave
+    the answer open (docs/compression.md, "Deciding membership")."""
+    lo = hi = c
+    for y_lo, y_hi in map(_bracket, ys):
+        lo, hi = lo * y_lo, hi * y_hi
+    r_lo, r_hi = _bracket(res) if isinstance(res, np.ndarray) else (res, res)
+    if r_hi <= lo or r_lo > hi:
+        return bool(r_hi <= lo)
+    res = spectral_norm(res) if isinstance(res, np.ndarray) else res
+    return bool(res <= math.prod([c, *map(spectral_norm, ys)]))
+
+
+def _equal(x, y) -> bool:
+    # field by field, arrays by value (a space by its own ==); not the memo
+    # (compare=False) nor the cached properties
+    if type(x) is not type(y):
+        return NotImplemented
+    return all(np.array_equal(getattr(x, f.name), getattr(y, f.name)) for f in fields(x) if f.compare)
+
+
+@dataclass(frozen=True, eq=False)
 class SemiHilbertSpace:
     """A finite-dimensional space carrying the seminorm of a PSD matrix.
 
-    The square root ``a_half``, the pseudoinverse ``a_pinv``, the range
-    projector ``proj`` and the range basis come from a single
-    eigendecomposition of ``a`` so they are mutually consistent.
-    ``range_eigs`` holds the kept eigenvalues of ``a`` (ascending),
-    matching the columns of ``range_basis``.
+    One eigendecomposition of ``a`` gives the eigenvectors of the kept and of
+    the dropped eigenvalues (``range_basis``, ``kernel_basis``) and the kept
+    eigenvalues ``range_eigs`` (ascending); the square root ``a_half``, the
+    pseudoinverse ``a_pinv`` and the range projector ``proj`` are computed
+    from it on first use, so all are mutually consistent.
     """
 
     dim: int
     a: np.ndarray
-    a_half: np.ndarray
-    a_pinv: np.ndarray
-    proj: np.ndarray
     range_basis: np.ndarray
     rank: int
-    range_eigs: np.ndarray = field(repr=False, default=None)
+    range_eigs: np.ndarray = field(repr=False)
+    kernel_basis: np.ndarray = field(repr=False)
+    _eig: linalg.EigDecomposition = field(repr=False, compare=False)  # a decides it
+
+    __eq__ = _equal
+
+    @cached_property
+    def a_half(self) -> np.ndarray:
+        lam, vecs = self._eig.eigenvalues, self._eig.eigenvectors
+        keep = np.arange(self.dim) >= self.dim - self.rank  # lam ascends: the kept are last
+        return (vecs * np.sqrt(np.clip(lam, 0.0, None) * keep)) @ dagger(vecs)
+
+    @cached_property
+    def a_pinv(self) -> np.ndarray:
+        v_r, lam_r = self.range_basis, self.range_eigs
+        return (v_r / lam_r) @ dagger(v_r) if lam_r.size else np.zeros_like(self.a)
+
+    @cached_property
+    def proj(self) -> np.ndarray:
+        return self.range_basis @ dagger(self.range_basis)
+
+    @property
+    def _norm_a(self) -> float:
+        return float(self.range_eigs[-1]) if self.rank else 0.0
 
     # -- vector-level operations -------------------------------------------
 
@@ -83,7 +141,7 @@ class SemiHilbertSpace:
 
     # -- compression machinery ---------------------------------------------
 
-    @property
+    @cached_property
     def _sqrt_eigs(self) -> np.ndarray:
         return np.sqrt(self.range_eigs)
 
@@ -92,10 +150,12 @@ class SemiHilbertSpace:
         t = linalg.as_matrix(m)
         if t.shape[0] != self.dim:
             raise DimensionMismatch(f"operator is {t.shape}, space has dim {self.dim}")
-        v = self.range_basis
+        return self._compress_rows(dagger(self.range_basis) @ t)
+
+    def _compress_rows(self, x: np.ndarray) -> np.ndarray:
+        # the compression from x = V* T, in the product order (V* T) V
         s = self._sqrt_eigs
-        core = dagger(v) @ t @ v
-        return (s[:, None] / s[None, :]) * core
+        return (s[:, None] / s[None, :]) * (x @ self.range_basis)
 
     def lift_matrix(self, b) -> np.ndarray:
         """Inverse of ``compress_matrix`` on the range block: the admissible
@@ -123,28 +183,19 @@ class SemiHilbertSpace:
         if tm.shape[0] != self.dim:
             raise DimensionMismatch(f"operator is {tm.shape}, space has dim {self.dim}")
 
-        if self.rank:
-            # each residual against its own scale, so scaling A or T cannot
-            # flip a decision
-            norm_a = float(self.range_eigs[-1])
-            norm_t = spectral_norm(tm)
-            ker_proj = np.eye(self.dim) - self.proj
-            adj_resid = fro_norm(ker_proj @ dagger(tm) @ self.a)
-            admits = bool(adj_resid <= ADJOINT_RESIDUAL_TOL * norm_a * norm_t)
-            bnd_resid = spectral_norm(self.a_half @ tm @ ker_proj)
-            bounded = bool(bnd_resid <= BOUNDED_RESIDUAL_TOL * np.sqrt(norm_a) * norm_t)
-        else:
-            # ker(A) is the whole space: every operator keeps it and is bounded
-            admits = bounded = True
-
-        sharp_mat = None
-        compression = None
-        if admits:
-            sharp_mat = self.a_pinv @ dagger(tm) @ self.a
-            compression = self.compress_matrix(tm)
-        return OperatorInSpace(t=tm, space=self, a_bounded=bounded,
-                               admits_adjoint=admits, sharp_mat=sharp_mat,
-                               compression=compression)
+        # ||(I - P) T* A||_F = ||D M||_F and ||A^{1/2} T (I - P)||_2 = ||D^{1/2} M||_2 for
+        # M = V_r* T V_k (docs/compression.md), each against its own scale, so scaling A or T
+        # cannot flip a decision; M is empty at rank 0 and n, where every T keeps ker(A)
+        x = dagger(self.range_basis) @ tm
+        m = x @ self.kernel_basis
+        admits = bounded = True
+        if m.size:
+            admits = _at_most(_fro(self.range_eigs[:, None] * m),
+                              ADJOINT_RESIDUAL_TOL * self._norm_a, tm)
+            bounded = _at_most(self._sqrt_eigs[:, None] * m,
+                               BOUNDED_RESIDUAL_TOL * np.sqrt(self._norm_a), tm)
+        return OperatorInSpace(t=tm, space=self, a_bounded=bounded, admits_adjoint=admits,
+                               compression=self._compress_rows(x) if admits else None)
 
 
 def make_space(a) -> SemiHilbertSpace:
@@ -160,34 +211,36 @@ def make_space(a) -> SemiHilbertSpace:
     n = am.shape[0]
     lam_max = max(float(lam[-1]), 0.0) if n else 0.0
     keep = lam > max(linalg.DEFAULT_RANK_TOL * lam_max, _EIG_FLOOR)
-    lam_r = np.clip(lam[keep], 0.0, None)
-    v_r = vecs[:, keep]
-    root = np.sqrt(np.clip(lam, 0.0, None) * keep)
-    a_half = (vecs * root) @ dagger(vecs)
-    a_pinv = (v_r / lam_r) @ dagger(v_r) if lam_r.size else np.zeros_like(am)
-    proj = v_r @ dagger(v_r)
-    return SemiHilbertSpace(dim=n, a=am, a_half=a_half, a_pinv=a_pinv, proj=proj,
-                            range_basis=v_r, rank=int(np.count_nonzero(keep)),
-                            range_eigs=lam_r)
+    return SemiHilbertSpace(dim=n, a=am, range_basis=vecs[:, keep],
+                            rank=int(np.count_nonzero(keep)),
+                            range_eigs=np.clip(lam[keep], 0.0, None),
+                            kernel_basis=vecs[:, ~keep], _eig=dec)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OperatorInSpace:
     """An operator together with its membership flags and cached reductions.
 
     ``a_bounded`` and ``admits_adjoint`` coincide in finite dimension; both
     are computed from their own residuals and never inferred from each other.
+    The adjoint ``sharp_mat`` is computed on first use.
     """
 
     t: np.ndarray
     space: SemiHilbertSpace
     a_bounded: bool
     admits_adjoint: bool
-    sharp_mat: np.ndarray | None
     compression: np.ndarray | None
     # quantities of the compression, read and filled by radius.py's accessors,
     # and the inputs digest of the reports on the operator (inequalities._digest)
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    __eq__ = _equal
+
+    @cached_property
+    def sharp_mat(self) -> np.ndarray | None:
+        sp = self.space
+        return sp.a_pinv @ dagger(self.t) @ sp.a if self.admits_adjoint else None
 
     def _cached(self, key, compute):
         if key not in self._memo:
@@ -198,12 +251,10 @@ class OperatorInSpace:
     def membership(self) -> dict[str, bool]:
         return {"a_bounded": self.a_bounded, "admits_adjoint": self.admits_adjoint}
 
-    def _scale(self) -> float:
-        # ||A|| ||T||, the size of A T; no absolute floor, so the predicates
-        # do not change when A or T is scaled
-        sp = self.space
-        norm_a = float(sp.range_eigs[-1]) if sp.rank else 0.0
-        return norm_a * spectral_norm(self.t)
+    def _small(self, res: float) -> bool:
+        # res <= DEFAULT_PREDICATE_TOL ||A|| ||T||, against the size of A T; no
+        # absolute floor, so the predicates do not change when A or T is scaled
+        return _at_most(res, DEFAULT_PREDICATE_TOL * self.space._norm_a, self.t)
 
     def sharp(self) -> np.ndarray:
         """The adjoint pinv(A) T* A; raises NoAdjoint when inadmissible."""
@@ -227,10 +278,8 @@ class OperatorInSpace:
             return float("inf")
         if not self.admits_adjoint:  # cannot happen in finite dimension
             raise NoAdjoint("bounded operator without adjoint: inconsistent membership")
-        sp = self.space
-        norm_a = float(sp.range_eigs[-1]) if sp.rank else 0.0
-        zero_scale = norm_a * norm_a * spectral_norm(self.t)
-        if fro_norm(sp.a @ self.t @ sp.a) <= ZERO_SEMINORM_TOL * zero_scale:
+        sp, norm_a = self.space, self.space._norm_a
+        if _at_most(_fro(sp.a @ self.t @ sp.a), ZERO_SEMINORM_TOL * norm_a * norm_a, self.t):
             return 0.0
         return spectral_norm(self.compression)
 
@@ -238,27 +287,24 @@ class OperatorInSpace:
         """Whether A T = T* A within DEFAULT_PREDICATE_TOL (relative Frobenius)."""
         if self.space.rank == 0:  # the seminorm vanishes: every T qualifies
             return True
-        defect = fro_norm(self.space.a @ self.t - dagger(self.t) @ self.space.a)
-        return defect <= DEFAULT_PREDICATE_TOL * self._scale()
+        return self._small(_fro(self.space.a @ self.t - dagger(self.t) @ self.space.a))
 
     def is_a_normal(self) -> bool:
         """Whether T commutes with its adjoint within DEFAULT_PREDICATE_TOL."""
         if not self.admits_adjoint:
             return False
         s = self.sharp_mat
-        defect = fro_norm(self.t @ s - s @ self.t)
-        return defect <= DEFAULT_PREDICATE_TOL * spectral_norm(self.t) * spectral_norm(s)
+        return _at_most(_fro(self.t @ s - s @ self.t), DEFAULT_PREDICATE_TOL, self.t, s)
 
     def is_a_positive(self) -> bool:
         """Whether A T is Hermitian PSD within DEFAULT_PREDICATE_TOL."""
         if self.space.rank == 0:
             return True
         h = self.space.a @ self.t
-        scale = self._scale()
-        if fro_norm(h - dagger(h)) > DEFAULT_PREDICATE_TOL * scale:
+        if not self._small(_fro(h - dagger(h))):
             return False
         lam = np.linalg.eigvalsh(linalg.herm_part(h))
-        return bool(lam.size == 0 or float(lam[0]) >= -DEFAULT_PREDICATE_TOL * scale)
+        return bool(lam.size == 0 or self._small(-float(lam[0])))
 
 
 def a_operator_norm_sampled(op: OperatorInSpace, samples: int = 10 ** 5, seed: int = 0) -> float:

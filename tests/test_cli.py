@@ -135,6 +135,18 @@ def test_paper_examples_read_what_their_checks_compute(monkeypatch, capsys):
     assert len(searches) == 8 and len(binds) == 8
 
 
+def test_paper_examples_svd_count(monkeypatch, capsys):
+    """Membership, the zero test and the predicates are decided by Frobenius
+    brackets, so the SVDs left are the seminorms the examples report: one
+    paper-examples run makes at most 13 (35 when every bind took two)."""
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+    assert cli.main(["paper-examples", "--json"]) == 0
+    capsys.readouterr()
+    assert 0 < len(calls) <= 13
+
+
 def test_check_complex_entries(tmp_path):
     path = write_instance(tmp_path, a=[[1, 0], [0, 1]],
                           t=[[0, [0, -1]], [[0, 1], 0]])

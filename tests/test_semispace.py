@@ -7,8 +7,13 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from semihilbert.errors import NoAdjoint, NotHermitian, NotPSD
-from semihilbert.linalg import dagger
+from semihilbert.linalg import dagger, fro_norm, spectral_norm
 from semihilbert.semispace import (
+    ADJOINT_RESIDUAL_TOL,
+    BOUNDED_RESIDUAL_TOL,
+    DEFAULT_PREDICATE_TOL,
+    ZERO_SEMINORM_TOL,
+    _at_most,
     a_operator_norm_sampled,
     make_space,
 )
@@ -271,3 +276,183 @@ def test_membership_and_norm_are_scale_covariant(seed, kind, a_exp, t_exp, sign)
             assert got == norm
         else:
             assert got == pytest.approx(abs(c) * norm, rel=1e-9, abs=0.0)
+
+
+def test_equality_compares_weights_and_operators_by_value():
+    """== compares array fields by value: two spaces of one weight are equal,
+    and so are two binds of one matrix; I and 2I are not."""
+    eye = np.eye(3, dtype=complex)
+    assert make_space(eye) == make_space(eye)
+    assert make_space(eye) != make_space(2 * eye)
+    space = make_space(np.diag([1.0, 2.0, 0.0]))
+    t = np.diag([1.0, 2.0, 3.0]).astype(complex)
+    assert space.bind(t) == space.bind(t)
+    assert space.bind(t) != space.bind(2 * t)
+    assert space.bind(t) != make_space(eye).bind(t)
+    swap = np.roll(np.eye(3), 1, axis=0)  # inadmissible: no compression to compare
+    assert space.bind(swap) == space.bind(swap) and space.bind(swap) != space.bind(t)
+
+
+# -- decisions against the spectral-norm rule ---------------------------------
+# The rule as it stood with every threshold taken from SVDs: membership
+# residuals from n x n products with I - P, sigma_max(T) in each threshold.
+
+def _reference_rule(space, t):
+    """Per decision, the list of (residual, threshold) comparisons the rule
+    makes; a decision holds when every residual is at most its threshold."""
+    norm_a = float(space.range_eigs[-1]) if space.rank else 0.0
+    norm_t = spectral_norm(t)
+    a, rules = space.a, {}
+    if space.rank:
+        ker_proj = np.eye(space.dim) - space.proj
+        rules["admits_adjoint"] = [(fro_norm(ker_proj @ dagger(t) @ a),
+                                    ADJOINT_RESIDUAL_TOL * norm_a * norm_t)]
+        rules["a_bounded"] = [(spectral_norm(space.a_half @ t @ ker_proj),
+                               BOUNDED_RESIDUAL_TOL * np.sqrt(norm_a) * norm_t)]
+        scale = norm_a * norm_t
+        rules["is_a_selfadjoint"] = [(fro_norm(a @ t - dagger(t) @ a),
+                                      DEFAULT_PREDICATE_TOL * scale)]
+        h = a @ t
+        lam0 = float(np.linalg.eigvalsh((h + dagger(h)) / 2)[0])
+        rules["is_a_positive"] = [(fro_norm(h - dagger(h)), DEFAULT_PREDICATE_TOL * scale),
+                                  (-lam0, DEFAULT_PREDICATE_TOL * scale)]
+    if all(r <= c for r, c in rules.get("admits_adjoint", [])):
+        s = space.a_pinv @ dagger(t) @ a
+        rules["is_a_normal"] = [(fro_norm(t @ s - s @ t),
+                                 DEFAULT_PREDICATE_TOL * spectral_norm(t) * spectral_norm(s))]
+        rules["zero"] = [(fro_norm(a @ t @ a), ZERO_SEMINORM_TOL * (norm_a * norm_a * norm_t))]
+    return rules
+
+
+def _decisions(op):
+    got = {"admits_adjoint": op.admits_adjoint, "a_bounded": op.a_bounded,
+           "is_a_selfadjoint": op.is_a_selfadjoint(), "is_a_positive": op.is_a_positive(),
+           "is_a_normal": op.is_a_normal()}
+    if op.admits_adjoint:
+        got["zero"] = op.a_operator_norm() == 0.0
+    return got
+
+
+# A T A overflows at the largest scales, in the rule and in the code alike
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 5), st.integers(0, 5),
+       st.sampled_from(["admissible", "leak", "scalar", "hermitian", "positive", "generic"]),
+       st.floats(-14.0, -6.0), st.integers(-500, 500), st.integers(-500, 500))
+@example(seed=3, n=3, rank=3, kind="scalar", leak_exp=-10.0, k_a=0, k_t=0)
+@example(seed=4, n=4, rank=2, kind="scalar", leak_exp=-10.0, k_a=0, k_t=0)
+def test_decisions_match_the_spectral_norm_rule(seed, n, rank, kind, leak_exp, k_a, k_t):
+    """Membership, the zero seminorm test and the three predicates decide as
+    the rule with SVD thresholds does, at every rank, on admissible operators,
+    on kernel leaks and perturbations of 1e-14..1e-6 that cross the
+    thresholds, on T = cI (where the Frobenius bracket is tight) and with A and
+    T scaled by 2^k; except where the rule's residual lies within 1e-6 of its
+    threshold, where rounding may decide either way."""
+    rank = min(rank, n)
+    rng = np.random.default_rng(seed)
+
+    def crand(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    q, _ = np.linalg.qr(crand(n, n))
+    a = (q[:, :rank] * rng.uniform(0.5, 2.0, rank)) @ dagger(q[:, :rank])
+    space = make_space(a)
+    block = crand(n, n)
+    block[:rank, rank:] = 0.0  # keeps ker(A) = span(q[:, rank:])
+    if kind == "scalar":
+        t = crand(1)[0] * np.eye(n) if seed % 2 else rng.uniform(0.5, 2.0) * np.eye(n)
+    elif kind in ("hermitian", "positive"):
+        h = crand(rank, rank)
+        h = h @ dagger(h) if kind == "positive" else h + dagger(h)
+        # a perturbation of relative size 10^leak_exp crosses the predicate tolerance
+        e = crand(rank, rank)
+        t = space.lift_matrix(h + 10.0 ** leak_exp * fro_norm(h) / max(fro_norm(e), 1e-300) * e)
+    elif kind == "generic":
+        t = crand(n, n)
+    else:
+        t = q @ block @ dagger(q)
+        if kind == "leak":
+            leak = np.zeros((n, n), dtype=complex)
+            leak[:rank, rank:] = crand(rank, n - rank)
+            leak = q @ leak @ dagger(q)
+            t = t + 10.0 ** leak_exp * spectral_norm(t) / max(spectral_norm(leak), 1e-300) * leak
+    a, t = (np.ldexp(m.real, k) + 1j * np.ldexp(m.imag, k) for m, k in ((a, k_a), (t, k_t)))
+    space = make_space(a)
+    got = _decisions(space.bind(t))
+    for name, pairs in _reference_rule(space, t).items():
+        if name not in got or any(abs(r - c) <= 1e-6 * c for r, c in pairs):
+            continue
+        assert got[name] == all(r <= c for r, c in pairs), name
+
+
+def _count(monkeypatch, name):
+    calls = []
+    fn = getattr(np.linalg, name)
+    monkeypatch.setattr(np.linalg, name, lambda *a, **k: calls.append(1) or fn(*a, **k))
+    return calls
+
+
+def test_bind_runs_no_svd_when_admissible_or_full_rank(monkeypatch):
+    """make_space runs one eigh; an admissible bind, and any bind on a
+    full-rank weight, decide membership with no SVD."""
+    rng = np.random.default_rng(12)
+    g = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
+    weights = [g @ dagger(g), g @ dagger(g) + np.eye(5), np.zeros((5, 5))]
+    eighs = _count(monkeypatch, "eigh")
+    spaces = [make_space(w) for w in weights]
+    assert len(eighs) == 3
+    ts = [rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5)) for _ in range(4)]
+    svds = _count(monkeypatch, "svd")
+    for t in ts:
+        assert spaces[1].bind(t).admits_adjoint and spaces[2].bind(t).admits_adjoint
+        op = spaces[0].bind(spaces[0].lift_matrix(spaces[0].compress_matrix(t)))
+        assert op.admits_adjoint and op.a_bounded
+    assert svds == []
+    assert not spaces[0].bind(ts[0]).admits_adjoint  # generic T leaks ker(A)
+
+
+@pytest.mark.parametrize("weight", [
+    np.diag([2.0, 1.0, 0.0]),
+    np.array([[2, 1j, 0], [-1j, 2, 1], [0, 1, 2]]),
+    np.array([[1, 1, 0], [1, 1, 0], [0, 0, 0]]),
+    np.zeros((3, 3)),
+    np.full((3, 3), 5.2e-159j) @ np.full((3, 3), -5.2e-159j),
+])
+def test_derived_matrices_are_computed_on_first_use_with_their_old_bits(weight):
+    """a_half, a_pinv, proj and sharp_mat are not built by make_space or
+    bind, and equal, bit for bit, the expressions make_space and bind
+    evaluated eagerly."""
+    from semihilbert import linalg
+    am = linalg.as_matrix(weight)
+    dec = linalg._psd_eig(am)
+    lam, vecs = dec.eigenvalues, dec.eigenvectors
+    keep = lam > max(linalg.DEFAULT_RANK_TOL * max(float(lam[-1]), 0.0),
+                     float(np.finfo(np.float64).tiny))
+    lam_r, v_r = np.clip(lam[keep], 0.0, None), vecs[:, keep]
+    root = np.sqrt(np.clip(lam, 0.0, None) * keep)
+    t = np.arange(9.0).reshape(3, 3) * (1 - 0.5j)
+    t = v_r @ dagger(v_r) @ t @ v_r @ dagger(v_r)  # admissible at every rank
+    space = make_space(weight)
+    op = space.bind(t)
+    lazy = ("a_half", "a_pinv", "proj")
+    assert not set(lazy) & set(vars(space)) and "sharp_mat" not in vars(op)
+    assert np.array_equal(space.a_half, (vecs * root) @ dagger(vecs))
+    pinv = (v_r / lam_r) @ dagger(v_r) if lam_r.size else np.zeros_like(am)
+    assert np.array_equal(space.a_pinv, pinv)
+    assert np.array_equal(space.proj, v_r @ dagger(v_r))
+    assert op.admits_adjoint and np.array_equal(op.sharp(), pinv @ dagger(t) @ am)
+    s = np.sqrt(lam_r)
+    assert np.array_equal(op.compress(), (s[:, None] / s[None, :]) * (dagger(v_r) @ t @ v_r))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+@pytest.mark.parametrize("c", [1.0, 3.0 - 4.0j, 1e-150, 0.1 + 1e5j])
+def test_bracket_on_its_lower_edge_decides_as_the_svd(n, c):
+    """T = cI has |T|_F / sqrt(n) = |T|_2, the bracket's lower edge: a residual
+    at the threshold, or one ulp either side of it, is decided as the
+    spectral-norm rule decides it, however the Frobenius norm rounds."""
+    t = c * np.eye(n)
+    for scale in (1e-10, 0.7, 1.0):
+        thr = scale * spectral_norm(t)
+        for res in (thr, np.nextafter(thr, np.inf), np.nextafter(thr, 0.0)):
+            assert _at_most(float(res), scale, t) == bool(res <= thr)
