@@ -161,7 +161,8 @@ def load_instance(path: str):
             data = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path} is not valid JSON: {exc}") from exc
-    except (OSError, ValueError) as exc:  # ValueError: a NUL in the path, or not UTF-8
+    # ValueError: a NUL in the path, or not UTF-8; RecursionError: nesting too deep
+    except (OSError, ValueError, RecursionError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ParseError(f"{path}: top level must be an object")
@@ -181,11 +182,18 @@ def _fmt(v: float) -> str:
     return f"{v:.10g}"
 
 
-def _quantities(op) -> dict:
-    # the values of a_numerical_radius and a_crawford, without their certificates
-    return {**op.membership, "a_operator_norm": op.a_operator_norm(),
-            "a_numerical_radius": _kept("w(T)", op)[0] if op.a_bounded else math.inf,
-            "a_crawford": max(0.0, _kept("c(T)", op)[0]) if op.a_bounded else math.inf}
+def _quantities(part: str, op) -> dict:
+    # the values of a_numerical_radius and a_crawford, without their certificates; one
+    # past the float range ends the run with an error naming it and the operator
+    values = dict(op.membership)
+    for key, read in (("a_operator_norm", op.a_operator_norm),
+                      ("a_numerical_radius", lambda: _kept("w(T)", op)[0]),
+                      ("a_crawford", lambda: max(0.0, _kept("c(T)", op)[0]))):
+        try:
+            values[key] = read() if op.a_bounded else math.inf
+        except (OverflowError, np.linalg.LinAlgError) as exc:
+            raise type(exc)(f"{key} of {part}: {exc}") from exc
+    return values
 
 
 def _render_report(r: ineq.InequalityReport) -> str:
@@ -216,7 +224,7 @@ def _cmd_check(args) -> int:
     if not explicit:  # every search the quantities and the checks read, in lockstep
         run_declared(operators)
 
-    quantities = {part: _quantities(op) for part, op in zip("ts", operators)}
+    quantities = {part: _quantities(part, op) for part, op in zip("ts", operators)}
 
     lines, results = [], []
     violated = errored = False

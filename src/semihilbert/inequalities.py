@@ -572,15 +572,16 @@ def radius_additivity_diagnostic(space: SemiHilbertSpace, t, s, starts: int = AS
                                  max_iter: int = ASCENT_MAX_ITER) -> EqualityDiagnostic:
     """w_A(T+S) = w_A(T) + w_A(S) is characterized by unit directions where
     the two field-of-values points align with full modulus: the diagnostic
-    ascends Re(<x,Tx>_A <Sx,x>_A) and compares with w_A(T) w_A(S).
+    takes the sup of Re(<x,Tx>_A <Sx,x>_A) and compares with w_A(T) w_A(S).
 
-    ``equal`` reflects the additivity equation itself; the ascent value is a
-    heuristic lower estimate (labeled in extras) and can undershoot on hard
-    landscapes, so it refines but never refutes.
+    ``equal`` reflects the additivity equation itself.  lhs is exact where the
+    certificate of w_A(T+S) attains w_A(T) w_A(S) up to rounding ("witness" in
+    extras), else a multi-start ascent's heuristic lower estimate, which can
+    undershoot on hard landscapes, so it refines but never refutes.
     """
     opt, ops = _as_op(space, t), _as_op(space, s)
     # <x, T x>_A = conj(<T x, x>_A), so the target is Re(conj(z_T) z_S)
-    lhs, u = _kept("ascent(T,S)", opt, ops, args=(starts, seed, max_iter))
+    lhs, u, method = _kept("ascent(T,S)", opt, ops, args=(starts, seed, max_iter))
     wt, ws = _kept("w(T)", opt)[0], _kept("w(T)", ops)[0]
     rhs = wt * ws
     eff = _eq_eff(rhs)
@@ -590,7 +591,7 @@ def radius_additivity_diagnostic(space: SemiHilbertSpace, t, s, starts: int = AS
         name="radius_additivity", lhs=lhs, rhs=rhs, gap=rhs - lhs,
         witness=space.lift_vector(u), equal=equal, eq_tol=eff,
         extras={"w_sum": w_sum, "w_parts": wt + ws,
-                "ascent_method": "heuristic",
+                "ascent_method": method,
                 "ascent_within_bound": lhs <= rhs + eff})
 
 
@@ -599,9 +600,10 @@ def squares_radius_equality(space: SemiHilbertSpace, t, s, starts: int = ASCENT_
                             max_iter: int = ASCENT_MAX_ITER) -> EqualityDiagnostic:
     """w_A(T^2+S^2) = 2 max(w_A(T)^2, w_A(S)^2) with the aligned-direction
     characterization on the squares; also reports the chain
-    w_A(T^2+S^2) <= 2 max(w_A(T)^2, w_A(S)^2)."""
+    w_A(T^2+S^2) <= 2 max(w_A(T)^2, w_A(S)^2).  lhs is exact where the
+    certificate of w_A(T^2+S^2) attains w_A(T^2) w_A(S^2) up to rounding."""
     opt, ops = _as_op(space, t), _as_op(space, s)
-    lhs, u = _kept("ascent(T^2,S^2)", opt, ops, args=(starts, seed, max_iter))
+    lhs, u, method = _kept("ascent(T^2,S^2)", opt, ops, args=(starts, seed, max_iter))
     wt, ws = _kept("w(T)", opt)[0], _kept("w(T)", ops)[0]
     rhs = max(wt ** 4, ws ** 4)
     eff = _eq_eff(rhs)
@@ -613,5 +615,5 @@ def squares_radius_equality(space: SemiHilbertSpace, t, s, starts: int = ASCENT_
         witness=space.lift_vector(u), equal=equal, eq_tol=eff,
         extras={"chain_lhs": chain_lhs, "chain_rhs": chain_rhs,
                 "chain_slack": chain_rhs - chain_lhs,
-                "ascent_method": "heuristic",
+                "ascent_method": method,
                 "ascent_within_bound": lhs <= rhs + eff})

@@ -545,7 +545,8 @@ def _fourth_power(op: OperatorInSpace) -> np.ndarray:
 
 # every search the checks read, by name: the selector of ``_level_sup`` (None
 # for the bilinear ascent), the operators it reads and the matrix, or pair of
-# matrices, it runs on.  A search of one operator runs on S under its name on T.
+# matrices, it runs on, and an ascent's sum and part searches (``_witness``).  A
+# search of one operator runs on S under its name on T.
 SEARCHES = {
     "w(T)": (-1, "t", OperatorInSpace.compress),
     "c(T)": (0, "t", OperatorInSpace.compress),
@@ -554,8 +555,9 @@ SEARCHES = {
     "w(S#T)": (-1, "ts", lambda t, s: _adjoint(s) @ t.compress()),
     "w(T+S)": (-1, "ts", lambda t, s: t.compress() + s.compress()),
     "w(T^2+S^2)": (-1, "ts", lambda t, s: _square(t) + _square(s)),
-    "ascent(T,S)": (None, "ts", lambda t, s: (t.compress(), s.compress())),
-    "ascent(T^2,S^2)": (None, "ts", lambda t, s: (_square(t), _square(s))),
+    "ascent(T,S)": (None, "ts", lambda t, s: (t.compress(), s.compress()), "w(T+S)", "w(T)"),
+    "ascent(T^2,S^2)": (None, "ts", lambda t, s: (_square(t), _square(s)), "w(T^2+S^2)",
+                        "w(T^2)"),
 }
 
 # the defaults of the two diagnostics that ascend, which a declared ascent runs with
@@ -580,58 +582,85 @@ def _held(name: str, ops: tuple, args: tuple = ()):
 def _entry(name: str, ops: tuple, args: tuple):
     """(owner, key, selector, build) of the search ``name`` on T (and S), held
     as ``_held`` keeps it with ``args``, an ascent's starts, seed and max_iter."""
-    sel, _, build = SEARCHES[name]
+    sel, _, build, *_ = SEARCHES[name]
     return (*_held(name, ops, args), sel, lambda: build(*ops))
 
 
 def _kept(name: str, *ops: OperatorInSpace, args: tuple = ()):
     """The search ``name`` of ``SEARCHES`` on T, or on T and S, run on first
-    use: (value, theta, vector) of a level search, (value, vector) of an
-    ascent, which runs with ``args``."""
+    use: (value, theta, vector) of a level search; (value, vector, method)
+    of an ascent, its ``_witness`` where that decides, else the ascent run
+    with ``args``."""
     owner, key, sel, build = _entry(name, ops, args)
     if sel is None:
-        return owner._cached(key, lambda: _ascent_bilinear([build()], *args)[0])
+        return owner._cached(key, lambda: _ascended([(name, ops, build())], args)[0])
     core = _radius_seminorm_core if sel else _crawford_core
     return owner._cached(key, lambda: core(build()))
+
+
+def _witness(name: str, ops: tuple, pair) -> tuple | None:
+    """(value, u*, "witness") of the ascent ``name`` on (B_t, B_s) where u*, the
+    sum's certificate, attains w(B_t) w(B_s) within the rounding delta = 8 r
+    eps ||B_t||_F ||B_s||_F, else None, also for a non-finite value (docs/search.md)."""
+    (bt, bs), (*_, total, part) = pair, SEARCHES[name]
+    try:
+        u = _kept(total, *ops)[2]
+        upper = _kept(part, ops[0])[0] * _kept(part, ops[1])[0]
+    except (OverflowError, np.linalg.LinAlgError):  # the ascent, then its check, raise alone
+        return None
+    value = float((np.vdot(u, bt @ u).conjugate() * np.vdot(u, bs @ u)).real)
+    delta = 8 * len(u) * np.finfo(float).eps * fro_norm(bt) * fro_norm(bs)
+    return (value, u, "witness") if math.isfinite(value) and upper - value <= delta < math.inf \
+        else None
+
+
+def _ascended(problems: list, args: tuple) -> list:
+    # each ascent (name, ops, pair) its witness, or else one stacked ascent with ``args``
+    found = [_witness(*problem) for problem in problems]
+    left = [pair for (_, _, pair), f in zip(problems, found) if f is None]
+    ascended = iter(_ascent_bilinear(left, *args) if left else ())
+    return [f or (*next(ascended), "heuristic") for f in found]
 
 
 def run_declared(operators) -> None:
     """Fill the memos of the bound operators (T, or T and S) with every search
     ``check`` reads of them: each of ``SEARCHES`` whose operators are bound,
-    and w and c of S.  Two lockstep runs compute them: one ``_level_sup`` over
-    the level searches and one ``_ascent_bilinear`` over the ascents, at the
-    diagnostics' defaults.  Each result is the one ``_kept`` computes alone,
-    bit for bit.  A search on an unbounded operator or a non-finite matrix,
-    and every search of a run that LAPACK fails on or whose value overflows,
-    is left to ``_kept``, which raises as it would."""
+    and w, c and w(T^2) of S.  Two lockstep runs compute them: one
+    ``_level_sup`` over the level searches, then one ``_ascent_bilinear`` over
+    the ascents no witness from its certificates decides, at the diagnostics'
+    defaults.  Each result is the one ``_kept`` computes alone, bit for bit.
+    A search on an unbounded operator or a non-finite matrix, and every search
+    of a run that LAPACK fails on or whose value overflows, is left to
+    ``_kept``, which raises as it would."""
     t = operators[0]
     declared = [(name, (t,) if roles == "t" else operators)
-                for name, (_, roles, _) in SEARCHES.items() if len(roles) <= len(operators)]
-    declared += [(name, operators[1:]) for name in ("w(T)", "c(T)") if len(operators) == 2]
+                for name, (_, roles, *_) in SEARCHES.items() if len(roles) <= len(operators)]
+    declared += [(name, operators[1:]) for name in ("w(T)", "c(T)", "w(T^2)")
+                 if len(operators) == 2]
     level, ascent = [], []
     for name, ops in declared:
         if all(op.a_bounded for op in ops):
             args = ASCENT_ARGS if SEARCHES[name][0] is None else ()  # an ascent, at the defaults
             owner, key, sel, build = _entry(name, ops, args)
             if key not in owner._memo and np.isfinite(m := build()).all():
-                (ascent if sel is None else level).append((owner, key, sel, m))
+                (ascent if sel is None else level).append((owner, key, (name, ops, sel, m)))
     for run, searches in ((_run_level, level), (_run_ascent, ascent)):
         if searches:
             try:
-                results = run(searches)
+                results = run([search for *_, search in searches])
             except (np.linalg.LinAlgError, OverflowError):
                 continue
-            for (owner, key, _, _), result in zip(searches, results):
+            for (owner, key, _), result in zip(searches, results):
                 owner._cached(key, lambda: result)
 
 
 def _run_level(searches):
-    found = _level_sup(np.stack([m for *_, m in searches]), [sel for _, _, sel, _ in searches])
-    return [_half_period(f) if sel else f for (_, _, sel, _), f in zip(searches, found)]
+    found = _level_sup(np.stack([m for *_, m in searches]), [sel for *_, sel, _ in searches])
+    return [_half_period(f) if sel else f for (*_, sel, _), f in zip(searches, found)]
 
 
 def _run_ascent(searches):
-    return _ascent_bilinear([m for *_, m in searches], *ASCENT_ARGS)
+    return _ascended([(name, ops, m) for name, ops, _, m in searches], ASCENT_ARGS)
 
 
 def _estimate(op: OperatorInSpace, method: str, route) -> RadiusEstimate:

@@ -92,30 +92,54 @@ def test_check_quantities_are_the_estimators_values(path, capsys):
 
 
 def test_check_runs_each_kernel_search_once(monkeypatch, capsys):
-    """A generic dim-8 pair needs 9 level searches: w_A(T), w_A(T^2), c_A(T),
-    w_A(S), c_A(S) and w_A(S^# T) once each for all the checks, and three on
-    matrices a single check builds (T + S, T^2 + S^2 and (T^2 + (T^#)^2)^2).
-    check declares them up front and runs them in one lockstep pass, and the
-    two ascents of its radius diagnostics in one lockstep run.  Recomputing
-    per check took 24 searches, and searching S^# T in each of its two
-    checks 10."""
-    path = next(p for p in CHECK_PAIRS if p.stem == "00-generic-dim8-full")
+    """A generic dim-8 pair needs 10 level searches: w_A(T), w_A(T^2), c_A(T),
+    w_A(S), c_A(S), w_A(S^2) and w_A(S^# T) once each for all the checks, and
+    three on matrices a single check builds (T + S, T^2 + S^2 and (T^2 +
+    (T^#)^2)^2).  check declares them up front and runs them in one lockstep
+    pass, and the two ascents of its radius diagnostics in one lockstep run;
+    for S = cT the certificates of w_A(T + S) and w_A(T^2 + S^2) witness both
+    and no ascent runs.  Recomputing per check took 24 searches, and
+    searching S^# T in each of its two checks 10."""
     stacks, ascents = [], []
     level_sup, ascent = radius._level_sup, radius._multistart_ascent
     monkeypatch.setattr(radius, "_level_sup",
                         lambda b, sels: stacks.append(len(sels)) or level_sup(b, sels))
     monkeypatch.setattr(radius, "_multistart_ascent",
                         lambda problems, *a: ascents.append(len(problems)) or ascent(problems, *a))
-    assert cli.main(["check", str(path), "--json"]) == 0
-    capsys.readouterr()
-    assert len(stacks) == 1 and stacks[0] <= 9
-    assert ascents == [2]
+    for stem, ascended in (("04-scaled-dim8-full", []), ("00-generic-dim8-full", [2])):
+        stacks.clear()
+        ascents.clear()
+        path = next(p for p in CHECK_PAIRS if p.stem == stem)
+        assert cli.main(["check", str(path), "--json"]) == 0
+        capsys.readouterr()
+        assert len(stacks) == 1 and stacks[0] <= 10
+        assert ascents == ascended
     # one check declares nothing: halfnorm_bounds reads w_A(T), which the
     # quantities' w_A and c_A of T and S already hold
     stacks.clear()
     ascents.clear()
     assert cli.main(["check", str(path), "--check", "halfnorm_bounds"]) == 0
     assert stacks == [1] * 4 and ascents == []
+
+
+@pytest.mark.parametrize("path", CHECK_PAIRS, ids=lambda p: p.stem)
+def test_reference_pairs_ascend_only_where_no_witness_decides(path, capsys):
+    """The certificates of w_A(T+S) and w_A(T^2+S^2) witness both ascents of
+    the four S = cT pairs.  On the generic and sector pairs the bound w w lies
+    0.23 to 1.05 of itself above the supremum, so the ascent runs there, and
+    check reports the lhs and witness vector of that ascent alone, bit for bit."""
+    assert cli.main(["check", str(path), "--json"]) == 0
+    checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+    space, t, s = cli.load_instance(str(path))
+    bt, bs = space.bind(t).compress(), space.bind(s).compress()
+    scaled = path.stem.split("-")[1] == "scaled"
+    for name, pair in (("radius_additivity", (bt, bs)),
+                       ("squares_radius_equality", (bt @ bt, bs @ bs))):
+        assert checks[name]["extras"]["ascent_method"] == ("witness" if scaled else "heuristic")
+        if not scaled:
+            (lhs, u), = radius._ascent_bilinear([pair], *radius.ASCENT_ARGS)
+            assert checks[name]["lhs"] == lhs
+            assert checks[name]["witness"] == ineq.encode_matrix(space.lift_vector(u))
 
 
 def test_paper_examples_read_what_their_checks_compute(monkeypatch, capsys):
@@ -192,6 +216,10 @@ BAD_FILES = {
     "no-t.json": b'{"a": [[1, 0], [0, 1]]}',
     "flat-row.json": b'{"a": [[1, 0], [0, 1]], "t": [[1, 0], 7]}',
     "t-only.json": b'{"a": [[1, 0], [0, 1]], "t": [[1, 2], [0, 1]]}',
+    "deep.json": b"[" * 5000 + b"]" * 5000,
+    # w_A(T) = 2e308 overflows while the quantities of t are read, before any check
+    "overflow.json": b'{"a": [[1, 0], [0, 1]], "t": [[1e308, 1e308], [1e308, 1e308]],'
+                     b' "s": [[1e308, 0], [0, -1e308]]}',
 }
 
 
@@ -200,6 +228,8 @@ BAD_FILES = {
     (["check", "."], "error: cannot read .: "),
     (["check", "not-utf8.json"], "error: cannot read not-utf8.json: 'utf-8' codec"),
     (["check", "a\x00b.json"], "error: cannot read a\x00b.json: embedded null byte"),
+    (["check", "deep.json"], "error: cannot read deep.json: maximum recursion depth"),
+    (["check", "overflow.json"], "error: a_numerical_radius of t: math range error"),
     (["check", "list.json"], "error: list.json: top level must be an object"),
     (["check", "no-t.json"], "error: no-t.json: missing required key 't'"),
     (["check", "flat-row.json"], "error: t: row 1 is not a non-empty list"),
@@ -208,8 +238,9 @@ BAD_FILES = {
     (["fuzz", "--dims", "0,3", "--trials", "1"], "error: bad dims '0,3'"),
     (["tightness", "--check", "halfnorm_bounds", "--dims", "2,-1", "--trials", "1"],
      "error: bad dims '2,-1'"),
-], ids=["missing-file", "directory", "not-utf8", "nul-in-path", "not-an-object", "missing-t",
-        "row-not-a-list", "hh-triangle-without-s", "fuzz-dims", "tightness-dims"])
+], ids=["missing-file", "directory", "not-utf8", "nul-in-path", "deep-nesting",
+        "quantity-overflow", "not-an-object", "missing-t", "row-not-a-list",
+        "hh-triangle-without-s", "fuzz-dims", "tightness-dims"])
 def test_bad_input_ends_in_one_error_line(tmp_path, capsys, monkeypatch, argv, line):
     """Each bad input exits 1 with an `error:` line, or a `NAME: ERROR` line
     for a check that cannot run, and no traceback: a file that is not UTF-8
@@ -222,6 +253,20 @@ def test_bad_input_ends_in_one_error_line(tmp_path, capsys, monkeypatch, argv, l
     lines = (captured.out + captured.err).splitlines()
     assert any(row.startswith(line) for row in lines), lines
     assert "Traceback" not in captured.out + captured.err
+
+
+@pytest.mark.parametrize("flag", [[], ["--json"]])
+def test_quantity_overflow_is_one_named_error(tmp_path, capsys, flag):
+    """A value of the quantities that overflows, outside every check, ends
+    the run with one error line naming the quantity and the operator, exit
+    1, and no numpy warning."""
+    (tmp_path / "overflow.json").write_bytes(BAD_FILES["overflow.json"])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["check", str(tmp_path / "overflow.json"), *flag]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: a_numerical_radius of t: math range error\n"
 
 
 def test_check_rejects_indefinite_weight(tmp_path, capsys):

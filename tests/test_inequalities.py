@@ -34,6 +34,7 @@ from semihilbert.inequalities import (
     triangle_equality_diagnostic,
     verify_square_identity,
 )
+from semihilbert.linalg import fro_norm
 from semihilbert.semispace import make_space
 
 SQRT2 = math.sqrt(2.0)
@@ -667,6 +668,72 @@ def test_kept_ascent_is_read_only_with_its_arguments(monkeypatch, diagnostic):
                         lambda *a: calls.append(len(a[0])) or ascent(*a))
     kept = diagnostic(space, opt, ops).lhs
     assert calls == [] and kept == alone and fresh.lhs != kept
+
+
+# the two diagnostics that ascend, with their campaign draws and the power of
+# T and S in the forms they ascend
+WITNESSED = [(ineq.radius_additivity_diagnostic, fuzz._draw_radius_additivity, 1),
+             (ineq.squares_radius_equality, fuzz._draw_squares_radius, 2)]
+
+
+@pytest.mark.parametrize("diagnostic, draw, power", WITNESSED, ids=["sum", "squares"])
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 8), st.integers(-500, 500), st.integers(0, 2 ** 32 - 1))
+def test_witness_decides_the_campaign_draws_at_every_scale(diagnostic, draw, power, dim, k,
+                                                           seed):
+    """The campaign's draws (S = cT, and T = S with a Hermitian compression)
+    are additive, so at every rank the certificate of the sum's radius
+    witnesses the supremum, with the pair of forms scaled by 2^k: T and S by
+    2^(k / power), as the squares' rhs w_A(T)^4 leaves the float range past
+    2^1024.  The decision and lhs scale with k, exactly; lhs lies below rhs +
+    eq_tol and, unscaled, above the ascent at the diagnostic's own
+    arguments, less delta = 8 r eps ||B_t||_F ||B_s||_F.  (The ascent itself
+    reads nan from about 2^256 up: the squared norm of its gradient
+    overflows.)"""
+    rng = np.random.default_rng(seed)
+    rank = int(rng.integers(0, dim + 1))
+    space = make_space(fuzz.gen_psd(rng, dim, rank))
+    mats, kwargs, _ = draw(space, rng)
+    scale = math.ldexp(1.0, k // power)
+    base = diagnostic(space, *mats, **kwargs)
+    diag = diagnostic(space, *(scale * m for m in mats), **kwargs)
+    assert base.extras["ascent_method"] == diag.extras["ascent_method"] == "witness"
+    assert diag.lhs == math.ldexp(base.lhs, 2 * power * (k // power))
+    assert diag.lhs <= diag.rhs + diag.eq_tol
+    bt, bs = (space.bind(m).compress() for m in mats)
+    bt, bs = (bt @ bt, bs @ bs) if power == 2 else (bt, bs)
+    delta = 8 * rank * np.finfo(float).eps * fro_norm(bt) * fro_norm(bs)
+    (ascended, _), = radius._ascent_bilinear([(bt, bs)], **kwargs)
+    assert base.lhs >= ascended - delta
+
+
+@pytest.mark.parametrize("name, diagnostic, t, s", [
+    # w_A(T) w_A(S) = 5e399 and delta overflow; the form at e_1, the certificate, is 0
+    ("ascent(T,S)", radius_additivity_diagnostic, np.diag([1e200, 0, 0]), np.diag([0, 5e199, 0])),
+    # the search of w_A(T^2+S^2) = 2.56e308 overflows, and the check's w_A(T)^4
+    ("ascent(T^2,S^2)", squares_radius_equality, np.full((2, 2), 8e153), np.eye(2)),
+], ids=["bound", "sum-search"])
+def test_overflow_falls_back_to_the_ascent(monkeypatch, name, diagnostic, t, s):
+    """Where the bound, delta or the sum's search overflows, no witness
+    decides: the ascent runs, and the check raises what it raises with no
+    witness at all."""
+    space = make_space(np.eye(len(t)))
+    calls, ascent = [], radius._multistart_ascent
+    monkeypatch.setattr(radius, "_multistart_ascent",
+                        lambda *a: calls.append(len(a[0])) or ascent(*a))
+
+    def raised():
+        with pytest.raises(OverflowError) as info:
+            diagnostic(space, space.bind(t), space.bind(s))
+        return info.value.args
+
+    with np.errstate(all="ignore"):
+        opt, ops = space.bind(t), space.bind(s)
+        assert radius._kept(name, opt, ops, args=radius.ASCENT_ARGS)[2] == "heuristic"
+        assert calls == [1]
+        got = raised()
+        monkeypatch.setattr(radius, "_witness", lambda *a: None)
+        assert got == raised()
 
 
 _entries = st.floats(min_value=-2.0, max_value=2.0,
