@@ -1,20 +1,18 @@
 """Dense complex Hermitian linear algebra.
 
-Eigendecomposition (by LAPACK through numpy) and PSD validation of
-Hermitian matrices, and the batched multi-start ascent behind the heuristic
-searches.  Numerical rank decisions are always made relative to the largest
-eigenvalue through ``DEFAULT_RANK_TOL``; matrix comparisons are relative
-Frobenius.
+Eigendecomposition (by LAPACK through numpy) of Hermitian matrices, and the
+batched multi-start ascent behind the heuristic searches.  Numerical rank
+decisions are always made relative to the largest eigenvalue through
+``DEFAULT_RANK_TOL``; matrix comparisons are relative Frobenius.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NoConvergence, NotHermitian, NotPSD
+from .errors import DimensionMismatch, NoConvergence, NotHermitian
 
 DEFAULT_RANK_TOL = 1e-10
 DEFAULT_HERMITICITY_TOL = 1e-10
@@ -71,20 +69,9 @@ def encode_matrix(m) -> list:
     return np.stack((m.real, m.imag), -1).tolist()
 
 
-@dataclass(frozen=True)
-class EigDecomposition:
-    """Spectral decomposition of a Hermitian matrix.
-
-    ``eigenvalues`` are real and ascending; ``eigenvectors`` holds the
-    matching orthonormal eigenvectors as columns.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
-def hermitian_eig(m) -> EigDecomposition:
-    """Eigendecomposition of a Hermitian matrix.
+def hermitian_eig(m) -> tuple[np.ndarray, np.ndarray]:
+    """(eigenvalues, eigenvectors) of a Hermitian matrix: the eigenvalues real
+    and ascending, the matching orthonormal eigenvectors as columns.
 
     Raises NotHermitian when the Hermitian defect exceeds
     ``DEFAULT_HERMITICITY_TOL`` relative to the matrix scale, NoConvergence if
@@ -102,19 +89,7 @@ def hermitian_eig(m) -> EigDecomposition:
     # entries near the float limit overflow in herm_part and come back as NaN
     if not np.isfinite(lam).all():
         raise NoConvergence("eigenvalues are not finite: entries too large")
-    return EigDecomposition(np.asarray(lam, dtype=np.float64), vecs)
-
-
-def _psd_eig(m) -> EigDecomposition:
-    # PSD validation: Hermitian, then no eigenvalue below -DEFAULT_RANK_TOL * lam_max,
-    # a floor relative to the weight's own size
-    dec = hermitian_eig(m)
-    lam = dec.eigenvalues
-    lam_max = max(float(lam[-1]), 0.0) if lam.size else 0.0
-    floor = DEFAULT_RANK_TOL * lam_max
-    if lam.size and float(lam[0]) < -floor:
-        raise NotPSD(f"eigenvalue {lam[0]:.3e} below -{floor:.3e}")
-    return dec
+    return np.asarray(lam, dtype=np.float64), vecs
 
 
 # f on a great circle is Re sum_m c_m e^{-i m phi}, m = 0, 1, 2; at phi_j = 2 pi j / 5 the

@@ -502,23 +502,28 @@ def _crawford_core(b: np.ndarray):
 def crawford_minimize(b: np.ndarray, starts: int = 20, seed: int = 0,
                       max_iter: int = 150) -> tuple[float, np.ndarray]:
     """Multi-start minimization of |<B u, u>| over unit u, as the ascent of
-    -|<B u, u>|^2 (``_multistart_ascent``); taken at the returned unit vector,
-    the result is a certified upper bound for the Crawford number of ``B``."""
-    (_, u), = _multistart_ascent([((b,), max(1.0, fro_norm(b)) ** 2)],
+    -|<B u, u>|^2 (``_multistart_ascent``) on B normalized by a power of two; taken
+    at the returned unit vector, a certified upper bound for the Crawford number of B."""
+    b_n = pow2_split(b)[1]
+    (_, u), = _multistart_ascent([((b_n,), fro_norm(b_n) ** 2)],
                                  lambda z: -np.abs(z[:, 0]) ** 2, lambda z: -np.conj(z),
                                  starts, seed, max_iter)
     return abs(complex(np.vdot(u, b @ u))), u
 
 
-def _ascent_bilinear(pairs, starts: int, seed: int,
+def _ascent_bilinear(pairs, starts: int = 32, seed: int = 0,
                      max_iter: int = 150) -> list[tuple[float, np.ndarray]]:
     """Multi-start ascent of Re(conj(<Bt u, u>) <Bs u, u>) over unit u for
-    each pair (Bt, Bs), all in one ``_multistart_ascent``: per pair a
-    heuristic lower estimate at a unit u."""
+    each pair (Bt, Bs), all in one ``_multistart_ascent``: per pair a heuristic
+    lower estimate at a unit u.  It runs on each matrix normalized by a power
+    of two, so its steps are the same at every scale, and scales the value back."""
+    split = [(pow2_split(bt), pow2_split(bs)) for bt, bs in pairs]
     # d/dz_t of Re(conj(z_t) z_s) is conj(z_s)/2, and symmetrically for z_s
-    problems = [((bt, bs), max(1.0, fro_norm(bt) * fro_norm(bs))) for bt, bs in pairs]
-    return _multistart_ascent(problems, lambda z: (np.conj(z[:, 0]) * z[:, 1]).real,
-                              lambda z: 0.5 * np.conj(z[:, ::-1]), starts, seed, max_iter)
+    problems = [((bt, bs), fro_norm(bt) * fro_norm(bs)) for (_, bt), (_, bs) in split]
+    found = _multistart_ascent(problems, lambda z: (np.conj(z[:, 0]) * z[:, 1]).real,
+                               lambda z: 0.5 * np.conj(z[:, ::-1]), starts, seed, max_iter)
+    return [(float(np.ldexp(value, et + es)), u)
+            for ((et, _), (es, _)), (value, u) in zip(split, found)]
 
 
 # B*, sigma_max(B), B @ B and the results of the searches on B and on the
@@ -560,18 +565,13 @@ SEARCHES = {
                         "w(T^2)"),
 }
 
-# the defaults of the two diagnostics that ascend, which a declared ascent runs with
-ASCENT_STARTS, ASCENT_SEED, ASCENT_MAX_ITER = 32, 0, 150
-ASCENT_ARGS = (ASCENT_STARTS, ASCENT_SEED, ASCENT_MAX_ITER)
-
-
-def _held(name: str, ops: tuple, args: tuple = ()):
+def _held(name: str, ops: tuple):
     """(owner, key) of what is kept of T (and S) under ``name``: on the last
-    operator under the name, ``args`` and T's identity, if two.  S's memo then
+    operator under the name and T's identity, if two.  S's memo then
     holds T too, so the identity names no other operator while the entry
     lives; T = S needs no such hold, which would only make the operator a
     cycle for the collector."""
-    owner, key = ops[-1], (name, *args)
+    owner, key = ops[-1], (name,)
     if len(ops) == 2:
         if ops[0] is not owner:
             owner._cached(("operand", id(ops[0])), lambda: ops[0])
@@ -579,21 +579,19 @@ def _held(name: str, ops: tuple, args: tuple = ()):
     return owner, key
 
 
-def _entry(name: str, ops: tuple, args: tuple):
-    """(owner, key, selector, build) of the search ``name`` on T (and S), held
-    as ``_held`` keeps it with ``args``, an ascent's starts, seed and max_iter."""
+def _entry(name: str, ops: tuple):
+    """(owner, key, selector, build) of the search ``name`` on T (and S), as ``_held`` keeps it."""
     sel, _, build, *_ = SEARCHES[name]
-    return (*_held(name, ops, args), sel, lambda: build(*ops))
+    return (*_held(name, ops), sel, lambda: build(*ops))
 
 
-def _kept(name: str, *ops: OperatorInSpace, args: tuple = ()):
+def _kept(name: str, *ops: OperatorInSpace):
     """The search ``name`` of ``SEARCHES`` on T, or on T and S, run on first
     use: (value, theta, vector) of a level search; (value, vector, method)
-    of an ascent, its ``_witness`` where that decides, else the ascent run
-    with ``args``."""
-    owner, key, sel, build = _entry(name, ops, args)
+    of an ascent, its ``_witness`` where that decides, else the ascent."""
+    owner, key, sel, build = _entry(name, ops)
     if sel is None:
-        return owner._cached(key, lambda: _ascended([(name, ops, build())], args)[0])
+        return owner._cached(key, lambda: _ascended([(name, ops, build())])[0])
     core = _radius_seminorm_core if sel else _crawford_core
     return owner._cached(key, lambda: core(build()))
 
@@ -614,11 +612,11 @@ def _witness(name: str, ops: tuple, pair) -> tuple | None:
         else None
 
 
-def _ascended(problems: list, args: tuple) -> list:
-    # each ascent (name, ops, pair) its witness, or else one stacked ascent with ``args``
+def _ascended(problems: list) -> list:
+    # each ascent (name, ops, pair) its witness, or else one stacked ascent
     found = [_witness(*problem) for problem in problems]
     left = [pair for (_, _, pair), f in zip(problems, found) if f is None]
-    ascended = iter(_ascent_bilinear(left, *args) if left else ())
+    ascended = iter(_ascent_bilinear(left) if left else ())
     return [f or (*next(ascended), "heuristic") for f in found]
 
 
@@ -627,11 +625,11 @@ def run_declared(operators) -> None:
     ``check`` reads of them: each of ``SEARCHES`` whose operators are bound,
     and w, c and w(T^2) of S.  Two lockstep runs compute them: one
     ``_level_sup`` over the level searches, then one ``_ascent_bilinear`` over
-    the ascents no witness from its certificates decides, at the diagnostics'
-    defaults.  Each result is the one ``_kept`` computes alone, bit for bit.
-    A search on an unbounded operator or a non-finite matrix, and every search
-    of a run that LAPACK fails on or whose value overflows, is left to
-    ``_kept``, which raises as it would."""
+    the ascents no witness from its certificates decides.  Each result is the
+    one ``_kept`` computes alone, bit for bit.  A search on an unbounded
+    operator or a non-finite matrix, and every search of a run that LAPACK
+    fails on or whose value overflows, is left to ``_kept``, which raises as
+    it would."""
     t = operators[0]
     declared = [(name, (t,) if roles == "t" else operators)
                 for name, (_, roles, *_) in SEARCHES.items() if len(roles) <= len(operators)]
@@ -640,8 +638,7 @@ def run_declared(operators) -> None:
     level, ascent = [], []
     for name, ops in declared:
         if all(op.a_bounded for op in ops):
-            args = ASCENT_ARGS if SEARCHES[name][0] is None else ()  # an ascent, at the defaults
-            owner, key, sel, build = _entry(name, ops, args)
+            owner, key, sel, build = _entry(name, ops)
             if key not in owner._memo and np.isfinite(m := build()).all():
                 (ascent if sel is None else level).append((owner, key, (name, ops, sel, m)))
     for run, searches in ((_run_level, level), (_run_ascent, ascent)):
@@ -660,7 +657,7 @@ def _run_level(searches):
 
 
 def _run_ascent(searches):
-    return _ascended([(name, ops, m) for name, ops, _, m in searches], ASCENT_ARGS)
+    return _ascended([(name, ops, m) for name, ops, _, m in searches])
 
 
 def _estimate(op: OperatorInSpace, method: str, route) -> RadiusEstimate:

@@ -28,7 +28,7 @@ from functools import cached_property
 import numpy as np
 
 from . import linalg
-from .errors import DimensionMismatch, NoAdjoint
+from .errors import DimensionMismatch, NoAdjoint, NotPSD
 from .linalg import dagger, fro_norm, spectral_norm
 
 # membership residual thresholds, relative to the obvious scale
@@ -61,10 +61,12 @@ def _at_most(res, c: float, *ys: np.ndarray) -> bool:
     is a float or a matrix standing for its spectral norm.  Frobenius norms
     bracket every spectral norm; the SVDs run only when the brackets leave
     the answer open (docs/compression.md, "Deciding membership")."""
+    r_lo, r_hi = _bracket(res) if isinstance(res, np.ndarray) else (res, res)
+    if not math.isfinite(r_lo):  # a residual past the float range, or NaN, is not small
+        return False
     lo = hi = c
     for y_lo, y_hi in map(_bracket, ys):
         lo, hi = lo * y_lo, hi * y_hi
-    r_lo, r_hi = _bracket(res) if isinstance(res, np.ndarray) else (res, res)
     if r_hi <= lo or r_lo > hi:
         return bool(r_hi <= lo)
     res = spectral_norm(res) if isinstance(res, np.ndarray) else res
@@ -96,13 +98,13 @@ class SemiHilbertSpace:
     rank: int
     range_eigs: np.ndarray = field(repr=False)
     kernel_basis: np.ndarray = field(repr=False)
-    _eig: linalg.EigDecomposition = field(repr=False, compare=False)  # a decides it
+    _eig: tuple = field(repr=False, compare=False)  # (eigenvalues, eigenvectors); a decides it
 
     __eq__ = _equal
 
     @cached_property
     def a_half(self) -> np.ndarray:
-        lam, vecs = self._eig.eigenvalues, self._eig.eigenvectors
+        lam, vecs = self._eig
         keep = np.arange(self.dim) >= self.dim - self.rank  # lam ascends: the kept are last
         return (vecs * np.sqrt(np.clip(lam, 0.0, None) * keep)) @ dagger(vecs)
 
@@ -206,15 +208,17 @@ def make_space(a) -> SemiHilbertSpace:
     does an ``a`` whose eigenvalues are all subnormal.
     """
     am = linalg.as_matrix(a)
-    dec = linalg._psd_eig(am)
-    lam, vecs = dec.eigenvalues, dec.eigenvectors
+    lam, vecs = eig = linalg.hermitian_eig(am)
     n = am.shape[0]
-    lam_max = max(float(lam[-1]), 0.0) if n else 0.0
-    keep = lam > max(linalg.DEFAULT_RANK_TOL * lam_max, _EIG_FLOOR)
+    # PSD: no eigenvalue below -DEFAULT_RANK_TOL lam_max, a floor relative to the weight's size
+    floor = linalg.DEFAULT_RANK_TOL * (max(float(lam[-1]), 0.0) if n else 0.0)
+    if n and float(lam[0]) < -floor:
+        raise NotPSD(f"eigenvalue {lam[0]:.3e} below -{floor:.3e}")
+    keep = lam > max(floor, _EIG_FLOOR)
     return SemiHilbertSpace(dim=n, a=am, range_basis=vecs[:, keep],
                             rank=int(np.count_nonzero(keep)),
                             range_eigs=np.clip(lam[keep], 0.0, None),
-                            kernel_basis=vecs[:, ~keep], _eig=dec)
+                            kernel_basis=vecs[:, ~keep], _eig=eig)
 
 
 @dataclass(frozen=True, eq=False)

@@ -224,7 +224,7 @@ def test_criterion_10_equality_characterizations_separate():
 
             for kind in ("a_selfadjoint", "a_normal"):
                 (t,) = gen_special(rng, space, kind)
-                d = ineq.squares_radius_equality(space, t, t, starts=4, max_iter=20)
+                d = ineq.squares_radius_equality(space, t, t)
                 gap = abs(d.extras["chain_slack"])
                 assert d.equal and gap <= 1e-7 * max(1.0, d.extras["chain_rhs"]), trial
 
@@ -248,8 +248,8 @@ def test_criterion_10_equality_characterizations_separate():
                 t, s = t / nt, s / ns
                 d1 = ineq.triangle_equality_diagnostic(space, t, s)
                 d2 = ineq.max_equality_diagnostic(space, t, s)
-                d3 = ineq.radius_additivity_diagnostic(space, t, s, starts=4, max_iter=20)
-                d4 = ineq.squares_radius_equality(space, t, s, starts=4, max_iter=20)
+                d3 = ineq.radius_additivity_diagnostic(space, t, s)
+                d4 = ineq.squares_radius_equality(space, t, s)
                 gaps = (d1.gap, d2.gap,
                         d3.extras["w_parts"] - d3.extras["w_sum"],
                         d4.extras["chain_slack"])

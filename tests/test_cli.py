@@ -137,9 +137,23 @@ def test_reference_pairs_ascend_only_where_no_witness_decides(path, capsys):
                        ("squares_radius_equality", (bt @ bt, bs @ bs))):
         assert checks[name]["extras"]["ascent_method"] == ("witness" if scaled else "heuristic")
         if not scaled:
-            (lhs, u), = radius._ascent_bilinear([pair], *radius.ASCENT_ARGS)
+            (lhs, u), = radius._ascent_bilinear([pair])
             assert checks[name]["lhs"] == lhs
             assert checks[name]["witness"] == ineq.encode_matrix(space.lift_vector(u))
+
+
+def test_ascents_stay_finite_on_a_reference_pair_scaled_by_2_to_the_200(tmp_path, capsys):
+    """The ascents run on the pair normalized by a power of two, so the
+    squares' forms, near 2^800 here, leave no gradient past the float range:
+    both lhs are finite, and the generic pair's check exits 0."""
+    inst = json.loads(CHECK_PAIRS[0].read_text())
+    path = write_instance(tmp_path, a=inst["a"], t=(np.array(inst["t"]) * 2.0 ** 200).tolist(),
+                          s=(np.array(inst["s"]) * 2.0 ** 200).tolist())
+    assert cli.main(["check", path, "--json"]) == 0
+    checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+    for name in ("radius_additivity", "squares_radius_equality"):
+        assert checks[name]["extras"]["ascent_method"] == "heuristic"
+        assert np.isfinite(checks[name]["lhs"]), name
 
 
 def test_paper_examples_read_what_their_checks_compute(monkeypatch, capsys):
@@ -348,12 +362,16 @@ def test_check_huge_entries_are_an_error(tmp_path, capsys, scale):
         assert captured.err == "" and ": ERROR  " in captured.out
 
 
-def test_check_subnormal_operator_holds(tmp_path, capsys):
-    path = write_instance(tmp_path, a=(1e-3 * np.eye(3)).tolist(),
-                          t=np.full((3, 3), 2.225e-311).tolist())
+@pytest.mark.parametrize("t, w", [
+    (np.full((3, 3), 2.225e-311), "w_A=6.675e-311"),
+    # the smallest subnormal: the integral chain's tolerance must stay in the float range
+    (5e-324 * np.eye(3), "w_A=4.940656458e-324"),
+], ids=["full", "smallest"])
+def test_check_subnormal_operator_holds(tmp_path, capsys, t, w):
+    path = write_instance(tmp_path, a=(1e-3 * np.eye(3)).tolist(), t=t.tolist())
     assert cli.main(["check", path]) == 0
     captured = capsys.readouterr()
-    assert captured.err == "" and "w_A=6.675e-311" in captured.out
+    assert captured.err == "" and w in captured.out and "ERROR" not in captured.out
 
 
 EDGE_INSTANCES = {
@@ -362,6 +380,7 @@ EDGE_INSTANCES = {
     "rank-one-weight": {"a": [[1, 1, 0], [1, 1, 0], [0, 0, 0]],
                         "t": [[2, 2, 0], [0, 0, 0], [1, -1, 3]],
                         "s": [[1, [0, 1], 0], [[0, 1], 1, 0], [0, 0, 1]]},
+    "smallest-subnormal": {"a": [[1, 0], [0, 1]], "t": (5e-324 * np.eye(2)).tolist()},
     "unbounded-s": {"a": [[1, 0], [0, 0]], "t": [[1, 0], [0, 2]], "s": [[0, 1], [1, 0]]},
     "tiny": {"a": [[1, 0], [0, 1]], "t": [[1e-200, 0], [0, 1e-200]],
              "s": [[1e-200, 0], [0, 1e-200]]},

@@ -2,7 +2,6 @@
 equality cases, precondition enforcement, and the quadrature helper."""
 
 import dataclasses
-import inspect
 import json
 import math
 
@@ -597,11 +596,9 @@ MEMO_CASES = [(name, dim, rank) for name in fuzz.CHECK_ORDER for dim in (2, 5, 8
 
 def run_check(spec, space, operators):
     """The check's report as a dict, or the message of the precondition it
-    refuses; the ascents run short, with the same seed on every run."""
-    params = inspect.signature(spec.fn).parameters
-    kwargs = {"starts": 6, "seed": 1, "max_iter": 40} if "starts" in params else {}
+    refuses."""
     try:
-        return spec.fn(space, *operators[:spec.arity], **kwargs).to_dict()
+        return spec.fn(space, *operators[:spec.arity]).to_dict()
     except PreconditionNotMet as exc:
         return str(exc)
 
@@ -649,27 +646,6 @@ def test_memo_belongs_to_one_bound_operator(monkeypatch):
     assert repr(copy) == repr(first) and "_memo" not in repr(first)
 
 
-@pytest.mark.parametrize("diagnostic", [ineq.radius_additivity_diagnostic,
-                                        ineq.squares_radius_equality])
-def test_kept_ascent_is_read_only_with_its_arguments(monkeypatch, diagnostic):
-    """A declared ascent is kept under its starts, seed and max_iter: the
-    campaign's shorter ascents compute their own, and the defaults read the
-    kept one."""
-    space, t, s = rand_pair(11, n=4)
-    opt, ops = space.bind(t), space.bind(s)
-    radius.run_declared((opt, ops))
-    short = {"starts": 6, "seed": 5, "max_iter": 40}
-    fresh = diagnostic(space, space.bind(t), space.bind(s), **short)
-    assert diagnostic(space, opt, ops, **short).lhs == fresh.lhs
-    alone = diagnostic(space, space.bind(t), space.bind(s)).lhs
-    ascent = radius._multistart_ascent
-    calls = []
-    monkeypatch.setattr(radius, "_multistart_ascent",
-                        lambda *a: calls.append(len(a[0])) or ascent(*a))
-    kept = diagnostic(space, opt, ops).lhs
-    assert calls == [] and kept == alone and fresh.lhs != kept
-
-
 # the two diagnostics that ascend, with their campaign draws and the power of
 # T and S in the forms they ascend
 WITNESSED = [(ineq.radius_additivity_diagnostic, fuzz._draw_radius_additivity, 1),
@@ -686,10 +662,8 @@ def test_witness_decides_the_campaign_draws_at_every_scale(diagnostic, draw, pow
     witnesses the supremum, with the pair of forms scaled by 2^k: T and S by
     2^(k / power), as the squares' rhs w_A(T)^4 leaves the float range past
     2^1024.  The decision and lhs scale with k, exactly; lhs lies below rhs +
-    eq_tol and, unscaled, above the ascent at the diagnostic's own
-    arguments, less delta = 8 r eps ||B_t||_F ||B_s||_F.  (The ascent itself
-    reads nan from about 2^256 up: the squared norm of its gradient
-    overflows.)"""
+    eq_tol and, unscaled, above the ascent the diagnostic would run, less
+    delta = 8 r eps ||B_t||_F ||B_s||_F."""
     rng = np.random.default_rng(seed)
     rank = int(rng.integers(0, dim + 1))
     space = make_space(fuzz.gen_psd(rng, dim, rank))
@@ -729,7 +703,7 @@ def test_overflow_falls_back_to_the_ascent(monkeypatch, name, diagnostic, t, s):
 
     with np.errstate(all="ignore"):
         opt, ops = space.bind(t), space.bind(s)
-        assert radius._kept(name, opt, ops, args=radius.ASCENT_ARGS)[2] == "heuristic"
+        assert radius._kept(name, opt, ops)[2] == "heuristic"
         assert calls == [1]
         got = raised()
         monkeypatch.setattr(radius, "_witness", lambda *a: None)

@@ -163,6 +163,16 @@ def test_exact_zero_seminorm():
     assert op.a_operator_norm() == 0.0
 
 
+def test_seminorm_past_the_float_range_is_inf():
+    """A residual past the float range is not small: A T A of this T
+    overflows, so the zero seminorm test fails, and the seminorm is
+    sigma_max, also past the float range, as numpy's SVD reads it."""
+    t = np.full((2, 2), 1e308)
+    with np.errstate(over="ignore"):
+        assert make_space(np.eye(2)).bind(t).a_operator_norm() == np.inf
+        assert not _at_most(np.inf, 1.0, t) and not _at_most(np.nan, 1.0, t)
+
+
 def test_rank_zero_space_degenerates():
     space = space_diag(0, 0)
     op = space.bind(np.array([[1, 2], [3, 4]], dtype=complex))
@@ -424,8 +434,7 @@ def test_derived_matrices_are_computed_on_first_use_with_their_old_bits(weight):
     evaluated eagerly."""
     from semihilbert import linalg
     am = linalg.as_matrix(weight)
-    dec = linalg._psd_eig(am)
-    lam, vecs = dec.eigenvalues, dec.eigenvectors
+    lam, vecs = linalg.hermitian_eig(am)
     keep = lam > max(linalg.DEFAULT_RANK_TOL * max(float(lam[-1]), 0.0),
                      float(np.finfo(np.float64).tiny))
     lam_r, v_r = np.clip(lam[keep], 0.0, None), vecs[:, keep]
