@@ -183,8 +183,8 @@ class CheckSpec:
     ``fn`` takes the space and ``arity`` operators.  ``flags`` names what the
     verdict needs true: ``holds`` for a chain (an InequalityReport), the
     consistency extras for an equality diagnostic.  ``draw(space, rng)``
-    builds a campaign instance and returns (operators, extra kwargs for
-    ``fn``, flags that must also hold on that instance).
+    builds a campaign instance and returns (operators, flags that must also
+    hold on that instance).
     """
 
     name: str
@@ -215,15 +215,15 @@ def _slack(result) -> float:
 
 
 def _draw_single(space, rng):
-    return (gen_admissible(rng, space),), {}, ()
+    return (gen_admissible(rng, space),), ()
 
 
 def _draw_pair(space, rng):
-    return (gen_admissible(rng, space), gen_admissible(rng, space)), {}, ()
+    return (gen_admissible(rng, space), gen_admissible(rng, space)), ()
 
 
 def _draw_triangle_equality(space, rng):
-    return gen_special(rng, space, "pair_triangle_equality"), {}, ("equal",)
+    return gen_special(rng, space, "pair_triangle_equality"), ("equal",)
 
 
 def _draw_positive_product(space, rng):
@@ -232,7 +232,7 @@ def _draw_positive_product(space, rng):
         # equality case: T = S with a PSD compression
         g = rng.standard_normal((r, r)) + 1j * rng.standard_normal((r, r))
         t = space.lift_matrix(herm_part(g @ dagger(g)))
-        return (t, t), {}, ("equal", "triangle_equal")
+        return (t, t), ("equal", "triangle_equal")
     # generic case: invertible Bs, Bt = (Bs*)^{-1} C with C PSD
     for _ in range(_MAX_REDRAWS):
         bs = rng.standard_normal((r, r)) + 1j * rng.standard_normal((r, r))
@@ -240,30 +240,30 @@ def _draw_positive_product(space, rng):
             break
     g = rng.standard_normal((r, r)) + 1j * rng.standard_normal((r, r))
     bt = np.linalg.solve(dagger(bs), herm_part(g @ dagger(g)))
-    return (space.lift_matrix(bt), space.lift_matrix(bs)), {}, ()
+    return (space.lift_matrix(bt), space.lift_matrix(bs)), ()
 
 
 def _draw_max_equality(space, rng):
     if rng.integers(2) == 0:
         t = gen_admissible(rng, space)
-        return (t, t), {}, ("equal", "sum_condition_holds")
+        return (t, t), ("equal", "sum_condition_holds")
     return _draw_pair(space, rng)
 
 
 def _draw_pythagoras(space, rng):
-    return gen_special(rng, space, "pair_pythagoras"), {}, ("equal",)
+    return gen_special(rng, space, "pair_pythagoras"), ("equal",)
 
 
 def _draw_radius_additivity(space, rng):
     t = gen_admissible(rng, space)
-    return (t, float(rng.uniform(0.5, 2.0)) * t), {}, ("equal",)
+    return (t, float(rng.uniform(0.5, 2.0)) * t), ("equal",)
 
 
 def _draw_squares_radius(space, rng):
     r = space.rank
     g = rng.standard_normal((r, r)) + 1j * rng.standard_normal((r, r))
     t = space.lift_matrix(herm_part(g))
-    return (t, t), {}, ("equal",)
+    return (t, t), ("equal",)
 
 
 CHECKS: dict[str, CheckSpec] = {spec.name: spec for spec in (
@@ -351,10 +351,10 @@ def run_single_trial(name: str, seed: int, trial: int,
     rank = int(rng.integers(lo, dim + 1))
     a = gen_psd(rng, dim, rank)
     space = make_space(a)
-    operators, kwargs, must = spec.draw(space, rng)
+    operators, must = spec.draw(space, rng)
     # a draw (t, t) repeats one matrix: bound once, both share its quantities
     bound = {key: space.bind(m) for key, m in {id(m): m for m in operators}.items()}
-    result = spec.fn(space, *(bound[id(m)] for m in operators), **kwargs)
+    result = spec.fn(space, *(bound[id(m)] for m in operators))
     return spec.verdict(result, must), _slack(result), result.to_dict(), {"dim": dim, "rank": rank}
 
 

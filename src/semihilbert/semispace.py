@@ -186,16 +186,18 @@ class SemiHilbertSpace:
             raise DimensionMismatch(f"operator is {tm.shape}, space has dim {self.dim}")
 
         # ||(I - P) T* A||_F = ||D M||_F and ||A^{1/2} T (I - P)||_2 = ||D^{1/2} M||_2 for
-        # M = V_r* T V_k (docs/compression.md), each against its own scale, so scaling A or T
-        # cannot flip a decision; M is empty at rank 0 and n, where every T keeps ker(A)
+        # M = V_r* T V_k (docs/compression.md), each against its own scale and for T scaled by
+        # a power of two, so no scale overflows and scaling A or T cannot flip a decision;
+        # M is empty at rank 0 and n, where every T keeps ker(A)
         x = dagger(self.range_basis) @ tm
-        m = x @ self.kernel_basis
         admits = bounded = True
-        if m.size:
+        if 0 < self.rank < self.dim:
+            tm_n = linalg.pow2_split(tm)[1]
+            m = dagger(self.range_basis) @ tm_n @ self.kernel_basis
             admits = _at_most(_fro(self.range_eigs[:, None] * m),
-                              ADJOINT_RESIDUAL_TOL * self._norm_a, tm)
+                              ADJOINT_RESIDUAL_TOL * self._norm_a, tm_n)
             bounded = _at_most(self._sqrt_eigs[:, None] * m,
-                               BOUNDED_RESIDUAL_TOL * np.sqrt(self._norm_a), tm)
+                               BOUNDED_RESIDUAL_TOL * np.sqrt(self._norm_a), tm_n)
         return OperatorInSpace(t=tm, space=self, a_bounded=bounded, admits_adjoint=admits,
                                compression=self._compress_rows(x) if admits else None)
 

@@ -135,9 +135,9 @@ def test_registry_draws_what_its_check_reads(name):
     for trial in range(4):
         rng = np.random.default_rng([5, trial])
         space = make_space(gen_psd(rng, 3, 3))
-        operators, kwargs, must = spec.draw(space, rng)
+        operators, must = spec.draw(space, rng)
         assert len(operators) == spec.arity
-        result = spec.fn(space, *operators, **kwargs)
+        result = spec.fn(space, *operators)
         flags = (result.to_dict() if spec.kind == "chain"
                  else {"equal": result.equal, **result.extras})
         assert set(spec.flags + must) <= set(flags)

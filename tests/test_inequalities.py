@@ -610,7 +610,7 @@ def test_shared_operators_give_the_reports_of_fresh_ones(name, dim, rank):
     afresh for it alone."""
     rng = np.random.default_rng([dim, rank, fuzz.CHECK_ORDER.index(name)])
     space = make_space(fuzz.gen_psd(rng, dim, rank))
-    mats, _, _ = fuzz.CHECKS[name].draw(space, rng)
+    mats, _ = fuzz.CHECKS[name].draw(space, rng)
     bound = {id(m): space.bind(m) for m in mats}
     shared = tuple(bound[id(m)] for m in mats)
     for other in fuzz.CHECK_ORDER:
@@ -655,6 +655,8 @@ WITNESSED = [(ineq.radius_additivity_diagnostic, fuzz._draw_radius_additivity, 1
 @pytest.mark.parametrize("diagnostic, draw, power", WITNESSED, ids=["sum", "squares"])
 @settings(max_examples=40, deadline=None)
 @given(st.integers(2, 8), st.integers(-500, 500), st.integers(0, 2 ** 32 - 1))
+# for the sum, the default ascent ends 4.6e-13 above lhs, past delta = 3.7e-13
+@example(dim=4, k=0, seed=16013)
 def test_witness_decides_the_campaign_draws_at_every_scale(diagnostic, draw, power, dim, k,
                                                            seed):
     """The campaign's draws (S = cT, and T = S with a Hermitian compression)
@@ -663,22 +665,25 @@ def test_witness_decides_the_campaign_draws_at_every_scale(diagnostic, draw, pow
     2^(k / power), as the squares' rhs w_A(T)^4 leaves the float range past
     2^1024.  The decision and lhs scale with k, exactly; lhs lies below rhs +
     eq_tol and, unscaled, above the ascent the diagnostic would run, less
-    delta = 8 r eps ||B_t||_F ||B_s||_F."""
+    twice the rounding delta = 8 r eps ||B_t||_F ||B_s||_F (the witness's
+    and the ascent's) and the level searches' certified gap: each w(B) is
+    within REFINE_TOL ||B||_F / 100 below its supremum."""
     rng = np.random.default_rng(seed)
     rank = int(rng.integers(0, dim + 1))
     space = make_space(fuzz.gen_psd(rng, dim, rank))
-    mats, kwargs, _ = draw(space, rng)
+    mats, _ = draw(space, rng)
     scale = math.ldexp(1.0, k // power)
-    base = diagnostic(space, *mats, **kwargs)
-    diag = diagnostic(space, *(scale * m for m in mats), **kwargs)
+    base = diagnostic(space, *mats)
+    diag = diagnostic(space, *(scale * m for m in mats))
     assert base.extras["ascent_method"] == diag.extras["ascent_method"] == "witness"
     assert diag.lhs == math.ldexp(base.lhs, 2 * power * (k // power))
     assert diag.lhs <= diag.rhs + diag.eq_tol
     bt, bs = (space.bind(m).compress() for m in mats)
     bt, bs = (bt @ bt, bs @ bs) if power == 2 else (bt, bs)
     delta = 8 * rank * np.finfo(float).eps * fro_norm(bt) * fro_norm(bs)
-    (ascended, _), = radius._ascent_bilinear([(bt, bs)], **kwargs)
-    assert base.lhs >= ascended - delta
+    gap = 2 * radius.REFINE_TOL / 100 * fro_norm(bt) * fro_norm(bs)
+    (ascended, _), = radius._ascent_bilinear([(bt, bs)])
+    assert base.lhs >= ascended - 2 * delta - gap
 
 
 @pytest.mark.parametrize("name, diagnostic, t, s", [

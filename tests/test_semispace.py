@@ -173,6 +173,25 @@ def test_seminorm_past_the_float_range_is_inf():
         assert not _at_most(np.inf, 1.0, t) and not _at_most(np.nan, 1.0, t)
 
 
+def test_membership_flags_agree_past_the_float_range():
+    """Both membership rules are decided on M and T scaled by one power of
+    two, so their thresholds stay finite and the flags agree at every size
+    of T: the first T overflows the adjoint residual |D M|_F and |T|_F."""
+    space = make_space(np.diag([2.0, 0.0]))
+    with np.errstate(over="ignore"):
+        op = space.bind(np.full((2, 2), 1e308))
+    assert not op.a_bounded and not op.admits_adjoint
+    assert op.a_operator_norm() == np.inf
+    t = np.array([[1.0, 0.0], [1.0, 1.0]])  # maps ker(A) = span(e_2) into itself
+    for k in (-1000, -500, 500, 1000):
+        for m, keeps in ((t, True), (t + np.array([[0.0, 1e-6], [0.0, 0.0]]), False)):
+            op = space.bind(m * 2.0 ** k)
+            assert op.a_bounded == op.admits_adjoint == keeps, k
+    # |A| |T| past the float range, with a kernel leak of 1e-250 |T|
+    op = make_space(np.diag([1e200, 0.0])).bind(np.array([[1e200, 1e-50], [0.0, 1.0]]))
+    assert op.a_bounded and op.admits_adjoint
+
+
 def test_rank_zero_space_degenerates():
     space = space_diag(0, 0)
     op = space.bind(np.array([[1, 2], [3, 4]], dtype=complex))
