@@ -101,12 +101,13 @@ _FIT = np.exp(1j * np.outer(_PHI5, _M)) * [0.2, 0.4, 0.4]
 _GRID_F = (_FIT @ np.exp(-1j * np.outer(_M, _GRID))).real
 
 
-def _great_circle_max(f, a: np.ndarray, c: np.ndarray, m: np.ndarray, tol):
+def _great_circle_max(f, a: np.ndarray, c: np.ndarray, m: np.ndarray, tol, height=None):
     """Maximize f on the great circles cos(phi/2) u + sin(phi/2) q, q a unit
     vector orthogonal to u, from the forms a = <B_k u, u>, c = <B_k q, q> and
     m = <B_k u, q> + <B_k q, u>, rows (n, K) (docs/search.md).  Returns the
     maximizer (Newton's unless the grid's is better by ``tol``, a float or one
-    per row) and its gain, each row as it would be alone."""
+    per row) and its gain, each row as it would be alone; ``height``, an (n,)
+    array if given, receives the polynomial's value there."""
     z = a[:, None] * _ZW[0] + c[:, None] * _ZW[1] + m[:, None] * _ZW[2]
     vals = f(z.reshape(-1, a.shape[1])).reshape(len(a), 5)
     coef, grid = np.einsum("nj,jm->nm", vals, _FIT), np.einsum("nj,jg->ng", vals, _GRID_F)
@@ -118,7 +119,14 @@ def _great_circle_max(f, a: np.ndarray, c: np.ndarray, m: np.ndarray, tol):
         phi = phi + (t1.imag + 2 * t2.imag) / np.where(d2 > 0, d2, np.inf)
     e = np.exp(-1j * phi)
     top, newton = grid.max(axis=1), (coef[:, 0] + coef[:, 1] * e + coef[:, 2] * e * e).real
-    return np.where(newton >= top - tol, phi, start), np.maximum(newton, top) - grid[:, 0]
+    best = np.maximum(newton, top, out=height)
+    return np.where(newton >= top - tol, phi, start), best - grid[:, 0]
+
+
+# a live start retires where it stands once a stopped start v of its problem is at
+# least as high and |<u, v>| > 1 - _RETIRE_ETA (at most 1, as for unit vectors):
+# phase-free, and 0 retires none (docs/search.md)
+_RETIRE_ETA = 1e-8
 
 
 def _multistart_ascent(problems, f, dfdz, starts: int, seed: int,
@@ -128,7 +136,8 @@ def _multistart_ascent(problems, f, dfdz, starts: int, seed: int,
     df/dz_k) for each problem (mats, scale2) of ``problems``, all with the
     same K and r, from the draws standard_normal(r) + 1j * standard_normal(r),
     normalized, all moving to the maximum on a great circle per iteration
-    until a move gains at most 4 eps scale2 (docs/search.md).  The problems
+    until a move gains at most 4 eps scale2, or a start reaches a stopped
+    start of its problem that is as high (docs/search.md).  The problems
     run in lockstep, rows grouped by problem, one line maximization for all;
     each takes the steps of its run alone.  Returns per problem the first
     best start's value and vector; ValueError when starts < 1."""
@@ -153,6 +162,7 @@ def _multistart_ascent(problems, f, dfdz, starts: int, seed: int,
     # the stopping gain of each live row: 4 eps scale2 of its problem
     tol = np.repeat([4 * np.finfo(float).eps * scale2 for _, scale2 in problems], starts)
     live, ul, prev = np.arange(len(u)), u.copy(), (0 * u, 0 * u, np.ones(len(u)))  # g, d, |g|^2
+    top = np.full(len(u), -np.inf)  # the value where each start stopped, -inf while it moves
     # at r <= 1 every unit vector has the same forms: no direction to move in
     for _ in range(max_iter if r > 1 else 0):
         cut = np.searchsorted(live, ends) if len(rights) > 1 else None
@@ -174,17 +184,23 @@ def _multistart_ascent(problems, f, dfdz, starts: int, seed: int,
         q = d / np.where(pos, gn, 1.0)[:, None]
         w = np.einsum("ijr,ir->ij", h, q.conj())
         c, m = forms(q, cut), w[:, :k] + w[:, k:].conj()
-        phi, gain = _great_circle_max(f, a, c, m, tol)
+        height = np.empty(len(ul))
+        phi, gain = _great_circle_max(f, a, c, m, tol, height)
         t = (phi * pos / 2)[:, None]
         ul = np.cos(t) * ul + np.sin(t) * q
         ul /= np.linalg.norm(ul, axis=1, keepdims=True)
         # the last move is taken too: its gain is too small to tell, but its
         # angle is accurate, which takes |z| of Crawford to rounding
         moves = (gain > tol) & pos
+        if live.size < len(u):  # each row against the stopped starts of its problem
+            done = np.flatnonzero(top > -np.inf)
+            near = np.minimum(np.abs(np.einsum("sr,ir->is", u[done], ul.conj())), 1.0)
+            mine = done // starts == live[:, None] // starts
+            moves &= ~((near > 1 - _RETIRE_ETA) & mine & (top[done] >= height[:, None])).any(axis=1)
         if moves.all():  # u takes the live rows when some stop, and at the end
             prev = g, d, gg
             continue
-        u[live] = ul
+        u[live], top[live[~moves]] = ul, height[~moves]
         live, ul, tol, prev = live[moves], ul[moves], tol[moves], (g[moves], d[moves], gg[moves])
         if not live.size:
             break

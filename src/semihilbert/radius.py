@@ -588,12 +588,24 @@ def _entry(name: str, ops: tuple):
 def _kept(name: str, *ops: OperatorInSpace):
     """The search ``name`` of ``SEARCHES`` on T, or on T and S, run on first
     use: (value, theta, vector) of a level search; (value, vector, method)
-    of an ascent, its ``_witness`` where that decides, else the ascent."""
+    of an ascent, its ``_witness`` where that decides, else the ascent.  A
+    level search that LAPACK fails on because its matrix is past the float
+    range raises OverflowError naming the search."""
     owner, key, sel, build = _entry(name, ops)
     if sel is None:
         return owner._cached(key, lambda: _ascended([(name, ops, build())])[0])
     core = _radius_seminorm_core if sel else _crawford_core
-    return owner._cached(key, lambda: core(build()))
+
+    def search():
+        m = build()
+        try:
+            return core(m)
+        except np.linalg.LinAlgError as exc:
+            if np.isfinite(m).all():
+                raise
+            raise OverflowError(f"overflow: {name} has entries past the float range") from exc
+
+    return owner._cached(key, search)
 
 
 def _witness(name: str, ops: tuple, pair) -> tuple | None:

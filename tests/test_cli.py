@@ -1,9 +1,11 @@
 """Command-line interface: instance parsing, exit codes, golden-case drift
 detection, and the campaign/tightness table commands."""
 
+import contextlib
 import copy
 import csv
 import dataclasses
+import io
 import json
 import pathlib
 import sys
@@ -11,6 +13,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from semihilbert import cli, fuzz, radius, semispace
 from semihilbert import inequalities as ineq
@@ -142,6 +146,27 @@ def test_reference_pairs_ascend_only_where_no_witness_decides(path, capsys):
             assert checks[name]["witness"] == ineq.encode_matrix(space.lift_vector(u))
 
 
+@pytest.mark.parametrize("path", CHECK_PAIRS, ids=lambda p: p.stem)
+def test_ascent_witnesses_attain_their_lhs(path, capsys):
+    """The witness check reports for each ascent diagnostic is an A-unit x
+    whose Re(conj(<Tx, x>_A) <Sx, x>_A), of T and S or of their squares,
+    evaluated with A and T in the instance's own coordinates, is the lhs
+    within the rounding 8 r eps ||B_t||_F ||B_s||_F of the compressions.  A
+    start retires where it stands, and the first best start's vector is
+    reported, whichever start it is."""
+    assert cli.main(["check", str(path), "--json"]) == 0
+    checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+    space, t, s = cli.load_instance(str(path))
+    for name, (mt, ms) in (("radius_additivity", (t, s)),
+                           ("squares_radius_equality", (t @ t, s @ s))):
+        x = np.array(checks[name]["witness"]) @ [1, 1j]
+        zt, zs = (np.vdot(x, space.a @ (m @ x)) for m in (mt, ms))
+        bt, bs = space.bind(mt).compress(), space.bind(ms).compress()
+        delta = 8 * space.rank * np.finfo(float).eps * np.linalg.norm(bt) * np.linalg.norm(bs)
+        assert abs(np.vdot(x, space.a @ x) - 1) <= 8 * space.rank * np.finfo(float).eps
+        assert abs((np.conj(zt) * zs).real - checks[name]["lhs"]) <= delta, name
+
+
 def test_ascents_stay_finite_on_a_reference_pair_scaled_by_2_to_the_200(tmp_path, capsys):
     """The ascents run on the pair normalized by a power of two, so the
     squares' forms, near 2^800 here, leave no gradient past the float range:
@@ -154,6 +179,26 @@ def test_ascents_stay_finite_on_a_reference_pair_scaled_by_2_to_the_200(tmp_path
     for name in ("radius_additivity", "squares_radius_equality"):
         assert checks[name]["extras"]["ascent_method"] == "heuristic"
         assert np.isfinite(checks[name]["lhs"]), name
+
+
+def test_a_search_past_the_float_range_is_a_named_overflow(tmp_path, capsys):
+    """Scaled by 2^257, (T^2+(T#)^2)^2 of the generic pair holds inf and NaN,
+    on which LAPACK's eigensolver fails; the Crawford search on it raises an
+    overflow naming the search, run with the others or alone, where it read
+    'Eigenvalues did not converge'.  Every ERROR line of the run names an
+    overflow."""
+    inst = json.loads(CHECK_PAIRS[0].read_text())
+    path = write_instance(tmp_path, a=inst["a"], t=(np.array(inst["t"]) * 2.0 ** 257).tolist(),
+                          s=(np.array(inst["s"]) * 2.0 ** 257).tolist())
+    line = ("fourth_power_bounds: ERROR  overflow: c((T^2+(T#)^2)^2) has entries past the"
+            " float range")
+    assert cli.main(["check", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "" and line in captured.out.splitlines()
+    errors = [row for row in captured.out.splitlines() if ": ERROR  " in row]
+    assert len(errors) == 2 and all("overflow" in row for row in errors)
+    assert cli.main(["check", path, "--check", "fourth_power_bounds"]) == 1
+    assert capsys.readouterr().out.splitlines()[-1] == line
 
 
 def test_paper_examples_read_what_their_checks_compute(monkeypatch, capsys):
@@ -694,3 +739,77 @@ def test_entry_exits_with_status(monkeypatch):
     with pytest.raises(SystemExit) as exc:
         cli.entry()
     assert exc.value.code == 0
+
+
+# -- generated bad and extreme input ---------------------------------------------
+
+# a number at any exponent, a [re, im] pair, or a value of the wrong type
+_NUMBERS = st.one_of(st.integers(-3, 3), st.floats(allow_nan=False, allow_infinity=False),
+                     st.integers(-10 ** 400, 10 ** 400))
+_ENTRIES = st.one_of(_NUMBERS, _NUMBERS, st.lists(_NUMBERS, min_size=2, max_size=2),
+                     st.sampled_from([True, None, "1", [1, 2, 3], {}, float("nan"), float("inf")]))
+
+
+@st.composite
+def _documents(draw):
+    """The text of an instance document: a weight, t and an optional s of one
+    size, each a matrix of generated entries, now and then ragged, empty or
+    not a list, or a key missing; the weight is often a scaled identity or
+    diagonal, so that the checks run."""
+    n = draw(st.integers(1, 3))
+
+    def matrix():
+        rows = draw(st.lists(st.lists(_ENTRIES, min_size=n, max_size=n), min_size=n, max_size=n))
+        return draw(st.sampled_from([rows] * 8 + [rows[:-1] or 7, [r[:-1] for r in rows], "a"]))
+
+    weights = [np.ldexp(np.eye(n), draw(st.integers(-1074, 1023))).tolist(),
+               np.diag(draw(st.lists(st.floats(0, 1e308), min_size=n, max_size=n))).tolist()]
+    doc = {"a": draw(st.sampled_from([*weights, matrix()])), "t": matrix()}
+    if draw(st.booleans()):
+        doc["s"] = matrix()
+    return json.dumps(draw(st.sampled_from([doc] * 8 + [{"a": doc["a"]}, [doc["t"]]])))
+
+
+def _scaled_pair(path, k):  # a reference pair with T and S scaled by 2^k, inf past the range
+    inst = json.loads(path.read_text())
+    with np.errstate(over="ignore"):
+        inst.update({key: np.ldexp(inst[key], k).tolist() for key in "ts"})
+    return json.dumps(inst)
+
+
+NAMED = (*fuzz.CHECKS, "a_operator_norm", "a_numerical_radius", "a_crawford")
+# a reference pair scaled past 2^20 takes 0.1 to 0.9 s to check, as the integral checks
+# accept against an absolute tolerance, so one draw in 50 is a scaled pair
+_SCALED = st.builds(_scaled_pair, st.sampled_from(CHECK_PAIRS), st.integers(-1074, 1023))
+_TEXTS = st.one_of(_documents(), st.integers(1, 6000).map(lambda depth: "[" * depth + "]" * depth))
+
+
+@settings(max_examples=500, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(text=st.sampled_from([True] + [False] * 49).flatmap(
+    lambda scaled: _SCALED if scaled else _TEXTS))
+@example(text=BAD_FILES["deep.json"].decode())
+@example(text=BAD_FILES["overflow.json"].decode())
+@example(text=json.dumps({"a": [[1, 0], [0, 1]], "t": (5e-324 * np.eye(2)).tolist()}))
+def test_generated_input_ends_in_a_verdict_or_a_named_error(tmp_path_factory, text):
+    """Whatever the instance, check exits 0, 1 or 2 with no traceback and no
+    numpy warning, every ERROR line names its check, and an error past the
+    float range names the quantity it reads.  The examples are the three
+    inputs that once did not end cleanly: an array nested 5,000 deep, entries
+    at 1e308, and T = 5e-324 I."""
+    path = tmp_path_factory.getbasetemp() / "generated.json"
+    path.write_text(text)
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = cli.main(["check", str(path)])
+    printed = out.getvalue() + err.getvalue()
+    assert code in (0, 1, 2)
+    assert "Traceback" not in printed and "RuntimeWarning" not in printed
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    for line in printed.splitlines():
+        if " ERROR " in line:
+            assert line.split(": ERROR  ")[0] in fuzz.CHECKS, line
+        if line.startswith("error: ") and any(
+                word in line for word in ("range", "overflow", "converge", "non-finite value")):
+            assert line.split(" of ")[0][len("error: "):] in NAMED, line

@@ -9,9 +9,13 @@ converges where that rule stalled, so they are one-sided: the ascent may not
 fall below its reference and Crawford may not rise above its, by more than
 rounding.  The ascent's value is bounded above by w(T) w(S), and the line
 maximizer is checked against a dense sampling of f on the great circle.
+Retiring a start next to a stopped one is checked against a verbatim copy
+of the ascent before that rule.
 """
 
+import importlib.util
 import math
+import pathlib
 import warnings
 
 import numpy as np
@@ -20,6 +24,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from semihilbert import linalg, radius
+from semihilbert.cli import load_instance
 from semihilbert.linalg import fro_norm
 from semihilbert.radius import (_ascent_bilinear, _crawford_core, _radius_seminorm_core,
                                crawford_minimize)
@@ -103,6 +108,135 @@ def test_stacked_ascent_is_each_ascent_alone(r, starts):
         (alone, ua), = _ascent_bilinear([pair], starts=starts, seed=r)
         assert val == alone
         assert u.tobytes() == ua.tobytes()
+
+
+def _ascent_before_retirement(problems, f, dfdz, starts, seed, max_iter):
+    """``linalg._multistart_ascent`` as it was before starts retired next to a
+    stopped start, kept verbatim as the reference of the rule's tests."""
+    k, r = len(problems[0][0]), problems[0][0][0].shape[0]
+    rights = [np.concatenate([b.T for b in mats] + [b.conj() for b in mats], axis=1)
+              for mats, _ in problems]
+    ends = np.arange(1, len(problems) + 1) * starts
+
+    def apply(x, cut):
+        h = x @ rights[0] if cut is None else np.concatenate(
+            [x[lo:hi] @ right for right, lo, hi in zip(rights, [0, *cut], cut)])
+        return h.reshape(len(x), 2 * k, r)
+
+    def forms(x, cut):
+        return np.einsum("ijr,ir->ij", apply(x, cut)[:, :k], x.conj())
+
+    g = np.random.default_rng(seed).standard_normal((starts, 2, r))
+    u = g[:, 0] + 1j * g[:, 1]
+    u = np.tile(u / np.linalg.norm(u, axis=1, keepdims=True), (len(problems), 1))
+    tol = np.repeat([4 * EPS * scale2 for _, scale2 in problems], starts)
+    live, ul, prev = np.arange(len(u)), u.copy(), (0 * u, 0 * u, np.ones(len(u)))
+    for _ in range(max_iter if r > 1 else 0):
+        cut = np.searchsorted(live, ends) if len(rights) > 1 else None
+        h, ulc = apply(ul, cut), ul.conj()
+        a = np.einsum("ijr,ir->ij", h[:, :k], ulc)
+        c = dfdz(a)
+        g = np.einsum("ij,ijr->ir", np.concatenate((c, c.conj()), axis=1), h)
+        g -= np.einsum("ir,ir->i", ulc, g)[:, None] * ul
+        gg = np.einsum("ir,ir->i", g.conj(), g).real
+        gp, dp, ggp = prev
+        beta = np.maximum(gg - np.einsum("ir,ir->i", gp.conj(), g).real, 0.0) / ggp
+        beta *= gg + beta * np.einsum("ir,ir->i", dp.conj(), g).real > 0
+        d = g + beta[:, None] * dp
+        d -= np.einsum("ir,ir->i", ulc, d)[:, None] * ul
+        gn = np.linalg.norm(d, axis=1)
+        pos = gn > 0
+        q = d / np.where(pos, gn, 1.0)[:, None]
+        w = np.einsum("ijr,ir->ij", h, q.conj())
+        c, m = forms(q, cut), w[:, :k] + w[:, k:].conj()
+        phi, gain = linalg._great_circle_max(f, a, c, m, tol)
+        t = (phi * pos / 2)[:, None]
+        ul = np.cos(t) * ul + np.sin(t) * q
+        ul /= np.linalg.norm(ul, axis=1, keepdims=True)
+        moves = (gain > tol) & pos
+        if moves.all():
+            prev = g, d, gg
+            continue
+        u[live] = ul
+        live, ul, tol, prev = live[moves], ul[moves], tol[moves], (g[moves], d[moves], gg[moves])
+        if not live.size:
+            break
+    u[live] = ul
+    val = f(forms(u, ends if len(rights) > 1 else None))
+    best = [lo + int(np.argmax(val[lo:lo + starts])) for lo in range(0, len(u), starts)]
+    return [(float(val[i]), u[i]) for i in best]
+
+
+def _reference_pairs():
+    """The pairs (B_t, B_s) of the compressions of tests/data/check_pairs."""
+    pairs = []
+    for path in sorted((pathlib.Path(__file__).parent / "data" / "check_pairs").glob("*.json")):
+        space, t, s = load_instance(str(path))
+        pairs.append((space.bind(t).compress(), space.bind(s).compress()))
+    return pairs
+
+
+def _generated_pairs(seed):
+    """The pairs of the compressions of the benchmark's check-pair instances
+    at ``seed`` whose S is not a multiple of T (there a witness decides)."""
+    spec = importlib.util.spec_from_file_location(
+        "bench_workloads", pathlib.Path(__file__).parents[1] / "bench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    pairs = []
+    for index in range(workloads.PAIR_FILES):
+        label, mats = workloads.make_pair(seed, index)
+        if not label.startswith("scaled"):
+            space = make_space(mats["a"])
+            pairs.append((space.bind(mats["t"]).compress(), space.bind(mats["s"]).compress()))
+    return pairs
+
+
+def _stacked(bt, bs):  # the two ascents check runs on a pair, in one lockstep run
+    return [(bt, bs), (bt @ bt, bs @ bs)]
+
+
+@pytest.mark.parametrize("case", ["ascent", "crawford", "stacked", "reference-pairs"])
+def test_no_retirement_is_the_ascent_before_it(monkeypatch, case):
+    """With eta = 0 no start retires, and every value and vector is the one the
+    ascent reached before retirement, bit for bit: nothing else of the ascent
+    moved.  Without the cap of |<u, v>| at 1, the overlap of two converged
+    starts rounds to 1 or above, and starts would retire at eta = 0 on the
+    reference pairs."""
+    if case == "ascent":
+        runs = [(lambda p=_pair(kind, r), kw=kw: _ascent_bilinear([p], **kw))
+                for kind, r, kw, _ in ASCENT_CASES]
+    elif case == "crawford":
+        runs = [(lambda b=_single(kind, r), kw=kw: [crawford_minimize(b, **kw)])
+                for kind, r, kw, _ in CRAWFORD_CASES]
+    elif case == "stacked":
+        rng = np.random.default_rng(2028)
+        runs = [(lambda p=_stacked(_crand(rng, r), _crand(rng, r)), n=n:
+                 _ascent_bilinear(p, starts=n)) for r in (2, 3, 5, 8) for n in (1, 2, 6, 32)]
+    else:
+        runs = [(lambda p=_stacked(*pair): _ascent_bilinear(p)) for pair in _reference_pairs()]
+    monkeypatch.setattr(linalg, "_RETIRE_ETA", 0.0)
+    now = [run() for run in runs]
+    monkeypatch.setattr(radius, "_multistart_ascent", _ascent_before_retirement)
+    for run, found in zip(runs, now):
+        for (val, u), (then, v) in zip(found, run()):
+            assert val == then and u.tobytes() == v.tobytes()
+
+
+@pytest.mark.parametrize("source", ["reference", 4242, 77])
+def test_retirement_costs_at_most_rounding(monkeypatch, source):
+    """A start retires only next to a stopped start that is as high, so the
+    best value falls by no more than rounding: on the 12 reference pairs and
+    the 128 generated problems of each seed (both ascents of every generic and
+    sector pair), lhs with retirement is at least lhs without it minus 2 x 4
+    eps ||B_t||_F ||B_s||_F, the stopping gain of the ascent, scaled back."""
+    pairs = _reference_pairs() if source == "reference" else _generated_pairs(source)
+    problems = [_stacked(bt, bs) for bt, bs in pairs]
+    retired = [_ascent_bilinear(p) for p in problems]
+    monkeypatch.setattr(linalg, "_RETIRE_ETA", 0.0)
+    for p, found in zip(problems, retired):
+        for (bt, bs), (val, _), (full, _) in zip(p, found, _ascent_bilinear(p)):
+            assert val >= full - 2 * 4 * EPS * fro_norm(bt) * fro_norm(bs)
 
 
 @pytest.mark.parametrize("kind,r,kwargs,want", CRAWFORD_CASES)
