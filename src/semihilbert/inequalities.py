@@ -23,16 +23,16 @@ import numpy as np
 
 from .errors import DimensionMismatch, PreconditionNotMet
 from .linalg import as_matrix, dagger, encode_matrix, fro_norm, pow2_split, spectral_norm
-from .radius import (_TWO_PI, _adjoint, _competitive_peaks, _held, _kept, _norm, _square,
-                     support_max)
+from .radius import (_TWO_PI, _adjoint, _competitive_peaks, _held, _kept, _named, _norm,
+                     _square, support_max)
 # the kernel cores and the ascent by the names the benchmark's tracer wraps here
 from .radius import _ascent_bilinear, _crawford_core, _radius_seminorm_core  # noqa: F401
 from .semispace import OperatorInSpace, SemiHilbertSpace
 
 CHECK_TOL = 1e-8
 EQ_TOL = 1e-7
-QUAD_TOL = 1e-8
-QUAD_MAX_DEPTH = 14  # interval cap 2**14
+QUAD_RTOL = 1e-10
+QUAD_MAX_DEPTH = 16  # interval cap 2**16
 
 # the integral sweep's grid only brackets the basins of F(theta), whose peaks
 # Newton steps then refine (docs/quadrature.md)
@@ -134,74 +134,75 @@ def _report(name: str, labeled: list[tuple[str, float]], digest: dict) -> Inequa
 
 # -- compressed-quantity helpers ---------------------------------------------
 
-def _sig(m: np.ndarray) -> float:
-    return spectral_norm(m)
+def _sig(m: np.ndarray, name: str) -> float:
+    # the largest singular value of the compressed quantity ``name``
+    return _named(name, spectral_norm, m)
 
 
 def _anti_commutator_norm(op: OperatorInSpace) -> float:
     # norm_A(TT# + T#T), read by the fourth-power and reverse power chains
-    return _sig(op.compress() @ _adjoint(op) + _adjoint(op) @ op.compress())
+    return _sig(op.compress() @ _adjoint(op) + _adjoint(op) @ op.compress(), "TT#+T#T")
 
 
 # -- quadrature ---------------------------------------------------------------
 
-# rows of (lo, left quarter, mid, right quarter, hi) forming the two halves
-_HALVES = np.array([[0, 1, 2], [2, 3, 4]])
+# the G7-K15 pair on [-1, 1] (Piessens et al., QUADPACK, 1983): the 15 Kronrod nodes, their
+# weights, and the Gauss weights of the 7 nodes the rules share, 0 at the other 8
+_NODES, _KRONROD, _GAUSS = (np.concatenate([sign * half[:-1], half[::-1]]) for sign, half in (
+    (-1.0, np.array([0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
+                     0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
+                     0.586087235467691130294144845693013, 0.405845151377397166906606412076961,
+                     0.207784955007898467600689403773245, 0.0])),
+    (1.0, np.array([0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
+                    0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
+                    0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
+                    0.204432940075298892414161999234649, 0.209482141084727828012999174891714])),
+    (1.0, np.array([0.0, 0.129484966168869693270611432679082, 0.0,
+                    0.279705391489276667901467771423780, 0.0,
+                    0.381830050505118944950369775488975, 0.0,
+                    0.417959183673469387755102040816327]))))
 
 
-def adaptive_simpson(f, a: float, b: float, tol: float = QUAD_TOL,
-                     max_depth: int = QUAD_MAX_DEPTH, trees: int = 1):
-    """Adaptive Simpson quadrature with Richardson acceptance and correction.
+def gauss_kronrod(f, a: float, b: float, max_depth: int = QUAD_MAX_DEPTH, trees: int = 1):
+    """Adaptive G7-K15 quadrature under the relative tolerance QUAD_RTOL.
 
     ``f`` maps a 1-D array of nodes to the array of its values.  The
-    subdivision tree is walked one level at a time, so ``f`` is called once
-    for the three starting nodes and once per level, on the two new nodes of
-    every open interval: at most ``max_depth + 2`` calls.  The nodes, the
-    acceptance test and the sum are those of the recursive rule, summed in
-    its order (``docs/quadrature.md``).
+    subdivision tree is walked one level at a time: ``f`` is called once per
+    level, on the 15 Kronrod nodes of every open interval, at most
+    ``max_depth + 1`` times.  An interval [lo, hi] is accepted, adding its
+    K15 value, when |K15 - G7| <= QUAD_RTOL |I0| (hi - lo) / (b - a), I0 the
+    K15 value of [a, b]; I0 = 0 is accepted at once, and a non-finite value
+    ends the walk with a non-finite sum (``docs/quadrature.md``).
 
     With ``trees`` = k > 1, k functions share the walk: ``f(nodes, owner)``,
     owner[j] the function of node j, and the list of k values is returned,
-    each tree and value that of its run alone.
+    each tree, its nodes and its sum those of its run alone.
     """
-    # one column per open interval: its nodes (lo, mid, hi), their values, its function
-    x = np.repeat([[a], [(a + b) / 2.0], [b]], trees, axis=1)
-    own = np.arange(trees)  # kept only for trees > 1: a single f pays no bookkeeping
-    ev = ((lambda nodes, rows: f(nodes)) if trees == 1
-          else lambda nodes, rows: f(nodes, np.tile(own, rows)))
-    fx = np.reshape(ev(x.ravel(), 3), (3, trees))
-    approx = (b - a) / 6.0 * (fx[0] + 4.0 * fx[1] + fx[2])
-    eps = tol
-    levels = []
+    lo, hi, own = np.full(trees, float(a)), np.full(trees, float(b)), np.arange(trees)
+    total, scale = np.zeros(trees), None
     for depth in range(max_depth + 1):
-        k = x.shape[1]
-        x5, f5 = np.empty((5, k)), np.empty((5, k))
-        x5[::2], f5[::2] = x, fx
-        x5[1::2] = (x[:-1] + x[1:]) / 2.0
-        f5[1::2] = np.reshape(ev(x5[1::2].ravel(), 2), (2, k))
-        # the nodes of the left and of the right half of every interval
-        hx, hf = x5[_HALVES], f5[_HALVES]
-        halves = (hx[:, 2] - hx[:, 0]) / 6.0 * (hf[:, 0] + 4.0 * hf[:, 1] + hf[:, 2])
-        pair = halves[0] + halves[1]
-        delta = pair - approx
-        split = ~(np.abs(delta) <= 15.0 * eps) if depth < max_depth else np.zeros(k, bool)
-        levels.append((pair + delta / 15.0, split))
+        half = (hi - lo) / 2.0
+        x = (lo + half)[:, None] + half[:, None] * _NODES
+        fx = np.reshape(f(x.ravel()) if trees == 1 else f(x.ravel(), np.repeat(own, 15)), x.shape)
+        # each row summed alone, by einsum: a gemm's rounding depends on the row count
+        kronrod = half * np.einsum("ij,j->i", fx, _KRONROD)
+        err = np.abs(kronrod - half * np.einsum("ij,j->i", fx, _GAUSS))
+        scale = np.abs(kronrod) if scale is None else scale
+        ended = scale == 0.0  # a zero magnitude is accepted at once
+        ended[own[~np.isfinite(kronrod)]] = True  # and a non-finite value ends its tree's walk
+        split = ((err > QUAD_RTOL * scale[own] * (hi - lo) / (b - a)) & ~ended[own]
+                 if depth < max_depth else np.zeros(len(own), bool))
+        # each tree adds its accepted values in its own order, one level after another
+        total += np.bincount(own[~split], kronrod[~split], minlength=trees)
         if not split.any():
             break
-        # each split interval's halves become two adjacent columns, left first
-        x = hx[:, :, split].transpose(1, 2, 0).reshape(3, -1)
-        fx = hf[:, :, split].transpose(1, 2, 0).reshape(3, -1)
-        approx = halves[:, split].T.ravel()
-        own = np.repeat(own[split], 2) if trees > 1 else own
-        eps /= 2.0
-    # a split interval's value is the sum of its halves, added bottom-up as
-    # the recursion adds them
-    below = None
-    for value, split in reversed(levels):
-        if below is not None:
-            value[split] = below[0::2] + below[1::2]
-        below = value
-    return float(below[0]) if trees == 1 else below.tolist()
+        mid = (lo + half)[split]
+        lo, hi = np.stack([lo[split], mid], 1).ravel(), np.stack([mid, hi[split]], 1).ravel()
+        own = np.repeat(own[split], 2)
+    return float(total[0]) if trees == 1 else total.tolist()
+
+
+adaptive_simpson = gauss_kronrod  # the name the benchmark's tracer wraps
 
 
 def _top_root(lam: np.ndarray) -> np.ndarray:
@@ -308,9 +309,11 @@ def check_hh_triangle(space: SemiHilbertSpace, t, s) -> InequalityReport:
     norm_A(T+S) <= 2 * integral_0^1 norm_A(t T + (1-t) S) dt <= norm_A(T) + norm_A(S)."""
     opt, ops = _as_op(space, t), _as_op(space, s)
     bt, bs = opt.compress(), ops.compress()
-    integral = adaptive_simpson(lambda taus: _sig_path(bt, bs, taus), 0.0, 1.0)
+    # the walk runs on the pair normalized by a power of two: exactly homogeneous under 2^k
+    e, (x, y) = pow2_split(np.stack([bt, bs]))
+    integral = float(np.ldexp(gauss_kronrod(lambda taus: _sig_path(x, y, taus), 0.0, 1.0), e))
     return _report("hh_triangle",
-                   [("norm_A(T+S)", _sig(bt + bs)),
+                   [("norm_A(T+S)", _sig(bt + bs, "T+S")),
                     ("2*int_0^1 norm_A(tT+(1-t)S) dt", 2.0 * integral),
                     ("norm_A(T)+norm_A(S)", _norm(opt) + _norm(ops))],
                    _digest(opt, ops))
@@ -323,7 +326,7 @@ def check_integral_radius_bound(space: SemiHilbertSpace, t) -> InequalityReport:
     and the adaptive rule takes the value there and at the angle doubling the
     radius certificate, whose path dominates w_A(T), in one lockstep walk.
     Both rules run on B normalized by a power of two and evaluate the path on
-    tau <= 1/2 only, which its symmetry allows.
+    tau <= 1/2 only, which its symmetry g(tau) = g(1 - tau) allows.
     """
     op = _as_op(space, t)
     bt = op.compress()
@@ -336,19 +339,8 @@ def check_integral_radius_bound(space: SemiHilbertSpace, t) -> InequalityReport:
     thetas = np.array([_fixed_rule_sup(bt), 2.0 * w_theta])
     e, b = pow2_split(bt)
     x, bh = np.exp(1j * thetas)[:, None, None] * b, dagger(b)
-
-    def g(taus, owner):
-        # dyadic nodes mirror exactly, so each pair costs one matrix per path
-        key, where = np.unique(np.minimum(taus, 1.0 - taus) + owner, return_inverse=True)
-        o = key.astype(np.intp)
-        half = (key - o)[:, None, None]
-        m = half * x[o] + (1.0 - half) * bh
-        return _top_root(np.linalg.eigvalsh(np.conj(np.swapaxes(m, -1, -2)) @ m))[where]
-
-    # the tolerance scales with B, so the trees are those of the unnormalized paths; the cap
-    # keeps it a float, and a B that small accepts its first level under either tolerance
-    mid = math.ldexp(max(adaptive_simpson(g, 0.0, 1.0, math.ldexp(QUAD_TOL / 4.0, min(-e, 1000)),
-                                          trees=2)), e)
+    halves = gauss_kronrod(lambda taus, owner: _sig_path(x[owner], bh, taus), 0.0, 0.5, trees=2)
+    mid = float(np.ldexp(2.0 * max(halves), e))
     return _report("integral_radius_bound",
                    [("w_A(T)", w_val), ("sup_theta int norm_A", mid), ("norm_A(T)", _norm(op))],
                    digest)
@@ -364,12 +356,12 @@ def triangle_equality_diagnostic(space: SemiHilbertSpace, t, s) -> EqualityDiagn
     that maximum is the top eigenvalue of the Hermitian part of Bs* Bt."""
     opt, ops = _as_op(space, t), _as_op(space, s)
     bt, bs = opt.compress(), ops.compress()
-    lhs, u = support_max(_adjoint(ops) @ bt, 0.0)
+    lhs, u = _named("S#T", lambda m: support_max(m, 0.0), _adjoint(ops) @ bt)
     nt, ns = _norm(opt), _norm(ops)
     rhs = nt * ns
     eff = _eq_eff(rhs)
     equal = abs(rhs - lhs) <= eff
-    tri_gap = (nt + ns) - _sig(bt + bs)
+    tri_gap = (nt + ns) - _sig(bt + bs, "T+S")
     tri_eff = _eq_eff(nt + ns)
     # the two gaps vanish together; flag decisive disagreement only
     consistent = not ((equal and tri_gap > 1e3 * tri_eff)
@@ -391,7 +383,7 @@ def check_positive_product_equality(space: SemiHilbertSpace, t, s) -> EqualityDi
         raise PreconditionNotMet("S^# T is not A-positive")
     tri = triangle_equality_diagnostic(space, opt, ops)
     # the same rhs norm_A(T) norm_A(S) and tolerance as the triangle equality
-    lhs, rhs, eff = _sig(_adjoint(ops) @ opt.compress()), tri.rhs, tri.eq_tol
+    lhs, rhs, eff = _sig(_adjoint(ops) @ opt.compress(), "S#T"), tri.rhs, tri.eq_tol
     equal = abs(rhs - lhs) <= eff
     # the two verdicts must agree; flag only decisive disagreement so a gap
     # that merely straddles the tolerance does not read as a defect
@@ -409,10 +401,10 @@ def check_adjoint_sum_bound(space: SemiHilbertSpace, t, s) -> InequalityReport:
     opt, ops = _as_op(space, t), _as_op(space, s)
     bt, bs = opt.compress(), ops.compress()
     # max keeps its first argument unless a later one is larger: NaN stays NaN
-    mid = math.sqrt(max(_sig(_adjoint(opt) @ bt + _adjoint(ops) @ bs)
+    mid = math.sqrt(max(_sig(_adjoint(opt) @ bt + _adjoint(ops) @ bs, "T#T+S#S")
                         + 2.0 * _kept("w(S#T)", opt, ops)[0], 0.0))
     return _report("adjoint_sum_bound",
-                   [("norm_A(T+S)", _sig(bt + bs)),
+                   [("norm_A(T+S)", _sig(bt + bs, "T+S")),
                     ("sqrt(norm_A(T#T+S#S)+2w_A(S#T))", mid),
                     ("norm_A(T)+norm_A(S)", _norm(opt) + _norm(ops))],
                    _digest(opt, ops))
@@ -433,7 +425,7 @@ def max_equality_diagnostic(space: SemiHilbertSpace, t, s) -> EqualityDiagnostic
     eff = _eq_eff(rhs)
     equal = abs(rhs - lhs) <= eff
 
-    sum_norm = _sig(opt.compress() + ops.compress())
+    sum_norm = _sig(opt.compress() + ops.compress(), "T+S")
     two_max = 2.0 * max(nt, ns)
     cond_sum = abs(two_max - sum_norm) <= _eq_eff(two_max)
     degenerate = nt + ns <= EQ_TOL
@@ -456,16 +448,16 @@ def pythagoras_diagnostic(space: SemiHilbertSpace, t, s) -> EqualityDiagnostic:
     bs, bt = ops.compress(), opt.compress()
     # S^# T = 0 iff Bs* Bt = 0, tested relative to the factors' scale
     nt, ns = _norm(opt), _norm(ops)
-    if _sig(_adjoint(ops) @ bt) > 1e-10 * nt * ns:
+    if _sig(_adjoint(ops) @ bt, "S#T") > 1e-10 * nt * ns:
         raise PreconditionNotMet("S^# T is not zero")
     tq, sq = _adjoint(opt) @ bt, _adjoint(ops) @ bs
-    lhs, u = support_max(sq @ tq, 0.0)
+    lhs, u = _named("(S#S)(T#T)", lambda m: support_max(m, 0.0), sq @ tq)
     rhs = nt * nt * ns * ns
     eff = _eq_eff(rhs)
     equal = abs(rhs - lhs) <= eff
 
-    sum_sq = _sig(bt + bs) ** 2
-    norm_plus = _sig(tq + sq)
+    sum_sq = _sig(bt + bs, "T+S") ** 2
+    norm_plus = _sig(tq + sq, "T#T+S#S")
     intermediate_ok = abs(sum_sq - norm_plus) <= 1e-8 * max(1.0, norm_plus)
     pyth_gap = (nt * nt + ns * ns) - sum_sq
     pyth_eff = _eq_eff(nt * nt + ns * ns)
@@ -484,7 +476,7 @@ def check_real_part_bounds(space: SemiHilbertSpace, t) -> InequalityReport:
     <= sqrt(norm_A(T-T#)^2 + norm_A(T+T#)^2)/2."""
     op = _as_op(space, t)
     bt, bsh = op.compress(), _adjoint(op)
-    dm, dp = _sig(bt - bsh), _sig(bt + bsh)
+    dm, dp = _sig(bt - bsh, "T-T#"), _sig(bt + bsh, "T+T#")
     return _report("real_part_bounds",
                    [("max(norm_A(T-T#),norm_A(T+T#))/2", 0.5 * max(dm, dp)),
                     ("w_A(T)", _kept("w(T)", op)[0]),
@@ -498,7 +490,7 @@ def check_square_bounds(space: SemiHilbertSpace, t) -> InequalityReport:
     <= sqrt(2)/2 * (norm_A(T)^2 + w_A(T^2))^(1/2)."""
     op = _as_op(space, t)
     bt2, bsh = _square(op), _adjoint(op)
-    m2, p2 = _sig(bt2 - bsh @ bsh), _sig(bt2 + bsh @ bsh)
+    m2, p2 = _sig(bt2 - bsh @ bsh, "T^2-(T#)^2"), _sig(bt2 + bsh @ bsh, "T^2+(T#)^2")
     upper = (math.sqrt(2.0) / 2.0) * math.sqrt(_norm(op) ** 2 + _kept("w(T^2)", op)[0])
     return _report("square_bounds",
                    [("max-diff-sum-squares^(1/2)/2", 0.5 * math.sqrt(max(m2, p2))),
@@ -559,7 +551,7 @@ def check_reverse_power(space: SemiHilbertSpace, t) -> InequalityReport:
     op = _as_op(space, t)
     bt, bsh = op.compress(), _adjoint(op)
     wt = _kept("w(T)", op)[0]
-    minterm = min(_sig(bt - bsh), _sig(bt + bsh)) ** 2
+    minterm = min(_sig(bt - bsh, "T-T#"), _sig(bt + bsh, "T+T#")) ** 2
     return _report("reverse_power",
                    [("2*w_A(T)^2", 2.0 * wt * wt),
                     ("norm_A(TT#+T#T)", _anti_commutator_norm(op)),

@@ -589,23 +589,25 @@ def _kept(name: str, *ops: OperatorInSpace):
     """The search ``name`` of ``SEARCHES`` on T, or on T and S, run on first
     use: (value, theta, vector) of a level search; (value, vector, method)
     of an ascent, its ``_witness`` where that decides, else the ascent.  A
-    level search that LAPACK fails on because its matrix is past the float
-    range raises OverflowError naming the search."""
+    level search past the float range raises an overflow naming it (``_named``)."""
     owner, key, sel, build = _entry(name, ops)
     if sel is None:
         return owner._cached(key, lambda: _ascended([(name, ops, build())])[0])
     core = _radius_seminorm_core if sel else _crawford_core
+    return owner._cached(key, lambda: _named(name, core, build()))
 
-    def search():
-        m = build()
-        try:
-            return core(m)
-        except np.linalg.LinAlgError as exc:
-            if np.isfinite(m).all():
-                raise
-            raise OverflowError(f"overflow: {name} has entries past the float range") from exc
 
-    return owner._cached(key, search)
+def _named(name: str, solve, m: np.ndarray):
+    """solve(m), where an overflow names ``name``: LAPACK failing on m because
+    m has entries past the float range, or a value past the float range."""
+    try:
+        return solve(m)
+    except np.linalg.LinAlgError as exc:
+        if np.isfinite(m).all():
+            raise
+        raise OverflowError(f"overflow: {name} has entries past the float range") from exc
+    except OverflowError as exc:
+        raise OverflowError(f"overflow: {name} is past the float range") from exc
 
 
 def _witness(name: str, ops: tuple, pair) -> tuple | None:

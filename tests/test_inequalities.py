@@ -11,11 +11,10 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from semihilbert import fuzz, radius
+from semihilbert import cli, fuzz, radius
 from semihilbert import inequalities as ineq
 from semihilbert.errors import DimensionMismatch, PreconditionNotMet
 from semihilbert.inequalities import (
-    adaptive_simpson,
     check_adjoint_sum_bound,
     check_fourth_power_bounds,
     check_halfnorm_bounds,
@@ -26,6 +25,7 @@ from semihilbert.inequalities import (
     check_real_part_bounds,
     check_reverse_power,
     check_square_bounds,
+    gauss_kronrod,
     max_equality_diagnostic,
     pythagoras_diagnostic,
     radius_additivity_diagnostic,
@@ -60,31 +60,6 @@ def chain_values(report):
     return [v for _, v in report.chain]
 
 
-def recursive_simpson(f, a, b, tol=ineq.QUAD_TOL, max_depth=ineq.QUAD_MAX_DEPTH, depths=None):
-    """The recursive adaptive Simpson rule with a scalar ``f``: the reference
-    the level-by-level ``adaptive_simpson`` must reproduce.  ``depths``, if
-    given, collects the depth of every interval visited."""
-    fa, fb = f(a), f(b)
-    m = (a + b) / 2.0
-    fm = f(m)
-    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-
-    def rec(lo, flo, mid, fmid, hi, fhi, approx, eps, depth):
-        if depths is not None:
-            depths.append(depth)
-        lm, rm = (lo + mid) / 2.0, (mid + hi) / 2.0
-        flm, frm = f(lm), f(rm)
-        left = (mid - lo) / 6.0 * (flo + 4.0 * flm + fmid)
-        right = (hi - mid) / 6.0 * (fmid + 4.0 * frm + fhi)
-        delta = left + right - approx
-        if depth >= max_depth or abs(delta) <= 15.0 * eps:
-            return left + right + delta / 15.0
-        return (rec(lo, flo, lm, flm, mid, fmid, left, eps / 2.0, depth + 1)
-                + rec(mid, fmid, rm, frm, hi, fhi, right, eps / 2.0, depth + 1))
-
-    return rec(a, fa, m, fm, b, fb, whole, tol, 0)
-
-
 def sigma_path(r, seed=0):
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((r, r)) + 1j * rng.standard_normal((r, r))
@@ -93,45 +68,35 @@ def sigma_path(r, seed=0):
 
 
 LEVEL_CASES = [
-    (lambda x: x * x, 1e-8, 14),
-    (np.sqrt, 1e-10, 14),
-    (lambda x: abs(x - 1 / 3), 1e-10, 14),
-    (np.sqrt, 1e-10, 2),  # capped: the depth limit ends the refinement
-    (sigma_path(5), 1e-9, 14),
+    (lambda x: x * x, ineq.QUAD_MAX_DEPTH),
+    (np.sqrt, ineq.QUAD_MAX_DEPTH),
+    (lambda x: abs(x - 1 / 3), ineq.QUAD_MAX_DEPTH),
+    (np.sqrt, 2),  # capped: the depth limit ends the refinement
+    (sigma_path(5), ineq.QUAD_MAX_DEPTH),
 ]
 LEVEL_IDS = ["square", "sqrt", "kink", "capped", "sigma-path-r5"]
 
 
-def counted_simpson(f, tol, max_depth):
-    """adaptive_simpson on [0, 1] alone: (value, node counts of its calls)."""
+def counted_walk(f, max_depth):
+    """gauss_kronrod on [0, 1] alone: (value, node counts of its calls)."""
     calls = []
 
     def counted(nodes):
         calls.append(len(nodes))
         return f(nodes)
 
-    return adaptive_simpson(counted, 0.0, 1.0, tol, max_depth), calls
-
-
-@pytest.mark.parametrize("f, tol, max_depth", LEVEL_CASES, ids=LEVEL_IDS)
-def test_level_rule_matches_the_recursion(f, tol, max_depth):
-    got, calls = counted_simpson(f, tol, max_depth)
-    want = recursive_simpson(lambda x: float(f(np.array([x]))[0]), 0.0, 1.0, tol, max_depth)
-    # same nodes, decisions and order of additions: bit for bit
-    assert got == want
-    assert len(calls) <= max_depth + 2
-    assert calls[0] == 3 and all(n % 2 == 0 for n in calls[1:])
+    return gauss_kronrod(counted, 0.0, 1.0, max_depth), calls
 
 
 @pytest.mark.parametrize("i", range(len(LEVEL_CASES)), ids=LEVEL_IDS)
 @pytest.mark.parametrize("shift", [0, 1, 2], ids=["same", "next", "after-next"])
 def test_lockstep_rule_matches_each_run_alone(i, shift):
-    """Two integrands in one level walk, at case i's tolerance and depth:
-    each value is its run alone, bit for bit, and the walk calls the pair
-    as often as the longer of the two runs."""
-    _, tol, max_depth = LEVEL_CASES[i]
+    """Two integrands in one level walk, at case i's depth: each value is its
+    run alone, bit for bit, and the walk calls the pair as often as the
+    longer of the two runs."""
+    _, max_depth = LEVEL_CASES[i]
     fs = [LEVEL_CASES[i][0], LEVEL_CASES[(i + shift) % len(LEVEL_CASES)][0]]
-    alone = [counted_simpson(f, tol, max_depth) for f in fs]
+    alone = [counted_walk(f, max_depth) for f in fs]
     calls = []
 
     def pair(nodes, owner):
@@ -141,7 +106,7 @@ def test_lockstep_rule_matches_each_run_alone(i, shift):
             out[owner == j] = f(nodes[owner == j])
         return out
 
-    got = adaptive_simpson(pair, 0.0, 1.0, tol, max_depth, trees=2)
+    got = gauss_kronrod(pair, 0.0, 1.0, max_depth, trees=2)
     assert got == [value for value, _ in alone]
     assert len(calls) == max(len(c) for _, c in alone)
     # each call holds the nodes the runs alone ask for at that level
@@ -149,35 +114,112 @@ def test_lockstep_rule_matches_each_run_alone(i, shift):
         assert level == sum(c[n] for _, c in alone if n < len(c))
 
 
-def test_hh_triangle_integral_is_one_tree(monkeypatch):
-    """hh_triangle integrates its one path alone: the recursion's value, bit
-    for bit, in one call for the start and one per level of its tree."""
-    space, t, s = rand_pair(3, n=4)
-    opt, ops = space.bind(t), space.bind(s)
-    bt, bs = opt.compress(), ops.compress()
-    calls, depths = [], []
-    real = ineq._sig_path
-
-    def counted(*args):
-        calls.append(len(args[-1]))
-        return real(*args)
-
-    want = recursive_simpson(lambda x: float(real(bt, bs, np.array([x]))[0]), 0.0, 1.0,
-                             depths=depths)
-    monkeypatch.setattr(ineq, "_sig_path", counted)
-    assert chain_values(check_hh_triangle(space, opt, ops))[1] == 2.0 * want
-    assert len(calls) == max(depths) + 2
+@pytest.mark.parametrize("degree", range(24))
+def test_gauss_kronrod_polynomial_exact(degree):
+    """K15 integrates every polynomial of degree <= 23 exactly: one interval
+    gives the value up to rounding, and G7, exact to degree 13, adds no
+    level below it."""
+    p = np.polynomial.Polynomial(np.random.default_rng(degree).standard_normal(degree + 1))
+    want = p.integ()(1.0) - p.integ()(-0.5)
+    assert gauss_kronrod(p, -0.5, 1.0, max_depth=0) == pytest.approx(want, rel=1e-15, abs=1e-15)
+    value, calls = counted_walk(p, ineq.QUAD_MAX_DEPTH)
+    assert value == pytest.approx(p.integ()(1.0) - p.integ()(0.0), rel=1e-15, abs=1e-15)
+    assert degree > 13 or len(calls) == 1
 
 
-def test_adaptive_simpson_polynomial_exact():
-    assert adaptive_simpson(lambda x: x * x, 0.0, 1.0) == pytest.approx(1 / 3, abs=1e-12)
+def test_gauss_kronrod_sqrt_and_kink():
+    # the singular derivative at 0 and a corner at 1/3 refine one side only
+    assert gauss_kronrod(np.sqrt, 0.0, 1.0) == pytest.approx(2 / 3, rel=0.0, abs=1e-12)
+    kink, calls = counted_walk(lambda x: abs(x - 1 / 3), ineq.QUAD_MAX_DEPTH)
+    assert kink == pytest.approx(5 / 18, rel=0.0, abs=1e-12)
+    assert calls[0] == 15 and all(n % 30 == 0 for n in calls[1:])
 
 
-def test_adaptive_simpson_sqrt_and_kink():
-    assert adaptive_simpson(np.sqrt, 0.0, 1.0, tol=1e-10) == pytest.approx(2 / 3, abs=1e-8)
-    # corner at 1/3 forces subdivision on one side only
-    f = lambda x: abs(x - 1 / 3)
-    assert adaptive_simpson(f, 0.0, 1.0, tol=1e-10) == pytest.approx(5 / 18, abs=1e-10)
+def test_zero_magnitude_and_non_finite_values_end_the_walk():
+    """A level-0 value of 0 is accepted at once, and a non-finite value ends
+    its tree's walk in one call with a non-finite sum; the other tree of a
+    lockstep walk runs as it runs alone."""
+    value, calls = counted_walk(lambda x: np.sin(2.0 * np.pi * x) * 0.0, ineq.QUAD_MAX_DEPTH)
+    assert value == 0.0 and calls == [15]
+    value, calls = counted_walk(lambda x: np.where(x < 0.9, 1.0, np.nan), ineq.QUAD_MAX_DEPTH)
+    assert math.isnan(value) and calls == [15]
+
+    def pair(nodes, owner):
+        return np.where(owner == 0, np.inf, np.sqrt(nodes))
+
+    got = gauss_kronrod(pair, 0.0, 1.0, trees=2)
+    assert got[0] == math.inf and got[1] == gauss_kronrod(np.sqrt, 0.0, 1.0)
+
+
+def fixed_path_rule(x, y, panels=2048):
+    """2 int_0^1 sigma_max(tau X + (1 - tau) Y) dtau by composite 5-point
+    Gauss-Legendre on ``panels`` panels, sigma_max by SVD."""
+    nodes, weights = np.polynomial.legendre.leggauss(5)
+    taus = ((np.arange(panels) + 0.5)[:, None] + nodes / 2.0).ravel() / panels
+    sig = np.linalg.svd(taus[:, None, None] * x + (1.0 - taus)[:, None, None] * y,
+                        compute_uv=False)[:, 0]
+    return 2.0 * (sig.reshape(panels, 5) @ weights).sum() / (2.0 * panels)
+
+
+def test_hh_triangle_middle_value_on_gate_trial_622():
+    """Gate trial 622 of hh_triangle (seed 42, dim 5, rank 2), where adaptive
+    Simpson under an absolute 1e-8 missed by 1.5e-6: the walk's middle value
+    lies within 1e-14 of a 2,048-panel Gauss-Legendre rule on the replayed
+    compressions."""
+    _, _, payload, meta = fuzz.run_single_trial("hh_triangle", 42, 622)
+    assert meta == {"dim": 5, "rank": 2}
+    inputs = payload["inputs_digest"]
+    space = make_space(cli.decode_matrix(inputs["a"]))
+    bt, bs = (space.bind(cli.decode_matrix(inputs[k])).compress() for k in "ts")
+    assert payload["chain"][1][1] == pytest.approx(fixed_path_rule(bt, bs), rel=1e-14, abs=0.0)
+
+
+def test_hh_triangle_middle_value_on_the_worked_example():
+    """The triangle-refinement worked example's middle value is its closed
+    form 2 int_0^1 sqrt(3 t^2 - 4 t + 2) dt within 1e-14."""
+    case = next(c for c in cli.GOLDEN_CASES if c["id"] == "triangle-refinement")
+    space = make_space(np.array(case["a"], dtype=complex))
+    report = check_hh_triangle(space, np.array(case["t"], dtype=complex),
+                               np.array(case["s"], dtype=complex))
+    assert chain_values(report)[1] == pytest.approx(2.0 * cli._TRIANGLE_INTEGRAL, rel=1e-14)
+
+
+def counted_check(check, space, ops):
+    """The report of ``check`` on the bound operators and the node counts of
+    each integrand call of its walk."""
+    calls, real = [], ineq.gauss_kronrod
+
+    def counted(f, *args, **kwargs):
+        return real(lambda *a: calls.append(len(a[0])) or f(*a), *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ineq, "gauss_kronrod", counted)
+        return check(space, *ops), calls
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(["hh_triangle", "integral_radius_bound"]), st.integers(2, 5),
+       st.integers(-1000, 1000), st.integers(0, 2 ** 32 - 1))
+@example("hh_triangle", 5, -1000, 622)
+@example("integral_radius_bound", 5, 1000, 7)
+def test_integral_checks_are_homogeneous_under_powers_of_two(name, n, k, seed):
+    """For (2^k T, 2^k S) the middle value is exactly 2^k times that of
+    (T, S), with the same integrand calls of the same sizes, wherever the
+    scaled compressions are the unscaled ones times 2^k: both walks run on
+    their matrices normalized by a power of two and stop against the
+    integral's own magnitude."""
+    space, t, s = rand_pair(seed, n)
+    check = getattr(ineq, f"check_{name}")
+    with np.errstate(all="ignore"):
+        ops = [space.bind(m) for m in (t, s)][:fuzz.CHECKS[name].arity]
+        scaled = [space.bind(m * 2.0 ** k) for m in (t, s)][:len(ops)]
+        for op, sc in zip(ops, scaled):
+            b, bk = op.compress(), op.compress() * 2.0 ** k
+            assume(np.array_equal(sc.compress(), bk) and np.array_equal(bk * 2.0 ** -k, b))
+    want, want_calls = counted_check(check, space, ops)
+    got, got_calls = counted_check(check, space, scaled)
+    assert chain_values(got)[1] == math.ldexp(chain_values(want)[1], k)
+    assert got_calls == want_calls
 
 
 @pytest.mark.parametrize("r", [1, 2, 5, 8])
