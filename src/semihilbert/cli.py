@@ -243,11 +243,8 @@ def _cmd_check(args) -> int:
         except (PreconditionNotMet, NoAdjoint, OverflowError, np.linalg.LinAlgError) as exc:
             if explicit or not isinstance(exc, PreconditionNotMet):
                 errored = True
-                # a float power's OverflowError reads (errno, text); math's reads its text
-                errno = isinstance(exc, OverflowError) and len(exc.args) == 2
-                text = f"overflow: {exc.args[1]}" if errno else str(exc)
-                lines.append(f"{name}: ERROR  {text}")
-                results.append({"name": name, "error": text})
+                lines.append(f"{name}: ERROR  {exc}")
+                results.append({"name": name, "error": str(exc)})
             else:
                 lines.append(f"{name}: SKIPPED  {exc}")
                 results.append({"name": name, "skipped": str(exc)})

@@ -139,6 +139,10 @@ def _sig(m: np.ndarray, name: str) -> float:
     return _named(name, spectral_norm, m)
 
 
+def _pow(x: float, n: int, label: str) -> float:
+    return _named(label, lambda v: v ** n, x)  # an overflow names ``label``
+
+
 def _anti_commutator_norm(op: OperatorInSpace) -> float:
     # norm_A(TT# + T#T), read by the fourth-power and reverse power chains
     return _sig(op.compress() @ _adjoint(op) + _adjoint(op) @ op.compress(), "TT#+T#T")
@@ -456,7 +460,7 @@ def pythagoras_diagnostic(space: SemiHilbertSpace, t, s) -> EqualityDiagnostic:
     eff = _eq_eff(rhs)
     equal = abs(rhs - lhs) <= eff
 
-    sum_sq = _sig(bt + bs, "T+S") ** 2
+    sum_sq = _pow(_sig(bt + bs, "T+S"), 2, "norm_A(T+S)^2")
     norm_plus = _sig(tq + sq, "T#T+S#S")
     intermediate_ok = abs(sum_sq - norm_plus) <= 1e-8 * max(1.0, norm_plus)
     pyth_gap = (nt * nt + ns * ns) - sum_sq
@@ -491,7 +495,7 @@ def check_square_bounds(space: SemiHilbertSpace, t) -> InequalityReport:
     op = _as_op(space, t)
     bt2, bsh = _square(op), _adjoint(op)
     m2, p2 = _sig(bt2 - bsh @ bsh, "T^2-(T#)^2"), _sig(bt2 + bsh @ bsh, "T^2+(T#)^2")
-    upper = (math.sqrt(2.0) / 2.0) * math.sqrt(_norm(op) ** 2 + _kept("w(T^2)", op)[0])
+    upper = math.sqrt(0.5) * math.sqrt(_pow(_norm(op), 2, "norm_A(T)^2") + _kept("w(T^2)", op)[0])
     return _report("square_bounds",
                    [("max-diff-sum-squares^(1/2)/2", 0.5 * math.sqrt(max(m2, p2))),
                     ("w_A(T)", _kept("w(T)", op)[0]),
@@ -525,7 +529,7 @@ def check_fourth_power_bounds(space: SemiHilbertSpace, t) -> InequalityReport:
     return _report("fourth_power_bounds",
                    [("norm_A(TT#+T#T)^2/16+c_A((T^2+(T#)^2)^2)/16",
                      anti * anti / 16.0 + c4 / 16.0),
-                    ("w_A(T)^4", wt ** 4),
+                    ("w_A(T)^4", _pow(wt, 4, "w_A(T)^4")),
                     ("norm_A(TT#+T#T)^2/8+w_A(T^2)^2/2",
                      anti * anti / 8.0 + wt2 * wt2 / 2.0)],
                    _digest(op))
@@ -537,7 +541,8 @@ def check_power_inequality(space: SemiHilbertSpace, t) -> InequalityReport:
     wt = _kept("w(T)", op)[0]
     return _report("power_inequality",
                    [("w_A(T^2)", _kept("w(T^2)", op)[0]), ("w_A(T)^2", wt * wt),
-                    ("norm_A(T)^2", _norm(op) ** 2), ("4*w_A(T)^2", 4.0 * wt * wt)],
+                    ("norm_A(T)^2", _pow(_norm(op), 2, "norm_A(T)^2")),
+                    ("4*w_A(T)^2", 4.0 * wt * wt)],
                    _digest(op))
 
 
@@ -551,7 +556,8 @@ def check_reverse_power(space: SemiHilbertSpace, t) -> InequalityReport:
     op = _as_op(space, t)
     bt, bsh = op.compress(), _adjoint(op)
     wt = _kept("w(T)", op)[0]
-    minterm = min(_sig(bt - bsh, "T-T#"), _sig(bt + bsh, "T+T#")) ** 2
+    minterm = _pow(min(_sig(bt - bsh, "T-T#"), _sig(bt + bsh, "T+T#")), 2,
+                   "min(norm_A(T-T#),norm_A(T+T#))^2")
     return _report("reverse_power",
                    [("2*w_A(T)^2", 2.0 * wt * wt),
                     ("norm_A(TT#+T#T)", _anti_commutator_norm(op)),
@@ -594,7 +600,7 @@ def squares_radius_equality(space: SemiHilbertSpace, t, s) -> EqualityDiagnostic
     opt, ops = _as_op(space, t), _as_op(space, s)
     lhs, u, method = _kept("ascent(T^2,S^2)", opt, ops)
     wt, ws = _kept("w(T)", opt)[0], _kept("w(T)", ops)[0]
-    rhs = max(wt ** 4, ws ** 4)
+    rhs = max(_pow(wt, 4, "w_A(T)^4"), _pow(ws, 4, "w_A(S)^4"))
     eff = _eq_eff(rhs)
     chain_lhs = _kept("w(T^2+S^2)", opt, ops)[0]
     chain_rhs = 2.0 * max(wt * wt, ws * ws)

@@ -80,7 +80,7 @@ def hermitian_eig(m) -> tuple[np.ndarray, np.ndarray]:
     a = as_matrix(m)
     d = a - dagger(a)
     # an exactly Hermitian matrix has no defect to measure
-    if d.any() and (defect := fro_norm(d)) > DEFAULT_HERMITICITY_TOL * max(1.0, fro_norm(a)):
+    if d.any() and (defect := fro_norm(d)) > DEFAULT_HERMITICITY_TOL * fro_norm(a):
         raise NotHermitian(f"Hermitian defect {defect:.3e} exceeds tolerance")
     try:
         lam, vecs = np.linalg.eigh(herm_part(a))

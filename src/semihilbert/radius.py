@@ -14,6 +14,7 @@ H(theta) = Re(e^{i theta} B):
   a positive value of lam_min(H(theta)) is the margin of a line with normal
   e^{-i theta} separating the range from the origin, and the best such
   margin is attained at the closest point (the supporting-line argument).
+  So a Crawford search stops at a level 0 that nothing rises above.
 
 The radius and the Crawford number take their suprema over theta in
 ``_level_sup``.  At r <= 2 the numerical range is an elliptical disk (a
@@ -34,7 +35,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch
-from .linalg import _multistart_ascent, dagger, encode_matrix, fro_norm, pow2_split, spectral_norm
+from .linalg import (_multistart_ascent, dagger, encode_matrix, fro_norm, herm_part, pow2_split,
+                     spectral_norm)
 from .semispace import OperatorInSpace
 
 COARSE_POINTS = 720
@@ -52,6 +54,7 @@ _MAX_LEVELS = 64
 _SINGULAR = 1e-8
 _REAL_ROOT = 1e-8
 _HALF_SQRT2 = math.sqrt(0.5)
+CRAWFORD = (0, 0.0)  # the selector of a Crawford search: lam_min, nothing aimed below 0
 
 
 @dataclass(frozen=True)
@@ -355,11 +358,12 @@ def _newton(b: np.ndarray, sel: int, points: list, floor: float) -> tuple[list, 
     return stepping, np.array(angles)
 
 
-def _search(b: np.ndarray, sel: int):
+def _search(b: np.ndarray, sel: int, floor: float):
     """One search of ``_level_sup`` at r >= 3, as a generator for
     ``_lockstep``: it yields each stack it needs solved, ("eigh", Hermitian
     matrices) or ("eig", companion matrices), is sent back (eigenvalues,
-    eigenvectors), and returns (value, theta, eigenvector)."""
+    eigenvectors), and returns (value, theta, eigenvector).  No level, and
+    no Newton step's predicted value, lies below ``floor``."""
     e, b = pow2_split(b)
     bh = dagger(b)
     scale = float(np.linalg.norm(b))  # normalized: fro_norm would not rescale it
@@ -375,7 +379,7 @@ def _search(b: np.ndarray, sel: int):
               for i in sorted(peaks, key=v.__getitem__, reverse=True)[:2]]
     top = points[0]
     for _ in range(_NEWTON_STEPS):
-        points, angles = _newton(b, sel, points, top[1][sel] + delta)
+        points, angles = _newton(b, sel, points, max(top[1][sel] + delta, floor))
         if not angles.size:
             break
         lam_n, vecs_n = yield "eigh", _herm_at(b, bh, np.exp(1j * angles))
@@ -387,7 +391,7 @@ def _search(b: np.ndarray, sel: int):
     for _ in range(0 if bounded else _MAX_LEVELS):
         # the Cayley centre: the evaluated angle or its opposite (H -> -H)
         # where P + gamma is furthest from singular
-        gamma = top[1][sel] + delta
+        gamma = max(top[1][sel] + delta, floor)  # NaN stays NaN
         margin = np.minimum.reduce(np.abs(np.concatenate([lam + gamma, gamma - lam])), axis=1)
         i, n = int(margin.argmax()), len(thetas)
         theta_c = float(thetas[i % n] + math.pi * (i >= n))
@@ -449,7 +453,8 @@ def _level_sup(b: np.ndarray, sels) -> list[tuple[float, float, np.ndarray]]:
     """sup over theta in [0, 2 pi) of lam_sel(H(theta)), H(theta) =
     Re(e^{i theta} B), for each matrix B of the stack ``b`` (k, r, r) with its
     entry of ``sels``: -1 for the largest eigenvalue, 0 for the smallest.
-    Returns (value, theta, eigenvector of that eigenvalue) per matrix.
+    Returns (value, theta, eigenvector of that eigenvalue) per matrix; of an
+    entry ``CRAWFORD`` (0, nothing aimed below 0) a negative value proves sup < 0.
 
     A stack with r <= 2 takes the closed form of ``_ellipse_sup``.  Else each
     matrix runs one ``_search``: guarded Newton steps (``_newton``) from the
@@ -461,7 +466,7 @@ def _level_sup(b: np.ndarray, sels) -> list[tuple[float, float, np.ndarray]]:
     lam_sel - gamma keeps its sign on each arc between crossings, so if the
     function exceeds gamma anywhere, some arc midpoint does.  Evaluate the
     candidates of every arc; stop when none reaches gamma, which bounds the
-    supremum by best + delta.  When no level does (the crossings cannot be
+    supremum by gamma.  When no level does (the crossings cannot be
     computed, or the level cap is reached), the dense grid (``_grid_sup``)
     takes over.  All of it runs on B normalized by ``pow2_split``: exactly
     homogeneous under 2^k.  ``_lockstep`` runs the searches together, one
@@ -469,9 +474,10 @@ def _level_sup(b: np.ndarray, sels) -> list[tuple[float, float, np.ndarray]]:
     companions of a level; LAPACK solves each matrix of a stack as it solves
     it alone, so each search takes the decisions and values of its run alone.
     """
+    floored = [sel if sel == CRAWFORD else (sel, -math.inf) for sel in sels]
     if b.shape[-1] <= 2:
-        return [_ellipse_sup(m, sel) for m, sel in zip(b, sels)]
-    return _lockstep([_search(m, sel) for m, sel in zip(b, sels)])
+        return [_ellipse_sup(m, sel) for m, (sel, _) in zip(b, floored)]
+    return _lockstep([_search(m, *sel) for m, sel in zip(b, floored)])
 
 
 def _half_period(found):
@@ -494,9 +500,20 @@ def _radius_support_core(b: np.ndarray):
 
 
 def _crawford_core(b: np.ndarray):
-    # sup over [0, 2 pi) of lam_min(Re(e^{i theta} B)); positive part is the
-    # distance from 0 to the numerical range
-    return _level_sup(b[None], (0,))[0]
+    # sup_theta lam_min(Re(e^{i theta} B)): the distance from 0 to W(B) if positive, else 0
+    return _level_sup(b[None], (CRAWFORD,))[0]
+
+
+def _least_eigenvalue(m: np.ndarray):
+    """(lam_min(M), 0, its eigenvector): the Crawford search on M Hermitian PSD up to rounding, in
+    closed form (docs/compression.md), from one eigh of M normalized by ``pow2_split``."""
+    e, m = pow2_split(m)
+    if not np.isfinite(m).all():  # eigh would return NaN, or values of the rest
+        raise np.linalg.LinAlgError("the matrix has non-finite entries")
+    if not m.size:  # rank 0
+        return 0.0, 0.0, np.zeros(0, dtype=np.complex128)
+    lam, vecs = np.linalg.eigh(herm_part(m))
+    return math.ldexp(float(lam[0]), e), 0.0, vecs[:, 0]
 
 
 def crawford_minimize(b: np.ndarray, starts: int = 20, seed: int = 0,
@@ -548,15 +565,15 @@ def _fourth_power(op: OperatorInSpace) -> np.ndarray:
     return m @ m
 
 
-# every search the checks read, by name: the selector of ``_level_sup`` (None
-# for the bilinear ascent), the operators it reads and the matrix, or pair of
-# matrices, it runs on, and an ascent's sum and part searches (``_witness``).  A
+# every search the checks read, by name: the selector of ``_level_sup`` (None for the
+# bilinear ascent, a function for a closed form), the operators it reads and the matrix, or
+# pair of matrices, it runs on, and an ascent's sum and part searches (``_witness``).  A
 # search of one operator runs on S under its name on T.
 SEARCHES = {
     "w(T)": (-1, "t", OperatorInSpace.compress),
-    "c(T)": (0, "t", OperatorInSpace.compress),
+    "c(T)": (CRAWFORD, "t", OperatorInSpace.compress),
     "w(T^2)": (-1, "t", _square),
-    "c((T^2+(T#)^2)^2)": (0, "t", _fourth_power),
+    "c((T^2+(T#)^2)^2)": (_least_eigenvalue, "t", _fourth_power),
     "w(S#T)": (-1, "ts", lambda t, s: _adjoint(s) @ t.compress()),
     "w(T+S)": (-1, "ts", lambda t, s: t.compress() + s.compress()),
     "w(T^2+S^2)": (-1, "ts", lambda t, s: _square(t) + _square(s)),
@@ -593,7 +610,7 @@ def _kept(name: str, *ops: OperatorInSpace):
     owner, key, sel, build = _entry(name, ops)
     if sel is None:
         return owner._cached(key, lambda: _ascended([(name, ops, build())])[0])
-    core = _radius_seminorm_core if sel else _crawford_core
+    core = sel if callable(sel) else _radius_seminorm_core if sel == -1 else _crawford_core
     return owner._cached(key, lambda: _named(name, core, build()))
 
 
@@ -637,13 +654,13 @@ def _ascended(problems: list) -> list:
 def run_declared(operators) -> None:
     """Fill the memos of the bound operators (T, or T and S) with every search
     ``check`` reads of them: each of ``SEARCHES`` whose operators are bound,
-    and w, c and w(T^2) of S.  Two lockstep runs compute them: one
-    ``_level_sup`` over the level searches, then one ``_ascent_bilinear`` over
-    the ascents no witness from its certificates decides.  Each result is the
-    one ``_kept`` computes alone, bit for bit.  A search on an unbounded
-    operator or a non-finite matrix, and every search of a run that LAPACK
-    fails on or whose value overflows, is left to ``_kept``, which raises as
-    it would."""
+    but for a closed form, and w, c and w(T^2) of S.  Two lockstep runs
+    compute them: one ``_level_sup`` over the level searches, then one
+    ``_ascent_bilinear`` over the ascents no witness from its certificates
+    decides.  Each result is the one ``_kept`` computes alone, bit for bit.
+    A search on an unbounded operator or a non-finite matrix, and every
+    search of a run that LAPACK fails on or whose value overflows, is left to
+    ``_kept``, which raises as it would."""
     t = operators[0]
     declared = [(name, (t,) if roles == "t" else operators)
                 for name, (_, roles, *_) in SEARCHES.items() if len(roles) <= len(operators)]
@@ -651,7 +668,7 @@ def run_declared(operators) -> None:
                  if len(operators) == 2]
     level, ascent = [], []
     for name, ops in declared:
-        if all(op.a_bounded for op in ops):
+        if all(op.a_bounded for op in ops) and not callable(SEARCHES[name][0]):
             owner, key, sel, build = _entry(name, ops)
             if key not in owner._memo and np.isfinite(m := build()).all():
                 (ascent if sel is None else level).append((owner, key, (name, ops, sel, m)))
@@ -667,7 +684,7 @@ def run_declared(operators) -> None:
 
 def _run_level(searches):
     found = _level_sup(np.stack([m for *_, m in searches]), [sel for *_, sel, _ in searches])
-    return [_half_period(f) if sel else f for (*_, sel, _), f in zip(searches, found)]
+    return [_half_period(f) if sel == -1 else f for (*_, sel, _), f in zip(searches, found)]
 
 
 def _run_ascent(searches):

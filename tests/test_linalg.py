@@ -72,6 +72,15 @@ def test_hermitian_eig_rejects_non_hermitian():
         hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+def test_hermitian_eig_rejects_non_hermitian_at_every_scale():
+    """The defect is measured against ||A||_F: c [[2, 1], [0, 2]] is rejected
+    at every c = 2^k, k in [-1000, 0], where a floor of 1 on the scale let it
+    through from about c = 1e-11 down."""
+    for k in range(-1000, 1):
+        with pytest.raises(NotHermitian):
+            hermitian_eig(2.0 ** k * np.array([[2.0, 1.0], [0.0, 2.0]]))
+
+
 def test_as_matrix_validation():
     with pytest.raises(DimensionMismatch):
         as_matrix(np.zeros((2, 3)))

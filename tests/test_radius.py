@@ -171,7 +171,7 @@ def _normal(x) -> bool:
 @given(st.integers(2, 5), st.integers(-1000, 1000), st.integers(0, 2 ** 32 - 1))
 @example(r=5, k=-985, seed=264)
 def test_kernel_and_sigma_are_exactly_homogeneous(r, k, seed):
-    """The kernel (both selectors), fro_norm and the batched sigma_max of
+    """The kernel (every selector), fro_norm and the batched sigma_max of
     2^k M are 2^k times those of M, bit for bit, with the same angle and
     vector, wherever 2^k M is representable: its entries normal floats with
     the zeros of M.  At the pinned draw 2^k M[0] underflows to the zero
@@ -185,7 +185,7 @@ def test_kernel_and_sigma_are_exactly_homogeneous(r, k, seed):
         assume(_normal(m) and _normal(mk) and _normal(2 * r * mk))
     assume(np.array_equal(m.view(np.float64) == 0.0, mk.view(np.float64) == 0.0))
     pairs = [(fro_norm(mk), fro_norm(m)), (ineq._sig_stack(mk), ineq._sig_stack(m))]
-    for sel in (-1, 0):
+    for sel in (-1, 0, radius.CRAWFORD):
         (vk, tk, uk), (v, t, u) = level_sup(mk[0], sel), level_sup(m[0], sel)
         assert tk == t and np.array_equal(uk, u)
         pairs.append((vk, v))
@@ -498,6 +498,109 @@ def test_most_searches_certify_at_their_first_level(monkeypatch):
                     counts.append(len(levels))
     assert min(counts) >= 1
     assert np.mean(np.array(counts) == 1) >= 0.9
+
+
+def _check_pairs():
+    """The compressions of T and S of the 12 reference pairs, and of the 96
+    check-pair instances of the benchmark at seed 11."""
+    import importlib.util
+    import pathlib
+
+    from semihilbert import cli
+
+    root = pathlib.Path(__file__).resolve().parent.parent
+    spec = importlib.util.spec_from_file_location("bench_workloads",
+                                                  root / "bench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    loaded = [cli.load_instance(str(p))
+              for p in sorted((root / "tests" / "data" / "check_pairs").glob("*.json"))]
+    for i in range(workloads.PAIR_FILES):
+        m = workloads.make_pair(11, i)[1]
+        loaded.append((make_space(m["a"]), m["t"], m["s"]))
+    return [space.bind(t).compress() for space, *ops in loaded for t in ops]
+
+
+def test_negative_crawford_searches_certify_at_the_zero_level(monkeypatch):
+    """A Crawford search whose supremum is negative (0 inside W(B)) solves one
+    companion, that of the level 0, which no candidate reaches: its value is
+    negative, proving c = 0, and at most the supremum up to rounding.  Of
+    the 63 KERNEL_KINDS cases at r = 3, 5, 8 and the 216 compressions of the
+    reference pairs and the benchmark's pairs, 184 have a negative supremum;
+    certified from the best value, 29 of them took 2 to 7 levels.  No Newton
+    step aims below 0 either: the Crawford searches take 318 Newton steps,
+    the exact ones 910."""
+    eig, calls = np.linalg.eig, []
+    monkeypatch.setattr(np.linalg, "eig", lambda *a: calls.append(1) or eig(*a))
+    newton, steps = radius._newton, {}
+
+    def counted(b, sel, points, floor):
+        stepping, angles = newton(b, sel, points, floor)
+        steps[route] = steps.get(route, 0) + angles.size
+        return stepping, angles
+
+    monkeypatch.setattr(radius, "_newton", counted)
+    mats = [kernel_case(kind, r, seed) for kind in KERNEL_KINDS for r in (3, 5, 8)
+            for seed in range(3)] + _check_pairs()
+    negative = 0
+    for b in mats:
+        route = "exact"
+        sup = level_sup(b, LAM_MIN)[0]
+        calls.clear()
+        route = "crawford"
+        value = radius._crawford_core(b)[0]
+        if sup < 0.0:
+            negative += 1
+            assert len(calls) == 1
+            assert value < 0.0 and value <= sup + radius._error_estimate(b)
+        else:  # where the level 0 is crossed, the iteration goes on from its candidates
+            assert abs(value - sup) <= radius._error_estimate(b)
+    assert negative >= 150
+    assert 2 * steps["crawford"] < steps["exact"]
+
+
+def fourth_power(b):
+    """(B^2 + (B*)^2)^2, Hermitian positive semidefinite up to rounding."""
+    m = b @ b + b.conj().T @ b.conj().T
+    return m @ m
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 5, 8])
+@pytest.mark.parametrize("kind", KERNEL_KINDS)
+def test_least_eigenvalue_matches_the_level_search(kind, r):
+    """The closed form of c((T^2+(T#)^2)^2), lam_min at theta = 0, agrees
+    with the level search on the same matrix, the second route, within the
+    error estimate, and its eigenvector attains its value."""
+    m = fourth_power(kernel_case(kind, r))
+    value, theta, u = radius._least_eigenvalue(m)
+    bound = radius._error_estimate(m)
+    assert theta == 0.0
+    assert abs(value - level_sup(m, LAM_MIN)[0]) <= bound
+    assert np.linalg.norm(u) == pytest.approx(1.0, abs=1e-12)
+    assert float(np.vdot(u, m @ u).real) == pytest.approx(value, abs=bound)
+
+
+def test_least_eigenvalue_at_rank_zero():
+    value, theta, u = radius._least_eigenvalue(np.zeros((0, 0), dtype=complex))
+    assert (value, theta, u.shape) == (0.0, 0.0, (0,))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 8), st.integers(-1000, 1000), st.integers(0, 2 ** 32 - 1))
+def test_least_eigenvalue_is_exactly_homogeneous(r, k, seed):
+    """The closed form on 2^k M is 2^k times its value on M, bit for bit,
+    with the same vector, wherever 2^k M is representable."""
+    rng = np.random.default_rng(seed)
+    m = fourth_power(rng.standard_normal((r, r)) + 1j * rng.standard_normal((r, r)))
+    m *= 10.0 ** rng.uniform(-30.0, 30.0)
+    with np.errstate(over="ignore"):
+        mk = m * 2.0 ** k
+        assume(_normal(m) and _normal(mk) and _normal(2 * r * mk))
+    assume(np.array_equal(m.view(np.float64) == 0.0, mk.view(np.float64) == 0.0))
+    (vk, tk, uk), (v, t, u) = radius._least_eigenvalue(mk), radius._least_eigenvalue(m)
+    want = math.ldexp(v, k)
+    assume(_normal(v) and _normal(want))
+    assert (vk, tk) == (want, t) and np.array_equal(uk, u)
 
 
 @pytest.mark.parametrize("r", [5, 6])
