@@ -439,20 +439,20 @@ def _cmd_tightness(args) -> int:
     with (contextlib.nullcontext(sys.stdout) if args.csv == "-"
           else open(args.csv, "w", newline="")) as fh:
         for trial in range(args.trials):
-            ok, slack, payload, meta = fuzz_mod.run_single_trial(
+            ok, slack, result, meta = fuzz_mod.run_single_trial(
                 args.check, args.seed, trial, dims)
             any_violation |= not ok
             if is_chain:
                 if header is None:
                     header = ["trial", "dim", "rank", "ok", "min_slack"]
-                    header += [label for label, _ in payload["chain"]]
+                    header += [label for label, _ in result.chain]
                 rows.append([trial, meta["dim"], meta["rank"], int(ok), slack]
-                            + [v for _, v in payload["chain"]])
+                            + [v for _, v in result.chain])
             else:
                 if header is None:
                     header = ["trial", "dim", "rank", "ok", "eq_slack", "lhs", "rhs", "gap"]
                 rows.append([trial, meta["dim"], meta["rank"], int(ok), slack,
-                             payload["lhs"], payload["rhs"], payload["gap"]])
+                             result.lhs, result.rhs, result.gap])
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)

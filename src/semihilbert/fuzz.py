@@ -337,10 +337,10 @@ def run_single_trial(name: str, seed: int, trial: int,
                      dims: tuple[int, ...] = DEFAULT_DIMS):
     """One reproducible trial of the named check.
 
-    Returns (ok, slack, payload, meta).  payload is the full report or
-    diagnostic dict; meta records the drawn dimension and rank.  The PRNG stream
-    depends only on (seed, check index, trial), so a campaign failure can
-    be replayed in isolation.
+    Returns (ok, slack, result, meta): the report or diagnostic, whose
+    ``to_dict()`` is its payload, and the drawn dimension and rank.  The
+    PRNG stream depends only on (seed, check index, trial), so a campaign
+    failure can be replayed in isolation.
     """
     spec = CHECKS[name]
     idx = CHECK_ORDER.index(name)
@@ -355,7 +355,7 @@ def run_single_trial(name: str, seed: int, trial: int,
     # a draw (t, t) repeats one matrix: bound once, both share its quantities
     bound = {key: space.bind(m) for key, m in {id(m): m for m in operators}.items()}
     result = spec.fn(space, *(bound[id(m)] for m in operators))
-    return spec.verdict(result, must), _slack(result), result.to_dict(), {"dim": dim, "rank": rank}
+    return spec.verdict(result, must), _slack(result), result, {"dim": dim, "rank": rank}
 
 
 def run_campaign(config: CampaignConfig = CampaignConfig()) -> CampaignReport:
@@ -374,10 +374,10 @@ def run_campaign(config: CampaignConfig = CampaignConfig()) -> CampaignReport:
         slacks = np.empty(config.trials, dtype=np.float64)
         violations = []
         for trial in range(config.trials):
-            ok, slack, payload, meta = run_single_trial(name, config.seed, trial, config.dims)
+            ok, slack, result, meta = run_single_trial(name, config.seed, trial, config.dims)
             slacks[trial] = slack
-            if not ok:
-                violations.append({"trial": trial, **meta, "detail": payload})
+            if not ok:  # only a violation keeps its payload
+                violations.append({"trial": trial, **meta, "detail": result.to_dict()})
         entry = {"trials": config.trials, "violations": violations}
         if config.trials:
             entry["min_slack"] = float(np.min(slacks))

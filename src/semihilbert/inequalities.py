@@ -45,14 +45,19 @@ _SUP_STEPS = 64  # cap on the stacked eigh steps that refine the sweep's peaks
 
 @dataclass(frozen=True)
 class InequalityReport:
-    """An evaluated chain a_1 <= a_2 <= ... with its slacks and verdict."""
+    """An evaluated chain a_1 <= a_2 <= ... with its slacks and verdict, and
+    the operators it was evaluated on, whose digest is built when read."""
 
     name: str
     chain: tuple[tuple[str, float], ...]
     slacks: tuple[float, ...]
     holds: bool
     check_tol: float
-    inputs_digest: dict
+    ops: tuple = field(repr=False)
+
+    @property
+    def inputs_digest(self) -> dict:
+        return _digest(*self.ops)
 
     def to_dict(self) -> dict:
         return {
@@ -98,8 +103,9 @@ class EqualityDiagnostic:
 
 def _digest(*ops: OperatorInSpace) -> dict:
     """The inputs of a report on T (or T and S), for replay: dim, rank, A, T
-    (and S) as [re, im] pairs.  Built once and kept on the operators' memo,
-    so every report on the same operators holds the same dict."""
+    (and S) as [re, im] pairs.  Built when a report's digest is first read
+    and kept on the operators' memo, so every report on the same operators
+    holds the same dict."""
     owner, key = _held("digest", ops)
     sp = owner.space
     return owner._cached(key, lambda: {
@@ -122,14 +128,15 @@ def _refuse_non_finite(labeled) -> None:
         raise OverflowError("non-finite value: " + ", ".join(bad))
 
 
-def _report(name: str, labeled: list[tuple[str, float]], digest: dict) -> InequalityReport:
+def _report(name: str, labeled: list[tuple[str, float]],
+            *ops: OperatorInSpace) -> InequalityReport:
     _refuse_non_finite(labeled)
     values = [v for _, v in labeled]
     slacks = tuple(values[i + 1] - values[i] for i in range(len(values) - 1))
     eff = CHECK_TOL * (1.0 + max((abs(v) for v in values), default=0.0))
     holds = all(s >= -eff for s in slacks)
     return InequalityReport(name=name, chain=tuple(labeled), slacks=slacks,
-                            holds=holds, check_tol=eff, inputs_digest=digest)
+                            holds=holds, check_tol=eff, ops=ops)
 
 
 # -- compressed-quantity helpers ---------------------------------------------
@@ -304,8 +311,7 @@ def check_halfnorm_bounds(space: SemiHilbertSpace, t) -> InequalityReport:
     nt = _norm(op)
     return _report("halfnorm_bounds",
                    [("0.5*norm_A(T)", 0.5 * nt), ("w_A(T)", _kept("w(T)", op)[0]),
-                    ("norm_A(T)", nt)],
-                   _digest(op))
+                    ("norm_A(T)", nt)], op)
 
 
 def check_hh_triangle(space: SemiHilbertSpace, t, s) -> InequalityReport:
@@ -319,8 +325,7 @@ def check_hh_triangle(space: SemiHilbertSpace, t, s) -> InequalityReport:
     return _report("hh_triangle",
                    [("norm_A(T+S)", _sig(bt + bs, "T+S")),
                     ("2*int_0^1 norm_A(tT+(1-t)S) dt", 2.0 * integral),
-                    ("norm_A(T)+norm_A(S)", _norm(opt) + _norm(ops))],
-                   _digest(opt, ops))
+                    ("norm_A(T)+norm_A(S)", _norm(opt) + _norm(ops))], opt, ops)
 
 
 def check_integral_radius_bound(space: SemiHilbertSpace, t) -> InequalityReport:
@@ -334,11 +339,9 @@ def check_integral_radius_bound(space: SemiHilbertSpace, t) -> InequalityReport:
     """
     op = _as_op(space, t)
     bt = op.compress()
-    digest = _digest(op)
     if bt.size == 0:
         return _report("integral_radius_bound",
-                       [("w_A(T)", 0.0), ("sup_theta int norm_A", 0.0), ("norm_A(T)", 0.0)],
-                       digest)
+                       [("w_A(T)", 0.0), ("sup_theta int norm_A", 0.0), ("norm_A(T)", 0.0)], op)
     w_val, w_theta, _ = _kept("w(T)", op)
     thetas = np.array([_fixed_rule_sup(bt), 2.0 * w_theta])
     e, b = pow2_split(bt)
@@ -347,7 +350,7 @@ def check_integral_radius_bound(space: SemiHilbertSpace, t) -> InequalityReport:
     mid = float(np.ldexp(2.0 * max(halves), e))
     return _report("integral_radius_bound",
                    [("w_A(T)", w_val), ("sup_theta int norm_A", mid), ("norm_A(T)", _norm(op))],
-                   digest)
+                   op)
 
 
 def _eq_eff(rhs: float) -> float:
@@ -410,8 +413,7 @@ def check_adjoint_sum_bound(space: SemiHilbertSpace, t, s) -> InequalityReport:
     return _report("adjoint_sum_bound",
                    [("norm_A(T+S)", _sig(bt + bs, "T+S")),
                     ("sqrt(norm_A(T#T+S#S)+2w_A(S#T))", mid),
-                    ("norm_A(T)+norm_A(S)", _norm(opt) + _norm(ops))],
-                   _digest(opt, ops))
+                    ("norm_A(T)+norm_A(S)", _norm(opt) + _norm(ops))], opt, ops)
 
 
 def max_equality_diagnostic(space: SemiHilbertSpace, t, s) -> EqualityDiagnostic:
@@ -485,8 +487,7 @@ def check_real_part_bounds(space: SemiHilbertSpace, t) -> InequalityReport:
                    [("max(norm_A(T-T#),norm_A(T+T#))/2", 0.5 * max(dm, dp)),
                     ("w_A(T)", _kept("w(T)", op)[0]),
                     ("sqrt(norm_A(T-T#)^2+norm_A(T+T#)^2)/2",
-                     0.5 * math.hypot(dm, dp))],
-                   _digest(op))
+                     0.5 * math.hypot(dm, dp))], op)
 
 
 def check_square_bounds(space: SemiHilbertSpace, t) -> InequalityReport:
@@ -499,8 +500,7 @@ def check_square_bounds(space: SemiHilbertSpace, t) -> InequalityReport:
     return _report("square_bounds",
                    [("max-diff-sum-squares^(1/2)/2", 0.5 * math.sqrt(max(m2, p2))),
                     ("w_A(T)", _kept("w(T)", op)[0]),
-                    ("sqrt(2)/2*(norm_A(T)^2+w_A(T^2))^(1/2)", upper)],
-                   _digest(op))
+                    ("sqrt(2)/2*(norm_A(T)^2+w_A(T^2))^(1/2)", upper)], op)
 
 
 def verify_square_identity(x, y) -> float:
@@ -531,8 +531,7 @@ def check_fourth_power_bounds(space: SemiHilbertSpace, t) -> InequalityReport:
                      anti * anti / 16.0 + c4 / 16.0),
                     ("w_A(T)^4", _pow(wt, 4, "w_A(T)^4")),
                     ("norm_A(TT#+T#T)^2/8+w_A(T^2)^2/2",
-                     anti * anti / 8.0 + wt2 * wt2 / 2.0)],
-                   _digest(op))
+                     anti * anti / 8.0 + wt2 * wt2 / 2.0)], op)
 
 
 def check_power_inequality(space: SemiHilbertSpace, t) -> InequalityReport:
@@ -542,8 +541,7 @@ def check_power_inequality(space: SemiHilbertSpace, t) -> InequalityReport:
     return _report("power_inequality",
                    [("w_A(T^2)", _kept("w(T^2)", op)[0]), ("w_A(T)^2", wt * wt),
                     ("norm_A(T)^2", _pow(_norm(op), 2, "norm_A(T)^2")),
-                    ("4*w_A(T)^2", 4.0 * wt * wt)],
-                   _digest(op))
+                    ("4*w_A(T)^2", 4.0 * wt * wt)], op)
 
 
 def check_reverse_power(space: SemiHilbertSpace, t) -> InequalityReport:
@@ -562,8 +560,7 @@ def check_reverse_power(space: SemiHilbertSpace, t) -> InequalityReport:
                    [("2*w_A(T)^2", 2.0 * wt * wt),
                     ("norm_A(TT#+T#T)", _anti_commutator_norm(op)),
                     ("2*w_A(T^2)+min(norm_A(T-T#),norm_A(T+T#))^2",
-                     2.0 * _kept("w(T^2)", op)[0] + minterm)],
-                   _digest(op))
+                     2.0 * _kept("w(T^2)", op)[0] + minterm)], op)
 
 
 def radius_additivity_diagnostic(space: SemiHilbertSpace, t, s) -> EqualityDiagnostic:

@@ -456,7 +456,8 @@ def _level_sup(b: np.ndarray, sels) -> list[tuple[float, float, np.ndarray]]:
     Returns (value, theta, eigenvector of that eigenvalue) per matrix; of an
     entry ``CRAWFORD`` (0, nothing aimed below 0) a negative value proves sup < 0.
 
-    A stack with r <= 2 takes the closed form of ``_ellipse_sup``.  Else each
+    A stack with r = 0 returns (0, 0, empty) at once, and one with r <= 2
+    takes the closed form of ``_ellipse_sup``.  Else each
     matrix runs one ``_search``: guarded Newton steps (``_newton``) from the
     best two start points (four angles and their antipodes, H(theta + pi) =
     -H(theta)) raise ``best``, mostly to within delta = REFINE_TOL ||B||_F /
@@ -475,6 +476,8 @@ def _level_sup(b: np.ndarray, sels) -> list[tuple[float, float, np.ndarray]]:
     it alone, so each search takes the decisions and values of its run alone.
     """
     floored = [sel if sel == CRAWFORD else (sel, -math.inf) for sel in sels]
+    if not b.shape[-1]:  # rank 0: every H(theta) is empty, and 0 is its exact supremum
+        return [(0.0, 0.0, np.zeros(0, dtype=np.complex128)) for _ in b]
     if b.shape[-1] <= 2:
         return [_ellipse_sup(m, sel) for m, (sel, _) in zip(b, floored)]
     return _lockstep([_search(m, *sel) for m, sel in zip(b, floored)])
@@ -567,16 +570,16 @@ def _fourth_power(op: OperatorInSpace) -> np.ndarray:
 
 # every search the checks read, by name: the selector of ``_level_sup`` (None for the
 # bilinear ascent, a function for a closed form), the operators it reads and the matrix, or
-# pair of matrices, it runs on, and an ascent's sum and part searches (``_witness``).  A
-# search of one operator runs on S under its name on T.
+# pair of matrices, it runs on, an ascent's sum and part searches (``_witness``), and a sum's
+# part search (``_doubled``).  A search of one operator runs on S under its name on T.
 SEARCHES = {
     "w(T)": (-1, "t", OperatorInSpace.compress),
     "c(T)": (CRAWFORD, "t", OperatorInSpace.compress),
     "w(T^2)": (-1, "t", _square),
     "c((T^2+(T#)^2)^2)": (_least_eigenvalue, "t", _fourth_power),
     "w(S#T)": (-1, "ts", lambda t, s: _adjoint(s) @ t.compress()),
-    "w(T+S)": (-1, "ts", lambda t, s: t.compress() + s.compress()),
-    "w(T^2+S^2)": (-1, "ts", lambda t, s: _square(t) + _square(s)),
+    "w(T+S)": (-1, "ts", lambda t, s: t.compress() + s.compress(), "w(T)"),
+    "w(T^2+S^2)": (-1, "ts", lambda t, s: _square(t) + _square(s), "w(T^2)"),
     "ascent(T,S)": (None, "ts", lambda t, s: (t.compress(), s.compress()), "w(T+S)", "w(T)"),
     "ascent(T^2,S^2)": (None, "ts", lambda t, s: (_square(t), _square(s)), "w(T^2+S^2)",
                         "w(T^2)"),
@@ -605,13 +608,30 @@ def _entry(name: str, ops: tuple):
 def _kept(name: str, *ops: OperatorInSpace):
     """The search ``name`` of ``SEARCHES`` on T, or on T and S, run on first
     use: (value, theta, vector) of a level search; (value, vector, method)
-    of an ascent, its ``_witness`` where that decides, else the ascent.  A
-    level search past the float range raises an overflow naming it (``_named``)."""
+    of an ascent, its ``_witness`` where that decides, else the ascent; a
+    sum search on (T, T) doubles its part search (``_doubled``).  A level
+    search past the float range raises an overflow naming it (``_named``)."""
     owner, key, sel, build = _entry(name, ops)
     if sel is None:
         return owner._cached(key, lambda: _ascended([(name, ops, build())])[0])
     core = sel if callable(sel) else _radius_seminorm_core if sel == -1 else _crawford_core
-    return owner._cached(key, lambda: _named(name, core, build()))
+    return owner._cached(key, lambda: _doubled(name, ops) or _named(name, core, build()))
+
+
+def _doubled(name: str, ops: tuple):
+    """The sum search ``name`` on (T, T), on 2B, as its part search on B with
+    the value doubled, or None to search 2B: a search runs on its matrix
+    normalized by ``pow2_split``, the same for 2B as for B, and doubling w(B)
+    is its scaling back bit for bit where w(B) is normal and 4 w(B) >= 2
+    max|b_ij| is in range, so 2B is too (docs/search.md)."""
+    part = SEARCHES[name][3:]
+    if not part or ops[0] is not ops[-1]:
+        return None
+    try:
+        value, theta, u = _kept(part[0], ops[0])
+    except (OverflowError, np.linalg.LinAlgError):  # raised again, under ``name``
+        return None
+    return (math.ldexp(value, 1), theta, u) if 2.0 ** -1022 <= value < 2.0 ** 1021 else None
 
 
 def _named(name: str, solve, m: np.ndarray):

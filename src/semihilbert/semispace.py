@@ -284,8 +284,10 @@ class OperatorInSpace:
             return float("inf")
         if not self.admits_adjoint:  # cannot happen in finite dimension
             raise NoAdjoint("bounded operator without adjoint: inconsistent membership")
-        sp, norm_a = self.space, self.space._norm_a
-        if _at_most(_fro(sp.a @ self.t @ sp.a), ZERO_SEMINORM_TOL * norm_a * norm_a, self.t):
+        # on A and T scaled by powers of two, which scale both sides alike: A T A stays in range
+        (e, a), t = linalg.pow2_split(self.space.a), linalg.pow2_split(self.t)[1]
+        norm_a = math.ldexp(self.space._norm_a, -e)
+        if _at_most(_fro(a @ t @ a), ZERO_SEMINORM_TOL * norm_a * norm_a, t):
             return 0.0
         return spectral_norm(self.compression)
 

@@ -1,17 +1,20 @@
 """Generators and the randomized campaign: postconditions, reproducibility,
 and report determinism."""
 
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
 
+from semihilbert import inequalities, linalg, radius
 from semihilbert.errors import RankTooSmall
 from semihilbert.fuzz import (
     CHECK_ORDER,
     CHECKS,
     CampaignConfig,
+    CheckSpec,
     SPECIAL_KINDS,
     gen_admissible,
     gen_psd,
@@ -20,7 +23,7 @@ from semihilbert.fuzz import (
     run_campaign,
     run_single_trial,
 )
-from semihilbert.linalg import dagger
+from semihilbert.linalg import dagger, encode_matrix
 from semihilbert.semispace import make_space
 
 
@@ -150,7 +153,8 @@ def test_single_trial_reproducible():
         b = run_single_trial(name, seed=42, trial=3, dims=(2, 3))
         assert a[0] == b[0]
         assert a[1] == b[1]
-        assert json.dumps(a[2], sort_keys=True) == json.dumps(b[2], sort_keys=True)
+        assert (json.dumps(a[2].to_dict(), sort_keys=True)
+                == json.dumps(b[2].to_dict(), sort_keys=True))
         assert a[3] == b[3]
 
 
@@ -159,14 +163,14 @@ def test_single_trial_reproducible():
 def test_pythagoras_accepts_ill_conditioned_weights(seed):
     # these campaign seeds draw ill-conditioned weights, where ||S^# T|| of
     # the generator's orthogonal pair exceeds an absolute 1e-10 by round-off
-    ok, _, payload, _ = run_single_trial("pythagoras", seed, 0)
+    ok, _, result, _ = run_single_trial("pythagoras", seed, 0)
     assert ok
-    assert payload["equal"]
+    assert result.equal
 
 def test_single_trial_varies_with_trial_index():
     a = run_single_trial("halfnorm_bounds", seed=42, trial=0, dims=(3,))
     b = run_single_trial("halfnorm_bounds", seed=42, trial=1, dims=(3,))
-    assert json.dumps(a[2]) != json.dumps(b[2])
+    assert json.dumps(a[2].to_dict()) != json.dumps(b[2].to_dict())
 
 
 def test_campaign_report_is_deterministic():
@@ -179,6 +183,53 @@ def test_campaign_report_is_deterministic():
     blob = json.loads(first.to_json())
     assert "elapsed_seconds" in blob
     assert "elapsed_seconds" not in json.loads(first.to_json(include_timing=False))
+
+
+@pytest.mark.parametrize("seed", [42, 7])
+def test_a_passing_trial_encodes_nothing(monkeypatch, seed):
+    """A trial returns its report, not the report's payload: one trial of
+    each check encodes no inputs digest and no witness, which only a
+    violation keeps."""
+    for module in (linalg, inequalities, radius):
+        monkeypatch.setattr(module, "encode_matrix", lambda m: pytest.fail("encode_matrix ran"))
+    for name in CHECK_ORDER:
+        ok, _, result, _ = run_single_trial(name, seed, 0)
+        assert ok
+        assert isinstance(result, (inequalities.InequalityReport, inequalities.EqualityDiagnostic))
+
+
+def _eager_payload(result, space, ops) -> str:
+    # the payload every trial built at once: a chain's fields with the inputs digest of A, T
+    # (and S) as [re, im] lists, a diagnostic's dict with its witness
+    if isinstance(result, inequalities.EqualityDiagnostic):
+        return json.dumps(result.to_dict(), sort_keys=True)
+    return json.dumps({
+        "name": result.name, "chain": [[label, v] for label, v in result.chain],
+        "slacks": list(result.slacks), "holds": result.holds, "check_tol": result.check_tol,
+        "inputs_digest": {"dim": space.dim, "rank": space.rank, "a": encode_matrix(space.a),
+                          **{part: encode_matrix(op.t) for part, op in zip("ts", ops)}}},
+        sort_keys=True)
+
+
+def test_a_violation_keeps_its_eager_payload(monkeypatch):
+    """A campaign whose checks are made to fail records as each violation's
+    detail the payload the trial would have built at once, byte for byte,
+    inputs digest and witness included."""
+    names, eager = ("hh_triangle", "fourth_power_bounds", "squares_radius_equality"), {}
+    for name in names:
+        def recording(space, *ops, spec=CHECKS[name]):
+            result = spec.fn(space, *ops)
+            eager.setdefault(spec.name, []).append(_eager_payload(result, space, ops))
+            return result
+
+        monkeypatch.setitem(CHECKS, name, dataclasses.replace(CHECKS[name], fn=recording))
+    monkeypatch.setattr(CheckSpec, "verdict", lambda self, result, must=(): False)
+    report = run_campaign(CampaignConfig(seed=42, trials=3, checks=names))
+    assert report.total_violations == 9
+    for name in names:
+        violations = report.results[name]["violations"]
+        assert [v["trial"] for v in violations] == [0, 1, 2]
+        assert [json.dumps(v["detail"], sort_keys=True) for v in violations] == eager[name]
 
 
 def test_campaign_small_run_is_clean():

@@ -166,12 +166,12 @@ def test_hh_triangle_middle_value_on_gate_trial_622():
     Simpson under an absolute 1e-8 missed by 1.5e-6: the walk's middle value
     lies within 1e-14 of a 2,048-panel Gauss-Legendre rule on the replayed
     compressions."""
-    _, _, payload, meta = fuzz.run_single_trial("hh_triangle", 42, 622)
+    _, _, report, meta = fuzz.run_single_trial("hh_triangle", 42, 622)
     assert meta == {"dim": 5, "rank": 2}
-    inputs = payload["inputs_digest"]
+    inputs = report.inputs_digest
     space = make_space(cli.decode_matrix(inputs["a"]))
     bt, bs = (space.bind(cli.decode_matrix(inputs[k])).compress() for k in "ts")
-    assert payload["chain"][1][1] == pytest.approx(fixed_path_rule(bt, bs), rel=1e-14, abs=0.0)
+    assert report.chain[1][1] == pytest.approx(fixed_path_rule(bt, bs), rel=1e-14, abs=0.0)
 
 
 def test_hh_triangle_middle_value_on_the_worked_example():

@@ -1,6 +1,7 @@
 """Numerical radius and Crawford number: worked values, sweep behavior,
 certificates, and agreement between independent routes."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -136,6 +137,106 @@ def test_level_sup_at_rank_zero(sel):
     """The kernel answers r = 0 itself: value 0 at angle 0, empty vector."""
     value, theta, u = level_sup(np.zeros((0, 0)), sel)
     assert (value, theta, u.shape) == (0.0, 0.0, (0,))
+
+
+@pytest.mark.parametrize("sel", [-1, radius.CRAWFORD])
+def test_level_sup_answers_an_empty_stack_exactly(monkeypatch, sel):
+    """A (k, 0, 0) stack returns (0.0, 0.0, empty complex vector) per matrix at
+    once, the values the closed form of r <= 2 gives r = 0, with no search."""
+    closed = radius._ellipse_sup(np.zeros((0, 0), dtype=complex), -1 if sel == -1 else 0)
+    for kernel in ("_ellipse_sup", "_search"):
+        monkeypatch.setattr(radius, kernel, lambda *a: pytest.fail(f"{kernel} ran"))
+    found = radius._level_sup(np.zeros((3, 0, 0), dtype=complex), [sel] * 3)
+    assert len(found) == 3
+    for value, theta, u in found:
+        assert (value, theta) == (0.0, 0.0) == closed[:2]
+        assert math.copysign(1.0, value) == math.copysign(1.0, closed[0]) == 1.0
+        assert (u.shape, u.dtype) == ((0,), np.complex128) == (closed[2].shape, closed[2].dtype)
+
+
+def _outcome(search):
+    # the bytes of a search's value, angle and vector, or the type and text of what it raises
+    try:
+        value, theta, u = search()
+    except (OverflowError, np.linalg.LinAlgError) as exc:
+        return type(exc), str(exc)
+    return np.array([value, theta]).tobytes(), u.tobytes()
+
+
+def _explicit_sum(name, op):
+    # the search ``name`` of (T, T) run on the explicit sum 2B, or 2B^2
+    b = op.compress() if name == "w(T+S)" else op.compress() @ op.compress()
+    return radius._named(name, radius._radius_seminorm_core, b + b)
+
+
+class _Drawn(Exception):
+    pass
+
+
+def test_sum_searches_on_one_operator_match_the_explicit_sums_on_the_gate(monkeypatch):
+    """squares_radius_equality draws (T, T).  Over its 1,000 gate draws (seed
+    42), w(T+S) and w(T^2+S^2) on (op, op) read w(T) and w(T^2) doubled at
+    every rank > 0, and equal the searches on the explicit 2B and 2B^2 bit
+    for bit: value, angle and vector."""
+    from semihilbert import fuzz
+
+    def drawn(space, t, s):
+        raise _Drawn(t, s)
+
+    spec = fuzz.CHECKS["squares_radius_equality"]
+    monkeypatch.setitem(fuzz.CHECKS, spec.name, dataclasses.replace(spec, fn=drawn))
+    doubled = positive = 0
+    for trial in range(1000):
+        with pytest.raises(_Drawn) as info:
+            fuzz.run_single_trial(spec.name, 42, trial)
+        t, s = info.value.args
+        assert t is s
+        positive += t.space.rank > 0
+        for name in ("w(T+S)", "w(T^2+S^2)"):
+            doubled += radius._doubled(name, (t, s)) is not None
+            got = _outcome(lambda: radius._kept(name, t, s))
+            assert got == _outcome(lambda: _explicit_sum(name, t)), (trial, name)
+    assert doubled == 2 * positive and positive > 700
+
+
+@pytest.mark.parametrize("r", [2, 4])
+def test_sum_searches_on_one_operator_match_the_explicit_sums_at_every_scale(r):
+    """At T 2^k for k in [-1000, 1000], wherever T 2^k is representable, the
+    (T, T) sum searches equal the searches on the explicit 2B and 2B^2 bit for
+    bit, or raise what they raise: doubled where w(B) is normal and 2B in
+    range, else searched on 2B, and both are reached."""
+    rng = np.random.default_rng(r)
+    t = rng.standard_normal((r, r)) + 1j * rng.standard_normal((r, r))
+    space, routes = make_space(np.eye(r)), set()
+    for k in range(-1000, 1001, 5):
+        with np.errstate(all="ignore"):  # B^2 overflows at the largest scales
+            tk = t * 2.0 ** k
+            if not np.isfinite(tk).all():
+                continue
+            op = space.bind(tk)
+            for name in ("w(T+S)", "w(T^2+S^2)"):
+                routes.add(radius._doubled(name, (op, op)) is not None)
+                got = _outcome(lambda: radius._kept(name, op, op))
+                assert got == _outcome(lambda: _explicit_sum(name, op)), (k, name)
+    assert routes == {True, False}
+
+
+def test_sum_on_one_operator_past_the_float_range_names_the_sum():
+    """Where B is in range but 2B is not, w(T+S) on (op, op) searches 2B and
+    raises its overflow by name, and radius_additivity ends on that line."""
+    rng = np.random.default_rng(0)
+    b = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    b *= 0.55 * np.finfo(np.float64).max / np.abs(b).max()
+    space = make_space(np.eye(3))
+    op = space.bind(b)
+    assert math.isfinite(radius._kept("w(T)", op)[0])
+    message = r"^overflow: w\(T\+S\) has entries past the float range$"
+    with np.errstate(all="ignore"):
+        with pytest.raises(OverflowError, match=message):
+            radius._kept("w(T+S)", op, op)
+        op = space.bind(b)
+        with pytest.raises(OverflowError, match=message):
+            ineq.radius_additivity_diagnostic(space, op, op)
 
 
 @pytest.mark.parametrize("k", [-700, -600, 600, 700])
