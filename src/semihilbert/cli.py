@@ -276,60 +276,40 @@ def _cmd_check(args) -> int:
 
 # -- paper-examples subcommand ---------------------------------------------------
 
-def _golden_quantity(case, key, space, op, sop, reports: dict):
-    """One stored quantity of a worked example; ``reports`` holds its check reports."""
-    t = op.t
+def _golden_reads(case, space, op, sop) -> dict:
+    """The stored quantities of a worked example, by key, each a function to
+    call: what a check computes is read from the memo or the report it fills."""
+    reports = {}
 
     def report(check, *others):  # a chain's values and its verdict share one report
         if check not in reports:
             reports[check] = check(space, op, *others)
         return reports[check]
 
-    if key == "a_operator_norm":
-        return op.a_operator_norm()
-    if key == "a_numerical_radius":
-        return a_numerical_radius(op).value
-    # what a check computes is read from the memo or the report it fills
-    if key == "a_numerical_radius_of_square":
-        return _kept("w(T^2)", op)[0]
-    if key == "anti_commutator_norm":
-        return ineq._anti_commutator_norm(op)
-    if key == "crawford_square_sum":
-        return max(0.0, _kept("c((T^2+(T#)^2)^2)", op)[0])
-    if key == "fourth_power_chain":
-        return [v for _, v in report(ineq.check_fourth_power_bounds).chain]
-    if key == "fourth_power_chain_holds":
-        return report(ineq.check_fourth_power_bounds).holds
-    if key == "power_chain_holds":
-        return report(ineq.check_power_inequality).holds
-    if key == "norm_of_s":
-        return sop.a_operator_norm()
-    if key == "norm_of_sum":
-        return report(ineq.check_hh_triangle, sop).chain[0][1]
-    if key == "hh_middle":
-        return report(ineq.check_hh_triangle, sop).chain[1][1]
-    if key == "hh_chain_holds":
-        return report(ineq.check_hh_triangle, sop).holds
-    if key == "alt_numerical_radius":
-        alt = make_space(decode_matrix(case["a_alt"], "a_alt"))
-        return a_numerical_radius(alt.bind(t)).value
-    if key == "a_bounded":
-        return op.a_bounded
-    if key == "admits_adjoint":
-        return op.admits_adjoint
-    if key == "sharp_matrix":
-        return op.sharp()
-    if key == "t_tsharp":
-        return t @ op.sharp()
-    if key == "tsharp_t":
-        return op.sharp() @ t
-    if key == "is_a_selfadjoint":
-        return op.is_a_selfadjoint()
-    if key == "is_a_normal":
-        return op.is_a_normal()
-    if key == "compression":
-        return op.compress()
-    raise KeyError(f"unknown golden quantity {key!r}")
+    return {
+        "a_operator_norm": op.a_operator_norm,
+        "a_numerical_radius": lambda: a_numerical_radius(op).value,
+        "a_numerical_radius_of_square": lambda: _kept("w(T^2)", op)[0],
+        "anti_commutator_norm": lambda: _kept("TT#+T#T", op),
+        "crawford_square_sum": lambda: max(0.0, _kept("c((T^2+(T#)^2)^2)", op)[0]),
+        "fourth_power_chain": lambda: [v for _, v in report(ineq.check_fourth_power_bounds).chain],
+        "fourth_power_chain_holds": lambda: report(ineq.check_fourth_power_bounds).holds,
+        "power_chain_holds": lambda: report(ineq.check_power_inequality).holds,
+        "norm_of_s": lambda: sop.a_operator_norm(),
+        "norm_of_sum": lambda: report(ineq.check_hh_triangle, sop).chain[0][1],
+        "hh_middle": lambda: report(ineq.check_hh_triangle, sop).chain[1][1],
+        "hh_chain_holds": lambda: report(ineq.check_hh_triangle, sop).holds,
+        "alt_numerical_radius": lambda: a_numerical_radius(
+            make_space(decode_matrix(case["a_alt"], "a_alt")).bind(op.t)).value,
+        "a_bounded": lambda: op.a_bounded,
+        "admits_adjoint": lambda: op.admits_adjoint,
+        "sharp_matrix": op.sharp,
+        "t_tsharp": lambda: op.t @ op.sharp(),
+        "tsharp_t": lambda: op.sharp() @ op.t,
+        "is_a_selfadjoint": op.is_a_selfadjoint,
+        "is_a_normal": op.is_a_normal,
+        "compression": op.compress,
+    }
 
 
 def _golden_match(want, got, tol) -> bool:
@@ -348,10 +328,10 @@ def evaluate_golden_case(case) -> list[str]:
     space = make_space(decode_matrix(case["a"], "a"))
     op = space.bind(decode_matrix(case["t"], "t"))
     sop = space.bind(decode_matrix(case["s"], "s")) if "s" in case else None
-    failures, reports = [], {}
+    failures, reads = [], _golden_reads(case, space, op, sop)
     for key, want in case["expected"].items():
         try:
-            got = _golden_quantity(case, key, space, op, sop, reports)
+            got = reads[key]()
         except SemiHilbertError as exc:
             failures.append(f"{key}: raised {type(exc).__name__}: {exc}")
             continue

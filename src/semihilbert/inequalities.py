@@ -22,11 +22,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, PreconditionNotMet
-from .linalg import as_matrix, dagger, encode_matrix, fro_norm, pow2_split, spectral_norm
-from .radius import (_TWO_PI, _adjoint, _competitive_peaks, _held, _kept, _named, _norm,
-                     _square, support_max)
-# the kernel cores and the ascent by the names the benchmark's tracer wraps here
-from .radius import _ascent_bilinear, _crawford_core, _radius_seminorm_core  # noqa: F401
+from .linalg import as_matrix, dagger, encode_matrix, fro_norm, pow2_split
+from .radius import _TWO_PI, _competitive_peaks, _held, _kept, _named
+# the kernel cores, the ascent and sigma_max by the names the benchmark's tracer wraps here
+from .radius import _ascent_bilinear, _crawford_core, _radius_seminorm_core, _sig  # noqa: F401
 from .semispace import OperatorInSpace, SemiHilbertSpace
 
 CHECK_TOL = 1e-8
@@ -139,20 +138,8 @@ def _report(name: str, labeled: list[tuple[str, float]],
                             holds=holds, check_tol=eff, ops=ops)
 
 
-# -- compressed-quantity helpers ---------------------------------------------
-
-def _sig(m: np.ndarray, name: str) -> float:
-    # the largest singular value of the compressed quantity ``name``
-    return _named(name, spectral_norm, m)
-
-
 def _pow(x: float, n: int, label: str) -> float:
     return _named(label, lambda v: v ** n, x)  # an overflow names ``label``
-
-
-def _anti_commutator_norm(op: OperatorInSpace) -> float:
-    # norm_A(TT# + T#T), read by the fourth-power and reverse power chains
-    return _sig(op.compress() @ _adjoint(op) + _adjoint(op) @ op.compress(), "TT#+T#T")
 
 
 # -- quadrature ---------------------------------------------------------------
@@ -308,7 +295,7 @@ def _fixed_rule_sup(b: np.ndarray) -> float:
 def check_halfnorm_bounds(space: SemiHilbertSpace, t) -> InequalityReport:
     """norm_A(T)/2 <= w_A(T) <= norm_A(T)."""
     op = _as_op(space, t)
-    nt = _norm(op)
+    nt = _kept("T", op)
     return _report("halfnorm_bounds",
                    [("0.5*norm_A(T)", 0.5 * nt), ("w_A(T)", _kept("w(T)", op)[0]),
                     ("norm_A(T)", nt)], op)
@@ -318,14 +305,13 @@ def check_hh_triangle(space: SemiHilbertSpace, t, s) -> InequalityReport:
     """Averaged refinement of the triangle inequality:
     norm_A(T+S) <= 2 * integral_0^1 norm_A(t T + (1-t) S) dt <= norm_A(T) + norm_A(S)."""
     opt, ops = _as_op(space, t), _as_op(space, s)
-    bt, bs = opt.compress(), ops.compress()
     # the walk runs on the pair normalized by a power of two: exactly homogeneous under 2^k
-    e, (x, y) = pow2_split(np.stack([bt, bs]))
+    e, (x, y) = pow2_split(np.stack([opt.compress(), ops.compress()]))
     integral = float(np.ldexp(gauss_kronrod(lambda taus: _sig_path(x, y, taus), 0.0, 1.0), e))
     return _report("hh_triangle",
-                   [("norm_A(T+S)", _sig(bt + bs, "T+S")),
+                   [("norm_A(T+S)", _kept("T+S", opt, ops)),
                     ("2*int_0^1 norm_A(tT+(1-t)S) dt", 2.0 * integral),
-                    ("norm_A(T)+norm_A(S)", _norm(opt) + _norm(ops))], opt, ops)
+                    ("norm_A(T)+norm_A(S)", _kept("T", opt) + _kept("T", ops))], opt, ops)
 
 
 def check_integral_radius_bound(space: SemiHilbertSpace, t) -> InequalityReport:
@@ -338,19 +324,18 @@ def check_integral_radius_bound(space: SemiHilbertSpace, t) -> InequalityReport:
     tau <= 1/2 only, which its symmetry g(tau) = g(1 - tau) allows.
     """
     op = _as_op(space, t)
-    bt = op.compress()
-    if bt.size == 0:
+    if not space.rank:
         return _report("integral_radius_bound",
                        [("w_A(T)", 0.0), ("sup_theta int norm_A", 0.0), ("norm_A(T)", 0.0)], op)
     w_val, w_theta, _ = _kept("w(T)", op)
-    thetas = np.array([_fixed_rule_sup(bt), 2.0 * w_theta])
-    e, b = pow2_split(bt)
+    thetas = np.array([_fixed_rule_sup(op.compress()), 2.0 * w_theta])
+    e, b = pow2_split(op.compress())
     x, bh = np.exp(1j * thetas)[:, None, None] * b, dagger(b)
     halves = gauss_kronrod(lambda taus, owner: _sig_path(x[owner], bh, taus), 0.0, 0.5, trees=2)
     mid = float(np.ldexp(2.0 * max(halves), e))
     return _report("integral_radius_bound",
-                   [("w_A(T)", w_val), ("sup_theta int norm_A", mid), ("norm_A(T)", _norm(op))],
-                   op)
+                   [("w_A(T)", w_val), ("sup_theta int norm_A", mid),
+                    ("norm_A(T)", _kept("T", op))], op)
 
 
 def _eq_eff(rhs: float) -> float:
@@ -362,13 +347,12 @@ def triangle_equality_diagnostic(space: SemiHilbertSpace, t, s) -> EqualityDiagn
     attainable Re <T x, S x>_A over A-unit x reaches norm_A(T) * norm_A(S);
     that maximum is the top eigenvalue of the Hermitian part of Bs* Bt."""
     opt, ops = _as_op(space, t), _as_op(space, s)
-    bt, bs = opt.compress(), ops.compress()
-    lhs, u = _named("S#T", lambda m: support_max(m, 0.0), _adjoint(ops) @ bt)
-    nt, ns = _norm(opt), _norm(ops)
+    lhs, u = _kept("top(S#T)", opt, ops)
+    nt, ns = _kept("T", opt), _kept("T", ops)
     rhs = nt * ns
     eff = _eq_eff(rhs)
     equal = abs(rhs - lhs) <= eff
-    tri_gap = (nt + ns) - _sig(bt + bs, "T+S")
+    tri_gap = (nt + ns) - _kept("T+S", opt, ops)
     tri_eff = _eq_eff(nt + ns)
     # the two gaps vanish together; flag decisive disagreement only
     consistent = not ((equal and tri_gap > 1e3 * tri_eff)
@@ -390,7 +374,7 @@ def check_positive_product_equality(space: SemiHilbertSpace, t, s) -> EqualityDi
         raise PreconditionNotMet("S^# T is not A-positive")
     tri = triangle_equality_diagnostic(space, opt, ops)
     # the same rhs norm_A(T) norm_A(S) and tolerance as the triangle equality
-    lhs, rhs, eff = _sig(_adjoint(ops) @ opt.compress(), "S#T"), tri.rhs, tri.eq_tol
+    lhs, rhs, eff = _kept("S#T", opt, ops), tri.rhs, tri.eq_tol
     equal = abs(rhs - lhs) <= eff
     # the two verdicts must agree; flag only decisive disagreement so a gap
     # that merely straddles the tolerance does not read as a defect
@@ -406,14 +390,12 @@ def check_positive_product_equality(space: SemiHilbertSpace, t, s) -> EqualityDi
 def check_adjoint_sum_bound(space: SemiHilbertSpace, t, s) -> InequalityReport:
     """norm_A(T+S) <= sqrt(norm_A(T^#T + S^#S) + 2 w_A(S^#T)) <= norm_A(T)+norm_A(S)."""
     opt, ops = _as_op(space, t), _as_op(space, s)
-    bt, bs = opt.compress(), ops.compress()
     # max keeps its first argument unless a later one is larger: NaN stays NaN
-    mid = math.sqrt(max(_sig(_adjoint(opt) @ bt + _adjoint(ops) @ bs, "T#T+S#S")
-                        + 2.0 * _kept("w(S#T)", opt, ops)[0], 0.0))
+    mid = math.sqrt(max(_kept("T#T+S#S", opt, ops) + 2.0 * _kept("w(S#T)", opt, ops)[0], 0.0))
     return _report("adjoint_sum_bound",
-                   [("norm_A(T+S)", _sig(bt + bs, "T+S")),
+                   [("norm_A(T+S)", _kept("T+S", opt, ops)),
                     ("sqrt(norm_A(T#T+S#S)+2w_A(S#T))", mid),
-                    ("norm_A(T)+norm_A(S)", _norm(opt) + _norm(ops))], opt, ops)
+                    ("norm_A(T)+norm_A(S)", _kept("T", opt) + _kept("T", ops))], opt, ops)
 
 
 def max_equality_diagnostic(space: SemiHilbertSpace, t, s) -> EqualityDiagnostic:
@@ -426,12 +408,12 @@ def max_equality_diagnostic(space: SemiHilbertSpace, t, s) -> EqualityDiagnostic
     """
     opt, ops = _as_op(space, t), _as_op(space, s)
     lhs, _, u = _kept("w(S#T)", opt, ops)
-    nt, ns = _norm(opt), _norm(ops)
+    nt, ns = _kept("T", opt), _kept("T", ops)
     rhs = max(nt * nt, ns * ns)
     eff = _eq_eff(rhs)
     equal = abs(rhs - lhs) <= eff
 
-    sum_norm = _sig(opt.compress() + ops.compress(), "T+S")
+    sum_norm = _kept("T+S", opt, ops)
     two_max = 2.0 * max(nt, ns)
     cond_sum = abs(two_max - sum_norm) <= _eq_eff(two_max)
     degenerate = nt + ns <= EQ_TOL
@@ -451,19 +433,17 @@ def pythagoras_diagnostic(space: SemiHilbertSpace, t, s) -> EqualityDiagnostic:
     T^# T and S^# S share a maximizing direction; evaluated through the same
     Hermitian-part mechanism applied to the pair (T^# T, S^# S)."""
     opt, ops = _as_op(space, t), _as_op(space, s)
-    bs, bt = ops.compress(), opt.compress()
     # S^# T = 0 iff Bs* Bt = 0, tested relative to the factors' scale
-    nt, ns = _norm(opt), _norm(ops)
-    if _sig(_adjoint(ops) @ bt, "S#T") > 1e-10 * nt * ns:
+    nt, ns = _kept("T", opt), _kept("T", ops)
+    if _kept("S#T", opt, ops) > 1e-10 * nt * ns:
         raise PreconditionNotMet("S^# T is not zero")
-    tq, sq = _adjoint(opt) @ bt, _adjoint(ops) @ bs
-    lhs, u = _named("(S#S)(T#T)", lambda m: support_max(m, 0.0), sq @ tq)
+    lhs, u = _kept("top((S#S)(T#T))", opt, ops)
     rhs = nt * nt * ns * ns
     eff = _eq_eff(rhs)
     equal = abs(rhs - lhs) <= eff
 
-    sum_sq = _pow(_sig(bt + bs, "T+S"), 2, "norm_A(T+S)^2")
-    norm_plus = _sig(tq + sq, "T#T+S#S")
+    sum_sq = _pow(_kept("T+S", opt, ops), 2, "norm_A(T+S)^2")
+    norm_plus = _kept("T#T+S#S", opt, ops)
     intermediate_ok = abs(sum_sq - norm_plus) <= 1e-8 * max(1.0, norm_plus)
     pyth_gap = (nt * nt + ns * ns) - sum_sq
     pyth_eff = _eq_eff(nt * nt + ns * ns)
@@ -481,8 +461,7 @@ def check_real_part_bounds(space: SemiHilbertSpace, t) -> InequalityReport:
     """max(norm_A(T-T#), norm_A(T+T#))/2 <= w_A(T)
     <= sqrt(norm_A(T-T#)^2 + norm_A(T+T#)^2)/2."""
     op = _as_op(space, t)
-    bt, bsh = op.compress(), _adjoint(op)
-    dm, dp = _sig(bt - bsh, "T-T#"), _sig(bt + bsh, "T+T#")
+    dm, dp = _kept("T-T#", op), _kept("T+T#", op)
     return _report("real_part_bounds",
                    [("max(norm_A(T-T#),norm_A(T+T#))/2", 0.5 * max(dm, dp)),
                     ("w_A(T)", _kept("w(T)", op)[0]),
@@ -494,9 +473,9 @@ def check_square_bounds(space: SemiHilbertSpace, t) -> InequalityReport:
     """max(norm_A(T^2-(T#)^2), norm_A(T^2+(T#)^2))^(1/2)/2 <= w_A(T)
     <= sqrt(2)/2 * (norm_A(T)^2 + w_A(T^2))^(1/2)."""
     op = _as_op(space, t)
-    bt2, bsh = _square(op), _adjoint(op)
-    m2, p2 = _sig(bt2 - bsh @ bsh, "T^2-(T#)^2"), _sig(bt2 + bsh @ bsh, "T^2+(T#)^2")
-    upper = math.sqrt(0.5) * math.sqrt(_pow(_norm(op), 2, "norm_A(T)^2") + _kept("w(T^2)", op)[0])
+    m2, p2 = _kept("T^2-(T#)^2", op), _kept("T^2+(T#)^2", op)
+    upper = math.sqrt(0.5) * math.sqrt(_pow(_kept("T", op), 2, "norm_A(T)^2")
+                                       + _kept("w(T^2)", op)[0])
     return _report("square_bounds",
                    [("max-diff-sum-squares^(1/2)/2", 0.5 * math.sqrt(max(m2, p2))),
                     ("w_A(T)", _kept("w(T)", op)[0]),
@@ -523,7 +502,7 @@ def check_fourth_power_bounds(space: SemiHilbertSpace, t) -> InequalityReport:
     """norm_A(TT#+T#T)^2/16 + c_A((T^2+(T#)^2)^2)/16 <= w_A(T)^4
     <= norm_A(TT#+T#T)^2/8 + w_A(T^2)^2/2."""
     op = _as_op(space, t)
-    anti = _anti_commutator_norm(op)
+    anti = _kept("TT#+T#T", op)
     c4 = max(0.0, _kept("c((T^2+(T#)^2)^2)", op)[0])
     wt, wt2 = _kept("w(T)", op)[0], _kept("w(T^2)", op)[0]
     return _report("fourth_power_bounds",
@@ -540,7 +519,7 @@ def check_power_inequality(space: SemiHilbertSpace, t) -> InequalityReport:
     wt = _kept("w(T)", op)[0]
     return _report("power_inequality",
                    [("w_A(T^2)", _kept("w(T^2)", op)[0]), ("w_A(T)^2", wt * wt),
-                    ("norm_A(T)^2", _pow(_norm(op), 2, "norm_A(T)^2")),
+                    ("norm_A(T)^2", _pow(_kept("T", op), 2, "norm_A(T)^2")),
                     ("4*w_A(T)^2", 4.0 * wt * wt)], op)
 
 
@@ -552,13 +531,12 @@ def check_reverse_power(space: SemiHilbertSpace, t) -> InequalityReport:
     intermediate step.
     """
     op = _as_op(space, t)
-    bt, bsh = op.compress(), _adjoint(op)
     wt = _kept("w(T)", op)[0]
-    minterm = _pow(min(_sig(bt - bsh, "T-T#"), _sig(bt + bsh, "T+T#")), 2,
+    minterm = _pow(min(_kept("T-T#", op), _kept("T+T#", op)), 2,
                    "min(norm_A(T-T#),norm_A(T+T#))^2")
     return _report("reverse_power",
                    [("2*w_A(T)^2", 2.0 * wt * wt),
-                    ("norm_A(TT#+T#T)", _anti_commutator_norm(op)),
+                    ("norm_A(TT#+T#T)", _kept("TT#+T#T", op)),
                     ("2*w_A(T^2)+min(norm_A(T-T#),norm_A(T+T#))^2",
                      2.0 * _kept("w(T^2)", op)[0] + minterm)], op)
 
@@ -574,12 +552,12 @@ def radius_additivity_diagnostic(space: SemiHilbertSpace, t, s) -> EqualityDiagn
     undershoot on hard landscapes, so it refines but never refutes.
     """
     opt, ops = _as_op(space, t), _as_op(space, s)
+    wt, ws = _kept("w(T)", opt)[0], _kept("w(T)", ops)[0]
+    w_sum = _kept("w(T+S)", opt, ops)[0]
     # <x, T x>_A = conj(<T x, x>_A), so the target is Re(conj(z_T) z_S)
     lhs, u, method = _kept("ascent(T,S)", opt, ops)
-    wt, ws = _kept("w(T)", opt)[0], _kept("w(T)", ops)[0]
     rhs = wt * ws
     eff = _eq_eff(rhs)
-    w_sum = _kept("w(T+S)", opt, ops)[0]
     equal = abs(w_sum - (wt + ws)) <= _eq_eff(wt + ws)
     return EqualityDiagnostic(
         name="radius_additivity", lhs=lhs, rhs=rhs, gap=rhs - lhs,
@@ -595,11 +573,11 @@ def squares_radius_equality(space: SemiHilbertSpace, t, s) -> EqualityDiagnostic
     w_A(T^2+S^2) <= 2 max(w_A(T)^2, w_A(S)^2).  lhs is exact where the
     certificate of w_A(T^2+S^2) attains w_A(T^2) w_A(S^2) up to rounding."""
     opt, ops = _as_op(space, t), _as_op(space, s)
-    lhs, u, method = _kept("ascent(T^2,S^2)", opt, ops)
     wt, ws = _kept("w(T)", opt)[0], _kept("w(T)", ops)[0]
     rhs = max(_pow(wt, 4, "w_A(T)^4"), _pow(ws, 4, "w_A(S)^4"))
-    eff = _eq_eff(rhs)
     chain_lhs = _kept("w(T^2+S^2)", opt, ops)[0]
+    lhs, u, method = _kept("ascent(T^2,S^2)", opt, ops)
+    eff = _eq_eff(rhs)
     chain_rhs = 2.0 * max(wt * wt, ws * ws)
     equal = abs(chain_lhs - chain_rhs) <= _eq_eff(chain_rhs)
     return EqualityDiagnostic(

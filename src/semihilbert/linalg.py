@@ -39,7 +39,10 @@ def pow2_split(m: np.ndarray) -> tuple[int, np.ndarray]:
     """(e, m * 2^-e) with the largest |entry| of m * 2^-e in [1/2, 1), or
     (0, m) for a zero matrix.  Scaling by a power of two is exact wherever
     the result is normal."""
-    e = math.frexp(float(np.abs(m).max(initial=0.0)))[1]
+    top = float(np.abs(m).max(initial=0.0))
+    # a modulus past the float range where no part is: the exponent of m / 2's, plus one
+    e = math.frexp(top)[1] if top < math.inf or not np.isfinite(m).all() else \
+        math.frexp(float(np.abs(m / 2.0).max()))[1] + 1
     if e < -1023:  # 2^-e is past the float range: two factors, each a float
         return e, m * 2.0 ** 600 * 2.0 ** (-e - 600)
     return e, m * 2.0 ** -e

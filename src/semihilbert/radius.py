@@ -511,8 +511,6 @@ def _least_eigenvalue(m: np.ndarray):
     """(lam_min(M), 0, its eigenvector): the Crawford search on M Hermitian PSD up to rounding, in
     closed form (docs/compression.md), from one eigh of M normalized by ``pow2_split``."""
     e, m = pow2_split(m)
-    if not np.isfinite(m).all():  # eigh would return NaN, or values of the rest
-        raise np.linalg.LinAlgError("the matrix has non-finite entries")
     if not m.size:  # rank 0
         return 0.0, 0.0, np.zeros(0, dtype=np.complex128)
     lam, vecs = np.linalg.eigh(herm_part(m))
@@ -546,44 +544,57 @@ def _ascent_bilinear(pairs, starts: int = 32, seed: int = 0,
             for ((et, _), (es, _)), (value, u) in zip(split, found)]
 
 
-# B*, sigma_max(B), B @ B and the results of the searches on B and on the
-# matrices built from B and a second bound operator, kept on the bound
-# operator on first use; the memo's one other entry is the reports' inputs
-# digest, which inequalities._digest keeps there through ``_held``
+# -- the quantities the checks read ---------------------------------------------
 
-def _adjoint(op: OperatorInSpace) -> np.ndarray:
-    return op._cached("adjoint", lambda: dagger(op.compress()))
+def _sig(m: np.ndarray) -> float:
+    # sigma_max of m: the route of every seminorm of ``SEARCHES``
+    return spectral_norm(m)
 
 
-def _norm(op: OperatorInSpace) -> float:
-    return op._cached("norm", lambda: spectral_norm(op.compress()))
+def _top(m: np.ndarray) -> tuple[float, np.ndarray]:
+    # the largest eigenvalue of the Hermitian part of m, and its eigenvector
+    return support_max(m, 0.0)
 
 
-def _square(op: OperatorInSpace) -> np.ndarray:
-    return op._cached("square", lambda: op.compress() @ op.compress())
-
-
-def _fourth_power(op: OperatorInSpace) -> np.ndarray:
-    m = _square(op) + _adjoint(op) @ _adjoint(op)  # (T^2 + (T^#)^2)^2
-    return m @ m
-
-
-# every search the checks read, by name: the selector of ``_level_sup`` (None for the
-# bilinear ascent, a function for a closed form), the operators it reads and the matrix, or
-# pair of matrices, it runs on, an ascent's sum and part searches (``_witness``), and a sum's
-# part search (``_doubled``).  A search of one operator runs on S under its name on T.
+# every quantity a check reads, by name: its route, the operators it reads (an entry of T
+# runs on S under its name on T), what it is built from, and an ascent's sum and part
+# searches (``_witness``) or a sum's part search (``_doubled``).  The routes: None keeps
+# the matrix (two entries read each, in B notation); a function runs on it: ``_sig`` its
+# seminorm (named by its operator), ``_top`` the top of its Hermitian part and
+# ``_least_eigenvalue`` the closed form; a selector of ``_level_sup`` its level search
+# and "ascent" the bilinear ascent of the pair (``_ascended``)
 SEARCHES = {
+    "B*": (None, "t", lambda t: dagger(t.compress())),
+    "B^2": (None, "t", lambda t: t.compress() @ t.compress()),
+    "(B*)^2": (None, "t", lambda t: _kept("B*", t) @ _kept("B*", t)),
+    "B*B": (None, "t", lambda t: _kept("B*", t) @ t.compress()),
+    "B^2+(B*)^2": (None, "t", lambda t: _kept("B^2", t) + _kept("(B*)^2", t)),
+    "Bs*Bt": (None, "ts", lambda t, s: _kept("B*", s) @ t.compress()),
+    "Bt+Bs": (None, "ts", lambda t, s: t.compress() + s.compress()),
+    "T": (_sig, "t", OperatorInSpace.compress),
+    "T-T#": (_sig, "t", lambda t: t.compress() - _kept("B*", t)),
+    "T+T#": (_sig, "t", lambda t: t.compress() + _kept("B*", t)),
+    "TT#+T#T": (_sig, "t", lambda t: t.compress() @ _kept("B*", t) + _kept("B*B", t)),
+    "T^2-(T#)^2": (_sig, "t", lambda t: _kept("B^2", t) - _kept("(B*)^2", t)),
+    "T^2+(T#)^2": (_sig, "t", lambda t: _kept("B^2+(B*)^2", t)),
+    "S#T": (_sig, "ts", lambda t, s: _kept("Bs*Bt", t, s)),
+    "T+S": (_sig, "ts", lambda t, s: _kept("Bt+Bs", t, s)),
+    "T#T+S#S": (_sig, "ts", lambda t, s: _kept("B*B", t) + _kept("B*B", s)),
+    "top(S#T)": (_top, "ts", lambda t, s: _kept("Bs*Bt", t, s)),
+    "top((S#S)(T#T))": (_top, "ts", lambda t, s: _kept("B*B", s) @ _kept("B*B", t)),
     "w(T)": (-1, "t", OperatorInSpace.compress),
     "c(T)": (CRAWFORD, "t", OperatorInSpace.compress),
-    "w(T^2)": (-1, "t", _square),
-    "c((T^2+(T#)^2)^2)": (_least_eigenvalue, "t", _fourth_power),
-    "w(S#T)": (-1, "ts", lambda t, s: _adjoint(s) @ t.compress()),
-    "w(T+S)": (-1, "ts", lambda t, s: t.compress() + s.compress(), "w(T)"),
-    "w(T^2+S^2)": (-1, "ts", lambda t, s: _square(t) + _square(s), "w(T^2)"),
-    "ascent(T,S)": (None, "ts", lambda t, s: (t.compress(), s.compress()), "w(T+S)", "w(T)"),
-    "ascent(T^2,S^2)": (None, "ts", lambda t, s: (_square(t), _square(s)), "w(T^2+S^2)",
-                        "w(T^2)"),
+    "w(T^2)": (-1, "t", lambda t: _kept("B^2", t)),
+    "c((T^2+(T#)^2)^2)": (_least_eigenvalue, "t",
+                          lambda t: _kept("B^2+(B*)^2", t) @ _kept("B^2+(B*)^2", t)),
+    "w(S#T)": (-1, "ts", lambda t, s: _kept("Bs*Bt", t, s)),
+    "w(T+S)": (-1, "ts", lambda t, s: _kept("Bt+Bs", t, s), "w(T)"),
+    "w(T^2+S^2)": (-1, "ts", lambda t, s: _kept("B^2", t) + _kept("B^2", s), "w(T^2)"),
+    "ascent(T,S)": ("ascent", "ts", lambda t, s: (t.compress(), s.compress()), "w(T+S)", "w(T)"),
+    "ascent(T^2,S^2)": ("ascent", "ts", lambda t, s: (_kept("B^2", t), _kept("B^2", s)),
+                        "w(T^2+S^2)", "w(T^2)"),
 }
+
 
 def _held(name: str, ops: tuple):
     """(owner, key) of what is kept of T (and S) under ``name``: on the last
@@ -599,23 +610,32 @@ def _held(name: str, ops: tuple):
     return owner, key
 
 
-def _entry(name: str, ops: tuple):
-    """(owner, key, selector, build) of the search ``name`` on T (and S), as ``_held`` keeps it."""
-    sel, _, build, *_ = SEARCHES[name]
-    return (*_held(name, ops), sel, lambda: build(*ops))
-
-
 def _kept(name: str, *ops: OperatorInSpace):
-    """The search ``name`` of ``SEARCHES`` on T, or on T and S, run on first
-    use: (value, theta, vector) of a level search; (value, vector, method)
-    of an ascent, its ``_witness`` where that decides, else the ascent; a
-    sum search on (T, T) doubles its part search (``_doubled``).  A level
-    search past the float range raises an overflow naming it (``_named``)."""
-    owner, key, sel, build = _entry(name, ops)
-    if sel is None:
-        return owner._cached(key, lambda: _ascended([(name, ops, build())])[0])
-    core = sel if callable(sel) else _radius_seminorm_core if sel == -1 else _crawford_core
-    return owner._cached(key, lambda: _doubled(name, ops) or _named(name, core, build()))
+    """The entry ``name`` of ``SEARCHES`` on T, or on T and S, built on first
+    use and kept as ``_held`` says: a matrix; sigma_max; (value, vector) of
+    a Hermitian top; (value, theta, vector) of a level search or the closed
+    form; (value, vector, method) of an ascent, its ``_witness`` where that
+    decides, else the ascent.  A sum search on (T, T) doubles its part
+    search (``_doubled``).  A matrix it builds, or reads, with an entry past
+    the float range, and a value past it, raise an overflow naming ``name``."""
+    owner, key = _held(name, ops)
+    if key not in owner._memo:
+        owner._memo[key] = _evaluated(name, ops)
+    return owner._memo[key]
+
+
+def _evaluated(name: str, ops: tuple):
+    route, _, build, *_ = SEARCHES[name]
+    if route == -1 and (doubled := _doubled(name, ops)):
+        return doubled
+    try:
+        m = build(*ops)
+    except OverflowError as exc:  # a matrix entry it reads has entries past the float range
+        raise OverflowError(f"overflow: {name} has entries past the float range") from exc
+    if route == "ascent":
+        return _named(name, lambda pair: _ascended([(name, ops, pair)])[0], m)
+    # a level search's core is looked up when it runs, so that a wrapper put in its place runs
+    return _named(name, {-1: _radius_seminorm_core, CRAWFORD: _crawford_core}.get(route, route), m)
 
 
 def _doubled(name: str, ops: tuple):
@@ -634,17 +654,21 @@ def _doubled(name: str, ops: tuple):
     return (math.ldexp(value, 1), theta, u) if 2.0 ** -1022 <= value < 2.0 ** 1021 else None
 
 
-def _named(name: str, solve, m: np.ndarray):
-    """solve(m), where an overflow names ``name``: LAPACK failing on m because
-    m has entries past the float range, or a value past the float range."""
+def _named(name: str, solve, m):
+    """solve(m), or m itself for no ``solve``, where an overflow names ``name``:
+    m, a matrix or a pair of them, with an entry past the float range, which
+    no solver sees, or a value past the float range (or NaN)."""
+    if not np.isfinite(m).all():
+        raise OverflowError(f"overflow: {name} has entries past the float range")
+    if solve is None:
+        return m
     try:
-        return solve(m)
-    except np.linalg.LinAlgError as exc:
-        if np.isfinite(m).all():
-            raise
-        raise OverflowError(f"overflow: {name} has entries past the float range") from exc
+        found = solve(m)
     except OverflowError as exc:
         raise OverflowError(f"overflow: {name} is past the float range") from exc
+    if not math.isfinite(found if isinstance(found, float) else found[0]):
+        raise OverflowError(f"overflow: {name} is past the float range")
+    return found
 
 
 def _witness(name: str, ops: tuple, pair) -> tuple | None:
@@ -673,25 +697,31 @@ def _ascended(problems: list) -> list:
 
 def run_declared(operators) -> None:
     """Fill the memos of the bound operators (T, or T and S) with every search
-    ``check`` reads of them: each of ``SEARCHES`` whose operators are bound,
-    but for a closed form, and w, c and w(T^2) of S.  Two lockstep runs
+    ``check`` reads of them: each level search and ascent of ``SEARCHES``
+    whose operators are bound, and w, c and w(T^2) of S.  Two lockstep runs
     compute them: one ``_level_sup`` over the level searches, then one
     ``_ascent_bilinear`` over the ascents no witness from its certificates
     decides.  Each result is the one ``_kept`` computes alone, bit for bit.
-    A search on an unbounded operator or a non-finite matrix, and every
-    search of a run that LAPACK fails on or whose value overflows, is left to
-    ``_kept``, which raises as it would."""
+    A search on an unbounded operator or on a matrix ``_named`` refuses, a
+    value past the float range, and every search of a run that LAPACK fails
+    on or whose value overflows, is left to ``_kept``, which raises as it
+    would."""
     t = operators[0]
     declared = [(name, (t,) if roles == "t" else operators)
-                for name, (_, roles, *_) in SEARCHES.items() if len(roles) <= len(operators)]
+                for name, (route, roles, *_) in SEARCHES.items()
+                if route in (-1, CRAWFORD, "ascent") and len(roles) <= len(operators)]
     declared += [(name, operators[1:]) for name in ("w(T)", "c(T)", "w(T^2)")
                  if len(operators) == 2]
     level, ascent = [], []
     for name, ops in declared:
-        if all(op.a_bounded for op in ops) and not callable(SEARCHES[name][0]):
-            owner, key, sel, build = _entry(name, ops)
-            if key not in owner._memo and np.isfinite(m := build()).all():
-                (ascent if sel is None else level).append((owner, key, (name, ops, sel, m)))
+        (owner, key), (route, _, build, *_) = _held(name, ops), SEARCHES[name]
+        if key in owner._memo or not all(op.a_bounded for op in ops):
+            continue
+        try:
+            m = _named(name, None, build(*ops))
+        except OverflowError:
+            continue
+        (ascent if route == "ascent" else level).append((owner, key, (name, ops, route, m)))
     for run, searches in ((_run_level, level), (_run_ascent, ascent)):
         if searches:
             try:
@@ -699,7 +729,8 @@ def run_declared(operators) -> None:
             except (np.linalg.LinAlgError, OverflowError):
                 continue
             for (owner, key, _), result in zip(searches, results):
-                owner._cached(key, lambda: result)
+                if math.isfinite(result[0]):
+                    owner._cached(key, lambda: result)
 
 
 def _run_level(searches):

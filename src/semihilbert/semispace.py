@@ -237,8 +237,8 @@ class OperatorInSpace:
     a_bounded: bool
     admits_adjoint: bool
     compression: np.ndarray | None
-    # quantities of the compression, read and filled by radius.py's accessors,
-    # and the inputs digest of the reports on the operator (inequalities._digest)
+    # quantities of the compression, read and filled by radius._kept from its
+    # table, and the inputs digest of the reports on the operator (inequalities._digest)
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     __eq__ = _equal

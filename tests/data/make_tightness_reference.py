@@ -175,9 +175,8 @@ def paper_examples() -> dict:
         space = make_space(cli.decode_matrix(case["a"], "a"))
         op = space.bind(cli.decode_matrix(case["t"], "t"))
         sop = space.bind(cli.decode_matrix(case["s"], "s")) if "s" in case else None
-        reports = {}
-        values[case["id"]] = {key: _plain(cli._golden_quantity(case, key, space, op, sop, reports))
-                              for key in case["expected"]}
+        reads = cli._golden_reads(case, space, op, sop)
+        values[case["id"]] = {key: _plain(reads[key]()) for key in case["expected"]}
     return {"exit_code": code, "output": json.loads(out.getvalue().splitlines()[-1]),
             "values": values}
 

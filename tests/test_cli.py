@@ -126,6 +126,50 @@ def test_check_runs_each_kernel_search_once(monkeypatch, capsys):
     assert stacks == [1] * 4 and ascents == []
 
 
+def test_check_builds_each_seminorm_once(monkeypatch, capsys):
+    """check --json over the 12 reference pairs makes at most 144 SVDs, 12 a
+    pair: the seminorms of T and S in the quantities and 10 of the table,
+    each once, where recomputing norm_A(T+S), norm_A(T-T#), norm_A(T+T#),
+    norm_A(TT#+T#T) and norm_A(S#T) in every check that reads them took 224;
+    and one top eigenvalue of the Hermitian part a pair, that of S#T, which
+    the triangle and positive-product diagnostics share (16 before)."""
+    svds, tops = [], []
+    svd, top = np.linalg.svd, radius.support_max
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: svds.append(1) or svd(*a, **k))
+    monkeypatch.setattr(radius, "support_max", lambda *a: tops.append(1) or top(*a))
+    for path in CHECK_PAIRS:
+        assert cli.main(["check", str(path), "--json"]) == 0
+    capsys.readouterr()
+    assert len(svds) <= 144 and len(tops) == 12
+
+
+# T = S on A = I_3 past the float range: at MAX diag(0.6, 0.1, 0.1), 2B, B^2 and every product
+# of two compressions hold inf; at b = 0.55 MAX G / max|G| (G the complex normal draw of
+# seed 1), b + b is finite while an entry's modulus is not
+_RNG1 = np.random.default_rng(1)
+_G = _RNG1.standard_normal((3, 3)) + 1j * _RNG1.standard_normal((3, 3))
+PAST_THE_RANGE_PAIRS = {
+    "max-diag": np.finfo(np.float64).max * np.diag([0.6, 0.1, 0.1]),
+    "modulus-past": 0.55 * np.finfo(np.float64).max * _G / np.abs(_G).max(),
+}
+
+
+@pytest.mark.parametrize("name", PAST_THE_RANGE_PAIRS)
+def test_pairs_past_the_float_range_reach_no_solver(tmp_path, capfd, name):
+    """check on these pairs exits 1 with every ERROR line naming an overflow
+    or a non-finite value: no matrix past the float range reaches LAPACK,
+    which printed 'illegal value' lines for the first, and no search fails
+    to converge, as radius_additivity's did on the second."""
+    m = ineq.encode_matrix(PAST_THE_RANGE_PAIRS[name])
+    path = write_instance(tmp_path, a=np.eye(3).tolist(), t=m, s=m)
+    assert cli.main(["check", path]) == 1
+    captured = capfd.readouterr()
+    errors = [row for row in captured.out.splitlines() if ": ERROR  " in row]
+    assert errors and all("overflow" in row or "non-finite" in row for row in errors), errors
+    assert "illegal value" not in captured.out + captured.err
+    assert "did not converge" not in captured.out
+
+
 @pytest.mark.parametrize("path", CHECK_PAIRS, ids=lambda p: p.stem)
 def test_reference_pairs_ascend_only_where_no_witness_decides(path, capsys):
     """The certificates of w_A(T+S) and w_A(T^2+S^2) witness both ascents of
@@ -206,22 +250,22 @@ PAST_THE_RANGE = {
         "adjoint_sum_bound": "overflow: T#T+S#S has entries past the float range",
         "square_bounds": "overflow: T^2-(T#)^2 has entries past the float range",
         "fourth_power_bounds": "overflow: TT#+T#T has entries past the float range",
-        "triangle_equality": "overflow: S#T has entries past the float range",
+        "triangle_equality": "overflow: top(S#T) has entries past the float range",
         "pythagoras": "overflow: S#T has entries past the float range"},
     ("04-scaled-dim8-full", 1021): {
-        "reverse_power": "overflow: TT#+T#T has entries past the float range",
+        "reverse_power": "overflow: T-T# is past the float range",
         "radius_additivity": "overflow: w(T+S) is past the float range"},
 }
 
 
 @pytest.mark.parametrize("stem, k", PAST_THE_RANGE, ids=lambda v: str(v))
 def test_reference_pairs_past_the_float_range_name_each_overflow(tmp_path, capsys, stem, k):
-    """Pairs 00 and 04 scaled by 2^525 and 2^1021: an SVD or eigensolve that
-    LAPACK fails on because its matrix is past the float range, and a
-    radius whose value is, read as an overflow naming the quantity, where
-    they read 'SVD did not converge', 'Eigenvalues did not converge' or
-    'math range error'; run with the others or alone.  Every ERROR line
-    names an overflow or a non-finite value."""
+    """Pairs 00 and 04 scaled by 2^525 and 2^1021: a matrix past the float
+    range, which no SVD or eigensolve sees, and a seminorm or radius whose
+    value is, read as an overflow naming the quantity, where they read 'SVD
+    did not converge', 'Eigenvalues did not converge' or 'math range error';
+    run with the others or alone.  Every ERROR line names an overflow or a
+    non-finite value."""
     path = tmp_path / "scaled.json"
     path.write_text(_scaled_pair(next(p for p in CHECK_PAIRS if p.stem == stem), k))
     assert cli.main(["check", str(path)]) == 1
@@ -413,13 +457,14 @@ def test_check_huge_entries_report_errors_per_check(tmp_path, capsys):
     lines = text.out.splitlines()
     assert {n: rest.split()[0] for n, rest in (x.split(": ", 1) for x in lines[1:])} \
         == HUGE_VERDICTS
-    # the SVD of T^2 - (T#)^2 and the least eigenvalue of (T^2 + (T#)^2)^2, past the
-    # float range, name their matrix; a float power's overflow names the power, where it
-    # read 'Numerical result out of range'
+    # the seminorms of T^2 - (T#)^2 and TT# + T#T and the radius of T^2 read matrices
+    # past the float range, which no solver sees, and the overflow names the quantity
+    # read; a float power's overflow names the power, where it read 'Numerical result
+    # out of range'
     errors = {
         "square_bounds": "overflow: T^2-(T#)^2 has entries past the float range",
-        "fourth_power_bounds": "overflow: c((T^2+(T#)^2)^2) has entries past the float range",
-        "power_inequality": "overflow: norm_A(T)^2 is past the float range",
+        "fourth_power_bounds": "overflow: TT#+T#T has entries past the float range",
+        "power_inequality": "overflow: w(T^2) has entries past the float range",
         "reverse_power": "overflow: min(norm_A(T-T#),norm_A(T+T#))^2 is past the float range"}
     for name, text in errors.items():
         assert f"{name}: ERROR  {text}" in lines

@@ -519,8 +519,9 @@ def test_real_part_upper_bound_does_not_underflow():
 
 def test_non_finite_values_are_errors_not_verdicts():
     """A chain or a diagnostic with a value past the float range raises
-    OverflowError naming it, whichever way its comparisons would fall; NaN
-    is not hidden by the max of the adjoint-sum middle value."""
+    OverflowError naming it, whichever way its comparisons would fall; the
+    adjoint-sum middle value never reaches its max as NaN, as the seminorm
+    of T#T+S#S past the float range is an overflow naming it."""
     with pytest.raises(OverflowError, match=r"non-finite value: b=nan, c=inf"):
         ineq._report("x", [("a", 1.0), ("b", math.nan), ("c", math.inf)], {})
     diag = dict(name="x", lhs=1.0, rhs=1.0, gap=0.0, witness=np.zeros(1), equal=True,
@@ -532,7 +533,7 @@ def test_non_finite_values_are_errors_not_verdicts():
         ineq.EqualityDiagnostic(**diag, extras={"w_sum": -math.inf})
     space = make_space(np.eye(2))
     with np.errstate(all="ignore"), pytest.raises(
-            OverflowError, match=r"sqrt\(norm_A\(T#T\+S#S\)\+2w_A\(S#T\)\)=nan"):
+            OverflowError, match=r"^overflow: T#T\+S#S has entries past the float range$"):
         check_adjoint_sum_bound(space, 1e300 * np.eye(2), np.diag([1e300, 2e300]))
 
 
@@ -736,8 +737,9 @@ def test_witness_decides_the_campaign_draws_at_every_scale(diagnostic, draw, pow
 ], ids=["bound", "sum-search"])
 def test_overflow_falls_back_to_the_ascent(monkeypatch, name, diagnostic, t, s):
     """Where the bound, delta or the sum's search overflows, no witness
-    decides: the ascent runs, and the check raises what it raises with no
-    witness at all."""
+    decides: the ascent runs, its value past the float range is an overflow
+    naming the ascent, and the check raises what it raises with no witness
+    at all."""
     space = make_space(np.eye(len(t)))
     calls, ascent = [], radius._multistart_ascent
     monkeypatch.setattr(radius, "_multistart_ascent",
@@ -750,7 +752,9 @@ def test_overflow_falls_back_to_the_ascent(monkeypatch, name, diagnostic, t, s):
 
     with np.errstate(all="ignore"):
         opt, ops = space.bind(t), space.bind(s)
-        assert radius._kept(name, opt, ops)[2] == "heuristic"
+        with pytest.raises(OverflowError) as info:
+            radius._kept(name, opt, ops)
+        assert info.value.args == (f"overflow: {name} is past the float range",)
         assert calls == [1]
         got = raised()
         monkeypatch.setattr(radius, "_witness", lambda *a: None)

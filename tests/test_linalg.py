@@ -2,6 +2,8 @@
 space (square root, pseudoinverse, range projector), against hand-derived
 values and an independent elimination-based rank oracle."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -16,6 +18,7 @@ from semihilbert.linalg import (
     fro_norm,
     herm_part,
     hermitian_eig,
+    pow2_split,
     spectral_norm,
 )
 from semihilbert.semispace import make_space
@@ -101,6 +104,49 @@ def test_norms_hand_values():
 def test_fro_norm_neither_overflows_nor_underflows(k):
     m = np.array([[3, 0], [0, -4j]])
     assert fro_norm(2.0 ** k * m) == 2.0 ** k * 5.0
+
+
+def _old_pow2_split(m):
+    # the split before moduli past the float range had a case of their own
+    e = math.frexp(float(np.abs(m).max(initial=0.0)))[1]
+    if e < -1023:
+        return e, m * 2.0 ** 600 * 2.0 ** (-e - 600)
+    return e, m * 2.0 ** -e
+
+
+def test_pow2_split_is_unchanged_where_the_largest_modulus_is_finite():
+    """Wherever max |m_ij| is finite (subnormal, zero, empty and non-finite
+    parts included), the exponent and the scaled matrix are those of the split
+    before, bit for bit."""
+    rng = np.random.default_rng(3)
+    with np.errstate(all="ignore"):
+        for k in range(-1100, 1030, 3):
+            for shape in ((3, 3), (2, 5), (1, 1)):
+                re, im = rng.standard_normal((2, *shape))
+                m = np.ldexp(re, k) + 1j * np.ldexp(im, k)
+                m[0, 0] *= rng.choice([1.0, 0.0, 1e-300])
+                for x in (m, m.real, np.zeros(shape), np.zeros((0, 0))):
+                    if np.abs(x).max(initial=0.0) < math.inf:
+                        e, got = pow2_split(x)
+                        old_e, want = _old_pow2_split(x)
+                        assert e == old_e and got.tobytes() == want.tobytes(), k
+        for bad in (math.nan, math.inf):
+            x = np.array([[bad, 1.0], [0.0, 2.0]])
+            assert pow2_split(x)[0] == _old_pow2_split(x)[0] == 0
+
+
+def test_pow2_split_normalizes_a_modulus_past_the_float_range():
+    """An entry whose real and imaginary parts are finite but whose modulus
+    is not: the exponent is that of m / 2 plus one, so the largest modulus of
+    the scaled matrix is in [1/2, 1), where it was left raw."""
+    big = np.finfo(np.float64).max
+    with np.errstate(over="ignore"):
+        for m in (np.array([[0.9 * big * (1 + 1j), 1.0], [0.0, -3.0]]),
+                  np.array([[0.8 * big + 0.8j * big]])):
+            assert np.isfinite(m).all() and np.abs(m).max() == math.inf
+            e, got = pow2_split(m)
+            assert e == math.frexp(float(np.abs(m / 2).max()))[1] + 1 == 1025
+            assert 0.5 <= np.abs(got).max() < 1.0 and np.array_equal(got, m * 2.0 ** -e)
 
 
 def _bits(x):

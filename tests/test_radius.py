@@ -239,6 +239,66 @@ def test_sum_on_one_operator_past_the_float_range_names_the_sum():
             ineq.radius_additivity_diagnostic(space, op, op)
 
 
+MAX = np.finfo(np.float64).max
+
+
+def _ops_past_the_range(same):
+    # T = S = MAX diag(0.6, 0.1, 0.1) on A = I_3, one bound operator or two: B is in range,
+    # 2B, B^2 and every product of two compressions are not
+    space = make_space(np.eye(3))
+    t = space.bind(MAX * np.diag([0.6, 0.1, 0.1]))
+    return t, (t if same else space.bind(MAX * np.diag([0.6, 0.1, 0.1])))
+
+
+@pytest.mark.parametrize("same", [True, False], ids=["one-operator", "two-operators"])
+@pytest.mark.parametrize("name", radius.SEARCHES)
+def test_every_entry_is_finite_or_a_named_overflow(name, same):
+    """Each entry of the table, read on T = S = MAX diag(0.6, 0.1, 0.1) at
+    r = 3, returns a finite matrix or value, or raises an overflow naming
+    that entry; none returns NaN or inf and none lets LAPACK fail."""
+    t, s = _ops_past_the_range(same)
+    ops = (t,) if radius.SEARCHES[name][1] == "t" else (t, s)
+    with np.errstate(all="ignore"):
+        try:
+            found = radius._kept(name, *ops)
+        except OverflowError as exc:
+            assert str(exc) in (f"overflow: {name} has entries past the float range",
+                                f"overflow: {name} is past the float range")
+            return
+    values = [found] if isinstance(found, (float, np.ndarray)) else found[:-1]
+    assert all(np.isfinite(v).all() for v in values), (name, found)
+
+
+@pytest.mark.parametrize("dims", [[0.6, 0.1, 0.1], [0.6, 0.1]], ids=["r3", "r2"])
+def test_a_search_on_a_matrix_past_the_float_range_names_it(dims):
+    """2B has an inf entry at B = MAX diag(0.6, 0.1, 0.1) and MAX diag(0.6,
+    0.1): w(T+S) on (T, T) raises an overflow naming it before any search
+    sees 2B, where it returned 3.5954e307, below w(T) = 1.0786e308, at r = 3
+    and NaN at r = 2."""
+    op = make_space(np.eye(len(dims))).bind(MAX * np.diag(dims))
+    assert radius._kept("w(T)", op)[0] == 0.6 * MAX
+    with np.errstate(all="ignore"), pytest.raises(
+            OverflowError, match=r"^overflow: w\(T\+S\) has entries past the float range$"):
+        radius._kept("w(T+S)", op, op)
+
+
+def test_a_search_on_entries_whose_modulus_overflows_is_a_value_or_a_named_overflow():
+    """b = 0.55 MAX G / max|G| (G the 3 x 3 complex normal draw of seed 1):
+    b + b is finite but the modulus of an entry is not, and the search of its
+    radius runs normalized by ``pow2_split``, where LAPACK's eigensolver did
+    not converge on it raw; its value is past the float range, named."""
+    rng = np.random.default_rng(1)
+    g = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    b = 0.55 * MAX * g / np.abs(g).max()
+    with np.errstate(all="ignore"):
+        assert np.isfinite(b + b).all() and np.abs(b + b).max() == math.inf
+        with pytest.raises(OverflowError, match=r"^overflow: w\(T\+S\) is past the float range$"):
+            radius._named("w(T+S)", radius._radius_seminorm_core, b + b)
+        op = make_space(np.eye(3)).bind(b)
+        with pytest.raises(OverflowError, match=r"^overflow: w\(T\+S\) is past the float range$"):
+            ineq.radius_additivity_diagnostic(op.space, op, op)
+
+
 @pytest.mark.parametrize("k", [-700, -600, 600, 700])
 def test_extreme_scales_keep_membership_norm_and_radius(k):
     """Binding 2^k T gives the flags of T and 2^k times its seminorm and
