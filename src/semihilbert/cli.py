@@ -182,11 +182,16 @@ def _fmt(v: float) -> str:
     return f"{v:.10g}"
 
 
+def _seminorm(op) -> float:
+    # a_operator_norm from the table's sigma_max: inf for T unbounded, an exact 0 where A T A = 0
+    return math.inf if not op.a_bounded else 0.0 if op.is_a_zero() else _kept("T", op)
+
+
 def _quantities(part: str, op) -> dict:
-    # the values of a_numerical_radius and a_crawford, without their certificates; one
-    # past the float range ends the run with an error naming it and the operator
+    # the values of a_operator_norm, a_numerical_radius and a_crawford, without their
+    # certificates; one past the float range ends the run with an error naming it and the operator
     values = dict(op.membership)
-    for key, read in (("a_operator_norm", op.a_operator_norm),
+    for key, read in (("a_operator_norm", lambda: _seminorm(op)),
                       ("a_numerical_radius", lambda: _kept("w(T)", op)[0]),
                       ("a_crawford", lambda: max(0.0, _kept("c(T)", op)[0]))):
         try:
@@ -287,7 +292,7 @@ def _golden_reads(case, space, op, sop) -> dict:
         return reports[check]
 
     return {
-        "a_operator_norm": op.a_operator_norm,
+        "a_operator_norm": lambda: _seminorm(op),
         "a_numerical_radius": lambda: a_numerical_radius(op).value,
         "a_numerical_radius_of_square": lambda: _kept("w(T^2)", op)[0],
         "anti_commutator_norm": lambda: _kept("TT#+T#T", op),
@@ -295,7 +300,7 @@ def _golden_reads(case, space, op, sop) -> dict:
         "fourth_power_chain": lambda: [v for _, v in report(ineq.check_fourth_power_bounds).chain],
         "fourth_power_chain_holds": lambda: report(ineq.check_fourth_power_bounds).holds,
         "power_chain_holds": lambda: report(ineq.check_power_inequality).holds,
-        "norm_of_s": lambda: sop.a_operator_norm(),
+        "norm_of_s": lambda: _seminorm(sop),
         "norm_of_sum": lambda: report(ineq.check_hh_triangle, sop).chain[0][1],
         "hh_middle": lambda: report(ineq.check_hh_triangle, sop).chain[1][1],
         "hh_chain_holds": lambda: report(ineq.check_hh_triangle, sop).holds,

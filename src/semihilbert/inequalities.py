@@ -347,7 +347,7 @@ def triangle_equality_diagnostic(space: SemiHilbertSpace, t, s) -> EqualityDiagn
     attainable Re <T x, S x>_A over A-unit x reaches norm_A(T) * norm_A(S);
     that maximum is the top eigenvalue of the Hermitian part of Bs* Bt."""
     opt, ops = _as_op(space, t), _as_op(space, s)
-    lhs, u = _kept("top(S#T)", opt, ops)
+    lhs, _, u = _kept("top(S#T)", opt, ops)
     nt, ns = _kept("T", opt), _kept("T", ops)
     rhs = nt * ns
     eff = _eq_eff(rhs)
@@ -367,10 +367,7 @@ def check_positive_product_equality(space: SemiHilbertSpace, t, s) -> EqualityDi
     """For S^# T A-positive: norm_A(S^# T) = norm_A(S) norm_A(T) iff the
     triangle equality holds for the pair; both are evaluated and compared."""
     opt, ops = _as_op(space, t), _as_op(space, s)
-    product = ops.sharp() @ opt.t
-    if not np.isfinite(product).all():
-        raise OverflowError("non-finite entries in S^# T")
-    if not space.bind(product).is_a_positive():
+    if not space.bind(_named("S^# T", None, ops.sharp() @ opt.t)).is_a_positive():
         raise PreconditionNotMet("S^# T is not A-positive")
     tri = triangle_equality_diagnostic(space, opt, ops)
     # the same rhs norm_A(T) norm_A(S) and tolerance as the triangle equality
@@ -437,7 +434,7 @@ def pythagoras_diagnostic(space: SemiHilbertSpace, t, s) -> EqualityDiagnostic:
     nt, ns = _kept("T", opt), _kept("T", ops)
     if _kept("S#T", opt, ops) > 1e-10 * nt * ns:
         raise PreconditionNotMet("S^# T is not zero")
-    lhs, u = _kept("top((S#S)(T#T))", opt, ops)
+    lhs, _, u = _kept("top((S#S)(T#T))", opt, ops)
     rhs = nt * nt * ns * ns
     eff = _eq_eff(rhs)
     equal = abs(rhs - lhs) <= eff

@@ -29,6 +29,8 @@ competitive bracket (``sup_sweep``).
 from __future__ import annotations
 
 import cmath
+import contextlib
+import functools
 import math
 from dataclasses import dataclass
 
@@ -507,14 +509,19 @@ def _crawford_core(b: np.ndarray):
     return _level_sup(b[None], (CRAWFORD,))[0]
 
 
-def _least_eigenvalue(m: np.ndarray):
-    """(lam_min(M), 0, its eigenvector): the Crawford search on M Hermitian PSD up to rounding, in
-    closed form (docs/compression.md), from one eigh of M normalized by ``pow2_split``."""
+def _hermitian_eig(m: np.ndarray, sel: int):
+    """(lam_sel, 0, its eigenvector) of the Hermitian part of M, from one eigh of M normalized
+    by ``pow2_split``: exactly 2^k-homogeneous, 0 at rank 0.  At sel 0 on M Hermitian PSD up to
+    rounding, the Crawford search in closed form (docs/compression.md); at sel -1, the top."""
     e, m = pow2_split(m)
     if not m.size:  # rank 0
         return 0.0, 0.0, np.zeros(0, dtype=np.complex128)
     lam, vecs = np.linalg.eigh(herm_part(m))
-    return math.ldexp(float(lam[0]), e), 0.0, vecs[:, 0]
+    return math.ldexp(float(lam[sel]), e), 0.0, vecs[:, sel]
+
+
+_least_eigenvalue = functools.partial(_hermitian_eig, sel=0)
+_top = functools.partial(_hermitian_eig, sel=-1)
 
 
 def crawford_minimize(b: np.ndarray, starts: int = 20, seed: int = 0,
@@ -549,11 +556,6 @@ def _ascent_bilinear(pairs, starts: int = 32, seed: int = 0,
 def _sig(m: np.ndarray) -> float:
     # sigma_max of m: the route of every seminorm of ``SEARCHES``
     return spectral_norm(m)
-
-
-def _top(m: np.ndarray) -> tuple[float, np.ndarray]:
-    # the largest eigenvalue of the Hermitian part of m, and its eigenvector
-    return support_max(m, 0.0)
 
 
 # every quantity a check reads, by name: its route, the operators it reads (an entry of T
@@ -611,31 +613,57 @@ def _held(name: str, ops: tuple):
 
 
 def _kept(name: str, *ops: OperatorInSpace):
-    """The entry ``name`` of ``SEARCHES`` on T, or on T and S, built on first
-    use and kept as ``_held`` says: a matrix; sigma_max; (value, vector) of
-    a Hermitian top; (value, theta, vector) of a level search or the closed
-    form; (value, vector, method) of an ascent, its ``_witness`` where that
-    decides, else the ascent.  A sum search on (T, T) doubles its part
-    search (``_doubled``).  A matrix it builds, or reads, with an entry past
-    the float range, and a value past it, raise an overflow naming ``name``."""
+    """The entry ``name`` of ``SEARCHES`` on T, or on T and S, as ``_evaluate``
+    keeps it (``_held``): a matrix; sigma_max; (value, theta, vector) of a
+    Hermitian end, a level search or the closed form; (value, vector, method)
+    of an ascent, its ``_witness`` where that decides, else the ascent."""
     owner, key = _held(name, ops)
     if key not in owner._memo:
-        owner._memo[key] = _evaluated(name, ops)
+        _evaluate([(name, ops, owner, key)])
     return owner._memo[key]
 
 
-def _evaluated(name: str, ops: tuple):
-    route, _, build, *_ = SEARCHES[name]
-    if route == -1 and (doubled := _doubled(name, ops)):
-        return doubled
-    try:
-        m = build(*ops)
-    except OverflowError as exc:  # a matrix entry it reads has entries past the float range
-        raise OverflowError(f"overflow: {name} has entries past the float range") from exc
-    if route == "ascent":
-        return _named(name, lambda pair: _ascended([(name, ops, pair)])[0], m)
-    # a level search's core is looked up when it runs, so that a wrapper put in its place runs
-    return _named(name, {-1: _radius_seminorm_core, CRAWFORD: _crawford_core}.get(route, route), m)
+def _evaluate(reads: list) -> None:
+    """Compute and keep each read (name, ops, owner, key) not kept yet: a sum
+    search on (T, T) as ``_doubled``, a matrix refused past the float range
+    (``_named``), every route but a search at once, then the level searches
+    in one ``_level_sup`` and the ascents in one ``_ascended``, each its
+    search alone bit for bit; one alone, or whose stacked run fails or
+    overflows, runs alone and raises there (``_solved``)."""
+    level, ascent = [], []
+    for name, ops, owner, key in reads:
+        route, _, build, *_ = SEARCHES[name]
+        if key in owner._memo:
+            continue
+        if route == -1 and (doubled := _doubled(name, ops)):
+            owner._memo[key] = doubled
+            continue
+        try:
+            m = _named(name, None, build(*ops))
+        except OverflowError as exc:  # it, or a matrix it reads, has entries past the float range
+            raise OverflowError(f"overflow: {name} has entries past the float range") from exc
+        if route in (-1, CRAWFORD, "ascent"):
+            (ascent if route == "ascent" else level).append((name, ops, owner._memo, key, route, m))
+        else:
+            owner._memo[key] = m if route is None else _solved(name, route, m)
+    for searches in (level, ascent):
+        if len(searches) > 1:  # a lone search runs alone
+            with contextlib.suppress(np.linalg.LinAlgError, OverflowError):
+                for (*_, memo, key, _, _), found in zip(searches, _stacked(searches)):
+                    if math.isfinite(found[0]):
+                        memo[key] = found
+        for name, ops, memo, key, route, m in searches:
+            if key not in memo:  # a core is looked up when it runs, so a wrapper in its place runs
+                alone = {-1: _radius_seminorm_core, CRAWFORD: _crawford_core}.get(route)
+                memo[key] = _solved(name, alone or (lambda p: _ascended([(name, ops, p)])[0]), m)
+
+
+def _stacked(searches: list) -> list:
+    # the searches of ``_evaluate`` in one ``_level_sup``, or its ascents in one ``_ascended``
+    if searches[0][4] == "ascent":
+        return _ascended([(name, ops, m) for name, ops, *_, m in searches])
+    found = _level_sup(np.stack([m for *_, m in searches]), [sel for *_, sel, _ in searches])
+    return [_half_period(f) if sel == -1 else f for (*_, sel, _), f in zip(searches, found)]
 
 
 def _doubled(name: str, ops: tuple):
@@ -657,11 +685,14 @@ def _doubled(name: str, ops: tuple):
 def _named(name: str, solve, m):
     """solve(m), or m itself for no ``solve``, where an overflow names ``name``:
     m, a matrix or a pair of them, with an entry past the float range, which
-    no solver sees, or a value past the float range (or NaN)."""
+    no solver sees, or a value past the float range (``_solved``)."""
     if not np.isfinite(m).all():
         raise OverflowError(f"overflow: {name} has entries past the float range")
-    if solve is None:
-        return m
+    return m if solve is None else _solved(name, solve, m)
+
+
+def _solved(name: str, solve, m):
+    # solve(m), where a value past the float range (or NaN) raises an overflow naming ``name``
     try:
         found = solve(m)
     except OverflowError as exc:
@@ -696,50 +727,15 @@ def _ascended(problems: list) -> list:
 
 
 def run_declared(operators) -> None:
-    """Fill the memos of the bound operators (T, or T and S) with every search
-    ``check`` reads of them: each level search and ascent of ``SEARCHES``
-    whose operators are bound, and w, c and w(T^2) of S.  Two lockstep runs
-    compute them: one ``_level_sup`` over the level searches, then one
-    ``_ascent_bilinear`` over the ascents no witness from its certificates
-    decides.  Each result is the one ``_kept`` computes alone, bit for bit.
-    A search on an unbounded operator or on a matrix ``_named`` refuses, a
-    value past the float range, and every search of a run that LAPACK fails
-    on or whose value overflows, is left to ``_kept``, which raises as it
-    would."""
-    t = operators[0]
-    declared = [(name, (t,) if roles == "t" else operators)
-                for name, (route, roles, *_) in SEARCHES.items()
-                if route in (-1, CRAWFORD, "ascent") and len(roles) <= len(operators)]
-    declared += [(name, operators[1:]) for name in ("w(T)", "c(T)", "w(T^2)")
-                 if len(operators) == 2]
-    level, ascent = [], []
-    for name, ops in declared:
-        (owner, key), (route, _, build, *_) = _held(name, ops), SEARCHES[name]
-        if key in owner._memo or not all(op.a_bounded for op in ops):
-            continue
-        try:
-            m = _named(name, None, build(*ops))
-        except OverflowError:
-            continue
-        (ascent if route == "ascent" else level).append((owner, key, (name, ops, route, m)))
-    for run, searches in ((_run_level, level), (_run_ascent, ascent)):
-        if searches:
-            try:
-                results = run([search for *_, search in searches])
-            except (np.linalg.LinAlgError, OverflowError):
-                continue
-            for (owner, key, _), result in zip(searches, results):
-                if math.isfinite(result[0]):
-                    owner._cached(key, lambda: result)
-
-
-def _run_level(searches):
-    found = _level_sup(np.stack([m for *_, m in searches]), [sel for *_, sel, _ in searches])
-    return [_half_period(f) if sel == -1 else f for (*_, sel, _), f in zip(searches, found)]
-
-
-def _run_ascent(searches):
-    return _ascended([(name, ops, m) for name, ops, _, m in searches])
+    """Keep every search ``check`` reads of the bound operators (T, or T and
+    S) in one ``_evaluate``: each level search and ascent of ``SEARCHES`` on
+    each bounded operator for an entry of T, and on the pair for one of both.
+    A read that raises ends the pass; ``_kept`` runs what it leaves alone."""
+    units, pair = [(op,) for op in operators], ([operators] if len(operators) == 2 else [])
+    with contextlib.suppress(np.linalg.LinAlgError, OverflowError):
+        _evaluate([(name, ops, *_held(name, ops)) for name, (route, roles, *_) in SEARCHES.items()
+                   if route in (-1, CRAWFORD, "ascent") for ops in (units if roles == "t" else pair)
+                   if all(op.a_bounded for op in ops)])
 
 
 def _estimate(op: OperatorInSpace, method: str, route) -> RadiusEstimate:

@@ -284,12 +284,14 @@ class OperatorInSpace:
             return float("inf")
         if not self.admits_adjoint:  # cannot happen in finite dimension
             raise NoAdjoint("bounded operator without adjoint: inconsistent membership")
+        return 0.0 if self.is_a_zero() else spectral_norm(self.compression)
+
+    def is_a_zero(self) -> bool:
+        """Whether the seminorm of T is 0: A T A = 0 within ZERO_SEMINORM_TOL."""
         # on A and T scaled by powers of two, which scale both sides alike: A T A stays in range
         (e, a), t = linalg.pow2_split(self.space.a), linalg.pow2_split(self.t)[1]
         norm_a = math.ldexp(self.space._norm_a, -e)
-        if _at_most(_fro(a @ t @ a), ZERO_SEMINORM_TOL * norm_a * norm_a, t):
-            return 0.0
-        return spectral_norm(self.compression)
+        return _at_most(_fro(a @ t @ a), ZERO_SEMINORM_TOL * norm_a * norm_a, t)
 
     def is_a_selfadjoint(self) -> bool:
         """Whether A T = T* A within DEFAULT_PREDICATE_TOL (relative Frobenius)."""

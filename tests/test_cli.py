@@ -127,20 +127,24 @@ def test_check_runs_each_kernel_search_once(monkeypatch, capsys):
 
 
 def test_check_builds_each_seminorm_once(monkeypatch, capsys):
-    """check --json over the 12 reference pairs makes at most 144 SVDs, 12 a
-    pair: the seminorms of T and S in the quantities and 10 of the table,
-    each once, where recomputing norm_A(T+S), norm_A(T-T#), norm_A(T+T#),
-    norm_A(TT#+T#T) and norm_A(S#T) in every check that reads them took 224;
-    and one top eigenvalue of the Hermitian part a pair, that of S#T, which
-    the triangle and positive-product diagnostics share (16 before)."""
+    """check --json over the 12 reference pairs makes at most 120 SVDs, 10 a
+    pair: the 10 seminorms of the table, each once, the quantities' norm_A of
+    T and S included, which took an SVD of their own (144), and recomputing
+    norm_A(T+S), norm_A(T-T#), norm_A(T+T#), norm_A(TT#+T#T) and norm_A(S#T)
+    in every check that reads them took 224; and one top eigenvalue of the
+    Hermitian part a pair, that of S#T, which the triangle and
+    positive-product diagnostics share (16 before)."""
     svds, tops = [], []
-    svd, top = np.linalg.svd, radius.support_max
+    svd = np.linalg.svd
     monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: svds.append(1) or svd(*a, **k))
-    monkeypatch.setattr(radius, "support_max", lambda *a: tops.append(1) or top(*a))
+    for name in ("top(S#T)", "top((S#S)(T#T))"):
+        route, *rest = radius.SEARCHES[name]
+        monkeypatch.setitem(radius.SEARCHES, name,
+                            (lambda m, route=route: tops.append(1) or route(m), *rest))
     for path in CHECK_PAIRS:
         assert cli.main(["check", str(path), "--json"]) == 0
     capsys.readouterr()
-    assert len(svds) <= 144 and len(tops) == 12
+    assert len(svds) <= 120 and len(tops) == 12
 
 
 # T = S on A = I_3 past the float range: at MAX diag(0.6, 0.1, 0.1), 2B, B^2 and every product
@@ -156,16 +160,17 @@ PAST_THE_RANGE_PAIRS = {
 
 @pytest.mark.parametrize("name", PAST_THE_RANGE_PAIRS)
 def test_pairs_past_the_float_range_reach_no_solver(tmp_path, capfd, name):
-    """check on these pairs exits 1 with every ERROR line naming an overflow
-    or a non-finite value: no matrix past the float range reaches LAPACK,
-    which printed 'illegal value' lines for the first, and no search fails
-    to converge, as radius_additivity's did on the second."""
+    """check on these pairs exits 1 with every ERROR line starting
+    'overflow: ' or 'non-finite value: ': no matrix past the float range
+    reaches LAPACK, which printed 'illegal value' lines for the first, and no
+    search fails to converge, as radius_additivity's did on the second."""
     m = ineq.encode_matrix(PAST_THE_RANGE_PAIRS[name])
     path = write_instance(tmp_path, a=np.eye(3).tolist(), t=m, s=m)
     assert cli.main(["check", path]) == 1
     captured = capfd.readouterr()
     errors = [row for row in captured.out.splitlines() if ": ERROR  " in row]
-    assert errors and all("overflow" in row or "non-finite" in row for row in errors), errors
+    assert errors and all(row.split(": ERROR  ")[1].startswith(("overflow: ", "non-finite value: "))
+                          for row in errors), errors
     assert "illegal value" not in captured.out + captured.err
     assert "did not converge" not in captured.out
 
@@ -251,6 +256,7 @@ PAST_THE_RANGE = {
         "square_bounds": "overflow: T^2-(T#)^2 has entries past the float range",
         "fourth_power_bounds": "overflow: TT#+T#T has entries past the float range",
         "triangle_equality": "overflow: top(S#T) has entries past the float range",
+        "positive_product_equality": "overflow: S^# T has entries past the float range",
         "pythagoras": "overflow: S#T has entries past the float range"},
     ("04-scaled-dim8-full", 1021): {
         "reverse_power": "overflow: T-T# is past the float range",
@@ -264,15 +270,17 @@ def test_reference_pairs_past_the_float_range_name_each_overflow(tmp_path, capsy
     range, which no SVD or eigensolve sees, and a seminorm or radius whose
     value is, read as an overflow naming the quantity, where they read 'SVD
     did not converge', 'Eigenvalues did not converge' or 'math range error';
-    run with the others or alone.  Every ERROR line names an overflow or a
-    non-finite value."""
+    run with the others or alone; positive_product_equality's S^# T, formed
+    in the instance's coordinates, read 'non-finite entries in S^# T'.  Every
+    ERROR line starts 'overflow: ' or 'non-finite value: '."""
     path = tmp_path / "scaled.json"
     path.write_text(_scaled_pair(next(p for p in CHECK_PAIRS if p.stem == stem), k))
     assert cli.main(["check", str(path)]) == 1
     captured = capsys.readouterr()
     errors = dict(row.split(": ERROR  ") for row in captured.out.splitlines() if ": ERROR  " in row)
     assert captured.err == "" and errors.items() >= PAST_THE_RANGE[stem, k].items()
-    assert all("overflow" in text or "non-finite" in text for text in errors.values()), errors
+    assert all(text.startswith(("overflow: ", "non-finite value: ")) for text in errors.values()), \
+        errors
     for name, text in PAST_THE_RANGE[stem, k].items():
         assert cli.main(["check", str(path), "--check", name]) == 1
         assert capsys.readouterr().out.splitlines()[-1] == f"{name}: ERROR  {text}"
@@ -298,14 +306,15 @@ def test_paper_examples_read_what_their_checks_compute(monkeypatch, capsys):
 
 def test_paper_examples_svd_count(monkeypatch, capsys):
     """Membership, the zero test and the predicates are decided by Frobenius
-    brackets, so the SVDs left are the seminorms the examples report: one
-    paper-examples run makes at most 13 (35 when every bind took two)."""
+    brackets, so the SVDs left are the seminorms the examples report, each
+    the table's: one paper-examples run makes at most 7 (10 while the
+    reported norm_A took an SVD of its own, 35 when every bind took two)."""
     calls = []
     svd = np.linalg.svd
     monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
     assert cli.main(["paper-examples", "--json"]) == 0
     capsys.readouterr()
-    assert 0 < len(calls) <= 13
+    assert 0 < len(calls) <= 7
 
 
 def test_check_complex_entries(tmp_path):
@@ -354,7 +363,7 @@ BAD_FILES = {
     "flat-row.json": b'{"a": [[1, 0], [0, 1]], "t": [[1, 0], 7]}',
     "t-only.json": b'{"a": [[1, 0], [0, 1]], "t": [[1, 2], [0, 1]]}',
     "deep.json": b"[" * 5000 + b"]" * 5000,
-    # w_A(T) = 2e308 overflows while the quantities of t are read, before any check
+    # norm_A(T) = 2e308 overflows while the quantities of t are read, before any check
     "overflow.json": b'{"a": [[1, 0], [0, 1]], "t": [[1e308, 1e308], [1e308, 1e308]],'
                      b' "s": [[1e308, 0], [0, -1e308]]}',
 }
@@ -367,7 +376,7 @@ BAD_FILES = {
     (["check", "a\x00b.json"], "error: cannot read a\x00b.json: embedded null byte"),
     (["check", "deep.json"], "error: cannot read deep.json: maximum recursion depth"),
     (["check", "overflow.json"],
-     "error: a_numerical_radius of t: overflow: w(T) is past the float range"),
+     "error: a_operator_norm of t: overflow: T is past the float range"),
     (["check", "list.json"], "error: list.json: top level must be an object"),
     (["check", "no-t.json"], "error: no-t.json: missing required key 't'"),
     (["check", "flat-row.json"], "error: t: row 1 is not a non-empty list"),
@@ -404,8 +413,7 @@ def test_quantity_overflow_is_one_named_error(tmp_path, capsys, flag):
         assert cli.main(["check", str(tmp_path / "overflow.json"), *flag]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == ("error: a_numerical_radius of t: overflow: w(T) is past the float"
-                            " range\n")
+    assert captured.err == "error: a_operator_norm of t: overflow: T is past the float range\n"
 
 
 def test_check_rejects_indefinite_weight(tmp_path, capsys):

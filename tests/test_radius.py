@@ -750,7 +750,8 @@ def test_least_eigenvalue_at_rank_zero():
 @given(st.integers(1, 8), st.integers(-1000, 1000), st.integers(0, 2 ** 32 - 1))
 def test_least_eigenvalue_is_exactly_homogeneous(r, k, seed):
     """The closed form on 2^k M is 2^k times its value on M, bit for bit,
-    with the same vector, wherever 2^k M is representable."""
+    with the same vector, wherever 2^k M is representable; so is the top of
+    the Hermitian part, which shares its eigh."""
     rng = np.random.default_rng(seed)
     m = fourth_power(rng.standard_normal((r, r)) + 1j * rng.standard_normal((r, r)))
     m *= 10.0 ** rng.uniform(-30.0, 30.0)
@@ -758,10 +759,24 @@ def test_least_eigenvalue_is_exactly_homogeneous(r, k, seed):
         mk = m * 2.0 ** k
         assume(_normal(m) and _normal(mk) and _normal(2 * r * mk))
     assume(np.array_equal(m.view(np.float64) == 0.0, mk.view(np.float64) == 0.0))
-    (vk, tk, uk), (v, t, u) = radius._least_eigenvalue(mk), radius._least_eigenvalue(m)
-    want = math.ldexp(v, k)
-    assume(_normal(v) and _normal(want))
-    assert (vk, tk) == (want, t) and np.array_equal(uk, u)
+    for route in (radius._least_eigenvalue, radius._top):
+        (vk, tk, uk), (v, t, u) = route(mk), route(m)
+        want = math.ldexp(v, k)
+        assume(_normal(v) and _normal(want))
+        assert (vk, tk) == (want, t) and np.array_equal(uk, u)
+
+
+def test_a_hermitian_top_in_the_float_range_is_its_value():
+    """top(S#T) runs on S#T normalized by a power of two: on A = I_2, T =
+    diag(0.9 MAX, 0) and S = diag(1, 0) it is 0.9 MAX, the seminorm of S#T,
+    at e_1, and triangle_equality holds, where the Hermitian part of the raw
+    matrix overflowed and read 'overflow: top(S#T) is past the float range'."""
+    space = make_space(np.eye(2))
+    t, s = space.bind(np.diag([0.9 * MAX, 0.0])), space.bind(np.diag([1.0, 0.0]))
+    value, theta, u = radius._kept("top(S#T)", t, s)
+    assert value == radius._kept("S#T", t, s) == 0.9 * MAX
+    assert theta == 0.0 and np.array_equal(np.abs(u), [1.0, 0.0])
+    assert ineq.triangle_equality_diagnostic(space, t, s).equal
 
 
 @pytest.mark.parametrize("r", [5, 6])
